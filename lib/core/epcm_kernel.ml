@@ -808,11 +808,9 @@ let touch t ~space ~page ~access =
   t.stats.touches <- t.stats.touches + 1;
   let c = cost t in
   let tlb = t.machine.Machine.tlb and pt = t.machine.Machine.page_table in
-  let prot_ok (p : Pt.prot) =
-    match access with Mgr.Read -> p.Pt.readable | Mgr.Write -> p.Pt.writable
-  in
   match Pt.lookup_sized pt ~space ~vpn:page with
-  | Some (frame, prot, size) when prot_ok prot ->
+  | Some { Pt.frame; prot; size; _ }
+    when match access with Mgr.Read -> prot.Pt.readable | Mgr.Write -> prot.Pt.writable ->
       (* Model TLB behaviour on the side: hit is free, miss costs a software
          refill from the mapping hash — at the granularity the mapping hash
          resolved (a superpage hit refills one 2 MB entry covering the whole

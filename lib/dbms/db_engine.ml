@@ -131,7 +131,7 @@ let build cfg =
     join_responses = Sim_stats.Series.create ();
   }
 
-let cpu_ms w ms = Resource.use w.cpus (fun () -> Engine.delay (ms *. 1000.0))
+let cpu_ms w ms = Resource.hold w.cpus (ms *. 1000.0)
 
 let touch w seg page access = K.touch w.kernel ~space:seg ~page ~access
 

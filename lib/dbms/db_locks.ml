@@ -18,6 +18,33 @@ let covers ~held ~wanted =
   | IS, IS -> true
   | (S | IX | IS), _ -> false
 
+let pp_mode ppf = function
+  | IS -> Format.pp_print_string ppf "IS"
+  | IX -> Format.pp_print_string ppf "IX"
+  | S -> Format.pp_print_string ppf "S"
+  | X -> Format.pp_print_string ppf "X"
+
+let pp_resource ppf = function
+  | Database -> Format.pp_print_string ppf "db"
+  | Relation r -> Format.fprintf ppf "rel(%d)" r
+  | Page (r, p) -> Format.fprintf ppf "page(%d,%d)" r p
+
+(* The order polymorphic [compare] gives resources — database, then
+   relations by id, then pages by (relation, page) — which is also the
+   global acquisition order. Release visits resources in it, and since
+   release wakes waiters, it fixes the order of the events that follow. *)
+let compare_resource a b =
+  match (a, b) with
+  | Database, Database -> 0
+  | Database, _ -> -1
+  | _, Database -> 1
+  | Relation x, Relation y -> Int.compare x y
+  | Relation _, Page _ -> -1
+  | Page _, Relation _ -> 1
+  | Page (r, p), Page (r', p') ->
+      let c = Int.compare r r' in
+      if c <> 0 then c else Int.compare p p'
+
 type waiter_state = Waiting | Granted | Cancelled
 
 type waiter = {
@@ -27,14 +54,19 @@ type waiter = {
   mutable w_state : waiter_state;
 }
 
+(* Holders of one resource, newest first. *)
+type grants = No_grant | Grant of txn * mode * grants
+
 type node = {
-  mutable granted : (txn * mode) list;
+  mutable granted : grants;
   waiters : waiter Queue.t;
 }
 
 type t = {
   nodes : (resource, node) Hashtbl.t;
   by_txn : (txn, resource list) Hashtbl.t;
+      (* what each transaction holds, deduplicated, in descending
+         [compare_resource] order *)
   mutable blocked : int;
   mutable total_blocked : int;
   mutable timeouts : int;
@@ -50,47 +82,59 @@ let create () =
   }
 
 let node t r =
-  match Hashtbl.find_opt t.nodes r with
-  | Some n -> n
-  | None ->
-      let n = { granted = []; waiters = Queue.create () } in
+  match Hashtbl.find t.nodes r with
+  | n -> n
+  | exception Not_found ->
+      let n = { granted = No_grant; waiters = Queue.create () } in
       Hashtbl.replace t.nodes r n;
       n
 
-let mode_of t ~txn r =
-  List.assoc_opt txn (node t r).granted
+(* The helpers below walk the grant list with plain recursion: they run on
+   every acquire and release, so they allocate nothing (no closures, no
+   options) beyond the cells a release must rebuild. *)
 
-let grantable node ~txn ~mode =
-  List.for_all (fun (holder, m) -> holder = txn || compatible m mode) node.granted
+let rec mode_held ~txn = function
+  | No_grant -> raise Not_found
+  | Grant (holder, m, rest) -> if holder = txn then m else mode_held ~txn rest
+
+let rec grantable_in ~txn ~mode = function
+  | No_grant -> true
+  | Grant (holder, m, rest) -> (holder = txn || compatible m mode) && grantable_in ~txn ~mode rest
+
+let grantable n ~txn ~mode = grantable_in ~txn ~mode n.granted
+
+(* [g] without [txn]'s grants, in order; shares the tail past the last one. *)
+let rec without ~txn g =
+  match g with
+  | No_grant -> g
+  | Grant (holder, m, rest) ->
+      let rest' = without ~txn rest in
+      if holder = txn then rest' else if rest' == rest then g else Grant (holder, m, rest')
+
+let rec insert_desc r = function
+  | [] -> [ r ]
+  | x :: rest as l ->
+      let c = compare_resource r x in
+      if c > 0 then r :: l else if c = 0 then l else x :: insert_desc r rest
 
 let record t ~txn r =
-  let existing = try Hashtbl.find t.by_txn txn with Not_found -> [] in
-  Hashtbl.replace t.by_txn txn (r :: existing)
+  match Hashtbl.find t.by_txn txn with
+  | held -> Hashtbl.replace t.by_txn txn (insert_desc r held)
+  | exception Not_found -> Hashtbl.replace t.by_txn txn [ r ]
+
+let grant t n ~txn r mode =
+  n.granted <- Grant (txn, mode, n.granted);
+  record t ~txn r
+
+let upgrade_error fn ~held ~mode =
+  invalid_arg (Format.asprintf "Db_locks.%s: upgrade %a -> %a unsupported" fn pp_mode held pp_mode mode)
 
 let acquire t ~txn r mode =
   let n = node t r in
-  match mode_of t ~txn r with
-  | Some held when covers ~held ~wanted:mode -> ()
-  | Some held ->
-      invalid_arg
-        (Format.asprintf "Db_locks.acquire: upgrade %a -> %a unsupported"
-           (fun ppf -> function
-             | IS -> Format.pp_print_string ppf "IS"
-             | IX -> Format.pp_print_string ppf "IX"
-             | S -> Format.pp_print_string ppf "S"
-             | X -> Format.pp_print_string ppf "X")
-           held
-           (fun ppf -> function
-             | IS -> Format.pp_print_string ppf "IS"
-             | IX -> Format.pp_print_string ppf "IX"
-             | S -> Format.pp_print_string ppf "S"
-             | X -> Format.pp_print_string ppf "X")
-           mode)
-  | None ->
-      if Queue.is_empty n.waiters && grantable n ~txn ~mode then begin
-        n.granted <- (txn, mode) :: n.granted;
-        record t ~txn r
-      end
+  match mode_held ~txn n.granted with
+  | held -> if not (covers ~held ~wanted:mode) then upgrade_error "acquire" ~held ~mode
+  | exception Not_found ->
+      if Queue.is_empty n.waiters && grantable n ~txn ~mode then grant t n ~txn r mode
       else begin
         t.blocked <- t.blocked + 1;
         t.total_blocked <- t.total_blocked + 1;
@@ -107,13 +151,11 @@ let acquire t ~txn r mode =
 
 let try_acquire t ~txn r mode =
   let n = node t r in
-  match mode_of t ~txn r with
-  | Some held when covers ~held ~wanted:mode -> true
-  | Some _ -> false
-  | None ->
+  match mode_held ~txn n.granted with
+  | held -> covers ~held ~wanted:mode
+  | exception Not_found ->
       if Queue.is_empty n.waiters && grantable n ~txn ~mode then begin
-        n.granted <- (txn, mode) :: n.granted;
-        record t ~txn r;
+        grant t n ~txn r mode;
         true
       end
       else false
@@ -121,29 +163,31 @@ let try_acquire t ~txn r mode =
 (* Grant from the head of the queue while compatible (FIFO, no
    overtaking). Waiters cancelled by a timeout are tombstones: they are
    skipped here and never granted. *)
-let wake t n =
-  let continue_ = ref true in
-  while !continue_ do
-    match Queue.peek_opt n.waiters with
-    | Some w when w.w_state = Cancelled -> ignore (Queue.pop n.waiters)
-    | Some w when grantable n ~txn:w.w_txn ~mode:w.w_mode ->
-        ignore (Queue.pop n.waiters);
-        n.granted <- (w.w_txn, w.w_mode) :: n.granted;
-        w.w_state <- Granted;
-        t.blocked <- t.blocked - 1;
-        w.w_resume true
-    | Some _ | None -> continue_ := false
-  done
+let rec wake t n =
+  if not (Queue.is_empty n.waiters) then begin
+    let w = Queue.peek n.waiters in
+    if w.w_state = Cancelled then begin
+      ignore (Queue.pop n.waiters);
+      wake t n
+    end
+    else if grantable n ~txn:w.w_txn ~mode:w.w_mode then begin
+      ignore (Queue.pop n.waiters);
+      n.granted <- Grant (w.w_txn, w.w_mode, n.granted);
+      w.w_state <- Granted;
+      t.blocked <- t.blocked - 1;
+      w.w_resume true;
+      wake t n
+    end
+  end
 
 let acquire_timeout t ~txn r mode ~timeout_us =
   let n = node t r in
-  match mode_of t ~txn r with
-  | Some held when covers ~held ~wanted:mode -> true
-  | Some _ -> invalid_arg "Db_locks.acquire_timeout: upgrade unsupported"
-  | None ->
+  match mode_held ~txn n.granted with
+  | held ->
+      if covers ~held ~wanted:mode then true else upgrade_error "acquire_timeout" ~held ~mode
+  | exception Not_found ->
       if Queue.is_empty n.waiters && grantable n ~txn ~mode then begin
-        n.granted <- (txn, mode) :: n.granted;
-        record t ~txn r;
+        grant t n ~txn r mode;
         true
       end
       else begin
@@ -177,39 +221,37 @@ let acquire_timeout t ~txn r mode ~timeout_us =
         granted
       end
 
+let release_one t ~txn r =
+  match Hashtbl.find t.nodes r with
+  | n ->
+      n.granted <- without ~txn n.granted;
+      wake t n
+  | exception Not_found -> ()
+
+(* Visits a descending list from its last element: ascending order. *)
+let rec release_ascending t ~txn = function
+  | [] -> ()
+  | r :: rest ->
+      release_ascending t ~txn rest;
+      release_one t ~txn r
+
 let release_all t ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
-  | None -> ()
-  | Some resources ->
+  match Hashtbl.find t.by_txn txn with
+  | resources ->
       Hashtbl.remove t.by_txn txn;
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt t.nodes r with
-          | None -> ()
-          | Some n ->
-              n.granted <- List.filter (fun (holder, _) -> holder <> txn) n.granted;
-              wake t n)
-        (List.sort_uniq compare resources)
+      release_ascending t ~txn resources
+  | exception Not_found -> ()
 
 let held t ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
-  | None -> []
-  | Some resources ->
-      List.filter_map
-        (fun r -> Option.map (fun m -> (r, m)) (mode_of t ~txn r))
-        (List.sort_uniq compare resources)
+  match Hashtbl.find t.by_txn txn with
+  | resources ->
+      List.rev resources
+      |> List.filter_map (fun r ->
+             match mode_held ~txn (node t r).granted with
+             | m -> Some (r, m)
+             | exception Not_found -> None)
+  | exception Not_found -> []
 
 let waiting t = t.blocked
 let total_blocked t = t.total_blocked
 let timeouts t = t.timeouts
-
-let pp_mode ppf = function
-  | IS -> Format.pp_print_string ppf "IS"
-  | IX -> Format.pp_print_string ppf "IX"
-  | S -> Format.pp_print_string ppf "S"
-  | X -> Format.pp_print_string ppf "X"
-
-let pp_resource ppf = function
-  | Database -> Format.pp_print_string ppf "db"
-  | Relation r -> Format.fprintf ppf "rel(%d)" r
-  | Page (r, p) -> Format.fprintf ppf "page(%d,%d)" r p

@@ -32,7 +32,7 @@ val create : unit -> t
 val acquire : t -> txn:txn -> resource -> mode -> unit
 (** Blocks until granted. Re-acquiring a mode already held (or implied:
     X ⊇ S ⊇ IS, X ⊇ IX ⊇ IS) is a no-op. Upgrades are not supported and
-    raise [Invalid_argument]. *)
+    raise [Invalid_argument "Db_locks.acquire: upgrade A -> B unsupported"]. *)
 
 val try_acquire : t -> txn:txn -> resource -> mode -> bool
 
@@ -42,10 +42,14 @@ val acquire_timeout : t -> txn:txn -> resource -> mode -> timeout_us:float -> bo
     abort-on-lock-timeout path). Returns [true] as soon as the lock is
     granted. A timed-out waiter is cancelled in place — it never holds
     the lock and FIFO order among the remaining waiters is preserved.
-    Must run inside a simulation process. *)
+    An upgrade raises [Invalid_argument] as in {!acquire}, naming
+    [Db_locks.acquire_timeout]. Must run inside a simulation process. *)
 
 val release_all : t -> txn:txn -> unit
-(** Release everything the transaction holds, waking eligible waiters. *)
+(** Release everything the transaction holds, waking eligible waiters.
+    Resources are visited in the global acquisition order (database,
+    relations by id, pages by (relation, page)), so the wake-ups — and
+    the events they schedule — come in a fixed order. *)
 
 val held : t -> txn:txn -> (resource * mode) list
 val waiting : t -> int

@@ -166,7 +166,7 @@ let build spec ~shard =
     latencies = Sim_stats.Series.create ();
   }
 
-let cpu_ms w ms = Resource.use w.cpus (fun () -> Engine.delay (ms *. 1000.0))
+let cpu_ms w ms = Resource.hold w.cpus (ms *. 1000.0)
 
 let touch w page =
   K.touch w.kernel ~space:w.seg_accounts ~page ~access:Epcm_manager.Write

@@ -43,52 +43,53 @@ let append t =
 let note_page_write t ~seg ~page ~lsn = Hashtbl.replace t.page_lsns (seg, page) lsn
 let page_lsn t ~seg ~page = Hashtbl.find_opt t.page_lsns (seg, page)
 
-(* Flush latency (group commit: transfer plus any retry backoffs) lands in
-   the disk's metrics sink under kind "wal.flush". *)
-let observing t =
-  match Hw_disk.metrics t.disk with
-  | Some m when Sim_metrics.enabled m -> (
-      match Sim_engine.time () with
-      | t0 -> Some (m, t0)
-      | exception Sim_engine.Not_in_process -> None)
-  | _ -> None
+(* One forced write of the log tail, retried with exponential backoff;
+   after [max_attempts] failures the flush fails. *)
+let rec write_retrying t ~bytes ~target ~max_attempts n backoff =
+  try Hw_disk.write t.disk ~bytes
+  with Hw_disk.Io_error _ ->
+    if n >= max_attempts then begin
+      t.flush_failures <- t.flush_failures + 1;
+      bump t "flush_failed";
+      raise (Flush_failed { lsn = target; attempts = n })
+    end
+    else begin
+      t.flush_retries <- t.flush_retries + 1;
+      bump t "flush_retries";
+      backoff_wait backoff;
+      write_retrying t ~bytes ~target ~max_attempts (n + 1) (backoff *. 2.0)
+    end
 
+let force t ~lsn =
+  let target = min lsn t.next_lsn in
+  let pending = target - t.flushed in
+  (* Group commit: every pending record rides one transfer. [flushed]
+     advances only after the transfer succeeds, so a torn (failed) write
+     leaves the durable prefix exactly where it was — recovery replays
+     from there and commit never acknowledges lost records. *)
+  let bytes = max t.record_bytes (pending * t.record_bytes) in
+  write_retrying t ~bytes ~target ~max_attempts:(max 1 t.retry.attempts) 1 t.retry.backoff_us;
+  t.flushed <- target;
+  t.flushes <- t.flushes + 1
+
+(* Flush latency (group commit: transfer plus any retry backoffs) lands in
+   the disk's metrics sink under kind "wal.flush" — when that sink is
+   enabled and the flush runs inside a simulation process. Otherwise a
+   flush is [force] alone. *)
 let flush_to t ~lsn =
-  if lsn > t.flushed then begin
-    let obs = observing t in
-    Fun.protect
-      ~finally:(fun () ->
-        match obs with
-        | None -> ()
-        | Some (m, t0) -> Sim_metrics.observe m ~kind:"wal.flush" (Sim_engine.time () -. t0))
-    @@ fun () ->
-    let target = min lsn t.next_lsn in
-    let pending = target - t.flushed in
-    (* Group commit: every pending record rides one transfer. [flushed]
-       advances only after the transfer succeeds, so a torn (failed) write
-       leaves the durable prefix exactly where it was — recovery replays
-       from there and commit never acknowledges lost records. *)
-    let bytes = max t.record_bytes (pending * t.record_bytes) in
-    let max_attempts = max 1 t.retry.attempts in
-    let rec go n backoff =
-      try Hw_disk.write t.disk ~bytes
-      with Hw_disk.Io_error _ ->
-        if n >= max_attempts then begin
-          t.flush_failures <- t.flush_failures + 1;
-          bump t "flush_failed";
-          raise (Flush_failed { lsn = target; attempts = n })
-        end
-        else begin
-          t.flush_retries <- t.flush_retries + 1;
-          bump t "flush_retries";
-          backoff_wait backoff;
-          go (n + 1) (backoff *. 2.0)
-        end
-    in
-    go 1 t.retry.backoff_us;
-    t.flushed <- target;
-    t.flushes <- t.flushes + 1
-  end
+  if lsn > t.flushed then
+    match Hw_disk.metrics t.disk with
+    | Some m when Sim_metrics.enabled m -> (
+        match Sim_engine.time () with
+        | exception Sim_engine.Not_in_process -> force t ~lsn
+        | t0 -> (
+            match force t ~lsn with
+            | () -> Sim_metrics.observe m ~kind:"wal.flush" (Sim_engine.time () -. t0)
+            | exception e ->
+                let bt = Printexc.get_raw_backtrace () in
+                Sim_metrics.observe m ~kind:"wal.flush" (Sim_engine.time () -. t0);
+                Printexc.raise_with_backtrace e bt))
+    | _ -> force t ~lsn
 
 let commit t ~lsn = flush_to t ~lsn
 

@@ -54,45 +54,49 @@ let access_time_us t ~bytes =
 (* The error, if any, surfaces after the arm has done the work: a failed
    transfer costs full service time (plus any injected burst), exactly the
    retry-storm convoy a real disk produces. *)
+let inject t plan ~(op : op) ~block =
+  let site = match op with `Read -> Sim_chaos.Disk_read | `Write -> Sim_chaos.Disk_write in
+  match Sim_chaos.decide plan site ~now:(Engine.time ()) ~block with
+  | Sim_chaos.Verdict.Pass -> ()
+  | Sim_chaos.Verdict.Delay us ->
+      t.injected_delay_us <- t.injected_delay_us +. us;
+      Engine.delay us
+  | Sim_chaos.Verdict.Transient_failure | Sim_chaos.Verdict.Permanent_failure ->
+      (match op with
+      | `Read -> t.read_errors <- t.read_errors + 1
+      | `Write -> t.write_errors <- t.write_errors + 1);
+      raise (Io_error { op; block })
+
+(* Queue for the arm, then serve. Bracketed by hand rather than through
+   [Resource.use]: a thunk here would be a closure per transfer. *)
+let serve t ~op ~block ~bytes =
+  Resource.acquire t.arm;
+  match
+    Engine.delay (access_time_us t ~bytes);
+    match t.chaos with None -> () | Some plan -> inject t plan ~op ~block
+  with
+  | () -> Resource.release t.arm
+  | exception e -> Resource.release_reraise t.arm e
+
 (* Latency observation covers queueing on the arm plus service plus any
    injected burst, including transfers that end in an injected error (they
-   cost real time too). Only measurable inside a simulation process. *)
-let observing t =
+   cost real time too). Only measurable inside a simulation process, and
+   only taken when the sink is enabled: otherwise a transfer is [serve]
+   alone. *)
+let transfer t ~(op : op) ~block ~bytes =
   match t.metrics with
   | Some m when Sim_metrics.enabled m -> (
       match Engine.time () with
-      | t0 -> Some (m, t0)
-      | exception Engine.Not_in_process -> None)
-  | _ -> None
-
-let transfer t ~(op : op) ~block ~bytes =
-  let obs = observing t in
-  Fun.protect
-    ~finally:(fun () ->
-      match obs with
-      | None -> ()
-      | Some (m, t0) ->
+      | exception Engine.Not_in_process -> serve t ~op ~block ~bytes
+      | t0 -> (
           let kind = match op with `Read -> "disk.read" | `Write -> "disk.write" in
-          Sim_metrics.observe m ~kind (Engine.time () -. t0))
-  @@ fun () ->
-  Resource.use t.arm (fun () ->
-      Engine.delay (access_time_us t ~bytes);
-      match t.chaos with
-      | None -> ()
-      | Some plan -> (
-          let site =
-            match op with `Read -> Sim_chaos.Disk_read | `Write -> Sim_chaos.Disk_write
-          in
-          match Sim_chaos.decide plan site ~now:(Engine.time ()) ~block with
-          | Sim_chaos.Verdict.Pass -> ()
-          | Sim_chaos.Verdict.Delay us ->
-              t.injected_delay_us <- t.injected_delay_us +. us;
-              Engine.delay us
-          | Sim_chaos.Verdict.Transient_failure | Sim_chaos.Verdict.Permanent_failure ->
-              (match op with
-              | `Read -> t.read_errors <- t.read_errors + 1
-              | `Write -> t.write_errors <- t.write_errors + 1);
-              raise (Io_error { op; block })))
+          match serve t ~op ~block ~bytes with
+          | () -> Sim_metrics.observe m ~kind (Engine.time () -. t0)
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              Sim_metrics.observe m ~kind (Engine.time () -. t0);
+              Printexc.raise_with_backtrace e bt))
+  | _ -> serve t ~op ~block ~bytes
 
 let read_op t ~block ~bytes =
   t.reads <- t.reads + 1;

@@ -109,6 +109,20 @@ let remove_super t ~space ~svpn =
       t.super_live <- t.super_live - 1
   | Some _ | None -> ()
 
+let rec overflow_find t ~space ~vpn j =
+  if j >= Array.length t.overflow then begin
+    t.misses <- t.misses + 1;
+    None
+  end
+  else
+    match t.overflow.(j) with
+    | Some e as hit when matches e ~space ~vpn ->
+        t.hits <- t.hits + 1;
+        hit
+    | Some _ | None -> overflow_find t ~space ~vpn (j + 1)
+
+(* A 4 KB hit returns the stored [Some entry] itself; only a superpage
+   hit, which translates an offset into its run, builds a result. *)
 let lookup_sized t ~space ~vpn =
   (* Superpage probe first — but only when a superpage is live anywhere,
      so flat machines keep byte-identical statistics. *)
@@ -119,36 +133,24 @@ let lookup_sized t ~space ~vpn =
       | Some e when matches e ~space ~vpn:svpn ->
           t.hits <- t.hits + 1;
           t.super_hits <- t.super_hits + 1;
-          Some (e.frame + (vpn - (svpn * t.super_pages)), e.prot, Super)
+          Some { e with vpn; frame = e.frame + (vpn - (svpn * t.super_pages)) }
       | Some _ | None -> None
     end
     else None
   in
   match super_hit with
-  | Some _ as r -> r
+  | Some _ -> super_hit
   | None -> (
       let i = slot_of t ~space ~vpn in
       match t.slots.(i) with
-      | Some e when matches e ~space ~vpn ->
+      | Some e as hit when matches e ~space ~vpn ->
           t.hits <- t.hits + 1;
-          Some (e.frame, e.prot, Base)
-      | _ ->
-          let n = Array.length t.overflow in
-          let j = ref 0 and found = ref None in
-          while !found = None && !j < n do
-            (match t.overflow.(!j) with
-            | Some e when matches e ~space ~vpn -> found := Some (e.frame, e.prot, Base)
-            | Some _ | None -> ());
-            incr j
-          done;
-          (match !found with
-          | Some _ -> t.hits <- t.hits + 1
-          | None -> t.misses <- t.misses + 1);
-          !found)
+          hit
+      | _ -> overflow_find t ~space ~vpn 0)
 
 let lookup t ~space ~vpn =
   match lookup_sized t ~space ~vpn with
-  | Some (frame, prot, _) -> Some (frame, prot)
+  | Some e -> Some (e.frame, e.prot)
   | None -> None
 
 let remove t ~space ~vpn =

@@ -48,9 +48,12 @@ val lookup : t -> space:int -> vpn:int -> (int * prot) option
 (** Updates hit/miss statistics. Resolves through a live superpage entry
     covering [vpn] before probing the 4 KB slot. *)
 
-val lookup_sized : t -> space:int -> vpn:int -> (int * prot * size) option
-(** Like {!lookup} but also reports which mapping size resolved the
-    translation (the kernel charges the matching TLB refill cost). *)
+val lookup_sized : t -> space:int -> vpn:int -> entry option
+(** Like {!lookup}, returning the resolving entry, whose [size] says which
+    mapping resolved the translation (the kernel charges the matching TLB
+    refill cost). A 4 KB hit returns the stored entry itself, without
+    allocating; a superpage hit returns a fresh [Super] entry whose [vpn]
+    and [frame] are the looked-up page and its translated frame. *)
 
 val remove : t -> space:int -> vpn:int -> unit
 (** Remove the 4 KB entry for the page (superpage entries are removed

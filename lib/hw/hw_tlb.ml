@@ -1,12 +1,12 @@
-type slot = { space : int; vpn : int; frame : int }
+type entry = { space : int; vpn : int; frame : int; size : Hw_page_table.size }
 
 type t = {
-  slots : slot option array;
+  slots : entry option array;
   (* Superpage entries, keyed by (space, svpn) with svpn = vpn /
      super_pages. [super_live] guards every probe so a machine with no
      superpage fills behaves — and counts — exactly like the
      pre-superpage TLB. *)
-  super : slot option array;
+  super : entry option array;
   super_pages : int;
   mutable super_live : int;
   mutable super_hits : int;
@@ -30,6 +30,7 @@ let create ?(entries = 64) ?(super_entries = 16) ?(super_pages = 512) () =
 let index t ~space ~vpn = abs ((vpn * 31) lxor space) mod Array.length t.slots
 let super_index t ~space ~svpn = abs ((svpn * 131) lxor space) mod Array.length t.super
 
+(* As in [Hw_page_table]: a 4 KB hit returns the stored [Some entry]. *)
 let lookup_sized t ~space ~vpn =
   let super_hit =
     if t.super_live > 0 then begin
@@ -38,31 +39,32 @@ let lookup_sized t ~space ~vpn =
       | Some s when s.space = space && s.vpn = svpn ->
           t.hits <- t.hits + 1;
           t.super_hits <- t.super_hits + 1;
-          Some (s.frame + (vpn - (svpn * t.super_pages)), true)
+          Some { s with vpn; frame = s.frame + (vpn - (svpn * t.super_pages)) }
       | Some _ | None -> None
     end
     else None
   in
   match super_hit with
-  | Some _ as r -> r
+  | Some _ -> super_hit
   | None -> (
       match t.slots.(index t ~space ~vpn) with
-      | Some s when s.space = space && s.vpn = vpn ->
+      | Some s as hit when s.space = space && s.vpn = vpn ->
           t.hits <- t.hits + 1;
-          Some (s.frame, false)
+          hit
       | Some _ | None ->
           t.misses <- t.misses + 1;
           None)
 
 let lookup t ~space ~vpn =
-  match lookup_sized t ~space ~vpn with Some (frame, _) -> Some frame | None -> None
+  match lookup_sized t ~space ~vpn with Some e -> Some e.frame | None -> None
 
-let fill t ~space ~vpn ~frame = t.slots.(index t ~space ~vpn) <- Some { space; vpn; frame }
+let fill t ~space ~vpn ~frame =
+  t.slots.(index t ~space ~vpn) <- Some { space; vpn; frame; size = Hw_page_table.Base }
 
 let fill_super t ~space ~svpn ~frame =
   let i = super_index t ~space ~svpn in
   if t.super.(i) = None then t.super_live <- t.super_live + 1;
-  t.super.(i) <- Some { space; vpn = svpn; frame }
+  t.super.(i) <- Some { space; vpn = svpn; frame; size = Hw_page_table.Super }
 
 let invalidate t ~space ~vpn =
   match t.slots.(index t ~space ~vpn) with

@@ -10,6 +10,11 @@
     never fills a superpage behaves and counts identically to the
     pre-superpage TLB. *)
 
+type entry = { space : int; vpn : int; frame : int; size : Hw_page_table.size }
+(** A cached translation. For [Super] entries as stored, [vpn] is the
+    superpage number (vpn / super_pages) and [frame] the first frame of
+    the aligned run. *)
+
 type t
 
 val create : ?entries:int -> ?super_entries:int -> ?super_pages:int -> unit -> t
@@ -20,9 +25,12 @@ val lookup : t -> space:int -> vpn:int -> int option
 (** Returns the cached frame for the page, updating statistics. A live
     superpage entry covering [vpn] resolves before the 4 KB slot. *)
 
-val lookup_sized : t -> space:int -> vpn:int -> (int * bool) option
-(** Like {!lookup}; the boolean is [true] when a superpage entry resolved
-    the translation. *)
+val lookup_sized : t -> space:int -> vpn:int -> entry option
+(** Like {!lookup}, returning the resolving entry; its [size] is [Super]
+    when a superpage entry resolved the translation. A 4 KB hit returns
+    the stored entry itself, without allocating; a superpage hit returns
+    a fresh entry whose [vpn] and [frame] are the looked-up page and its
+    translated frame. *)
 
 val fill : t -> space:int -> vpn:int -> frame:int -> unit
 

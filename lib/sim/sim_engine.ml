@@ -1,18 +1,34 @@
 exception Not_in_process
 
+(* An all-float record is stored flat, so the clock can be written on
+   every event without boxing a float (a float field of [t] itself would
+   be boxed on each store). [wake] carries a heap-path delay's target from
+   [delay] to the handler, so the effect value needs no payload. *)
+type clock = { mutable now : float; mutable wake : float }
+
+(* Heap payloads. Resuming a process is data, not a closure: [Resume] for
+   a delay, [Resume_with] for a suspend's result. *)
+type event =
+  | Run of (unit -> unit)
+  | Resume of (unit, unit) Effect.Deep.continuation
+  | Resume_with : ('a, unit) Effect.Deep.continuation * 'a -> event
+
 type t = {
-  mutable clock : float;
-  heap : (unit -> unit) Sim_heap.t;
+  clock : clock;
+  heap : event Sim_heap.t;
   mutable seq : int;
   mutable live : int;
   mutable executed : int;
   mutable horizon : float option;  (* [run ~until] limit, while running *)
+  delay_eff : unit Effect.t;  (* [E_delay] of this engine, built once *)
+  on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+      (* its handler, built once *)
 }
 
 type _ Effect.t +=
-  | E_delay : (t * float) -> unit Effect.t
-  | E_suspend : (t * (('a -> unit) -> unit)) -> 'a Effect.t
-  | E_fork : (t * string * (unit -> unit)) -> unit Effect.t
+  | E_delay : t -> unit Effect.t
+  | E_suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
+  | E_fork : t * string * (unit -> unit) -> unit Effect.t
 
 (* The engine a process belongs to is threaded through the effects
    themselves; [current] lets the zero-argument public API find it. It is
@@ -22,15 +38,36 @@ type _ Effect.t +=
    shared across domains. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let create () =
-  { clock = 0.0; heap = Sim_heap.create (); seq = 0; live = 0; executed = 0; horizon = None }
-
-let now t = t.clock
-
-let schedule t ~at thunk =
-  let at = if at < t.clock then t.clock else at in
+let push t ~at ev =
+  let at = if at < t.clock.now then t.clock.now else at in
   t.seq <- t.seq + 1;
-  Sim_heap.push t.heap ~time:at ~seq:t.seq thunk
+  Sim_heap.push t.heap ~time:at ~seq:t.seq ev
+
+let create () =
+  let clock = { now = 0.0; wake = 0.0 } and heap = Sim_heap.create () in
+  let rec t =
+    {
+      clock;
+      heap;
+      seq = 0;
+      live = 0;
+      executed = 0;
+      horizon = None;
+      delay_eff = E_delay t;
+      on_delay = Some (fun k -> push t ~at:t.clock.wake (Resume k));
+    }
+  in
+  t
+
+let now t = t.clock.now
+let schedule t ~at thunk = push t ~at (Run thunk)
+
+let resumer eng k =
+  let resumed = ref false in
+  fun v ->
+    if !resumed then invalid_arg "Sim_engine: resume called twice";
+    resumed := true;
+    push eng ~at:eng.clock.now (Resume_with (k, v))
 
 let rec start_process t _name body =
   let open Effect.Deep in
@@ -43,29 +80,42 @@ let rec start_process t _name body =
           t.live <- t.live - 1;
           raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | E_delay (eng, d) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule eng ~at:(eng.clock +. Stdlib.max 0.0 d) (fun () -> continue k ()))
+          | E_delay eng -> eng.on_delay
           | E_suspend (eng, register) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  register (fun v ->
-                      if !resumed then invalid_arg "Sim_engine: resume called twice";
-                      resumed := true;
-                      schedule eng ~at:eng.clock (fun () -> continue k v)))
+              Some (fun (k : (a, unit) continuation) -> register (resumer eng k))
           | E_fork (eng, name, f) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  schedule eng ~at:eng.clock (fun () -> start_process eng name f);
+                  schedule eng ~at:eng.clock.now (fun () -> start_process eng name f);
                   continue k ())
           | _ -> None);
     }
 
-let spawn t ?(name = "proc") body = schedule t ~at:t.clock (fun () -> start_process t name body)
+let spawn t ?(name = "proc") body = schedule t ~at:t.clock.now (fun () -> start_process t name body)
+
+let dispatch = function
+  | Run f -> f ()
+  | Resume k -> Effect.Deep.continue k ()
+  | Resume_with (k, v) -> Effect.Deep.continue k v
+
+let rec loop t until =
+  let h = t.heap in
+  if not (Sim_heap.is_empty h) then
+    match until with
+    | Some limit when not (Sim_heap.due h ~at:limit) ->
+        (* Push back and stop at the horizon. *)
+        let time = Float.Array.get h.Sim_heap.times 0 in
+        let ev = Sim_heap.take h in
+        t.seq <- t.seq + 1;
+        Sim_heap.push h ~time ~seq:t.seq ev;
+        t.clock.now <- limit
+    | _ ->
+        t.clock.now <- Float.Array.get h.Sim_heap.times 0;
+        t.executed <- t.executed + 1;
+        dispatch (Sim_heap.take h);
+        loop t until
 
 let run ?until t =
   let saved = Domain.DLS.get current in
@@ -76,24 +126,7 @@ let run ?until t =
     ~finally:(fun () ->
       Domain.DLS.set current saved;
       t.horizon <- saved_horizon)
-    (fun () ->
-      let continue_loop = ref true in
-      while !continue_loop do
-        match Sim_heap.pop t.heap with
-        | None -> continue_loop := false
-        | Some (time, _, thunk) -> (
-            match until with
-            | Some limit when time > limit ->
-                (* Push back and stop at the horizon. *)
-                t.seq <- t.seq + 1;
-                Sim_heap.push t.heap ~time ~seq:t.seq thunk;
-                t.clock <- limit;
-                continue_loop := false
-            | _ ->
-                t.clock <- time;
-                t.executed <- t.executed + 1;
-                thunk ())
-      done)
+    (fun () -> loop t until)
 
 let live_processes t = t.live
 let events_executed t = t.executed
@@ -108,20 +141,25 @@ let engine_of_process () =
    process schedules — so the clock advances inline, skipping the
    continuation capture and two heap operations. The logical event still
    happened, so [executed] counts it: event counts and all interleavings
-   are identical to the unconditionally-scheduled implementation. *)
+   are identical to the unconditionally-scheduled implementation. The
+   pending check reads the heap's minimum in place (a [Sim_heap] call
+   would box [target]); the heap path hands [target] over in
+   [clock.wake] and performs the engine's prebuilt effect. *)
 let delay d =
   let t = engine_of_process () in
-  let target = t.clock +. Stdlib.max 0.0 d in
+  let target = t.clock.now +. if 0.0 >= d then 0.0 else d in
   let within_horizon = match t.horizon with None -> true | Some limit -> target <= limit in
-  let none_earlier =
-    match Sim_heap.peek_time t.heap with None -> true | Some due -> due > target
-  in
-  if within_horizon && none_earlier then begin
-    t.clock <- target;
+  let h = t.heap in
+  if within_horizon && (h.Sim_heap.len = 0 || Float.Array.get h.Sim_heap.times 0 > target)
+  then begin
+    t.clock.now <- target;
     t.executed <- t.executed + 1
   end
-  else Effect.perform (E_delay (t, d))
+  else begin
+    t.clock.wake <- target;
+    Effect.perform t.delay_eff
+  end
 
-let time () = (engine_of_process ()).clock
+let time () = (engine_of_process ()).clock.now
 let suspend register = Effect.perform (E_suspend (engine_of_process (), register))
 let fork ?(name = "proc") f = Effect.perform (E_fork (engine_of_process (), name, f))

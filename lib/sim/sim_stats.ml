@@ -1,6 +1,8 @@
 module Summary = struct
-  type t = {
-    mutable count : int;
+  (* The float accumulators sit in an all-float record, which OCaml stores
+     flat: updating them on every [add] boxes nothing (float fields of a
+     record that also holds an [int] are boxed on each store). *)
+  type acc = {
     mutable mean : float;
     mutable m2 : float;
     mutable min_v : float;
@@ -8,42 +10,50 @@ module Summary = struct
     mutable total : float;
   }
 
+  type t = { mutable count : int; acc : acc }
+
   let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; total = 0.0 }
+    { count = 0; acc = { mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; total = 0.0 } }
 
   let add t x =
+    let a = t.acc in
     t.count <- t.count + 1;
-    t.total <- t.total +. x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
+    a.total <- a.total +. x;
+    let delta = x -. a.mean in
+    a.mean <- a.mean +. (delta /. float_of_int t.count);
+    a.m2 <- a.m2 +. (delta *. (x -. a.mean));
+    if x < a.min_v then a.min_v <- x;
+    if x > a.max_v then a.max_v <- x
 
   let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.mean
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
+  let mean t = if t.count = 0 then 0.0 else t.acc.mean
+  let variance t = if t.count < 2 then 0.0 else t.acc.m2 /. float_of_int (t.count - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.min_v
-  let max t = t.max_v
-  let total t = t.total
+  let min t = t.acc.min_v
+  let max t = t.acc.max_v
+  let total t = t.acc.total
+  let copy t = { count = t.count; acc = { t.acc with total = t.acc.total } }
 
   let merge a b =
-    if a.count = 0 then { b with count = b.count }
-    else if b.count = 0 then { a with count = a.count }
+    if a.count = 0 then copy b
+    else if b.count = 0 then copy a
     else begin
       let n = a.count + b.count in
       let fa = float_of_int a.count and fb = float_of_int b.count in
+      let a = a.acc and b = b.acc in
       let delta = b.mean -. a.mean in
       let mean = a.mean +. (delta *. fb /. float_of_int n) in
       let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
       {
         count = n;
-        mean;
-        m2;
-        min_v = Stdlib.min a.min_v b.min_v;
-        max_v = Stdlib.max a.max_v b.max_v;
-        total = a.total +. b.total;
+        acc =
+          {
+            mean;
+            m2;
+            min_v = Stdlib.min a.min_v b.min_v;
+            max_v = Stdlib.max a.max_v b.max_v;
+            total = a.total +. b.total;
+          };
       }
     end
 end
@@ -72,10 +82,36 @@ module Series = struct
   let min t = Summary.min t.summary
   let max t = Summary.max t.summary
 
+  (* Heapsort in [Float.compare] order, specialised to [float array]: a
+     polymorphic sort boxes every element it reads from a float array. *)
+  let rec sift_down (a : float array) i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && Float.compare a.(l) a.(l + 1) < 0 then l + 1 else l in
+      if Float.compare a.(i) a.(c) < 0 then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift_down a c n
+      end
+    end
+
+  let sort (a : float array) =
+    let n = Array.length a in
+    for i = (n / 2) - 1 downto 0 do
+      sift_down a i n
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift_down a 0 last
+    done
+
   let percentile t p =
     if t.len = 0 then invalid_arg "Sim_stats.Series.percentile: empty series";
     let sorted = Array.sub t.data 0 t.len in
-    Array.sort compare sorted;
+    sort sorted;
     let rank =
       int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) - 1
     in

@@ -1,16 +1,34 @@
+(* Every blocking primitive parks its waiters with one [park] callback
+   built at creation, which queues the engine's [resume] itself: a
+   blocking call allocates no closure of its own. *)
+let parker waiters resume = Queue.add resume waiters
+
+(* The error path of every bracket below: [release x], then re-raise [e]
+   with its backtrace. Call it first thing in the handler, before anything
+   else can replace the backtrace. *)
+let release_reraise release x e =
+  let bt = Printexc.get_raw_backtrace () in
+  release x;
+  Printexc.raise_with_backtrace e bt
+
 module Semaphore = struct
-  type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
+  type t = {
+    mutable count : int;
+    waiters : (unit -> unit) Queue.t;
+    park : (unit -> unit) -> unit;
+  }
 
   let create n =
     if n < 0 then invalid_arg "Sim_sync.Semaphore.create: negative count";
-    { count = n; waiters = Queue.create () }
+    let waiters = Queue.create () in
+    { count = n; waiters; park = parker waiters }
 
   let available t = t.count
   let waiting t = Queue.length t.waiters
 
   let acquire t =
     if t.count > 0 then t.count <- t.count - 1
-    else Sim_engine.suspend (fun resume -> Queue.add (fun () -> resume ()) t.waiters)
+    else Sim_engine.suspend t.park
 
   let try_acquire t =
     if t.count > 0 then begin
@@ -52,14 +70,27 @@ module Resource = struct
     t.busy <- n;
     Sim_stats.Time_weighted.set t.busy_tw ~now:(Sim_engine.now t.engine) (float_of_int n)
 
-  let use t f =
+  let acquire t =
     Semaphore.acquire t.sem;
-    set_busy t (t.busy + 1);
-    Fun.protect
-      ~finally:(fun () ->
-        set_busy t (t.busy - 1);
-        Semaphore.release t.sem)
-      f
+    set_busy t (t.busy + 1)
+
+  let release t =
+    set_busy t (t.busy - 1);
+    Semaphore.release t.sem
+
+  let release_reraise t e = release_reraise release t e
+
+  let use t f =
+    acquire t;
+    match f () with
+    | v ->
+        release t;
+        v
+    | exception e -> release_reraise t e
+
+  let hold t us =
+    acquire t;
+    match Sim_engine.delay us with () -> release t | exception e -> release_reraise t e
 
   let utilisation t =
     let avg = Sim_stats.Time_weighted.average t.busy_tw ~now:(Sim_engine.now t.engine) in
@@ -67,9 +98,11 @@ module Resource = struct
 end
 
 module Mailbox = struct
-  type 'a t = { items : 'a Queue.t; readers : ('a -> unit) Queue.t }
+  type 'a t = { items : 'a Queue.t; readers : ('a -> unit) Queue.t; park : ('a -> unit) -> unit }
 
-  let create () = { items = Queue.create (); readers = Queue.create () }
+  let create () =
+    let readers = Queue.create () in
+    { items = Queue.create (); readers; park = parker readers }
 
   let send t v =
     match Queue.take_opt t.readers with
@@ -79,20 +112,24 @@ module Mailbox = struct
   let recv t =
     match Queue.take_opt t.items with
     | Some v -> v
-    | None -> Sim_engine.suspend (fun resume -> Queue.add resume t.readers)
+    | None -> Sim_engine.suspend t.park
 
   let try_recv t = Queue.take_opt t.items
   let length t = Queue.length t.items
 end
 
 module Gate = struct
-  type t = { mutable opened : bool; waiters : (unit -> unit) Queue.t }
+  type t = {
+    mutable opened : bool;
+    waiters : (unit -> unit) Queue.t;
+    park : (unit -> unit) -> unit;
+  }
 
-  let create () = { opened = false; waiters = Queue.create () }
+  let create () =
+    let waiters = Queue.create () in
+    { opened = false; waiters; park = parker waiters }
 
-  let wait t =
-    if not t.opened then
-      Sim_engine.suspend (fun resume -> Queue.add (fun () -> resume ()) t.waiters)
+  let wait t = if not t.opened then Sim_engine.suspend t.park
 
   let open_ t =
     if not t.opened then begin
@@ -105,11 +142,13 @@ module Gate = struct
 end
 
 module Condition = struct
-  type t = { waiters : (unit -> unit) Queue.t }
+  type t = { waiters : (unit -> unit) Queue.t; park : (unit -> unit) -> unit }
 
-  let create () = { waiters = Queue.create () }
+  let create () =
+    let waiters = Queue.create () in
+    { waiters; park = parker waiters }
 
-  let await t = Sim_engine.suspend (fun resume -> Queue.add (fun () -> resume ()) t.waiters)
+  let await t = Sim_engine.suspend t.park
 
   let signal_all t =
     (* Drain into a list first: a woken process may immediately await again,

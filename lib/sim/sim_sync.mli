@@ -16,7 +16,8 @@ module Semaphore : sig
 end
 
 (** A pool of identical servers (CPUs, disk arms) with utilisation
-    accounting. [use] brackets a critical section. *)
+    accounting. [use] brackets a critical section; [acquire]/[release]
+    are the same bracket for callers that must not allocate a thunk. *)
 module Resource : sig
   type t
 
@@ -25,7 +26,25 @@ module Resource : sig
   val in_use : t -> int
   val waiting : t -> int
   val use : t -> (unit -> 'a) -> 'a
-  (** Acquire a server (waiting FIFO if all busy), run the thunk, release. *)
+  (** Acquire a server (waiting FIFO if all busy), run the thunk, release.
+      An exception from the thunk releases the server and is re-raised
+      with its backtrace. *)
+
+  val hold : t -> float -> unit
+  (** [hold t us] is [use t (fun () -> Sim_engine.delay us)] without the
+      closure. *)
+
+  val acquire : t -> unit
+  (** Take a server, waiting FIFO if all are busy. Pair with
+      {!release}, on every exit path. *)
+
+  val release : t -> unit
+  (** Return a server taken with {!acquire}, waking the next waiter. *)
+
+  val release_reraise : t -> exn -> 'a
+  (** [release_reraise t e], called first thing in an exception handler:
+      {!release}, then re-raise [e] with its backtrace — the error path
+      of {!use}, for callers bracketing with {!acquire}. *)
 
   val utilisation : t -> float
   (** Time-weighted fraction of servers busy since creation, in [0,1]. *)

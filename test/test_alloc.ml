@@ -1,0 +1,205 @@
+(* Allocation gates for the hot operations. Each case runs one operation
+   [n] times and bounds the minor-heap words it allocates per operation,
+   so an allocation that creeps back onto a per-event path (a closure, a
+   boxed float, an option) fails here before it shows up in a benchmark.
+
+   The counts are deterministic for a given compiler and build profile.
+   Each bound sits at the value measured in the dev profile (which
+   compiles with -opaque, so every float crossing a module boundary is
+   boxed) plus less than one word, which absorbs the fixed costs of a run
+   amortised over [n]. An operation that allocates nothing is gated below
+   one word per operation. *)
+
+module Engine = Sim_engine
+module Resource = Sim_sync.Resource
+module K = Epcm_kernel
+
+let n = 20_000
+
+let words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Runs [procs] copies of [body] as processes of [e] and returns the words
+   the whole run allocates per operation, [ops] being the operations of
+   all copies together — scheduler included, since a per-event cost is
+   what the gate is about. *)
+let per_op ?(procs = 1) ~ops e body =
+  for _ = 1 to procs do
+    Engine.spawn e body
+  done;
+  words_during (fun () -> Engine.run e) /. float_of_int ops
+
+let gate name ~bound words =
+  if words > bound then
+    Alcotest.failf "%s: %.2f words/op, gate is %.2f" name words bound
+
+(* Static callbacks: the probes themselves must not allocate, or the gate
+   would measure the test harness. *)
+let delay_one () = Engine.delay 1.0
+let noop () = ()
+let resume_a = ref noop
+let resume_b = ref noop
+let park_a r = resume_a := r
+let park_b r = resume_b := r
+
+(* Two processes hand control back and forth: each resumes the other,
+   then parks itself. *)
+let ping_pong ~park ~theirs () =
+  for _ = 1 to n do
+    let r = !theirs in
+    theirs := noop;
+    r ();
+    Engine.suspend park
+  done
+
+let test_delay_fast () =
+  let w =
+    per_op ~ops:n (Engine.create ()) (fun () ->
+        for _ = 1 to n do
+          delay_one ()
+        done)
+  in
+  gate "delay (fast path)" ~bound:0.5 w
+
+let test_delay_heap () =
+  (* Two processes delaying in lock step: each always finds the other's
+     wake-up due no later than its own target, so every delay takes the
+     heap path. *)
+  let w =
+    per_op ~procs:2 ~ops:(2 * n) (Engine.create ()) (fun () ->
+        for _ = 1 to n do
+          delay_one ()
+        done)
+  in
+  gate "delay (heap path)" ~bound:8.5 w
+
+let test_suspend_resume () =
+  resume_a := noop;
+  resume_b := noop;
+  let e = Engine.create () in
+  Engine.spawn e (ping_pong ~park:park_a ~theirs:resume_b);
+  let w = per_op ~ops:(2 * n) e (ping_pong ~park:park_b ~theirs:resume_a) in
+  gate "suspend/resume" ~bound:28.5 w
+
+let test_resource_uncontended () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 in
+  let w =
+    per_op ~ops:n e (fun () ->
+        for _ = 1 to n do
+          Resource.use r noop
+        done)
+  in
+  gate "Resource.use (uncontended)" ~bound:8.5 w
+
+let test_resource_contended () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 in
+  let w =
+    per_op ~procs:2 ~ops:(2 * n) e (fun () ->
+        for _ = 1 to n do
+          Resource.use r delay_one
+        done)
+  in
+  gate "Resource.use (contended)" ~bound:41.5 w
+
+let test_disk_write () =
+  let e = Engine.create () in
+  let disk = Hw_disk.create e () in
+  let w =
+    per_op ~ops:n e (fun () ->
+        for _ = 1 to n do
+          Hw_disk.write disk ~bytes:4096
+        done)
+  in
+  gate "Hw_disk.write" ~bound:10.5 w
+
+let test_wal_commit () =
+  let e = Engine.create () in
+  let wal = Db_wal.create (Hw_disk.create e ()) () in
+  let w =
+    per_op ~ops:n e (fun () ->
+        for _ = 1 to n do
+          let lsn = Db_wal.append wal in
+          Db_wal.commit wal ~lsn
+        done)
+  in
+  gate "Db_wal commit" ~bound:10.5 w
+
+let pages = Array.init 8 (fun p -> Db_locks.Page (0, p))
+
+let test_lock_cycle () =
+  let l = Db_locks.create () in
+  let cycle txn =
+    Db_locks.acquire l ~txn Db_locks.Database Db_locks.IX;
+    Db_locks.acquire l ~txn pages.(txn land 7) Db_locks.X;
+    Db_locks.release_all l ~txn
+  in
+  cycle 0;
+  let w =
+    words_during (fun () ->
+        for txn = 1 to n do
+          cycle txn
+        done)
+    /. float_of_int n
+  in
+  gate "lock cycle (IX + X + release_all)" ~bound:18.5 w
+
+let test_warm_touch () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  let k = K.create m in
+  let seg = K.create_segment k ~name:"warm" ~pages:1 () in
+  K.migrate_pages k ~src:(K.initial_segment k) ~dst:seg ~src_page:0 ~dst_page:0 ~count:1 ();
+  let access = Epcm_manager.Read in
+  K.touch k ~space:seg ~page:0 ~access;
+  let w =
+    per_op ~ops:n m.Hw_machine.engine (fun () ->
+        for _ = 1 to n do
+          K.touch k ~space:seg ~page:0 ~access
+        done)
+  in
+  gate "warm K.touch" ~bound:0.5 w
+
+let test_charge_metrics_off () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  let w =
+    per_op ~ops:n m.Hw_machine.engine (fun () ->
+        for _ = 1 to n do
+          Hw_machine.charge ~label:"kernel/probe" m 1.0
+        done)
+  in
+  gate "Hw_machine.charge (metrics off)" ~bound:0.5 w
+
+let test_rng_draws () =
+  let r = Sim_rng.create 1L in
+  let sink = ref 0 in
+  let w =
+    words_during (fun () ->
+        for _ = 1 to n do
+          sink := !sink + Sim_rng.int r 512;
+          if Sim_rng.bernoulli r 0.1 then incr sink
+        done)
+    /. float_of_int (2 * n)
+  in
+  gate "Sim_rng.int / bernoulli" ~bound:0.5 w
+
+let () =
+  Alcotest.run "alloc"
+    [
+      ( "words per op",
+        [
+          Alcotest.test_case "delay fast path" `Quick test_delay_fast;
+          Alcotest.test_case "delay heap path" `Quick test_delay_heap;
+          Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
+          Alcotest.test_case "Resource.use uncontended" `Quick test_resource_uncontended;
+          Alcotest.test_case "Resource.use contended" `Quick test_resource_contended;
+          Alcotest.test_case "Hw_disk.write" `Quick test_disk_write;
+          Alcotest.test_case "Db_wal commit" `Quick test_wal_commit;
+          Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
+          Alcotest.test_case "warm K.touch" `Quick test_warm_touch;
+          Alcotest.test_case "charge with metrics off" `Quick test_charge_metrics_off;
+          Alcotest.test_case "Sim_rng draws" `Quick test_rng_draws;
+        ] );
+    ]

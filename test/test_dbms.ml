@@ -158,6 +158,27 @@ let test_upgrade_rejected () =
   Engine.run e;
   check_bool "upgrade rejected" true !raised
 
+(* Both blocking acquires name the refused upgrade the same way. *)
+let test_upgrade_messages () =
+  let e = Engine.create () in
+  let locks = L.create () in
+  let got = ref [] in
+  let attempt f = match f () with _ -> () | exception Invalid_argument m -> got := m :: !got in
+  Engine.spawn e (fun () ->
+      L.acquire locks ~txn:1 (L.Relation 0) L.IS;
+      attempt (fun () -> L.acquire locks ~txn:1 (L.Relation 0) L.X);
+      L.acquire locks ~txn:1 (L.Page (0, 3)) L.S;
+      attempt (fun () -> L.acquire_timeout locks ~txn:1 (L.Page (0, 3)) L.IX ~timeout_us:10.0);
+      L.release_all locks ~txn:1);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "messages"
+    [
+      "Db_locks.acquire: upgrade IS -> X unsupported";
+      "Db_locks.acquire_timeout: upgrade S -> IX unsupported";
+    ]
+    (List.rev !got)
+
 let test_try_acquire () =
   let e = Engine.create () in
   let locks = L.create () in
@@ -422,6 +443,7 @@ let () =
           Alcotest.test_case "no overtaking" `Quick test_no_overtaking_x_waiter;
           Alcotest.test_case "reacquire noop" `Quick test_reacquire_held_is_noop;
           Alcotest.test_case "upgrade rejected" `Quick test_upgrade_rejected;
+          Alcotest.test_case "upgrade messages" `Quick test_upgrade_messages;
           Alcotest.test_case "try acquire" `Quick test_try_acquire;
         ] );
       ( "wal",

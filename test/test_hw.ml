@@ -346,10 +346,10 @@ let test_pt_super_basics () =
   Pt.insert_super pt ~space:1 ~svpn:2 ~frame:80 ~prot:prot_rw;
   check_int "one superpage resident" 1 (Pt.super_resident pt);
   (match Pt.lookup_sized pt ~space:1 ~vpn:16 with
-  | Some (80, _, Pt.Super) -> ()
+  | Some { Pt.frame = 80; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "expected super hit at run base");
   (match Pt.lookup_sized pt ~space:1 ~vpn:23 with
-  | Some (87, _, Pt.Super) -> ()
+  | Some { Pt.frame = 87; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "expected super hit at run end");
   check_int "super hits counted" 2 (Pt.super_hits pt);
   check_int "super hits also count as hits" 2 (Pt.hits pt);
@@ -358,12 +358,12 @@ let test_pt_super_basics () =
   (* A super entry shadows any 4 KB entry under it. *)
   Pt.insert pt ~space:1 ~vpn:17 ~frame:999 ~prot:prot_rw;
   (match Pt.lookup_sized pt ~space:1 ~vpn:17 with
-  | Some (81, _, Pt.Super) -> ()
+  | Some { Pt.frame = 81; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "super entry must shadow the 4 KB entry");
   Pt.remove_super pt ~space:1 ~svpn:2;
   check_int "removed" 0 (Pt.super_resident pt);
   (match Pt.lookup_sized pt ~space:1 ~vpn:17 with
-  | Some (999, _, Pt.Base) -> ()
+  | Some { Pt.frame = 999; size = Pt.Base; _ } -> ()
   | _ -> Alcotest.fail "4 KB entry resurfaces after demotion")
 
 let test_pt_super_collision_and_space () =
@@ -412,14 +412,14 @@ let test_tlb_super () =
   Tlb.fill_super tlb ~space:1 ~svpn:1 ~frame:40;
   check_bool "covers the run base" true (Tlb.lookup tlb ~space:1 ~vpn:8 = Some 40);
   (match Tlb.lookup_sized tlb ~space:1 ~vpn:15 with
-  | Some (47, true) -> ()
+  | Some { Tlb.frame = 47; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "expected super-resolved hit at run end");
   check_int "super hits counted" 2 (Tlb.super_hits tlb);
   check_bool "outside the run misses" true (Tlb.lookup tlb ~space:1 ~vpn:16 = None);
   (* Base fills still work alongside and are reported as base hits. *)
   Tlb.fill tlb ~space:1 ~vpn:16 ~frame:99;
   (match Tlb.lookup_sized tlb ~space:1 ~vpn:16 with
-  | Some (99, false) -> ()
+  | Some { Tlb.frame = 99; size = Pt.Base; _ } -> ()
   | _ -> Alcotest.fail "expected base hit");
   Tlb.invalidate_super tlb ~space:1 ~svpn:1;
   check_bool "invalidated" true (Tlb.lookup tlb ~space:1 ~vpn:8 = None);

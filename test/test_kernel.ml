@@ -31,13 +31,15 @@ let spy_manager ?(mode = `In_process) k =
         seen := f :: !seen;
         match f.Mgr.f_kind with
         | Mgr.Missing | Mgr.Cow_write ->
-            (* Take the next resident initial-segment slot. *)
-            let rec find i =
-              if i >= Seg.length (K.segment kern init) then Alcotest.fail "out of frames"
+            (* Take the next resident initial-segment slot, wrapping once
+               to reuse slots that released frames have refilled. *)
+            let rec find ~wrapped i =
+              if i >= Seg.length (K.segment kern init) then
+                if wrapped then Alcotest.fail "out of frames" else find ~wrapped:true 0
               else if (Seg.page (K.segment kern init) i).Seg.frame <> None then i
-              else find (i + 1)
+              else find ~wrapped (i + 1)
             in
-            let slot = find !next_init in
+            let slot = find ~wrapped:false !next_init in
             next_init := slot + 1;
             K.migrate_pages kern ~src:init ~dst:f.Mgr.f_seg ~src_page:slot
               ~dst_page:f.Mgr.f_page ~count:1 ()

@@ -82,6 +82,49 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 Fun.id) sorted
 
+(* Golden draws: the first 16 values of every draw kind for one seed,
+   pinned so a change to the generator's representation (the state is
+   kept unboxed) provably draws the same stream. Floats are compared
+   exactly, as hex literals. *)
+let test_rng_golden () =
+  let draws f =
+    let r = Rng.create 20260101L in
+    List.init 16 (fun _ -> f r)
+  in
+  Alcotest.(check (list int64)) "int64"
+    [ -960161659727720390L; 3190848937081373894L; -4541172408675053388L; -4219672266820744213L;
+      -8500678748908361468L; 9063857149872120681L; -3927612579381956887L; -6788400297425300121L;
+      4471861732358938601L; 5098341908887537052L; 6590281796502399532L; 5756405481570528398L;
+      -3811600244137796213L; 4832887493387331216L; -8701985958582977171L; 839869437924247044L ]
+    (draws Rng.int64);
+  Alcotest.(check (list int)) "int"
+    [ 292954; 478165; 138991; 332730; 987664; 866333; 769427; 413012; 944332; 947119; 744300;
+      838816; 898431; 976734; 896453; 712644 ]
+    (draws (fun r -> Rng.int r 1_000_003));
+  let exact = Alcotest.testable (fun ppf -> Format.fprintf ppf "%h") Float.equal in
+  Alcotest.(check (list exact)) "float"
+    [ 0x1.e559a41d81f5ap-1; 0x1.6241619e9558p-3; 0x1.81f507824a3cap-1; 0x1.8ae16cdc372a1p-1;
+      0x1.140f0b6ecb35dp-1; 0x1.f7252838c40c8p-2; 0x1.92fca2563d2a5p-1; 0x1.439583cabd9e2p-1;
+      0x1.f079f46bcf56cp-3; 0x1.1b03cbd0daeap-2; 0x1.6dd5898228feap-2; 0x1.3f8b7125a07dap-2;
+      0x1.9634f38b9cbfbp-1; 0x1.0c4776472b1e8p-2; 0x1.0e78abc06472fp-1; 0x1.74fa19ba25dp-5 ]
+    (draws Rng.float);
+  Alcotest.(check (list bool)) "bernoulli"
+    [ false; true; false; false; false; false; false; false; true; true; false; false; false;
+      true; false; true ]
+    (draws (fun r -> Rng.bernoulli r 0.3));
+  Alcotest.(check (list exact)) "exponential"
+    [ 0x1.278ddcbe02bfcp+6; 0x1.2fe00148dfa97p+2; 0x1.18572d266f92ep+5; 0x1.2706ad6ce23b8p+5;
+      0x1.35e5913efe35ap+4; 0x1.0e6670ac46a42p+4; 0x1.355f08a01d426p+5; 0x1.8fde787cbe563p+4;
+      0x1.bc33b9a4f61dcp+2; 0x1.02caff05b3f4p+3; 0x1.619ca2c2a72fdp+3; 0x1.2b3ccf18368f9p+3;
+      0x1.3b5e251e4806p+5; 0x1.e6145fcb6a257p+2; 0x1.2c88de7622c1ep+4; 0x1.2a3ae74d87818p+0 ]
+    (draws (fun r -> Rng.exponential r ~mean:25.0));
+  Alcotest.(check (list int64)) "first draw of each split"
+    [ 2247230165633754791L; -2655548896148270859L; 5964902839055016993L; 8247525976559922212L;
+      8510062323814007673L; -4158078324441224773L; 2348741276797014350L; 2181533771279166037L;
+      8433203022906922836L; 2182050755943592029L; -4406271162063857794L; 1449734770298164498L;
+      9111670081840838146L; -9200124274595543011L; 8490531206811020098L; 2624569807974562788L ]
+    (draws (fun r -> Rng.int64 (Rng.split r)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -125,6 +168,28 @@ let test_series_percentile () =
   check_float "p1" 1.0 (Stats.Series.percentile s 1.0);
   check_float "max" 100.0 (Stats.Series.max s)
 
+(* The percentile sort is a float-specialised heapsort; it must pick the
+   same rank as a reference sort in [Float.compare] order, special values
+   (nan, infinities, signed zeros) included. Under [Float.equal] all nans
+   are equal and so are both zeros, the only ties a sort can order
+   differently. *)
+let prop_series_percentile_reference =
+  QCheck.Test.make ~name:"series percentile matches a Float.compare sort" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 300)
+           (oneof [ float; oneofl [ nan; infinity; neg_infinity; 0.0; -0.0; 1.0 ] ]))
+        (float_bound_inclusive 100.0))
+    (fun (xs, p) ->
+      let s = Stats.Series.create () in
+      List.iter (Stats.Series.add s) xs;
+      let sorted = Array.of_list xs in
+      Array.sort Float.compare sorted;
+      let n = Array.length sorted in
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+      let expect = sorted.(max 0 (min (n - 1) rank)) in
+      Float.equal expect (Stats.Series.percentile s p))
+
 let test_series_empty_percentile () =
   let s = Stats.Series.create () in
   Alcotest.check_raises "empty" (Invalid_argument "Sim_stats.Series.percentile: empty series")
@@ -160,17 +225,16 @@ let test_time_weighted () =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let take_item h = if Heap.is_empty h then Alcotest.fail "empty" else Heap.take h
+
 let test_heap_ordering () =
   let h = Heap.create () in
   Heap.push h ~time:3.0 ~seq:1 "c";
   Heap.push h ~time:1.0 ~seq:2 "a";
   Heap.push h ~time:2.0 ~seq:3 "b";
-  let pop () =
-    match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
-  in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
+  let first = take_item h in
+  let second = take_item h in
+  let third = take_item h in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
 
 let test_heap_fifo_ties () =
@@ -178,26 +242,30 @@ let test_heap_fifo_ties () =
   for i = 1 to 10 do
     Heap.push h ~time:5.0 ~seq:i i
   done;
-  let order =
-    List.init 10 (fun _ ->
-        match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty")
-  in
+  let order = List.init 10 (fun _ -> take_item h) in
   Alcotest.(check (list int)) "FIFO at equal times" (List.init 10 (fun i -> i + 1)) order
 
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   check_bool "is_empty" true (Heap.is_empty h);
-  check_bool "pop none" true (Heap.pop h = None);
-  check_bool "peek none" true (Heap.peek_time h = None)
+  check_bool "nothing due" false (Heap.due h ~at:infinity);
+  Alcotest.check_raises "take raises" (Invalid_argument "Sim_heap.take: empty heap") (fun () ->
+      ignore (Heap.take h));
+  Alcotest.check_raises "min_time raises" (Invalid_argument "Sim_heap.min_time: empty heap")
+    (fun () -> ignore (Heap.min_time h))
 
-(* Interleaved push/pop sequences against a sorted-list model: the heap's
-   observable behaviour (including peek and FIFO order at time ties) is
-   exactly a list kept sorted by (time, seq). The engine's delay fast path
-   leans on [peek_time] being exact mid-stream, not just after a full
-   drain, so the model is checked after every operation. *)
+(* Interleaved push/take/clear sequences against a sorted-list model: the
+   heap's observable behaviour (including the minimum time, the due check
+   and FIFO order at time ties) is exactly a list kept sorted by (time,
+   seq). The engine's delay fast path leans on the minimum being exact
+   mid-stream, not just after a full drain, so the model is checked after
+   every operation. Pushes outnumber takes three to one, so long lists
+   grow the heap well past its initial capacity; a clear now and then
+   checks that a reused heap starts over. Items carry their seq so a take
+   pins the whole entry. *)
 let prop_heap_model =
   QCheck.Test.make ~name:"heap matches sorted-list model under push/pop" ~count:200
-    QCheck.(list (option (pair (float_bound_exclusive 100.0) small_int)))
+    QCheck.(list (pair (int_bound 19) (pair (float_bound_exclusive 100.0) small_int)))
     (fun ops ->
       let h = Heap.create () in
       let model = ref [] in
@@ -211,38 +279,53 @@ let prop_heap_model =
         model := go !model
       in
       List.for_all
-        (fun op ->
-          (match op with
-          | Some (t, v) ->
-              incr seq;
-              Heap.push h ~time:t ~seq:!seq v;
-              insert (t, !seq, v)
-          | None -> (
-              match (Heap.pop h, !model) with
-              | None, [] -> ()
-              | Some got, expect :: rest when got = expect -> model := rest
-              | _ -> QCheck.Test.fail_report "pop disagrees with model"));
+        (fun (kind, (t, v)) ->
+          (if kind < 14 then begin
+             incr seq;
+             Heap.push h ~time:t ~seq:!seq (!seq, v);
+             insert (t, !seq, v)
+           end
+           else if kind < 19 then (
+             match !model with
+             | [] -> check_bool "empty with the model" true (Heap.is_empty h)
+             | ((t', s', v') as expect) :: rest ->
+                 let tm = Heap.min_time h in
+                 let s, v = Heap.take h in
+                 if (tm, s, v) <> expect then
+                   QCheck.Test.fail_reportf "take gave (%g, %d, %d), model (%g, %d, %d)" tm s v t'
+                     s' v';
+                 model := rest)
+           else begin
+             Heap.clear h;
+             model := []
+           end);
           Heap.size h = List.length !model
-          && Heap.peek_time h = (match !model with [] -> None | (t, _, _) :: _ -> Some t))
+          && Heap.is_empty h = (!model = [])
+          && (match !model with [] -> true | (t', _, _) :: _ -> Heap.min_time h = t')
+          && Heap.due h ~at:t = List.exists (fun (t', _, _) -> t' <= t) !model)
         ops)
 
 (* Regression: [clear] must fully reset the heap so a reused engine heap
-   starts empty — a stale size or leftover entry would replay old events. *)
+   starts empty — a stale size or leftover entry would replay old events.
+   The reuse grows the heap past its initial capacity again. *)
 let test_heap_clear_reuse () =
   let h = Heap.create () in
   for i = 1 to 16 do
     Heap.push h ~time:(float_of_int i) ~seq:i i
   done;
-  ignore (Heap.pop h);
+  ignore (Heap.take h);
   Heap.clear h;
   check_bool "empty after clear" true (Heap.is_empty h);
   check_int "size zero after clear" 0 (Heap.size h);
-  check_bool "peek none after clear" true (Heap.peek_time h = None);
-  check_bool "pop none after clear" true (Heap.pop h = None);
-  Heap.push h ~time:2.0 ~seq:1 20;
-  Heap.push h ~time:1.0 ~seq:2 10;
-  check_bool "reused heap orders fresh pushes" true
-    (Heap.pop h = Some (1.0, 2, 10) && Heap.pop h = Some (2.0, 1, 20) && Heap.pop h = None)
+  check_bool "nothing due after clear" false (Heap.due h ~at:infinity);
+  for i = 1 to 40 do
+    Heap.push h ~time:(float_of_int (41 - i)) ~seq:i (41 - i)
+  done;
+  check_int "grown past the initial capacity" 40 (Heap.size h);
+  check_bool "min time after regrowth" true (Heap.min_time h = 1.0);
+  Alcotest.(check (list int)) "reused heap orders fresh pushes" (List.init 40 (fun i -> i + 1))
+    (List.init 40 (fun _ -> take_item h));
+  check_bool "drained" true (Heap.is_empty h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
@@ -251,7 +334,12 @@ let prop_heap_sorts =
       let h = Heap.create () in
       List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (t, _, _) -> drain (t :: acc)
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let t = Heap.min_time h in
+          ignore (Heap.take h);
+          drain (t :: acc)
+        end
       in
       let times = drain [] in
       let rec nondecreasing = function
@@ -679,6 +767,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_heap_sorts;
+      prop_series_percentile_reference;
       prop_heap_model;
       prop_engine_deterministic;
       prop_resource_never_exceeds_capacity;
@@ -700,6 +789,7 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
         ] );
       ( "stats",
         [
