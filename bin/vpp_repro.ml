@@ -182,7 +182,7 @@ let cache_out_opt =
 let shard_out_opt =
   Arg.(
     value & opt string "BENCH_shard.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-shard/1 record.")
+    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-shard/2 record.")
 
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Record to validate.")
@@ -231,12 +231,12 @@ let () =
         Term.(const run_cache $ quick_flag $ json_flag $ jobs_opt $ cache_out_opt $ const ());
       cmd "shard"
         "Sharded DBMS throughput: the same transactions over 1/4/8 parallel shards with \
-         two-phase commit on the cross-shard fraction (the vpp-shard/1 record; not a paper \
-         table)"
+         two-phase commit on the cross-shard fraction, plus group commit against per-commit \
+         log forcing on one shard (the vpp-shard/2 record; not a paper table)"
         Term.(const run_shard $ quick_flag $ json_flag $ jobs_opt $ shard_out_opt $ const ());
       cmd "validate"
         "Validate any versioned record (vpp-perf/2, vpp-perf/1, vpp-market/1, vpp-profile/1, \
-         vpp-tier/1, vpp-cache/1, vpp-shard/1), dispatching on its embedded schema tag"
+         vpp-tier/1, vpp-cache/1, vpp-shard/2), dispatching on its embedded schema tag"
         Term.(const run_validate $ file_arg $ const ());
       cmd "all" "Every table and figure" Term.(const run_all $ quick_flag $ jobs_opt $ const ());
     ]

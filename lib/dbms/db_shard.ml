@@ -17,6 +17,7 @@ type spec = {
   sp_net_latency_us : float;
   sp_service_ms : float;
   sp_touch_pages : int;
+  sp_group_commit : bool;
   sp_seed : int64;
 }
 
@@ -34,6 +35,7 @@ let default =
     sp_net_latency_us = 1_000.0;
     sp_service_ms = 2.0;
     sp_touch_pages = 4;
+    sp_group_commit = true;
     sp_seed = 8_080_808L;
   }
 
@@ -52,6 +54,7 @@ type result = {
   r_msgs : int;
   r_prepares : int;
   r_wal_flushes : int;
+  r_wal_parks : int;
   r_dsm_transfers : int;
   r_lock_timeouts : int;
   r_frames : int;
@@ -106,16 +109,20 @@ let build spec ~shard =
   let kernel = K.create machine in
   let init = K.initial_segment kernel in
   let next_slot = ref 0 in
+  (* The DBMS and DSM managers both fill from here, and a migrate can
+     block on its charge, so a slot is claimed before it is migrated:
+     two interleaved fills never pick the same frame. *)
   let source ~dst ~dst_page ~count =
     let init_seg = K.segment kernel init in
     let granted = ref 0 in
     while !granted < count && !next_slot < Seg.length init_seg do
-      (if (Seg.page init_seg !next_slot).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next_slot
-           ~dst_page:(dst_page + !granted) ~count:1 ();
-         incr granted
-       end);
-      incr next_slot
+      let slot = !next_slot in
+      incr next_slot;
+      if (Seg.page init_seg slot).Seg.frame <> None then begin
+        K.migrate_pages kernel ~src:init ~dst ~src_page:slot ~dst_page:(dst_page + !granted)
+          ~count:1 ();
+        incr granted
+      end
     done;
     !granted
   in
@@ -127,7 +134,10 @@ let build spec ~shard =
     Mgr_dbms.create_relation mgr ~name:(Printf.sprintf "shard-%d-accounts" shard)
       ~pages:spec.sp_accounts_pages
   in
-  let wal = Db_wal.create machine.Hw_machine.disk () in
+  let new_wal () =
+    Db_wal.create machine.Hw_machine.disk ~group_commit:spec.sp_group_commit ()
+  in
+  let wal = new_wal () in
   let dsm =
     if cross then
       Some
@@ -156,7 +166,7 @@ let build spec ~shard =
     rng = Rng.create (Int64.add spec.sp_seed (Int64.of_int (7919 * (shard + 1))));
     dsm;
     remote_locks = Array.init peers (fun _ -> Db_locks.create ());
-    remote_wals = Array.init peers (fun _ -> Db_wal.create machine.Hw_machine.disk ());
+    remote_wals = Array.init peers (fun _ -> new_wal ());
     coord;
     next_txn = 0;
     commits = 0;
@@ -178,7 +188,9 @@ let touch_run w ~from =
   done
 
 (* A purely local DebitCredit: hierarchical locks, account-page writes,
-   processor time, then group-committed WAL force. *)
+   processor time, then the WAL force — parked behind the log's in-flight
+   force under group commit, its own transfer under per-commit forcing.
+   The locks are held across the force (strict two-phase locking). *)
 let local_txn w rng ~txn =
   Db_locks.acquire w.locks ~txn Db_locks.Database Db_locks.IX;
   let page = Rng.int rng w.spec.sp_accounts_pages in
@@ -314,6 +326,7 @@ let execute w =
     r_msgs = Db_coord.messages w.coord;
     r_prepares = Db_coord.prepares w.coord;
     r_wal_flushes = Db_wal.flushes w.wal;
+    r_wal_parks = Db_wal.group_parks w.wal;
     r_dsm_transfers = (match w.dsm with Some d -> Mgr_dsm.transfers d | None -> 0);
     r_lock_timeouts =
       Db_locks.timeouts w.locks
@@ -323,3 +336,4 @@ let execute w =
   }
 
 let run_shard spec ~shard = execute (build spec ~shard)
+let machine w = w.machine

@@ -44,12 +44,16 @@ type spec = {
   sp_net_latency_us : float;  (** Interconnect latency per 2PC/DSM message. *)
   sp_service_ms : float;  (** Processor time per transaction. *)
   sp_touch_pages : int;  (** Account pages a DebitCredit writes. *)
+  sp_group_commit : bool;
+      (** Every log of the shard uses group commit ([true], the default)
+          or per-commit forcing ([false], the reference it is measured
+          against); see {!Db_wal.create}. *)
   sp_seed : int64;
 }
 
 val default : spec
 (** 8 workers on 6 CPUs per shard, 512 account pages, 10 % cross-shard,
-    12 ms lock timeout, 1 ms interconnect latency. *)
+    12 ms lock timeout, 1 ms interconnect latency, group commit. *)
 
 type result = {
   r_shard : int;
@@ -65,7 +69,10 @@ type result = {
   r_events : int;
   r_msgs : int;  (** 2PC protocol messages (4 per participant). *)
   r_prepares : int;
-  r_wal_flushes : int;  (** Local WAL disk writes (group commit). *)
+  r_wal_flushes : int;  (** Forces of the shard's own log. *)
+  r_wal_parks : int;
+      (** Times a committer on the shard's own log parked behind an
+          in-flight force ({!Db_wal.group_parks}). *)
   r_dsm_transfers : int;  (** Remote page copies shipped. *)
   r_lock_timeouts : int;  (** Remote waits that expired into abort votes. *)
   r_frames : int;
@@ -84,6 +91,12 @@ val execute : world -> result
 
 val run_shard : spec -> shard:int -> result
 (** [build] + [execute]. Deterministic per ([spec], [shard]). *)
+
+val machine : world -> Hw_machine.t
+(** The shard's machine, e.g. to switch its metrics sink on
+    ({!Hw_machine.set_profiling}) between [build] and [execute]: its
+    disk then records every log force's latency under ["wal.flush"],
+    parking included. Observing changes no simulated result. *)
 
 val shard_txns : spec -> shard:int -> int
 (** This shard's slice of [sp_total_txns] (even split, remainder to the

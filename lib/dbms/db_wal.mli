@@ -7,8 +7,10 @@
     changes. A kernel-resident pager cannot know this ordering; an
     application segment manager enforces it in its eviction hook.
 
-    The log buffers records in memory; [flush_to] writes them with one
-    disk transfer per pending group (group commit). {!eviction_hook}
+    The log buffers records in memory and forces them with group commit:
+    at most one log force is in flight per log, committers that arrive
+    while it is in flight park until it lands, and the next force carries
+    every record appended by then in one disk transfer. {!eviction_hook}
     wraps a {!Mgr_generic.hooks}' eviction decision so any writeback of a
     page with an unflushed LSN forces the log out first. *)
 
@@ -27,12 +29,21 @@ val create :
   ?record_bytes:int ->
   ?retry:Mgr_backing.retry ->
   ?counters:Sim_stats.Counters.t ->
+  ?group_commit:bool ->
   unit ->
   t
-(** [record_bytes] (default 256) sizes the disk transfer of a flush.
+(** [record_bytes] (default 256) sizes the disk transfer of a flush:
+    one record's worth per record it carries.
     [retry] bounds attempts per flush (default {!Mgr_backing.default_retry});
     [counters] receives "wal.flush_retries" / "wal.flush_failed" /
-    "wal.eviction_vetoed" events. *)
+    "wal.eviction_vetoed" events.
+
+    [group_commit] (default [true]) keeps one force in flight and parks
+    later committers behind it. [false] is per-commit forcing, the
+    reference group commit is measured against: every committer issues
+    its own transfer at once, sized from the durable prefix it sees, so
+    concurrent committers queue one disk write each. With one committer
+    at a time the two modes are identical. *)
 
 val append : t -> lsn
 (** Buffer one log record, returning its LSN. No I/O. *)
@@ -43,11 +54,18 @@ val note_page_write : t -> seg:Epcm_segment.id -> page:int -> lsn:lsn -> unit
 val page_lsn : t -> seg:Epcm_segment.id -> page:int -> lsn option
 
 val flush_to : t -> lsn:lsn -> unit
-(** Force the log to disk up to and including [lsn] (no-op if already
-    flushed). One disk write covers every pending record — group
-    commit. Must run inside a simulation process.
+(** Force the log to disk up to and including [lsn]; returns once
+    [lsn <= flushed t] (at once if it already holds). Under group commit:
+    with no force in flight the caller leads one, writing every record
+    appended so far in one transfer; with one in flight it parks, and is
+    woken once a force has made its record durable, or, at the head of
+    the queue when a force ends without covering it, to lead the next
+    one. A torn force acknowledges nobody: [flushed] stays put and each
+    parked committer in turn leads a force with its own retry budget.
+    Must run inside a simulation process.
 
-    @raise Flush_failed when the retry budget is exhausted. *)
+    @raise Flush_failed when the retry budget of the force this caller
+    leads is exhausted; [lsn] names the caller's record. *)
 
 val commit : t -> lsn:lsn -> unit
 (** Transaction commit: force the log through [lsn].
@@ -57,13 +75,17 @@ val commit : t -> lsn:lsn -> unit
 val flushed : t -> lsn
 val appended : t -> lsn
 val flushes : t -> int
-(** Disk writes the log has performed. *)
+(** Successful log forces (one disk transfer each, retries aside). *)
 
 val flush_retries : t -> int
 (** Failed transfer attempts that were retried. *)
 
 val flush_failures : t -> int
 (** Flushes abandoned after exhausting the retry budget. *)
+
+val group_parks : t -> int
+(** Times a committer parked behind an in-flight force (0 under
+    per-commit forcing, and whenever commits never overlap). *)
 
 val wal_violations : t -> int
 (** Writebacks that would have hit disk before their log records — always

@@ -1,5 +1,5 @@
 (** Sharded-DBMS throughput record (`vpp_repro shard`,
-    [BENCH_shard.json], schema [vpp-shard/1]).
+    [BENCH_shard.json], schema [vpp-shard/2]).
 
     Runs the same total transaction count through {!Db_shard} at
     increasing shard counts — 1 and 4 in quick mode, 1/4/8 in full —
@@ -7,19 +7,27 @@
     {!Exp_par.map} (each shard is a self-contained deterministic
     machine, so the joined record is byte-identical to a sequential
     run), then re-runs the 4-shard leg and pins the replay identical.
+    A group-commit sweep then runs one shard at several worker counts,
+    each with group commit and with per-commit forcing
+    ({!Db_wal.create}'s [~group_commit:false]).
 
     Embedded checks gate the exit status of `vpp_repro shard` and the
     [@shard-smoke] CI alias: aggregate TPS strictly increasing with
     shard count (the 4-shard leg must beat the single shard on the same
     total work), bounded abort rate, per-shard frame conservation,
     exact commit/abort accounting, the single-shard zero-delta (no 2PC
-    messages, no DSM transfers), and seed-replay identity.
+    messages, no DSM transfers), seed-replay identity, and from the
+    sweep: group commit forcing the log less than once per commit at
+    the default worker count, and less per commit the more workers
+    there are, beating per-commit forcing on TPS wherever commits
+    overlap, per-commit forcing forcing exactly once per commit, and
+    the two identical with a single worker.
 
     Deterministic fields reproduce exactly across hosts; only the
     [wall_s] fields vary. *)
 
 val schema_version : string
-(** ["vpp-shard/1"]. Bump when the record layout changes. *)
+(** ["vpp-shard/2"]. Bump when the record layout changes. *)
 
 type leg = {
   g_shards : int;
@@ -39,9 +47,26 @@ type leg = {
   g_p50_ms : float;  (** Worst shard's median latency. *)
   g_p99_ms : float;  (** Worst shard's p99 latency. *)
   g_sim_s : float;  (** Slowest shard's simulated seconds. *)
+  g_flushes : int;  (** Forces of the shards' own logs, summed. *)
   g_conserved : bool;  (** Frame audit held on every shard machine. *)
   g_wall_s : float;
   g_detail : Db_shard.result list;  (** Per-shard rows, in shard order. *)
+}
+
+(** One single-shard configuration of the group-commit sweep. *)
+type sweep_row = {
+  c_workers : int;
+  c_group : bool;  (** Group commit, or per-commit forcing. *)
+  c_txns : int;
+  c_flushes : int;  (** Log forces. *)
+  c_parks : int;  (** Committers parked behind an in-flight force. *)
+  c_tps : float;
+  c_commit_p50_ms : float;
+  c_commit_p99_ms : float;
+      (** Commit latency, parking included: the ["wal.flush"] histogram
+          of the configuration's profiled machine (log buckets, ~19%
+          resolution). *)
+  c_txn_p99_ms : float;
 }
 
 type result = {
@@ -50,6 +75,9 @@ type result = {
   total_txns : int;
   cross_fraction : float;
   legs : leg list;  (** Ascending shard count. *)
+  sweep_txns : int;  (** Transactions per sweep configuration. *)
+  sweep : sweep_row list;
+      (** Ascending worker count, group commit first at each. *)
   replay_identical : bool;
       (** The re-run 4-shard leg matched field for field (wall
           excluded). *)
@@ -73,5 +101,9 @@ val validate_json : Sim_json.t -> (unit, string) Stdlib.result
     version tag, at least two legs with exact commit/abort accounting,
     conservation and bounded abort rate, the single-shard leg free of
     2PC/DSM work, multi-shard legs exchanging messages, strictly
-    increasing aggregate TPS, replay identity, and every embedded check
+    increasing aggregate TPS, a group-commit sweep in which every group
+    row with more than one worker beats its per-commit row, forces per
+    commit fall as workers are added and stay below one at the default
+    worker count, every per-commit row forces once per commit and the
+    one-worker rows agree, replay identity, and every embedded check
     passing. *)

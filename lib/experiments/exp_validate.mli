@@ -1,6 +1,6 @@
 (** Unified record validation: one validator per versioned record schema
     (vpp-perf/2, legacy vpp-perf/1, vpp-market/1, vpp-profile/1,
-    vpp-tier/1, vpp-cache/1, vpp-shard/1), dispatched on the record's
+    vpp-tier/1, vpp-cache/1, vpp-shard/2), dispatched on the record's
     embedded
     ["schema"] tag. `vpp_repro validate` is a thin shell around this. *)
 

@@ -22,6 +22,7 @@ type t = {
   mutable invalidations : int;
   mutable downgrades : int;
   mutable messages : int;
+  serving : Sim_sync.Semaphore.t;
 }
 
 let nodes t = t.n_nodes
@@ -183,6 +184,7 @@ let create kern ?(name = "dsm-manager") ~source ~nodes ~pages ?(net_latency_us =
       invalidations = 0;
       downgrades = 0;
       messages = 0;
+      serving = Sim_sync.Semaphore.create 1;
     }
   in
   t.mid <-
@@ -197,13 +199,31 @@ let create kern ?(name = "dsm-manager") ~source ~nodes ~pages ?(net_latency_us =
         seg);
   t
 
+(* A coherence step charges interconnect time, so a process can block
+   mid-protocol: between granting a pool slot and filling it, or between
+   the fault that installs a copy and the read of that copy. Accesses
+   therefore serialise on [serving], fault handling included (it runs
+   inside the access's touch); an uncontended access never blocks. *)
+let serialised t f =
+  Sim_sync.Semaphore.acquire t.serving;
+  match f () with
+  | v ->
+      Sim_sync.Semaphore.release t.serving;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Sim_sync.Semaphore.release t.serving;
+      Printexc.raise_with_backtrace e bt
+
 let read t ~node ~page =
-  K.touch t.kern ~space:t.node_segs.(node) ~page ~access:Mgr.Read;
-  K.uio_read t.kern ~seg:t.node_segs.(node) ~page
+  serialised t (fun () ->
+      K.touch t.kern ~space:t.node_segs.(node) ~page ~access:Mgr.Read;
+      K.uio_read t.kern ~seg:t.node_segs.(node) ~page)
 
 let write t ~node ~page data =
-  K.touch t.kern ~space:t.node_segs.(node) ~page ~access:Mgr.Write;
-  K.uio_write t.kern ~seg:t.node_segs.(node) ~page data
+  serialised t (fun () ->
+      K.touch t.kern ~space:t.node_segs.(node) ~page ~access:Mgr.Write;
+      K.uio_write t.kern ~seg:t.node_segs.(node) ~page data)
 
 let transfers t = t.transfers
 let invalidations t = t.invalidations

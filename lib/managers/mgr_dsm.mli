@@ -42,6 +42,11 @@ val read : t -> node:int -> page:int -> Hw_page_data.t
 val write : t -> node:int -> page:int -> Hw_page_data.t -> unit
 (** Coherent write: acquires Exclusive, invalidating other copies. *)
 
+(** {!read} and {!write} from concurrent simulation processes serialise
+    on the manager, one coherence step at a time: a step charges
+    interconnect time and so can block, and an interleaved step could
+    otherwise revoke the copy being installed or read. *)
+
 val state : t -> node:int -> page:int -> page_state
 
 val holders : t -> page:int -> int list

@@ -23,10 +23,15 @@ type t = {
   delay_eff : unit Effect.t;  (* [E_delay] of this engine, built once *)
   on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
       (* its handler, built once *)
+  park_eff : unit Effect.t;  (* [E_park] of this engine, built once *)
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
+      (* its handler, built once; the register callback rides in [parking] *)
+  mutable parking : (unit -> unit) -> unit;
 }
 
 type _ Effect.t +=
   | E_delay : t -> unit Effect.t
+  | E_park : t -> unit Effect.t
   | E_suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
   | E_fork : t * string * (unit -> unit) -> unit Effect.t
 
@@ -43,6 +48,17 @@ let push t ~at ev =
   t.seq <- t.seq + 1;
   Sim_heap.push t.heap ~time:at ~seq:t.seq ev
 
+(* A parked process's resume: the event is [Resume k], with no value to
+   carry (see [resumer] for [suspend]'s). *)
+let unit_resumer eng k =
+  let resumed = ref false in
+  fun () ->
+    if !resumed then invalid_arg "Sim_engine: resume called twice";
+    resumed := true;
+    push eng ~at:eng.clock.now (Resume k)
+
+let not_parking _ = ()
+
 let create () =
   let clock = { now = 0.0; wake = 0.0 } and heap = Sim_heap.create () in
   let rec t =
@@ -55,6 +71,14 @@ let create () =
       horizon = None;
       delay_eff = E_delay t;
       on_delay = Some (fun k -> push t ~at:t.clock.wake (Resume k));
+      park_eff = E_park t;
+      on_park =
+        Some
+          (fun k ->
+            let register = t.parking in
+            t.parking <- not_parking;
+            register (unit_resumer t k));
+      parking = not_parking;
     }
   in
   t
@@ -83,6 +107,7 @@ let rec start_process t _name body =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | E_delay eng -> eng.on_delay
+          | E_park eng -> eng.on_park
           | E_suspend (eng, register) ->
               Some (fun (k : (a, unit) continuation) -> register (resumer eng k))
           | E_fork (eng, name, f) ->
@@ -162,4 +187,12 @@ let delay d =
 
 let time () = (engine_of_process ()).clock.now
 let suspend register = Effect.perform (E_suspend (engine_of_process (), register))
+
+(* [suspend] for a unit result, through the engine's prebuilt effect and
+   handler: the register callback is handed over in [parking]. *)
+let park register =
+  let t = engine_of_process () in
+  t.parking <- register;
+  Effect.perform t.park_eff
+
 let fork ?(name = "proc") f = Effect.perform (E_fork (engine_of_process (), name, f))

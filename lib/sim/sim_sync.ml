@@ -28,7 +28,7 @@ module Semaphore = struct
 
   let acquire t =
     if t.count > 0 then t.count <- t.count - 1
-    else Sim_engine.suspend t.park
+    else Sim_engine.park t.park
 
   let try_acquire t =
     if t.count > 0 then begin
@@ -129,7 +129,7 @@ module Gate = struct
     let waiters = Queue.create () in
     { opened = false; waiters; park = parker waiters }
 
-  let wait t = if not t.opened then Sim_engine.suspend t.park
+  let wait t = if not t.opened then Sim_engine.park t.park
 
   let open_ t =
     if not t.opened then begin
@@ -148,7 +148,7 @@ module Condition = struct
     let waiters = Queue.create () in
     { waiters; park = parker waiters }
 
-  let await t = Sim_engine.suspend t.park
+  let await t = Sim_engine.park t.park
 
   let signal_all t =
     (* Drain into a list first: a woken process may immediately await again,

@@ -83,6 +83,24 @@ let test_suspend_resume () =
   let w = per_op ~ops:(2 * n) e (ping_pong ~park:park_b ~theirs:resume_a) in
   gate "suspend/resume" ~bound:28.5 w
 
+(* The same hand-off through [Engine.park], the unit-result suspend the
+   blocking primitives use. *)
+let park_pong ~park ~theirs () =
+  for _ = 1 to n do
+    let r = !theirs in
+    theirs := noop;
+    r ();
+    Engine.park park
+  done
+
+let test_park_resume () =
+  resume_a := noop;
+  resume_b := noop;
+  let e = Engine.create () in
+  Engine.spawn e (park_pong ~park:park_a ~theirs:resume_b);
+  let w = per_op ~ops:(2 * n) e (park_pong ~park:park_b ~theirs:resume_a) in
+  gate "park/resume" ~bound:16.5 w
+
 let test_resource_uncontended () =
   let e = Engine.create () in
   let r = Resource.create e ~capacity:1 in
@@ -103,7 +121,7 @@ let test_resource_contended () =
           Resource.use r delay_one
         done)
   in
-  gate "Resource.use (contended)" ~bound:41.5 w
+  gate "Resource.use (contended)" ~bound:29.5 w
 
 let test_disk_write () =
   let e = Engine.create () in
@@ -127,6 +145,22 @@ let test_wal_commit () =
         done)
   in
   gate "Db_wal commit" ~bound:10.5 w
+
+(* Four committers with nothing between commits: while one force is in
+   flight the others park behind it, so most commits take the parking
+   path of group commit, which this gates. *)
+let test_wal_group_commit () =
+  let e = Engine.create () in
+  let wal = Db_wal.create (Hw_disk.create e ()) () in
+  let w =
+    per_op ~procs:4 ~ops:n e (fun () ->
+        for _ = 1 to n / 4 do
+          let lsn = Db_wal.append wal in
+          Db_wal.commit wal ~lsn
+        done)
+  in
+  if Db_wal.group_parks wal < n / 2 then Alcotest.fail "committers did not overlap";
+  gate "Db_wal commit (group, parked)" ~bound:19.0 w
 
 let pages = Array.init 8 (fun p -> Db_locks.Page (0, p))
 
@@ -193,10 +227,12 @@ let () =
           Alcotest.test_case "delay fast path" `Quick test_delay_fast;
           Alcotest.test_case "delay heap path" `Quick test_delay_heap;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
+          Alcotest.test_case "park/resume" `Quick test_park_resume;
           Alcotest.test_case "Resource.use uncontended" `Quick test_resource_uncontended;
           Alcotest.test_case "Resource.use contended" `Quick test_resource_contended;
           Alcotest.test_case "Hw_disk.write" `Quick test_disk_write;
           Alcotest.test_case "Db_wal commit" `Quick test_wal_commit;
+          Alcotest.test_case "Db_wal group commit" `Quick test_wal_group_commit;
           Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
           Alcotest.test_case "warm K.touch" `Quick test_warm_touch;
           Alcotest.test_case "charge with metrics off" `Quick test_charge_metrics_off;

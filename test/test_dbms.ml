@@ -383,6 +383,169 @@ let test_wal_clean_pages_need_no_flush () =
       check_int "no log flushes" 0 (Db_wal.flushes wal));
   Engine.run machine.Hw_machine.engine
 
+(* Group commit proper: committers that overlap a force in flight park
+   behind it and ride the next one. Eight committers arrive together:
+   the first leads a force carrying only its own record, the other seven
+   park, and the head of the queue then leads one force carrying all
+   seven — two transfers in all, where per-commit forcing issues eight. *)
+let overlapping_commits ~group_commit =
+  let e = Engine.create () in
+  let disk = Hw_disk.create e () in
+  let wal = Db_wal.create disk ~group_commit () in
+  let acked = ref [] in
+  for _ = 1 to 8 do
+    Engine.spawn e (fun () ->
+        let lsn = Db_wal.append wal in
+        Db_wal.commit wal ~lsn;
+        (* The commit point: durable before the commit returns. *)
+        check_bool "durable on return" true (Db_wal.flushed wal >= lsn);
+        acked := lsn :: !acked)
+  done;
+  Engine.run e;
+  check_int "every committer returned" 8 (List.length !acked);
+  check_int "no process left parked" 0 (Engine.live_processes e);
+  check_int "everything durable" 8 (Db_wal.flushed wal);
+  (wal, disk, Engine.now e)
+
+let test_wal_overlapping_commits_coalesce () =
+  let wal, disk, group_us = overlapping_commits ~group_commit:true in
+  check_int "two forces for eight commits" 2 (Db_wal.flushes wal);
+  check_int "seven committers parked" 7 (Db_wal.group_parks wal);
+  check_int "one record, then the seven appended by the second force" (8 * 256)
+    (Hw_disk.bytes_written disk);
+  let forced, forced_disk, forced_us = overlapping_commits ~group_commit:false in
+  check_int "per-commit forcing: one transfer each" 8 (Db_wal.flushes forced);
+  check_int "per-commit forcing never parks" 0 (Db_wal.group_parks forced);
+  check_int "per-commit forcing writes eight transfers" 8 (Hw_disk.writes forced_disk);
+  check_bool "group commit finishes first" true (group_us < forced_us)
+
+(* A torn force acknowledges nobody parked behind it: the leader gets
+   Flush_failed, and the head of the queue leads a fresh force with its
+   own retry budget. Here the device heals as the first failure
+   surfaces, so that second force lands and covers every later record. *)
+let test_wal_torn_force_hands_off () =
+  let e = Engine.create () in
+  let disk = Hw_disk.create e () in
+  Hw_disk.set_chaos disk
+    (Some (Sim_chaos.create ~seed:5L { Sim_chaos.default_spec with write_error_p = 1.0 }));
+  let wal = Db_wal.create disk ~retry:{ Mgr_backing.attempts = 1; backoff_us = 0.0 } () in
+  let outcomes = Array.make 4 None in
+  for i = 0 to 3 do
+    Engine.spawn e (fun () ->
+        let lsn = Db_wal.append wal in
+        match Db_wal.commit wal ~lsn with
+        | () -> outcomes.(i) <- Some true
+        | exception Db_wal.Flush_failed { lsn = failed; attempts } ->
+            check_int "the failure names the caller's record" lsn failed;
+            check_int "one attempt" 1 attempts;
+            check_int "a torn force leaves the durable prefix" 0 (Db_wal.flushed wal);
+            Hw_disk.set_chaos disk None;
+            outcomes.(i) <- Some false)
+  done;
+  Engine.run e;
+  Alcotest.(check (list (option bool)))
+    "the leader tore; the three parked behind it committed on the next force"
+    [ Some false; Some true; Some true; Some true ]
+    (Array.to_list outcomes);
+  check_int "one failed force" 1 (Db_wal.flush_failures wal);
+  check_int "one landed force" 1 (Db_wal.flushes wal);
+  check_int "durable through the last record" 4 (Db_wal.flushed wal);
+  check_int "no process left parked" 0 (Engine.live_processes e)
+
+(* The WAL rule holds when the eviction hook finds a commit's force in
+   flight: the hook parks like any committer, and the data page reaches
+   disk only once its record is durable. *)
+let test_wal_eviction_parks_behind_force () =
+  let machine, kernel, wal, g, seg = wal_setup () in
+  let engine = machine.Hw_machine.engine in
+  Engine.spawn engine (fun () ->
+      let lsn = Db_wal.append wal in
+      Db_wal.commit wal ~lsn);
+  Engine.spawn engine (fun () ->
+      Engine.delay 1.0;
+      Epcm_kernel.touch kernel ~space:seg ~page:2 ~access:Epcm_manager.Write;
+      let lsn = Db_wal.append wal in
+      Db_wal.note_page_write wal ~seg ~page:2 ~lsn;
+      let got = Mgr_generic.reclaim g ~count:8 in
+      check_bool "something evicted" true (got >= 1);
+      check_bool "log durable before the writeback" true (Db_wal.flushed wal >= lsn));
+  Engine.run engine;
+  check_bool "the hook parked behind the commit's force" true (Db_wal.group_parks wal >= 1);
+  check_int "no WAL violations" 0 (Db_wal.wal_violations wal);
+  check_int "no process left parked" 0 (Engine.live_processes engine)
+
+(* Random concurrent commit schedules, with and without write faults:
+   every acknowledged commit is durable when acknowledged, the durable
+   prefix never moves backwards or past the appended tail, nothing stays
+   parked, and a fault-free log forces at most once per commit and ends
+   fully durable. *)
+let prop_wal_group_commit_invariants =
+  QCheck.Test.make ~name:"group commit: acked => durable, monotone prefix, drains" ~count:150
+    QCheck.(triple (int_range 1 10) (int_range 1 5) (pair (int_bound 10_000) bool))
+    (fun (procs, commits, (seed, faulty)) ->
+      let e = Engine.create () in
+      let disk = Hw_disk.create e () in
+      if faulty then
+        Hw_disk.set_chaos disk
+          (Some
+             (Sim_chaos.create ~seed:(Int64.of_int seed)
+                { Sim_chaos.default_spec with write_error_p = 0.3 }));
+      let wal = Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 100.0 } () in
+      let rng = Sim_rng.create (Int64.of_int seed) in
+      let ok = ref true and acks = ref 0 and last_flushed = ref 0 in
+      let observe () =
+        let f = Db_wal.flushed wal in
+        if f < !last_flushed || f > Db_wal.appended wal then ok := false;
+        last_flushed := f
+      in
+      for _ = 1 to procs do
+        let rng = Sim_rng.split rng in
+        Engine.spawn e (fun () ->
+            for _ = 1 to commits do
+              Engine.delay (Sim_rng.uniform rng ~lo:0.0 ~hi:30_000.0);
+              let lsn = Db_wal.append wal in
+              (match Db_wal.commit wal ~lsn with
+              | () ->
+                  incr acks;
+                  if Db_wal.flushed wal < lsn then ok := false
+              | exception Db_wal.Flush_failed _ -> ());
+              observe ()
+            done)
+      done;
+      Engine.run e;
+      !ok
+      && Engine.live_processes e = 0
+      && (faulty
+         || (!acks = procs * commits
+            && Db_wal.flushes wal <= !acks
+            && Db_wal.flushed wal = Db_wal.appended wal)))
+
+(* With one committer at a time nothing overlaps, so group commit and
+   per-commit forcing must agree exactly: forces, bytes, simulated time. *)
+let prop_wal_sequential_modes_agree =
+  QCheck.Test.make ~name:"sequential commits: group commit = per-commit forcing" ~count:100
+    QCheck.(pair (list_of_size Gen.(1 -- 20) (int_range 1 4)) (int_bound 10_000))
+    (fun (batches, seed) ->
+      let run group_commit =
+        let e = Engine.create () in
+        let disk = Hw_disk.create e () in
+        let wal = Db_wal.create disk ~group_commit () in
+        let rng = Sim_rng.create (Int64.of_int seed) in
+        Engine.spawn e (fun () ->
+            List.iter
+              (fun appends ->
+                let lsn = ref 0 in
+                for _ = 1 to appends do
+                  lsn := Db_wal.append wal
+                done;
+                Engine.delay (Sim_rng.uniform rng ~lo:0.0 ~hi:5_000.0);
+                Db_wal.commit wal ~lsn:!lsn)
+              batches);
+        Engine.run e;
+        (Db_wal.flushes wal, Db_wal.flushed wal, Hw_disk.bytes_written disk, Engine.now e)
+      in
+      run true = run false)
+
 let prop_ordered_acquisition_no_deadlock =
   (* Random transactions acquiring random resource sets in the canonical
      order (database, relations ascending, pages ascending) always drain:
@@ -454,6 +617,13 @@ let () =
           Alcotest.test_case "violation detectable" `Quick
             test_wal_violation_detected_without_hook;
           Alcotest.test_case "clean pages free" `Quick test_wal_clean_pages_need_no_flush;
+          Alcotest.test_case "overlapping commits coalesce" `Quick
+            test_wal_overlapping_commits_coalesce;
+          Alcotest.test_case "torn force hands off" `Quick test_wal_torn_force_hands_off;
+          Alcotest.test_case "eviction parks behind a force" `Quick
+            test_wal_eviction_parks_behind_force;
+          QCheck_alcotest.to_alcotest prop_wal_group_commit_invariants;
+          QCheck_alcotest.to_alcotest prop_wal_sequential_modes_agree;
         ] );
       ( "btree",
         [

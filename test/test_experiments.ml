@@ -227,8 +227,8 @@ let test_validate_rejects () =
     {|{"schema": "vpp-cache/1"}|};
   reject "an empty vpp-tier/1 record" ~expect:"invalid vpp-tier/1 record"
     {|{"schema": "vpp-tier/1"}|};
-  reject "an empty vpp-shard/1 record" ~expect:"invalid vpp-shard/1 record"
-    {|{"schema": "vpp-shard/1"}|};
+  reject "an empty vpp-shard/2 record" ~expect:"invalid vpp-shard/2 record"
+    {|{"schema": "vpp-shard/2"}|};
   reject "a vpp-perf/1 record with one scale" ~expect:"at least two scales"
     {|{"schema": "vpp-perf/1", "mode": "quick",
        "scales": [{"name": "8mb", "conserved": true, "events": 1, "faults": 1, "wall_s": 0}]}|};
@@ -270,7 +270,7 @@ let test_validate_rejects () =
         (Printf.sprintf "doctored cache record rejected for the right reason (got %S)" e)
         true
         (contains ~needle:"did not beat random" e));
-  (* A failing vpp-shard/1 gate: the single-shard baseline claiming 2PC
+  (* A failing vpp-shard/2 gate: the single-shard baseline claiming 2PC
      traffic — the zero-delta discipline broken in the record itself. *)
   let shard_record = Exp_shard.run ~quick:true () in
   let doctored_shard =
@@ -298,13 +298,49 @@ let test_validate_rejects () =
              fields)
     | j -> j
   in
-  match Exp_validate.validate doctored_shard with
+  (match Exp_validate.validate doctored_shard with
   | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored shard record as " ^ tag)
   | Error e ->
       check_bool
         (Printf.sprintf "doctored shard record rejected for the right reason (got %S)" e)
         true
-        (contains ~needle:"zero-delta broken" e)
+        (contains ~needle:"zero-delta broken" e));
+  (* And a failing group-commit gate: a group-commit row forcing once per
+     commit, i.e. no better than the per-commit reference. *)
+  let per_commit_group =
+    match Exp_shard.to_json shard_record with
+    | Sim_json.Obj fields ->
+        Sim_json.Obj
+          (List.map
+             (function
+               | "group_commit", Sim_json.List rows ->
+                   ( "group_commit",
+                     Sim_json.List
+                       (List.map
+                          (function
+                            | Sim_json.Obj row
+                              when List.assoc_opt "group" row = Some (Sim_json.Bool true)
+                                   && List.assoc_opt "workers" row = Some (Sim_json.Num 8.0) ->
+                                Sim_json.Obj
+                                  (List.map
+                                     (function
+                                       | "wal_flushes", _ ->
+                                           ("wal_flushes", List.assoc "txns" row)
+                                       | kv -> kv)
+                                     row)
+                            | j -> j)
+                          rows) )
+               | kv -> kv)
+             fields)
+    | j -> j
+  in
+  match Exp_validate.validate per_commit_group with
+  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored group-commit sweep as " ^ tag)
+  | Error e ->
+      check_bool
+        (Printf.sprintf "doctored group-commit sweep rejected for the right reason (got %S)" e)
+        true
+        (contains ~needle:"forced once per commit or more" e)
 
 let test_renders_nonempty () =
   check_bool "table1 renders" true (String.length (Exp_table1.render (Exp_table1.run ())) > 100);

@@ -177,6 +177,50 @@ let test_2pc_chaos_storm_agreement () =
   let second = run_storm () in
   check_bool "storm replays seed-for-seed" true (first = second)
 
+(* The same agreement with coordinators running concurrently, so commit
+   records overlap in the log: forces coalesce, committers park behind
+   a force in flight, and a torn force hands the log to the next one in
+   the queue. Whatever a coordinator told its participants must still be
+   what recovery answers, then and after the storm. *)
+let test_2pc_concurrent_storm_agreement () =
+  let run_storm () =
+    let engine = Engine.create () in
+    let disk = Hw_disk.create engine () in
+    let chaos = Chaos.create ~seed:777L { Chaos.default_spec with write_error_p = 0.4 } in
+    Hw_disk.set_chaos disk (Some chaos);
+    let wal = Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 50.0 } () in
+    let coord = C.create ~wal () in
+    let outcomes = ref [] in
+    for worker = 0 to 5 do
+      Engine.spawn engine (fun () ->
+          for i = 1 to 10 do
+            let txn = (worker * 100) + i in
+            let p = { prepared = 0; committed = 0; aborted = 0 } in
+            let outcome = C.run coord ~txn [ participant p ] in
+            check_bool
+              (Printf.sprintf "txn %d: recovery agrees at decision time" txn)
+              true
+              (C.recover coord ~txn = outcome);
+            outcomes := (txn, outcome) :: !outcomes
+          done)
+    done;
+    Engine.run engine;
+    check_int "no coordinator left parked" 0 (Engine.live_processes engine);
+    List.iter
+      (fun (txn, outcome) ->
+        check_bool (Printf.sprintf "txn %d: post-storm recovery agrees" txn) true
+          (C.recover coord ~txn = outcome))
+      !outcomes;
+    check_bool "commits overlapped in the log" true (Db_wal.group_parks wal > 0);
+    check_bool "some transactions survived" true
+      (List.exists (fun (_, o) -> o = C.Committed) !outcomes);
+    check_bool "some transactions were torn" true
+      (List.exists (fun (_, o) -> o = C.Aborted) !outcomes);
+    (List.sort compare !outcomes, Chaos.schedule_fingerprint chaos)
+  in
+  let first = run_storm () in
+  check_bool "storm replays seed-for-seed" true (first = run_storm ())
+
 (* ------------------------------------------------------------------ *)
 (* Lock waits with deadlines                                           *)
 (* ------------------------------------------------------------------ *)
@@ -379,6 +423,22 @@ let test_shard_deterministic () =
   check_bool "different shards differ" true
     (Db_shard.run_shard spec ~shard:0 <> Db_shard.run_shard spec ~shard:1)
 
+(* The group-commit sweep reads commit latency from a profiled machine
+   ("wal.flush" on its disk). Profiling only observes: the result must
+   equal an unprofiled run's, field for field. *)
+let test_profiled_shard_zero_delta () =
+  let spec = small { Db_shard.default with Db_shard.sp_shards = 1 } in
+  let w = Db_shard.build spec ~shard:0 in
+  let machine = Db_shard.machine w in
+  Hw_machine.set_profiling machine true;
+  let profiled = Db_shard.execute w in
+  check_bool "profiled run = plain run" true (profiled = Db_shard.run_shard spec ~shard:0);
+  match Sim_metrics.hist (Hw_machine.metrics machine) ~kind:"wal.flush" with
+  | Some h ->
+      check_int "one wal.flush sample per commit" profiled.Db_shard.r_commits
+        (Sim_metrics.Hist.count h)
+  | None -> Alcotest.fail "no wal.flush histogram on a profiled shard"
+
 let test_shard_txns_split () =
   let spec = { Db_shard.default with Db_shard.sp_shards = 4; sp_total_txns = 10 } in
   Alcotest.(check (list int))
@@ -423,6 +483,8 @@ let () =
             test_2pc_commit_flush_failure_presumes_abort;
           Alcotest.test_case "chaos storm: participants and recovery agree" `Quick
             test_2pc_chaos_storm_agreement;
+          Alcotest.test_case "concurrent chaos storm: participants and recovery agree" `Quick
+            test_2pc_concurrent_storm_agreement;
         ] );
       ( "lock deadlines",
         [
@@ -446,6 +508,7 @@ let () =
           Alcotest.test_case "multi-shard accounting" `Slow test_multi_shard_accounting;
           Alcotest.test_case "deterministic per (spec, shard)" `Slow test_shard_deterministic;
           Alcotest.test_case "transaction split" `Quick test_shard_txns_split;
+          Alcotest.test_case "profiling is zero-delta" `Quick test_profiled_shard_zero_delta;
         ] );
       ( "record",
         [ Alcotest.test_case "quick record validates" `Slow test_exp_shard_quick_record ] );

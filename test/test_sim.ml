@@ -444,6 +444,41 @@ let test_engine_suspend_resume () =
   check_int "value passed" 99 !got;
   check_int "no live" 0 (Engine.live_processes e)
 
+(* [park] is [suspend] for a unit result: a parked process resumes at
+   its waker's time, in resume order, and a second resume is refused.
+   The events it schedules are the ones [suspend] would, so the two
+   agree on [events_executed] and on every resume time. *)
+let test_engine_park () =
+  let run park =
+    let e = Engine.create () in
+    let waiting = Queue.create () in
+    let log = ref [] in
+    for i = 1 to 3 do
+      Engine.spawn e (fun () ->
+          park (fun resume -> Queue.add resume waiting);
+          log := (i, Engine.time ()) :: !log)
+    done;
+    Engine.spawn e (fun () ->
+        Engine.delay 10.0;
+        let first = Queue.take waiting in
+        first ();
+        Alcotest.check_raises "second resume refused"
+          (Invalid_argument "Sim_engine: resume called twice") first;
+        Engine.delay 5.0;
+        Queue.iter (fun resume -> resume ()) waiting);
+    Engine.run e;
+    check_int "no live" 0 (Engine.live_processes e);
+    (List.rev !log, Engine.events_executed e)
+  in
+  let parked = run Engine.park in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "resumed at the waker's time, in resume order"
+    [ (1, 10.0); (2, 15.0); (3, 15.0) ]
+    (fst parked);
+  check_bool "same log and event count as suspend" true (parked = run Engine.suspend);
+  Alcotest.check_raises "park outside a process" Engine.Not_in_process (fun () ->
+      Engine.park ignore)
+
 let test_engine_deadlock_detectable () =
   let e = Engine.create () in
   Engine.spawn e (fun () -> ignore (Engine.suspend (fun _resume -> ())));
@@ -817,6 +852,7 @@ let () =
           Alcotest.test_case "until horizon" `Quick test_engine_until;
           Alcotest.test_case "fork" `Quick test_engine_fork;
           Alcotest.test_case "suspend/resume" `Quick test_engine_suspend_resume;
+          Alcotest.test_case "park" `Quick test_engine_park;
           Alcotest.test_case "deadlock detectable" `Quick test_engine_deadlock_detectable;
           Alcotest.test_case "outside process" `Quick test_engine_outside_process;
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
