@@ -20,51 +20,18 @@
 open Bechamel
 open Toolkit
 
-(* Minimal flag scan: Bechamel owns no CLI, so the harness takes just
-   "--jobs N" (or "--jobs=N"). Without the flag, fan out over the
-   detected domain count. *)
-let jobs =
-  let argv = Sys.argv in
-  let jobs = ref None in
-  Array.iteri
-    (fun i arg ->
-      if arg = "--jobs" && i + 1 < Array.length argv then
-        jobs := Some (max 1 (int_of_string argv.(i + 1)))
-      else if String.length arg > 7 && String.sub arg 0 7 = "--jobs=" then
-        jobs := Some (max 1 (int_of_string (String.sub arg 7 (String.length arg - 7)))))
-    argv;
-  match !jobs with Some j -> j | None -> Exp_par.default_jobs ()
-
 let line () = print_endline (String.make 78 '=')
 
-let reproduce () =
+let reproduce ~jobs =
   line ();
   print_endline "Reproduction: Harty & Cheriton, ASPLOS 1992 — all tables and figures";
   line ();
-  print_string
-    (Exp_par.concat ~jobs ~sep:"\n"
-       [
-         (fun () -> Exp_table1.render (Exp_table1.run ()));
-         (fun () -> Exp_table2.render (Exp_table2.run ()));
-         (fun () -> Exp_table3.render (Exp_table3.run ()));
-         (fun () -> Exp_table4.render (Exp_table4.run ()));
-         (fun () -> Exp_figures.render (Exp_figures.run ()));
-       ]);
+  print_string (Exp_par.concat ~jobs ~sep:"\n" (Exp_record.paper ~quick:false));
   print_newline ();
   line ();
   print_endline "Ablations of the design choices";
   line ();
-  print_string
-    (Exp_par.concat ~jobs ~sep:""
-       (List.map
-          (fun run () -> Exp_ablations.render (run ()) ^ "\n")
-          [
-            Exp_ablations.append_batch;
-            Exp_ablations.delivery_mode;
-            Exp_ablations.reprotect_batch;
-            Exp_ablations.regeneration_crossover;
-            Exp_ablations.eviction_destination;
-          ]));
+  print_string (Exp_par.concat ~jobs ~sep:"" Exp_record.ablations);
   print_string (Exp_substrate.render (Exp_substrate.run ()));
   print_newline ();
   line ();
@@ -72,61 +39,17 @@ let reproduce () =
   line ();
   print_string (Exp_chaos.render (Exp_chaos.run ()));
   print_newline ();
-  line ();
-  print_endline "Observability: Table 1 cost attribution and latency histograms";
-  line ();
-  let profile = Exp_profile.run () in
-  print_string (Exp_profile.render profile);
-  let record = Exp_profile.render_json profile in
-  let oc = open_out "BENCH_observability.json" in
-  output_string oc record;
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_observability.json)";
-  line ();
-  print_endline "Perf: simulator throughput at scale";
-  line ();
-  let perf = Exp_scale.run ~jobs () in
-  print_string (Exp_scale.render perf);
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc (Exp_scale.render_json perf);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_perf.json)";
-  line ();
-  print_endline "Market: multi-tenant admission control at production scale";
-  line ();
-  let market = Exp_market.run ~jobs () in
-  print_string (Exp_market.render market);
-  let oc = open_out "BENCH_market.json" in
-  output_string oc (Exp_market.render_json market);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_market.json)";
-  line ();
-  print_endline "Tier: single-tier vs tiered frame placement";
-  line ();
-  let tier = Exp_tier.run ~jobs () in
-  print_string (Exp_tier.render tier);
-  let oc = open_out "BENCH_tier.json" in
-  output_string oc (Exp_tier.render_json tier);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_tier.json)";
-  line ();
-  print_endline "Cache: frame placement vs a physically-indexed L2";
-  line ();
-  let cache = Exp_cache.run ~jobs () in
-  print_string (Exp_cache.render cache);
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc (Exp_cache.render_json cache);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_cache.json)";
-  line ();
-  print_endline "Shard: parallel DBMS shards with two-phase commit";
-  line ();
-  let shard = Exp_shard.run ~jobs () in
-  print_string (Exp_shard.render shard);
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc (Exp_shard.render_json shard);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_shard.json)"
+  (* Every versioned record, in full, written to its BENCH_*.json file. *)
+  List.iter
+    (fun (Exp_record.Record e) ->
+      line ();
+      print_endline e.title;
+      line ();
+      let r = e.run ~quick:false ~jobs:(Some jobs) in
+      print_string (e.render r);
+      Out_channel.with_open_text e.out (fun oc -> output_string oc (Exp_codec.print e.codec r));
+      Printf.printf "(machine-readable record written to %s)\n" e.out)
+    Exp_record.all
 
 (* One Test.make per table/figure. Table 4 runs in its quick (60 s
    simulated) configuration here so a Bechamel sample stays subsecond. *)
@@ -181,8 +104,25 @@ let benchmark () =
       Printf.printf "%-28s %16s %8.3f\n" name time_str r2)
     rows
 
-let () =
-  reproduce ();
+let main jobs =
+  reproduce ~jobs:(Option.value jobs ~default:(Exp_par.default_jobs ()));
   print_newline ();
   if Sys.getenv_opt "VPP_BENCH_FAST" = None then benchmark ()
   else print_endline "(VPP_BENCH_FAST set: skipping the Bechamel pass)"
+
+(* Bechamel owns no CLI, so the harness takes just --jobs N, parsed like
+   vpp_repro's; without it, fan out over the detected domain count. *)
+let () =
+  let open Cmdliner in
+  let jobs =
+    Arg.(
+      value
+      & opt (some (conv' (Exp_par.jobs_of_string, Format.pp_print_int))) None
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:"Run independent experiments on $(docv) OCaml domains (default: all of them).")
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main" ~doc:"Reproduce every table, figure and record, then time each artifact")
+          Term.(const main $ jobs)))

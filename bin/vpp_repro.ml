@@ -14,118 +14,58 @@ let run_stats () = print_string (Exp_substrate.render (Exp_substrate.run ()))
 
 let run_chaos seed () = print_string (Exp_chaos.render (Exp_chaos.run ?seed ()))
 
-let run_profile json () =
-  let r = Exp_profile.run () in
-  if json then print_string (Exp_profile.render_json r) else print_string (Exp_profile.render r)
-
 (* The ablations and the [all] group are independent deterministic
    experiments; with --jobs they fan out over domains via Exp_par, whose
    in-order join keeps the printed bytes identical to a sequential run. *)
 
-let run_ablations jobs () =
-  print_string
-    (Exp_par.concat ~jobs ~sep:""
-       (List.map
-          (fun run () -> Exp_ablations.render (run ()) ^ "\n")
-          [
-            Exp_ablations.append_batch;
-            Exp_ablations.delivery_mode;
-            Exp_ablations.reprotect_batch;
-            Exp_ablations.regeneration_crossover;
-            Exp_ablations.eviction_destination;
-          ]))
+let run_ablations jobs () = print_string (Exp_par.concat ~jobs ~sep:"" Exp_record.ablations)
 
-let run_all quick jobs () =
-  print_string
-    (Exp_par.concat ~jobs ~sep:"\n"
-       [
-         (fun () -> Exp_table1.render (Exp_table1.run ()));
-         (fun () -> Exp_table2.render (Exp_table2.run ()));
-         (fun () -> Exp_table3.render (Exp_table3.run ()));
-         (fun () -> Exp_table4.render (Exp_table4.run ~quick ()));
-         (fun () -> Exp_figures.render (Exp_figures.run ()));
-       ])
+let run_all quick jobs () = print_string (Exp_par.concat ~jobs ~sep:"\n" (Exp_record.paper ~quick))
 
-let run_perf quick json jobs out () =
-  let r = Exp_scale.run ~quick ?jobs () in
-  let record = Exp_scale.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
+(* One shell for every record: run it, write it (unless the subcommand
+   only prints), print the record or its rendering, and fail the exit
+   status on a failed check. *)
+let run_record (Exp_record.Record e) quick json jobs out =
+  let r = e.run ~quick ~jobs in
+  let record = Exp_codec.print e.codec r in
+  Option.iter (fun out -> Out_channel.with_open_text out (fun oc -> output_string oc record)) out;
   if json then print_string record
   else begin
-    print_string (Exp_scale.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
+    print_string (e.render r);
+    Option.iter (Printf.printf "(machine-readable record written to %s)\n") out
   end;
-  if not (Exp_report.all_pass r.Exp_scale.checks) then exit 1
+  if not (Exp_report.all_pass (e.checks r)) then exit 1
 
-(* Schema dispatch lives in Exp_validate (one validator per record
-   schema, keyed by the record's own "schema" tag); this is just the
-   file-and-exit-status shell around it. *)
-let run_validate file () =
-  let contents =
-    try In_channel.with_open_text file In_channel.input_all
-    with Sys_error e ->
+let read_record file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | contents -> contents
+  | exception Sys_error e ->
       Printf.eprintf "%s\n" e;
       exit 1
-  in
-  match Exp_validate.validate_string contents with
+
+let run_validate file () =
+  match Exp_record.validate_string (read_record file) with
   | Ok tag -> Printf.printf "%s: valid %s record\n" file tag
   | Error e ->
       Printf.eprintf "%s: %s\n" file e;
       exit 1
 
-let run_market quick json jobs out () =
-  let r = Exp_market.run ~quick ?jobs () in
-  let record = Exp_market.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_market.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_market.checks) then exit 1
-
-let run_tier quick json jobs out () =
-  let r = Exp_tier.run ~quick ~jobs () in
-  let record = Exp_tier.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_tier.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_tier.checks) then exit 1
-
-let run_cache quick json jobs out () =
-  let r = Exp_cache.run ~quick ~jobs () in
-  let record = Exp_cache.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_cache.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_cache.checks) then exit 1
-
-let run_shard quick json jobs out () =
-  let r = Exp_shard.run ~quick ~jobs () in
-  let record = Exp_shard.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_shard.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_shard.checks) then exit 1
+let run_diff old_file new_file () =
+  let parse file =
+    match Sim_json.parse (read_record file) with
+    | Ok json -> json
+    | Error e ->
+        Printf.eprintf "%s: JSON parse error: %s\n" file e;
+        exit 1
+  in
+  match Exp_record.diff (parse old_file) (parse new_file) with
+  | Ok [] -> ()
+  | Ok lines ->
+      List.iter print_endline lines;
+      exit 1
+  | Error e ->
+      Printf.eprintf "%s\n" e;
+      exit 1
 
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shorten the Table 4 simulation (60s instead of 300s).")
@@ -142,52 +82,44 @@ let seed_opt =
     & opt (some int64) None
     & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (same seed, same storm).")
 
+(* Domain counts are outside input: anything but a positive integer is a
+   usage error. *)
+let jobs_conv = Arg.conv' (Exp_par.jobs_of_string, Format.pp_print_int)
+
 let jobs_opt =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run independent experiments on $(docv) OCaml domains. Output is joined in fixed \
            order, so it is byte-identical to a sequential run.")
 
-let perf_jobs_opt =
+(* Records keep their own default domain count when --jobs is absent. *)
+let record_jobs_opt =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
+    & opt (some jobs_conv) None
+    & info [ "jobs"; "j" ] ~docv:"N" ~absent:"1; the recommended domain count for perf and market"
         ~doc:
-          "Domain count for the perf record's driver leg (default: the recommended domain \
-           count).")
+          "Run the record's independent legs on $(docv) OCaml domains. Every field but the \
+           wall-clock ones is identical to a sequential run.")
 
-let out_opt =
-  Arg.(
-    value & opt string "BENCH_perf.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-perf/2 record.")
-
-let market_out_opt =
-  Arg.(
-    value & opt string "BENCH_market.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-market/1 record.")
-
-let tier_out_opt =
-  Arg.(
-    value & opt string "BENCH_tier.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-tier/1 record.")
-
-let cache_out_opt =
-  Arg.(
-    value & opt string "BENCH_cache.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-cache/1 record.")
-
-let shard_out_opt =
-  Arg.(
-    value & opt string "BENCH_shard.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-shard/2 record.")
-
-let file_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Record to validate.")
+let file_arg n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc)
 
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
+
+let record_cmd (Exp_record.Record e as record) =
+  let run = run_record record in
+  cmd e.name e.doc
+    (if e.writes then
+       let out_opt =
+         Arg.(
+           value & opt string e.out
+           & info [ "out" ] ~docv:"FILE" ~doc:("Where to write the " ^ e.schema ^ " record."))
+       in
+       Term.(const (fun quick json jobs out -> run quick json jobs (Some out))
+             $ quick_flag $ json_flag $ record_jobs_opt $ out_opt)
+     else Term.(const (fun json -> run false json None None) $ json_flag))
 
 let () =
   let cmds =
@@ -205,41 +137,23 @@ let () =
         Term.(const run_stats $ const ());
       cmd "chaos" "Seeded fault-injection storms on the disk/manager paths (not a paper table)"
         Term.(const run_chaos $ seed_opt $ const ());
-      cmd "profile"
-        "Cost attribution for the Table 1 paths plus latency histograms (not a paper table)"
-        Term.(const run_profile $ json_flag $ const ());
-      cmd "perf"
-        "Simulator throughput at 8 MB/512 MB/4 GB machine sizes, the 4 KB-vs-superpage \
-         streaming legs and the parallel-driver timing (the vpp-perf/2 record; not a paper \
-         table)"
-        Term.(const run_perf $ quick_flag $ json_flag $ perf_jobs_opt $ out_opt $ const ());
-      cmd "perf-validate" "Deprecated alias for $(b,validate)"
-        Term.(const run_validate $ file_arg $ const ());
-      cmd "market"
-        "Multi-tenant memory market at production scale: admission control, lazy settlement \
-         and per-class SLOs (the vpp-market/1 record; not a paper table)"
-        Term.(const run_market $ quick_flag $ json_flag $ perf_jobs_opt $ market_out_opt $ const ());
-      cmd "market-validate" "Deprecated alias for $(b,validate)"
-        Term.(const run_validate $ file_arg $ const ());
-      cmd "tier"
-        "Single-tier vs tiered frame placement: a tier-oblivious pager against Mgr_tiered's \
-         hot/cold migration on the same traces (the vpp-tier/1 record; not a paper table)"
-        Term.(const run_tier $ quick_flag $ json_flag $ jobs_opt $ tier_out_opt $ const ());
-      cmd "cache"
-        "Frame placement vs a physically-indexed cache: the same trace under sequential, random \
-         and page-colored placement (the vpp-cache/1 record; not a paper table)"
-        Term.(const run_cache $ quick_flag $ json_flag $ jobs_opt $ cache_out_opt $ const ());
-      cmd "shard"
-        "Sharded DBMS throughput: the same transactions over 1/4/8 parallel shards with \
-         two-phase commit on the cross-shard fraction, plus group commit against per-commit \
-         log forcing on one shard (the vpp-shard/2 record; not a paper table)"
-        Term.(const run_shard $ quick_flag $ json_flag $ jobs_opt $ shard_out_opt $ const ());
-      cmd "validate"
-        "Validate any versioned record (vpp-perf/2, vpp-perf/1, vpp-market/1, vpp-profile/1, \
-         vpp-tier/1, vpp-cache/1, vpp-shard/2), dispatching on its embedded schema tag"
-        Term.(const run_validate $ file_arg $ const ());
-      cmd "all" "Every table and figure" Term.(const run_all $ quick_flag $ jobs_opt $ const ());
     ]
+    @ List.map record_cmd Exp_record.all
+    @ [
+        cmd "validate"
+          ("Validate any versioned record (" ^ String.concat ", " Exp_record.known_schemas
+         ^ "): decode it under its embedded schema tag and re-run the record's own checks")
+          Term.(const run_validate $ file_arg 0 "FILE" "Record to validate." $ const ());
+        cmd "diff"
+          "Compare two records of the same schema field by field, skipping its wall-clock \
+           fields; print each difference and exit 1 if there is any"
+          Term.(
+            const run_diff
+            $ file_arg 0 "OLD" "Baseline record."
+            $ file_arg 1 "NEW" "Record to compare."
+            $ const ());
+        cmd "all" "Every table and figure" Term.(const run_all $ quick_flag $ jobs_opt $ const ());
+      ]
   in
   let info =
     Cmd.info "vpp_repro" ~version:"1.0.0"
@@ -247,5 +161,5 @@ let () =
         "Reproduction of 'Application-Controlled Physical Memory using External Page-Cache \
          Management' (Harty & Cheriton, ASPLOS 1992)"
   in
-  exit
-    (Cmd.eval (Cmd.group info ~default:Term.(const run_all $ quick_flag $ jobs_opt $ const ()) cmds))
+  let default = Term.(const run_all $ quick_flag $ jobs_opt $ const ()) in
+  exit (Cmd.eval (Cmd.group info ~default cmds))

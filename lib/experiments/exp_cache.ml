@@ -28,7 +28,6 @@
    determinism) everything is simulated time: no wall-clock, so reruns
    are bit-identical including the JSON record. *)
 
-module J = Sim_json
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
@@ -276,62 +275,67 @@ let run_colored ~rounds ~tiered () =
 
 let pct x = 100.0 *. x
 
-let checks_of ~legs ~replay_identical ~n_colors =
-  let find mode = List.find (fun l -> l.l_mode = mode) legs in
-  let sequential = find "sequential"
-  and random = find "random"
-  and colored = find "colored"
-  and tiered = find "colored (tiered)" in
-  [
-    Exp_report.check ~what:"frame conservation held in every leg"
-      ~pass:(List.for_all (fun l -> l.l_conserved) legs)
-      ~detail:(Printf.sprintf "%d legs" (List.length legs));
-    Exp_report.check ~what:"cache stats conserved in every leg (accesses = hits + misses)"
-      ~pass:(List.for_all (fun l -> l.l_accesses = l.l_hits + l.l_misses) legs)
-      ~detail:(Printf.sprintf "%d accesses" colored.l_accesses);
-    Exp_report.check ~what:"all legs issued the identical reference stream"
-      ~pass:
-        (List.for_all
-           (fun l -> l.l_touches = colored.l_touches && l.l_accesses = colored.l_accesses)
-           legs
-        && List.for_all (fun l -> l.l_faults = colored.l_faults) legs)
-      ~detail:(Printf.sprintf "%d touches, %d faults" colored.l_touches colored.l_faults);
-    Exp_report.check ~what:"colored placement beats random on miss rate"
-      ~pass:(colored.l_miss_rate < random.l_miss_rate)
-      ~detail:
-        (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate) (pct random.l_miss_rate));
-    Exp_report.check ~what:"colored placement beats sequential on miss rate"
-      ~pass:(colored.l_miss_rate < sequential.l_miss_rate)
-      ~detail:
-        (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate)
-           (pct sequential.l_miss_rate));
-    Exp_report.check ~what:"miss penalties dominate: colored saves simulated time vs sequential"
-      ~pass:(colored.l_sim_us < sequential.l_sim_us)
-      ~detail:
-        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" colored.l_sim_us sequential.l_sim_us
-           (sequential.l_sim_us -. colored.l_sim_us));
-    Exp_report.check ~what:"colored leg is perfectly colored (no color misses, audit clean)"
-      ~pass:
-        (colored.l_color_misses = 0
-        && colored.l_audit_good = colored.l_audit_total
-        && colored.l_audit_total = total_pages)
-      ~detail:
-        (Printf.sprintf "%d/%d pages, %d misses" colored.l_audit_good colored.l_audit_total
-           colored.l_color_misses);
-    Exp_report.check
-      ~what:"tier-scoped coloring reproduces flat placement quality (frames_of_color ~tier)"
-      ~pass:
-        (tiered.l_hits = colored.l_hits && tiered.l_misses = colored.l_misses
-        && tiered.l_color_misses = 0 && tiered.l_conserved)
-      ~detail:
-        (Printf.sprintf "%d hits / %d misses on both" tiered.l_hits tiered.l_misses);
-    Exp_report.check ~what:"random leg deterministic per seed (replay identical)"
-      ~pass:replay_identical
-      ~detail:(Printf.sprintf "seed %Ld" random_seed);
-    Exp_report.check ~what:"cache geometry induces a usable color space"
-      ~pass:(n_colors = hot_pages)
-      ~detail:(Printf.sprintf "%d colors at %d B pages" n_colors page_size);
-  ]
+let checks r =
+  let legs = r.legs in
+  let find mode = List.find_opt (fun l -> l.l_mode = mode) legs in
+  match (find "sequential", find "random", find "colored", find "colored (tiered)") with
+  | Some sequential, Some random, Some colored, Some tiered ->
+      [
+        Exp_report.check ~what:"frame conservation held in every leg"
+          ~pass:(List.for_all (fun l -> l.l_conserved) legs)
+          ~detail:(Printf.sprintf "%d legs" (List.length legs));
+        Exp_report.check ~what:"cache stats conserved in every leg (accesses = hits + misses)"
+          ~pass:(List.for_all (fun l -> l.l_accesses = l.l_hits + l.l_misses) legs)
+          ~detail:(Printf.sprintf "%d accesses" colored.l_accesses);
+        Exp_report.check ~what:"all legs issued the identical reference stream"
+          ~pass:
+            (List.for_all
+               (fun l -> l.l_touches = colored.l_touches && l.l_accesses = colored.l_accesses)
+               legs
+            && List.for_all (fun l -> l.l_faults = colored.l_faults) legs)
+          ~detail:(Printf.sprintf "%d touches, %d faults" colored.l_touches colored.l_faults);
+        Exp_report.check ~what:"colored placement beats random on miss rate"
+          ~pass:(colored.l_miss_rate < random.l_miss_rate)
+          ~detail:
+            (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate) (pct random.l_miss_rate));
+        Exp_report.check ~what:"colored placement beats sequential on miss rate"
+          ~pass:(colored.l_miss_rate < sequential.l_miss_rate)
+          ~detail:
+            (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate)
+               (pct sequential.l_miss_rate));
+        Exp_report.check ~what:"miss penalties dominate: colored saves simulated time vs sequential"
+          ~pass:(colored.l_sim_us < sequential.l_sim_us)
+          ~detail:
+            (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" colored.l_sim_us sequential.l_sim_us
+               (sequential.l_sim_us -. colored.l_sim_us));
+        Exp_report.check ~what:"colored leg is perfectly colored (no color misses, audit clean)"
+          ~pass:
+            (colored.l_color_misses = 0
+            && colored.l_audit_good = colored.l_audit_total
+            && colored.l_audit_total = total_pages)
+          ~detail:
+            (Printf.sprintf "%d/%d pages, %d misses" colored.l_audit_good colored.l_audit_total
+               colored.l_color_misses);
+        Exp_report.check
+          ~what:"tier-scoped coloring reproduces flat placement quality (frames_of_color ~tier)"
+          ~pass:
+            (tiered.l_hits = colored.l_hits && tiered.l_misses = colored.l_misses
+            && tiered.l_color_misses = 0 && tiered.l_conserved)
+          ~detail:
+            (Printf.sprintf "%d hits / %d misses on both" tiered.l_hits tiered.l_misses);
+        Exp_report.check ~what:"random leg deterministic per seed (replay identical)"
+          ~pass:r.replay_identical
+          ~detail:(Printf.sprintf "seed %Ld" random_seed);
+        Exp_report.check ~what:"cache geometry induces a usable color space"
+          ~pass:(r.n_colors = hot_pages)
+          ~detail:(Printf.sprintf "%d colors at %d B pages" r.n_colors page_size);
+      ]
+  | _ ->
+      [
+        Exp_report.check ~what:"record carries the sequential, random, colored and tiered legs"
+          ~pass:false
+          ~detail:(String.concat ", " (List.map (fun l -> l.l_mode) legs));
+      ]
 
 let run ?(quick = false) ?(jobs = 1) () =
   let rounds = if quick then 800 else 2500 in
@@ -355,14 +359,9 @@ let run ?(quick = false) ?(jobs = 1) () =
   let n_colors =
     Hw_cache.n_colors (Hw_cache.create ~line_bytes ~size_bytes:cache_bytes ()) ~page_bytes:page_size
   in
-  {
-    mode = (if quick then "quick" else "full");
-    rounds;
-    n_colors;
-    legs;
-    replay_identical;
-    checks = checks_of ~legs ~replay_identical ~n_colors;
-  }
+  let mode = if quick then "quick" else "full" in
+  let r = { mode; rounds; n_colors; legs; replay_identical; checks = [] } in
+  { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -403,123 +402,60 @@ let render r =
   Buffer.add_string buf (Exp_report.render_checks r.checks);
   Buffer.contents buf
 
-let leg_json l =
-  J.Obj
-    [
-      ("mode", J.Str l.l_mode);
-      ("frames", J.Num (float_of_int l.l_frames));
-      ("touches", J.Num (float_of_int l.l_touches));
-      ("faults", J.Num (float_of_int l.l_faults));
-      ("migrate_calls", J.Num (float_of_int l.l_migrate_calls));
-      ("migrated_pages", J.Num (float_of_int l.l_migrated_pages));
-      ("accesses", J.Num (float_of_int l.l_accesses));
-      ("hits", J.Num (float_of_int l.l_hits));
-      ("misses", J.Num (float_of_int l.l_misses));
-      ("miss_rate", J.Num l.l_miss_rate);
-      ("color_misses", J.Num (float_of_int l.l_color_misses));
-      ("audit_good", J.Num (float_of_int l.l_audit_good));
-      ("audit_total", J.Num (float_of_int l.l_audit_total));
-      ("events", J.Num (float_of_int l.l_events));
-      ("sim_us", J.Num l.l_sim_us);
-      ("conserved", J.Bool l.l_conserved);
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ( "geometry",
-        J.Obj
-          [
-            ("cache_bytes", J.Num (float_of_int cache_bytes));
-            ("line_bytes", J.Num (float_of_int line_bytes));
-            ("page_size", J.Num (float_of_int page_size));
-            ("n_colors", J.Num (float_of_int r.n_colors));
-          ] );
-      ("rounds", J.Num (float_of_int r.rounds));
-      ("legs", J.List (List.map leg_json r.legs));
-      ("replay_identical", J.Bool r.replay_identical);
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
 (* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
+(* Record codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* geometry = require "geometry" (J.member "geometry" json) in
-  let* n_colors =
-    require "geometry n_colors" (Option.bind (J.member "n_colors" geometry) J.to_float)
-  in
-  let* () =
-    if n_colors >= 2.0 then Ok () else Error "cache geometry induces fewer than two colors"
-  in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if List.length legs >= 3 then Ok () else Error "expected at least three legs" in
-  let leg_field what leg get = require ("leg " ^ what) (Option.bind (J.member what leg) get) in
-  let* parsed =
-    List.fold_left
-      (fun acc leg ->
-        let* acc = acc in
-        let* mode = leg_field "mode" leg J.to_str in
-        let* conserved = leg_field "conserved" leg J.to_bool in
-        let* accesses = leg_field "accesses" leg J.to_float in
-        let* hits = leg_field "hits" leg J.to_float in
-        let* misses = leg_field "misses" leg J.to_float in
-        let* miss_rate = leg_field "miss_rate" leg J.to_float in
-        if not conserved then Error (mode ^ ": frame conservation failed")
-        else if accesses <> hits +. misses then
-          Error (mode ^ ": cache stats not conserved (accesses <> hits + misses)")
-        else if miss_rate < 0.0 || miss_rate > 1.0 then Error (mode ^ ": miss rate out of range")
-        else if accesses <= 0.0 then Error (mode ^ ": no cache accesses recorded")
-        else Ok ((mode, miss_rate) :: acc))
-      (Ok []) legs
-  in
-  let find want = List.assoc_opt want parsed in
-  let* colored = require "colored leg" (find "colored") in
-  let* random = require "random leg" (find "random") in
-  let* sequential = require "sequential leg" (find "sequential") in
-  let* () =
-    if colored < random then Ok ()
-    else
-      Error
-        (Printf.sprintf "colored placement did not beat random (%.4f vs %.4f miss rate)" colored
-           random)
-  in
-  let* () =
-    if colored < sequential then Ok ()
-    else Error "colored placement did not beat sequential"
-  in
-  let* replay =
-    require "replay_identical" (Option.bind (J.member "replay_identical" json) J.to_bool)
-  in
-  let* () = if replay then Ok () else Error "random leg was not deterministic per seed" in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks
+let leg =
+  let open Exp_codec in
+  obj
+    (fun l_mode l_frames l_touches l_faults l_migrate_calls l_migrated_pages l_accesses l_hits
+         l_misses l_miss_rate l_color_misses l_audit_good l_audit_total l_events l_sim_us
+         l_conserved ->
+      { l_mode; l_frames; l_touches; l_faults; l_migrate_calls; l_migrated_pages;
+        l_accesses; l_hits; l_misses; l_miss_rate; l_color_misses; l_audit_good;
+        l_audit_total; l_events; l_sim_us; l_conserved })
+  |> mem "mode" string (fun l -> l.l_mode)
+  |> mem "frames" int (fun l -> l.l_frames)
+  |> mem "touches" int (fun l -> l.l_touches)
+  |> mem "faults" int (fun l -> l.l_faults)
+  |> mem "migrate_calls" int (fun l -> l.l_migrate_calls)
+  |> mem "migrated_pages" int (fun l -> l.l_migrated_pages)
+  |> mem "accesses" (where "no cache accesses recorded" (fun n -> n > 0) int) (fun l ->
+         l.l_accesses)
+  |> mem "hits" int (fun l -> l.l_hits)
+  |> mem "misses" int (fun l -> l.l_misses)
+  |> mem "miss_rate" (where "miss rate out of range" (fun x -> x >= 0.0 && x <= 1.0) float)
+       (fun l -> l.l_miss_rate)
+  |> mem "color_misses" int (fun l -> l.l_color_misses)
+  |> mem "audit_good" int (fun l -> l.l_audit_good)
+  |> mem "audit_total" int (fun l -> l.l_audit_total)
+  |> mem "events" int (fun l -> l.l_events)
+  |> mem "sim_us" float (fun l -> l.l_sim_us)
+  |> mem "conserved" bool (fun l -> l.l_conserved)
+  |> finish
+
+(* The geometry constants are written for the reader; only the color
+   count is data. *)
+let geometry =
+  let open Exp_codec in
+  obj Fun.id
+  |> out "cache_bytes" int (fun _ -> cache_bytes)
+  |> out "line_bytes" int (fun _ -> line_bytes)
+  |> out "page_size" int (fun _ -> page_size)
+  |> mem "n_colors" int Fun.id
+  |> finish
+
+let codec =
+  let open Exp_codec in
+  obj (fun mode n_colors rounds legs replay_identical checks ->
+      { mode; rounds; n_colors; legs; replay_identical; checks })
+  |> tag "schema" schema_version
+  |> mem "mode" string (fun r -> r.mode)
+  |> mem "geometry" geometry (fun r -> r.n_colors)
+  |> mem "rounds" int (fun r -> r.rounds)
+  |> mem "legs" (where "expected at least three legs" (fun l -> List.length l >= 3) (list leg))
+       (fun r -> r.legs)
+  |> mem "replay_identical" bool (fun r -> r.replay_identical)
+  |> mem "checks" (list check) (fun r -> r.checks)
+  |> finish

@@ -4,8 +4,8 @@
     L2 ({!Hw_machine.create} [?cache]), plus a tier-scoped colored leg
     on a fast+slow machine.
 
-    The headline embedded check — and what {!validate_json} re-derives
-    from the record — is that colored placement beats random (and
+    The headline embedded check — which validation re-runs on the
+    decoded record, like every other {!checks} entry — is that colored placement beats random (and
     sequential) on cache miss rate, with frame conservation and
     cache-stat conservation ([accesses = hits + misses]) holding in
     every leg, and the seeded random leg replaying identically. No
@@ -48,11 +48,12 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     is identical to a sequential run). *)
 
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
 
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Machine-check a parsed record: schema tag, per-leg conservation
-    (frames and cache stats), miss rates in range, colored < random and
-    colored < sequential on miss rate, deterministic replay, and every
-    embedded check passing. *)
+val checks : result -> Exp_report.check list
+(** A record missing any of the four placement legs gets one failing
+    check naming them. *)
+
+val codec : result Exp_codec.t
+(** The record. The decoder also requires at least three legs, a miss
+    rate in [0, 1] and [accesses > 0] in every leg; the [geometry]
+    constants other than [n_colors] are written on output only. *)

@@ -1,4 +1,3 @@
-module J = Sim_json
 module W = Wl_market
 
 let schema_version = "vpp-market/1"
@@ -69,6 +68,8 @@ let checks_for r =
            (r.W.r_sim_us /. 1_000_000.0));
   ]
 
+let checks r = List.concat_map (fun l -> checks_for l.l_result) r.legs
+
 let run ?(quick = false) ?jobs () =
   let jobs = match jobs with Some j -> max 1 j | None -> Exp_par.default_jobs () in
   let configs = if quick then [ W.small ] else [ W.small; W.production ] in
@@ -80,8 +81,8 @@ let run ?(quick = false) ?jobs () =
            { l_result = r; l_wall_s = wall })
          configs)
   in
-  let checks = List.concat_map (fun l -> checks_for l.l_result) legs in
-  { mode = (if quick then "quick" else "full"); jobs; legs; checks }
+  let r = { mode = (if quick then "quick" else "full"); jobs; legs; checks = [] } in
+  { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -148,133 +149,75 @@ let render r =
   Buffer.add_string buf (Exp_report.render_checks r.checks);
   Buffer.contents buf
 
-let slo_json s =
-  J.Obj
-    [
-      ("class", J.Str s.W.sc_class);
-      ("tenants", J.Num (float_of_int s.W.sc_tenants));
-      ("completed", J.Num (float_of_int s.W.sc_completed));
-      ("refused", J.Num (float_of_int s.W.sc_refused));
-      ("samples", J.Num (float_of_int s.W.sc_samples));
-      ("p50_us", J.Num s.W.sc_p50_us);
-      ("p99_us", J.Num s.W.sc_p99_us);
-      ("p999_us", J.Num s.W.sc_p999_us);
-      ("max_us", J.Num s.W.sc_max_us);
-      ("violations", J.Num (float_of_int s.W.sc_violations));
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ("jobs", J.Num (float_of_int r.jobs));
-      ( "legs",
-        J.List
-          (List.map
-             (fun l ->
-               let w = l.l_result in
-               J.Obj
-                 [
-                   ("name", J.Str w.W.r_name);
-                   ("frames", J.Num (float_of_int w.W.r_frames));
-                   ("tenants", J.Num (float_of_int w.W.r_tenants));
-                   ("savers", J.Num (float_of_int w.W.r_savers));
-                   ("completed", J.Num (float_of_int w.W.r_completed));
-                   ("refused", J.Num (float_of_int w.W.r_refused));
-                   ("defer_events", J.Num (float_of_int w.W.r_defer_events));
-                   ("granted_frames", J.Num (float_of_int w.W.r_granted_frames));
-                   ("saver_cycles", J.Num (float_of_int w.W.r_saver_cycles));
-                   ("saver_starved", J.Num (float_of_int w.W.r_saver_starved));
-                   ("faults", J.Num (float_of_int w.W.r_faults));
-                   ("events", J.Num (float_of_int w.W.r_events));
-                   ("sim_us", J.Num w.W.r_sim_us);
-                   ("slo_us", J.Num w.W.r_slo_us);
-                   ("accounts", J.Num (float_of_int w.W.r_accounts));
-                   ("min_balance", J.Num w.W.r_min_balance);
-                   ("billable_s", J.Num w.W.r_billable_s);
-                   ("conservation_residual", J.Num w.W.r_conservation_residual);
-                   ("io_failures", J.Num (float_of_int w.W.r_io_failures));
-                   ("conserved", J.Bool w.W.r_conserved);
-                   ("wall_s", J.Num l.l_wall_s);
-                   ("slos", J.List (List.map slo_json w.W.r_slos));
-                 ])
-             r.legs) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
 (* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
+(* The record                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if legs <> [] then Ok () else Error "expected at least one leg" in
-  let* () =
-    List.fold_left
-      (fun acc leg ->
-        let* () = acc in
-        let* name = require "leg name" (Option.bind (J.member "name" leg) J.to_str) in
-        let* conserved = require "conserved" (Option.bind (J.member "conserved" leg) J.to_bool) in
-        let* tenants = require "tenants" (Option.bind (J.member "tenants" leg) J.to_float) in
-        let* completed = require "completed" (Option.bind (J.member "completed" leg) J.to_float) in
-        let* refused = require "refused" (Option.bind (J.member "refused" leg) J.to_float) in
-        let* defers =
-          require "defer_events" (Option.bind (J.member "defer_events" leg) J.to_float)
-        in
-        let* residual =
-          require "conservation_residual"
-            (Option.bind (J.member "conservation_residual" leg) J.to_float)
-        in
-        let* wall = require "wall_s" (Option.bind (J.member "wall_s" leg) J.to_float) in
-        let* slos = require "slos" (Option.bind (J.member "slos" leg) J.to_list) in
-        let* () =
-          List.fold_left
-            (fun acc s ->
-              let* () = acc in
-              let* cls = require "slo class" (Option.bind (J.member "class" s) J.to_str) in
-              let* samples = require "samples" (Option.bind (J.member "samples" s) J.to_float) in
-              let* p50 = require "p50_us" (Option.bind (J.member "p50_us" s) J.to_float) in
-              let* p99 = require "p99_us" (Option.bind (J.member "p99_us" s) J.to_float) in
-              let* p999 = require "p999_us" (Option.bind (J.member "p999_us" s) J.to_float) in
-              if samples > 0.0 && not (p50 <= p99 && p99 <= p999) then
-                Error (Printf.sprintf "%s/%s: SLO quantiles out of order" name cls)
-              else Ok ())
-            (Ok ()) slos
-        in
-        if not conserved then Error (name ^ ": conservation failed")
-        else if completed +. refused <> tenants then Error (name ^ ": tenants unaccounted for")
-        else if defers <= 0.0 then Error (name ^ ": admission queue never exercised")
-        else if residual >= 1e-9 then Error (name ^ ": dram conservation residual too large")
-        else if wall < 0.0 then Error (name ^ ": negative wall time")
-        else Ok ())
-      (Ok ()) legs
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks
+let slo =
+  let open Exp_codec in
+  obj
+    (fun sc_class sc_tenants sc_completed sc_refused sc_samples sc_p50_us sc_p99_us sc_p999_us
+         sc_max_us sc_violations ->
+      { W.sc_class; sc_tenants; sc_completed; sc_refused; sc_samples; sc_p50_us; sc_p99_us;
+        sc_p999_us; sc_max_us; sc_violations })
+  |> mem "class" string (fun s -> s.W.sc_class)
+  |> mem "tenants" int (fun s -> s.W.sc_tenants)
+  |> mem "completed" int (fun s -> s.W.sc_completed)
+  |> mem "refused" int (fun s -> s.W.sc_refused)
+  |> mem "samples" int (fun s -> s.W.sc_samples)
+  |> mem "p50_us" float (fun s -> s.W.sc_p50_us)
+  |> mem "p99_us" float (fun s -> s.W.sc_p99_us)
+  |> mem "p999_us" float (fun s -> s.W.sc_p999_us)
+  |> mem "max_us" float (fun s -> s.W.sc_max_us)
+  |> mem "violations" int (fun s -> s.W.sc_violations)
+  |> finish
+
+let leg =
+  let open Exp_codec in
+  let w f l = f l.l_result in
+  obj
+    (fun r_name r_frames r_tenants r_savers r_completed r_refused r_defer_events
+         r_granted_frames r_saver_cycles r_saver_starved r_faults r_events r_sim_us r_slo_us
+         r_accounts r_min_balance r_billable_s r_conservation_residual r_io_failures r_conserved
+         l_wall_s r_slos ->
+      {
+        l_result =
+          { W.r_name; r_frames; r_tenants; r_savers; r_completed; r_refused; r_defer_events;
+            r_granted_frames; r_saver_cycles; r_saver_starved; r_faults; r_events; r_sim_us;
+            r_slo_us; r_slos; r_accounts; r_min_balance; r_billable_s;
+            r_conservation_residual; r_io_failures; r_conserved };
+        l_wall_s;
+      })
+  |> mem "name" string (w (fun r -> r.W.r_name))
+  |> mem "frames" int (w (fun r -> r.W.r_frames))
+  |> mem "tenants" int (w (fun r -> r.W.r_tenants))
+  |> mem "savers" int (w (fun r -> r.W.r_savers))
+  |> mem "completed" int (w (fun r -> r.W.r_completed))
+  |> mem "refused" int (w (fun r -> r.W.r_refused))
+  |> mem "defer_events" int (w (fun r -> r.W.r_defer_events))
+  |> mem "granted_frames" int (w (fun r -> r.W.r_granted_frames))
+  |> mem "saver_cycles" int (w (fun r -> r.W.r_saver_cycles))
+  |> mem "saver_starved" int (w (fun r -> r.W.r_saver_starved))
+  |> mem "faults" int (w (fun r -> r.W.r_faults))
+  |> mem "events" int (w (fun r -> r.W.r_events))
+  |> mem "sim_us" float (w (fun r -> r.W.r_sim_us))
+  |> mem "slo_us" float (w (fun r -> r.W.r_slo_us))
+  |> mem "accounts" int (w (fun r -> r.W.r_accounts))
+  |> mem "min_balance" float (w (fun r -> r.W.r_min_balance))
+  |> mem "billable_s" float (w (fun r -> r.W.r_billable_s))
+  |> mem "conservation_residual" float (w (fun r -> r.W.r_conservation_residual))
+  |> mem "io_failures" int (w (fun r -> r.W.r_io_failures))
+  |> mem "conserved" bool (w (fun r -> r.W.r_conserved))
+  |> mem "wall_s" (where "negative wall time" (fun s -> s >= 0.0) float) (fun l -> l.l_wall_s)
+  |> mem "slos" (list slo) (w (fun r -> r.W.r_slos))
+  |> finish
+
+let codec =
+  let open Exp_codec in
+  obj (fun mode jobs legs checks -> { mode; jobs; legs; checks })
+  |> tag "schema" schema_version
+  |> mem "mode" string (fun r -> r.mode)
+  |> mem "jobs" int (fun r -> r.jobs)
+  |> mem "legs" (where "expected at least one leg" (fun l -> l <> []) (list leg)) (fun r -> r.legs)
+  |> mem "checks" (list check) (fun r -> r.checks)
+  |> finish

@@ -2,11 +2,10 @@
     ({!Wl_market}) at one or two scales, with per-class SLO tables,
     market-conservation audits and machine-checked shape checks.
 
-    Follows the [vpp-perf/1] pattern: [run] produces a result whose JSON
-    rendering carries a [schema] tag and a [checks] array; [validate_json]
-    re-checks a written record (schema presence, conservation flags, SLO
-    quantile ordering, all checks passing) so CI can gate on the file
-    itself. Wall-clock seconds come from [Unix.gettimeofday] — the same
+    Follows the [vpp-perf/2] pattern: [run] produces a result whose
+    record carries a [schema] tag and a [checks] array, and validating a
+    written record decodes it and re-runs {!checks}, so CI can gate on
+    the file itself. Wall-clock seconds come from [Unix.gettimeofday] — the same
     deliberate exception to the no-wall-clock rule as [Exp_scale]; every
     other field is deterministic from the workload seeds. *)
 
@@ -30,7 +29,13 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     results are deterministic either way. *)
 
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
 
-val validate_json : Sim_json.t -> (unit, string) Result.t
+val checks : result -> Exp_report.check list
+(** Per leg: frame and process conservation, every tenant completed or
+    refused, deferrals and refusals occurred, no drams minted, solvent
+    classes stayed solvent, SLO quantiles ordered, billable time within
+    simulated time. *)
+
+val codec : result Exp_codec.t
+(** The record. The decoder also requires at least one leg and
+    non-negative [wall_s]. *)

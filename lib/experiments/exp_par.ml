@@ -11,6 +11,11 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+let jobs_of_string s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (Printf.sprintf "invalid value '%s', expected a positive integer" s)
+
 let map ~jobs tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in

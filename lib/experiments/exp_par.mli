@@ -9,6 +9,10 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
+val jobs_of_string : string -> (int, string) result
+(** Parse a [--jobs] argument: a positive integer, or an error naming
+    the bad value. Both command-line drivers read [--jobs] through it. *)
+
 val map : jobs:int -> (unit -> 'a) list -> 'a list
 (** Run the thunks on up to [jobs] domains (clamped to [1 ..] and to the
     task count); results are returned in input order regardless of

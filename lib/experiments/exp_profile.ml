@@ -2,7 +2,6 @@ module K = Epcm_kernel
 module Engine = Sim_engine
 module Seg = Epcm_segment
 module Metrics = Sim_metrics
-module J = Sim_json
 
 let schema_version = "vpp-profile/1"
 
@@ -13,11 +12,19 @@ type row = {
   p_spans : (string * int * float) list;
 }
 
-type result = {
-  rows : row list;
-  latency : (string * Metrics.Hist.t) list;
-  checks : Exp_report.check list;
+type latency = {
+  kind : string;
+  count : int;
+  total_us : float;
+  min_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+  max_us : float;
+  buckets : (float * int) list;
 }
+
+type result = { rows : row list; latency : latency list; checks : Exp_report.check list }
 
 let span_sum row = List.fold_left (fun acc (_, _, us) -> acc +. us) 0.0 row.p_spans
 
@@ -186,54 +193,64 @@ let latency_workload () =
   Engine.run machine.Hw_machine.engine;
   let m = Hw_machine.metrics machine in
   List.filter_map
-    (fun kind -> Option.map (fun h -> (kind, h)) (Metrics.hist m ~kind))
+    (fun kind ->
+      Option.map
+        (fun h ->
+          let module H = Metrics.Hist in
+          {
+            kind;
+            count = H.count h;
+            total_us = H.total h;
+            min_us = H.min_value h;
+            p50_us = H.p50 h;
+            p95_us = H.p95 h;
+            p99_us = H.p99 h;
+            max_us = H.max_value h;
+            buckets = List.map (fun (i, c) -> (H.bucket_upper_bound i, c)) (H.buckets h);
+          })
+        (Metrics.hist m ~kind))
     (Metrics.kinds m)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run () =
-  let rows = table1_rows () in
-  let latency = latency_workload () in
-  let row_checks =
-    List.concat_map
-      (fun row ->
-        let sum = span_sum row in
-        [
-          Exp_report.check
-            ~what:(Printf.sprintf "%s spans sum to the pinned identity" row.p_label)
-            ~pass:(Float.abs (sum -. row.p_pinned_us) < 1e-6)
-            ~detail:(Printf.sprintf "sum %.1f us, pinned %.1f us" sum row.p_pinned_us);
-          Exp_report.check
-            ~what:(Printf.sprintf "%s measured time equals the pinned identity" row.p_label)
-            ~pass:(Float.abs (row.p_measured_us -. row.p_pinned_us) < 1e-6)
-            ~detail:
-              (Printf.sprintf "measured %.1f us, pinned %.1f us" row.p_measured_us
-                 row.p_pinned_us);
-        ])
-      rows
-  in
-  let latency_checks =
-    [
+let checks r =
+  List.concat_map
+    (fun row ->
+      let sum = span_sum row in
+      [
+        Exp_report.check
+          ~what:(Printf.sprintf "%s spans sum to the pinned identity" row.p_label)
+          ~pass:(Float.abs (sum -. row.p_pinned_us) < 1e-6)
+          ~detail:(Printf.sprintf "sum %.1f us, pinned %.1f us" sum row.p_pinned_us);
+        Exp_report.check
+          ~what:(Printf.sprintf "%s measured time equals the pinned identity" row.p_label)
+          ~pass:(Float.abs (row.p_measured_us -. row.p_pinned_us) < 1e-6)
+          ~detail:
+            (Printf.sprintf "measured %.1f us, pinned %.1f us" row.p_measured_us row.p_pinned_us);
+      ])
+    r.rows
+  @ [
       Exp_report.check ~what:"paging workload populates fault and disk histograms"
         ~pass:
           (List.for_all
-             (fun kind -> List.mem_assoc kind latency)
+             (fun kind -> List.exists (fun l -> l.kind = kind) r.latency)
              [ "kernel.fault"; "disk.read"; "disk.write"; "backing.read"; "wal.flush" ])
-        ~detail:(String.concat ", " (List.map fst latency));
+        ~detail:(String.concat ", " (List.map (fun l -> l.kind) r.latency));
       Exp_report.check ~what:"histogram quantiles are ordered p50 <= p95 <= p99 <= max"
         ~pass:
           (List.for_all
-             (fun (_, h) ->
-               Metrics.Hist.p50 h <= Metrics.Hist.p95 h
-               && Metrics.Hist.p95 h <= Metrics.Hist.p99 h
-               && Metrics.Hist.p99 h <= Metrics.Hist.max_value h)
-             latency)
-        ~detail:(Printf.sprintf "%d kinds" (List.length latency));
+             (fun l -> l.p50_us <= l.p95_us && l.p95_us <= l.p99_us && l.p99_us <= l.max_us)
+             r.latency)
+        ~detail:(Printf.sprintf "%d kinds" (List.length r.latency));
     ]
-  in
-  { rows; latency; checks = row_checks @ latency_checks }
+
+let run () =
+  let rows = table1_rows () in
+  let latency = latency_workload () in
+  let r = { rows; latency; checks = [] } in
+  { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -258,131 +275,72 @@ let render r =
        ~header:[ "kind"; "count"; "p50 (us)"; "p95 (us)"; "p99 (us)"; "max (us)" ]
        ~rows:
          (List.map
-            (fun (kind, h) ->
+            (fun l ->
               [
-                kind;
-                string_of_int (Metrics.Hist.count h);
-                Exp_report.us (Metrics.Hist.p50 h);
-                Exp_report.us (Metrics.Hist.p95 h);
-                Exp_report.us (Metrics.Hist.p99 h);
-                Exp_report.us (Metrics.Hist.max_value h);
+                l.kind;
+                string_of_int l.count;
+                Exp_report.us l.p50_us;
+                Exp_report.us l.p95_us;
+                Exp_report.us l.p99_us;
+                Exp_report.us l.max_us;
               ])
             r.latency));
   Buffer.add_string buf "\nShape checks:\n";
   Buffer.add_string buf (Exp_report.render_checks r.checks);
   Buffer.contents buf
 
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ( "table1_decomposition",
-        J.List
-          (List.map
-             (fun row ->
-               J.Obj
-                 [
-                   ("row", J.Str row.p_label);
-                   ("pinned_us", J.Num row.p_pinned_us);
-                   ("measured_us", J.Num row.p_measured_us);
-                   ("span_sum_us", J.Num (span_sum row));
-                   ( "spans",
-                     J.List
-                       (List.map
-                          (fun (path, n, us) ->
-                            J.Obj
-                              [
-                                ("path", J.Str path);
-                                ("count", J.Num (float_of_int n));
-                                ("us", J.Num us);
-                              ])
-                          row.p_spans) );
-                 ])
-             r.rows) );
-      ( "latency",
-        J.List
-          (List.map
-             (fun (kind, h) ->
-               match Metrics.hist_to_json h with
-               | J.Obj fields -> J.Obj (("kind", J.Str kind) :: fields)
-               | other -> other)
-             r.latency) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
 (* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
+(* The record                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
+let span =
+  let open Exp_codec in
+  obj (fun path n us -> (path, n, us))
+  |> mem "path" string (fun (path, _, _) -> path)
+  |> mem "count" int (fun (_, n, _) -> n)
+  |> mem "us" float (fun (_, _, us) -> us)
+  |> finish
+
+let row =
+  let open Exp_codec in
+  obj (fun p_label p_pinned_us p_measured_us p_spans ->
+      { p_label; p_pinned_us; p_measured_us; p_spans })
+  |> mem "row" string (fun r -> r.p_label)
+  |> mem "pinned_us" float (fun r -> r.p_pinned_us)
+  |> mem "measured_us" float (fun r -> r.p_measured_us)
+  |> out "span_sum_us" float span_sum
+  |> mem "spans" (list span) (fun r -> r.p_spans)
+  |> finish
+
+(* The fields and order of Sim_metrics.hist_to_json, after the kind. *)
+let latency =
+  let open Exp_codec in
+  let bucket =
+    obj (fun upper n -> (upper, n))
+    |> mem "upper_us" float fst
+    |> mem "count" int snd
+    |> finish
   in
-  let* rows =
-    require "table1_decomposition" (Option.bind (J.member "table1_decomposition" json) J.to_list)
-  in
-  let* () = if List.length rows = 8 then Ok () else Error "expected 8 table-1 rows" in
-  let* () =
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* label = require "row label" (Option.bind (J.member "row" row) J.to_str) in
-        let* pinned = require "pinned_us" (Option.bind (J.member "pinned_us" row) J.to_float) in
-        let* spans = require "spans" (Option.bind (J.member "spans" row) J.to_list) in
-        let* sum =
-          List.fold_left
-            (fun acc span ->
-              let* acc = acc in
-              let* us = require "span us" (Option.bind (J.member "us" span) J.to_float) in
-              let* _ = require "span path" (Option.bind (J.member "path" span) J.to_str) in
-              Ok (acc +. us))
-            (Ok 0.0) spans
-        in
-        if Float.abs (sum -. pinned) < 1e-6 then Ok ()
-        else Error (Printf.sprintf "%s: spans sum to %.3f, pinned %.3f" label sum pinned))
-      (Ok ()) rows
-  in
-  let* hists = require "latency" (Option.bind (J.member "latency" json) J.to_list) in
-  let* () =
-    List.fold_left
-      (fun acc h ->
-        let* () = acc in
-        let* kind = require "latency kind" (Option.bind (J.member "kind" h) J.to_str) in
-        let field name = require (kind ^ " " ^ name) (Option.bind (J.member name h) J.to_float) in
-        let* _count = field "count" in
-        let* p50 = field "p50_us" in
-        let* p95 = field "p95_us" in
-        let* p99 = field "p99_us" in
-        let* mx = field "max_us" in
-        if p50 <= p95 && p95 <= p99 && p99 <= mx then Ok ()
-        else Error (kind ^ ": quantiles out of order"))
-      (Ok ()) hists
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      match Option.bind (J.member "pass" c) (function J.Bool b -> Some b | _ -> None) with
-      | Some true -> Ok ()
-      | Some false ->
-          Error
-            (Printf.sprintf "failed check: %s"
-               (Option.value ~default:"?" (Option.bind (J.member "what" c) J.to_str)))
-      | None -> Error "check without a pass field")
-    (Ok ()) checks
+  obj (fun kind count total_us min_us p50_us p95_us p99_us max_us buckets ->
+      { kind; count; total_us; min_us; p50_us; p95_us; p99_us; max_us; buckets })
+  |> mem "kind" string (fun l -> l.kind)
+  |> mem "count" int (fun l -> l.count)
+  |> mem "total_us" float (fun l -> l.total_us)
+  |> mem "min_us" float (fun l -> l.min_us)
+  |> mem "p50_us" float (fun l -> l.p50_us)
+  |> mem "p95_us" float (fun l -> l.p95_us)
+  |> mem "p99_us" float (fun l -> l.p99_us)
+  |> mem "max_us" float (fun l -> l.max_us)
+  |> mem "buckets" (list bucket) (fun l -> l.buckets)
+  |> finish
+
+let codec =
+  let open Exp_codec in
+  obj (fun rows latency checks -> { rows; latency; checks })
+  |> tag "schema" schema_version
+  |> mem "table1_decomposition"
+       (where "expected 8 table-1 rows" (fun l -> List.length l = 8) (list row))
+       (fun r -> r.rows)
+  |> mem "latency" (list latency) (fun r -> r.latency)
+  |> mem "checks" (list check) (fun r -> r.checks)
+  |> finish

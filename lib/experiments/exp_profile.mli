@@ -17,9 +17,23 @@ type row = {
           sorted by path. Sums to [p_pinned_us]. *)
 }
 
+(** One operation kind's latency histogram, summarised at run time
+    (the fields of {!Sim_metrics.hist_to_json}). *)
+type latency = {
+  kind : string;
+  count : int;
+  total_us : float;
+  min_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+  max_us : float;
+  buckets : (float * int) list;  (** (upper bound us, count), ascending. *)
+}
+
 type result = {
   rows : row list;  (** The eight Table 1 identities, in table order. *)
-  latency : (string * Sim_metrics.Hist.t) list;  (** Histograms by kind. *)
+  latency : latency list;  (** By kind, sorted. *)
   checks : Exp_report.check list;
 }
 
@@ -28,11 +42,11 @@ val run : unit -> result
 val render : result -> string
 (** Human-readable profile: per-row decompositions plus a quantile table. *)
 
-val to_json : result -> Sim_json.t
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
+val checks : result -> Exp_report.check list
+(** Each row's spans sum to its pinned total and its measured time
+    equals it; the paging workload populated the expected kinds; every
+    kind's quantiles are ordered. *)
 
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural schema check used by the bench-smoke test: version string,
-    eight rows whose spans sum to their pinned totals, ordered quantiles,
-    and all embedded shape checks passing. *)
+val codec : result Exp_codec.t
+(** The record. The decoder also requires exactly eight rows;
+    [span_sum_us] is derived on output only. *)

@@ -9,18 +9,13 @@
     machine-readable diff, like the [vpp-profile/1] record next to it.
 
     The simulated side of every run is deterministic; only the [wall_s]
-    and derived per-second fields vary between hosts. Diff two records by
-    comparing the deterministic count fields exactly and the throughput
-    fields as ratios. *)
+    and derived per-second fields vary between hosts; [vpp_repro diff]
+    compares two records on everything else. *)
 
 val schema_version : string
 (** ["vpp-perf/2"]. Bump when the record layout changes. v2 added the
     [stream] leg: the same sequential stream at the largest machine size
     run twice, with 4 KB fills and with superpage (2 MB) run grants. *)
-
-val schema_version_v1 : string
-(** ["vpp-perf/1"] — the pre-superpage layout, still accepted by
-    [vpp_repro validate] for old [BENCH_perf.json] files. *)
 
 type scale_row = {
   s_result : Wl_scale.result;
@@ -60,18 +55,14 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
 
 val render : result -> string
 
-val to_json : result -> Sim_json.t
+val checks : result -> Exp_report.check list
+(** The shape checks [run] stores: per-size conservation and coverage,
+    event counts growing with size, the parallel driver's byte-identity,
+    and the stream legs' identical references with the superpage leg
+    taking at least 100x fewer faults. A function of the decoded record
+    alone, so validation re-runs it. *)
 
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural schema check used by the perf-smoke rule: version string,
-    at least two scales with positive deterministic counts and frame
-    conservation, exactly two stream legs issuing identical references
-    with the superpage leg at least 100x fewer faults, a driver leg whose
-    parallel output matched, and all embedded shape checks passing. *)
-
-val validate_json_v1 : Sim_json.t -> (unit, string) Stdlib.result
-(** The legacy [vpp-perf/1] check (no stream legs), kept so old records
-    still validate. *)
+val codec : result Exp_codec.t
+(** The record. The decoder also requires at least two scales, exactly
+    two stream legs, non-negative [wall_s] and at least one driver job;
+    the per-second and [speedup] fields are derived on output only. *)

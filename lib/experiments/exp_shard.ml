@@ -25,8 +25,6 @@
    forcing wherever commits overlap, and to be identical to it with a
    single worker, where they never do. *)
 
-module J = Sim_json
-
 let schema_version = "vpp-shard/2"
 
 type leg = {
@@ -160,7 +158,6 @@ let sweep_checks sweep =
   let pairs = sweep_pairs sweep in
   let overlapping = List.filter (fun (g, _) -> g.c_workers > 1) pairs in
   let solo = List.filter (fun (g, _) -> g.c_workers = 1) pairs in
-  let widest = List.hd (List.rev pairs) in
   (* Two workers can alternate, each committing while the other's force
      is in flight and so leading a force of one record; batching shows
      from three up, about half the workers' commits per force. *)
@@ -193,9 +190,11 @@ let sweep_checks sweep =
     Exp_report.check ~what:"group commit beats per-commit forcing on TPS wherever commits overlap"
       ~pass:(overlapping <> [] && List.for_all (fun (g, f) -> g.c_tps > f.c_tps) overlapping)
       ~detail:
-        (let g, f = widest in
-         Printf.sprintf "%.0f vs %.0f TPS at %d workers (x%.2f)" g.c_tps f.c_tps g.c_workers
-           (g.c_tps /. f.c_tps));
+        (match List.rev pairs with
+        | (g, f) :: _ ->
+            Printf.sprintf "%.0f vs %.0f TPS at %d workers (x%.2f)" g.c_tps f.c_tps g.c_workers
+              (g.c_tps /. f.c_tps)
+        | [] -> "no configuration");
     Exp_report.check ~what:"per-commit forcing forces the log exactly once per commit"
       ~pass:(List.for_all (fun (_, f) -> f.c_flushes = f.c_txns && f.c_parks = 0) pairs)
       ~detail:(Printf.sprintf "%d configurations" (List.length pairs));
@@ -211,10 +210,8 @@ let sweep_checks sweep =
         | [] -> "no single-worker configuration");
   ]
 
-let checks_of ~legs ~replay_identical ~total_txns =
-  let single = List.find (fun l -> l.g_shards = 1) legs in
-  let multi = List.filter (fun l -> l.g_shards > 1) legs in
-  let four = List.hd multi in
+let leg_checks ~single ~four ~multi r =
+  let legs = r.legs and total_txns = r.total_txns in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a.g_tps < b.g_tps && increasing rest
     | _ -> true
@@ -265,9 +262,21 @@ let checks_of ~legs ~replay_identical ~total_txns =
         (Printf.sprintf "%.0f vs %.0f TPS (x%.2f)" four.g_tps single.g_tps
            (four.g_tps /. single.g_tps));
     Exp_report.check ~what:"multi-shard leg deterministic per seed (replay identical)"
-      ~pass:replay_identical
+      ~pass:r.replay_identical
       ~detail:(Printf.sprintf "seed %Ld" Db_shard.default.Db_shard.sp_seed);
   ]
+
+let checks r =
+  let multi = List.filter (fun l -> l.g_shards > 1) r.legs in
+  (match (List.find_opt (fun l -> l.g_shards = 1) r.legs, multi) with
+  | Some single, four :: _ -> leg_checks ~single ~four ~multi r
+  | _ ->
+      [
+        Exp_report.check ~what:"record carries a single-shard and a multi-shard leg" ~pass:false
+          ~detail:
+            (String.concat ", " (List.map (fun l -> Printf.sprintf "%d shards" l.g_shards) r.legs));
+      ])
+  @ sweep_checks r.sweep
 
 let run ?(quick = false) ?(jobs = 1) () =
   let total_txns = if quick then 20_000 else 1_000_000 in
@@ -287,18 +296,20 @@ let run ?(quick = false) ?(jobs = 1) () =
              [ true; false ])
          (if quick then [ 1; 4; 8 ] else [ 1; 2; 4; 8; 16 ]))
   in
-  {
-    mode = (if quick then "quick" else "full");
-    jobs;
-    total_txns;
-    cross_fraction = spec.Db_shard.sp_cross_fraction;
-    legs;
-    sweep_txns;
-    sweep;
-    replay_identical = leg_eq four replay;
-    checks =
-      checks_of ~legs ~replay_identical:(leg_eq four replay) ~total_txns @ sweep_checks sweep;
-  }
+  let r =
+    {
+      mode = (if quick then "quick" else "full");
+      jobs;
+      total_txns;
+      cross_fraction = spec.Db_shard.sp_cross_fraction;
+      legs;
+      sweep_txns;
+      sweep;
+      replay_identical = leg_eq four replay;
+      checks = [];
+    }
+  in
+  { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -397,229 +408,113 @@ let render r =
   Buffer.add_string buf (Exp_report.render_checks r.checks);
   Buffer.contents buf
 
-let shard_json (d : Db_shard.result) =
-  J.Obj
-    [
-      ("shard", J.Num (float_of_int d.Db_shard.r_shard));
-      ("txns", J.Num (float_of_int d.Db_shard.r_txns));
-      ("commits", J.Num (float_of_int d.Db_shard.r_commits));
-      ("aborts", J.Num (float_of_int d.Db_shard.r_aborts));
-      ("local", J.Num (float_of_int d.Db_shard.r_local));
-      ("cross", J.Num (float_of_int d.Db_shard.r_cross));
-      ("p50_ms", J.Num d.Db_shard.r_p50_ms);
-      ("p99_ms", J.Num d.Db_shard.r_p99_ms);
-      ("tps", J.Num d.Db_shard.r_tps);
-      ("sim_us", J.Num d.Db_shard.r_sim_us);
-      ("events", J.Num (float_of_int d.Db_shard.r_events));
-      ("msgs", J.Num (float_of_int d.Db_shard.r_msgs));
-      ("prepares", J.Num (float_of_int d.Db_shard.r_prepares));
-      ("wal_flushes", J.Num (float_of_int d.Db_shard.r_wal_flushes));
-      ("wal_parks", J.Num (float_of_int d.Db_shard.r_wal_parks));
-      ("dsm_transfers", J.Num (float_of_int d.Db_shard.r_dsm_transfers));
-      ("lock_timeouts", J.Num (float_of_int d.Db_shard.r_lock_timeouts));
-      ("frames", J.Num (float_of_int d.Db_shard.r_frames));
-      ("conserved", J.Bool d.Db_shard.r_conserved);
-    ]
-
-let leg_json l =
-  J.Obj
-    [
-      ("shards", J.Num (float_of_int l.g_shards));
-      ("txns", J.Num (float_of_int l.g_txns));
-      ("commits", J.Num (float_of_int l.g_commits));
-      ("aborts", J.Num (float_of_int l.g_aborts));
-      ("abort_rate", J.Num l.g_abort_rate);
-      ("local", J.Num (float_of_int l.g_local));
-      ("cross", J.Num (float_of_int l.g_cross));
-      ("msgs", J.Num (float_of_int l.g_msgs));
-      ("prepares", J.Num (float_of_int l.g_prepares));
-      ("dsm_transfers", J.Num (float_of_int l.g_transfers));
-      ("lock_timeouts", J.Num (float_of_int l.g_timeouts));
-      ("tps", J.Num l.g_tps);
-      ("p50_ms", J.Num l.g_p50_ms);
-      ("p99_ms", J.Num l.g_p99_ms);
-      ("sim_s", J.Num l.g_sim_s);
-      ("wal_flushes", J.Num (float_of_int l.g_flushes));
-      ("conserved", J.Bool l.g_conserved);
-      ("wall_s", J.Num l.g_wall_s);
-      ("per_shard", J.List (List.map shard_json l.g_detail));
-    ]
-
-let sweep_json c =
-  J.Obj
-    [
-      ("workers", J.Num (float_of_int c.c_workers));
-      ("group", J.Bool c.c_group);
-      ("txns", J.Num (float_of_int c.c_txns));
-      ("wal_flushes", J.Num (float_of_int c.c_flushes));
-      ("flushes_per_commit", J.Num (per_commit c));
-      ("commits_per_flush", J.Num (batch c));
-      ("wal_parks", J.Num (float_of_int c.c_parks));
-      ("tps", J.Num c.c_tps);
-      ("commit_p50_ms", J.Num c.c_commit_p50_ms);
-      ("commit_p99_ms", J.Num c.c_commit_p99_ms);
-      ("txn_p99_ms", J.Num c.c_txn_p99_ms);
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ("jobs", J.Num (float_of_int r.jobs));
-      ("total_txns", J.Num (float_of_int r.total_txns));
-      ("cross_fraction", J.Num r.cross_fraction);
-      ("legs", J.List (List.map leg_json r.legs));
-      ("sweep_txns", J.Num (float_of_int r.sweep_txns));
-      ("group_commit", J.List (List.map sweep_json r.sweep));
-      ("replay_identical", J.Bool r.replay_identical);
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
 (* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
+(* Record codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* total =
-    require "total_txns" (Option.bind (J.member "total_txns" json) J.to_float)
-  in
-  let* () = if total > 0.0 then Ok () else Error "no transactions in the record" in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if List.length legs >= 2 then Ok () else Error "expected at least two legs" in
-  let leg_field what leg get = require ("leg " ^ what) (Option.bind (J.member what leg) get) in
-  let* parsed =
-    List.fold_left
-      (fun acc leg ->
-        let* acc = acc in
-        let* shards = leg_field "shards" leg J.to_float in
-        let* txns = leg_field "txns" leg J.to_float in
-        let* commits = leg_field "commits" leg J.to_float in
-        let* aborts = leg_field "aborts" leg J.to_float in
-        let* abort_rate = leg_field "abort_rate" leg J.to_float in
-        let* msgs = leg_field "msgs" leg J.to_float in
-        let* transfers = leg_field "dsm_transfers" leg J.to_float in
-        let* tps = leg_field "tps" leg J.to_float in
-        let* conserved = leg_field "conserved" leg J.to_bool in
-        let name = Printf.sprintf "%.0f-shard leg" shards in
-        if not conserved then Error (name ^ ": frame conservation failed")
-        else if txns <> total then Error (name ^ ": transaction count drifted from total_txns")
-        else if commits +. aborts <> txns then
-          Error (name ^ ": commits + aborts <> transactions")
-        else if abort_rate < 0.0 || abort_rate >= abort_rate_bound then
-          Error (name ^ ": abort rate out of bounds")
-        else if tps <= 0.0 then Error (name ^ ": no throughput recorded")
-        else Ok ((shards, msgs, transfers, tps) :: acc))
-      (Ok []) legs
-  in
-  let parsed = List.rev parsed in
-  let* () =
-    match List.find_opt (fun (s, _, _, _) -> s = 1.0) parsed with
-    | None -> Error "missing the single-shard baseline leg"
-    | Some (_, msgs, transfers, _) ->
-        if msgs = 0.0 && transfers = 0.0 then Ok ()
-        else Error "single-shard leg did 2PC or DSM work (zero-delta broken)"
-  in
-  let* () =
-    if
-      List.for_all
-        (fun (s, msgs, _, _) -> s = 1.0 || msgs > 0.0)
-        parsed
-    then Ok ()
-    else Error "a multi-shard leg exchanged no 2PC messages"
-  in
-  let rec tps_increasing = function
-    | (_, _, _, a) :: ((_, _, _, b) :: _ as rest) ->
-        if a < b then tps_increasing rest
-        else Error "aggregate TPS not strictly increasing with shard count"
-    | _ -> Ok ()
-  in
-  let* () = tps_increasing parsed in
-  let* rows = require "group_commit" (Option.bind (J.member "group_commit" json) J.to_list) in
-  let* rows =
-    List.fold_left
-      (fun acc row ->
-        let* acc = acc in
-        let field what get =
-          require ("group_commit " ^ what) (Option.bind (J.member what row) get)
-        in
-        let* workers = field "workers" J.to_float in
-        let* group = field "group" J.to_bool in
-        let* txns = field "txns" J.to_float in
-        let* flushes = field "wal_flushes" J.to_float in
-        let* tps = field "tps" J.to_float in
-        Ok ((workers, group, txns, flushes, tps) :: acc))
-      (Ok []) rows
-  in
-  let* () =
-    List.fold_left
-      (fun acc (workers, group, txns, flushes, tps) ->
-        let* () = acc in
-        let name = Printf.sprintf "%.0f-worker group-commit row" workers in
-        if not group then Ok ()
-        else
-          match List.find_opt (fun (w, g, _, _, _) -> w = workers && not g) rows with
-          | None -> Error (name ^ ": no per-commit forcing row to compare against")
-          | Some (_, _, _, f_flushes, f_tps) ->
-              if f_flushes <> txns then
-                Error (name ^ ": per-commit forcing did not force once per commit")
-              else if workers = 1.0 then
-                if flushes = f_flushes && tps = f_tps then Ok ()
-                else Error (name ^ ": one worker differs from per-commit forcing")
-              else if tps <= f_tps then
-                Error (name ^ ": group commit did not beat per-commit forcing")
-              else Ok ())
-      (Ok ()) rows
-  in
-  let group_rows =
-    List.filter_map
-      (fun (w, g, txns, flushes, _) -> if g && w > 1.0 then Some (w, flushes /. txns) else None)
-      (List.rev rows)
-  in
-  let* () =
-    let default_workers = float_of_int Db_shard.default.Db_shard.sp_workers in
-    match List.assoc_opt default_workers group_rows with
-    | None -> Error "no group-commit row at the default worker count"
-    | Some per_commit when per_commit >= 1.0 ->
-        Error "group commit forced once per commit or more at the default worker count"
-    | Some _ -> Ok ()
-  in
-  let rec falling = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-        if b < a then falling rest
-        else Error "group commit's forces per commit did not fall as workers were added"
-    | _ -> Ok ()
-  in
-  let* () = falling group_rows in
-  let* replay =
-    require "replay_identical" (Option.bind (J.member "replay_identical" json) J.to_bool)
-  in
-  let* () = if replay then Ok () else Error "multi-shard leg was not deterministic per seed" in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks
+let shard_detail =
+  let open Exp_codec in
+  obj
+    (fun r_shard r_txns r_commits r_aborts r_local r_cross r_p50_ms r_p99_ms r_tps r_sim_us
+         r_events r_msgs r_prepares r_wal_flushes r_wal_parks r_dsm_transfers r_lock_timeouts
+         r_frames r_conserved ->
+      { Db_shard.r_shard; r_txns; r_commits; r_aborts; r_local; r_cross; r_p50_ms;
+        r_p99_ms; r_tps; r_sim_us; r_events; r_msgs; r_prepares; r_wal_flushes;
+        r_wal_parks; r_dsm_transfers; r_lock_timeouts; r_frames; r_conserved })
+  |> mem "shard" int (fun d -> d.Db_shard.r_shard)
+  |> mem "txns" int (fun d -> d.Db_shard.r_txns)
+  |> mem "commits" int (fun d -> d.Db_shard.r_commits)
+  |> mem "aborts" int (fun d -> d.Db_shard.r_aborts)
+  |> mem "local" int (fun d -> d.Db_shard.r_local)
+  |> mem "cross" int (fun d -> d.Db_shard.r_cross)
+  |> mem "p50_ms" float (fun d -> d.Db_shard.r_p50_ms)
+  |> mem "p99_ms" float (fun d -> d.Db_shard.r_p99_ms)
+  |> mem "tps" float (fun d -> d.Db_shard.r_tps)
+  |> mem "sim_us" float (fun d -> d.Db_shard.r_sim_us)
+  |> mem "events" int (fun d -> d.Db_shard.r_events)
+  |> mem "msgs" int (fun d -> d.Db_shard.r_msgs)
+  |> mem "prepares" int (fun d -> d.Db_shard.r_prepares)
+  |> mem "wal_flushes" int (fun d -> d.Db_shard.r_wal_flushes)
+  |> mem "wal_parks" int (fun d -> d.Db_shard.r_wal_parks)
+  |> mem "dsm_transfers" int (fun d -> d.Db_shard.r_dsm_transfers)
+  |> mem "lock_timeouts" int (fun d -> d.Db_shard.r_lock_timeouts)
+  |> mem "frames" int (fun d -> d.Db_shard.r_frames)
+  |> mem "conserved" bool (fun d -> d.Db_shard.r_conserved)
+  |> finish
+
+let leg =
+  let open Exp_codec in
+  obj
+    (fun g_shards g_txns g_commits g_aborts g_abort_rate g_local g_cross g_msgs g_prepares
+         g_transfers g_timeouts g_tps g_p50_ms g_p99_ms g_sim_s g_flushes g_conserved g_wall_s
+         g_detail ->
+      { g_shards; g_txns; g_commits; g_aborts; g_abort_rate; g_local; g_cross; g_msgs;
+        g_prepares; g_transfers; g_timeouts; g_tps; g_p50_ms; g_p99_ms; g_sim_s; g_flushes;
+        g_conserved; g_wall_s; g_detail })
+  |> mem "shards" int (fun l -> l.g_shards)
+  |> mem "txns" int (fun l -> l.g_txns)
+  |> mem "commits" int (fun l -> l.g_commits)
+  |> mem "aborts" int (fun l -> l.g_aborts)
+  |> mem "abort_rate" (where "negative abort rate" (fun x -> x >= 0.0) float) (fun l ->
+         l.g_abort_rate)
+  |> mem "local" int (fun l -> l.g_local)
+  |> mem "cross" int (fun l -> l.g_cross)
+  |> mem "msgs" int (fun l -> l.g_msgs)
+  |> mem "prepares" int (fun l -> l.g_prepares)
+  |> mem "dsm_transfers" int (fun l -> l.g_transfers)
+  |> mem "lock_timeouts" int (fun l -> l.g_timeouts)
+  |> mem "tps" (where "no throughput recorded" (fun x -> x > 0.0) float) (fun l -> l.g_tps)
+  |> mem "p50_ms" float (fun l -> l.g_p50_ms)
+  |> mem "p99_ms" float (fun l -> l.g_p99_ms)
+  |> mem "sim_s" float (fun l -> l.g_sim_s)
+  |> mem "wal_flushes" int (fun l -> l.g_flushes)
+  |> mem "conserved" bool (fun l -> l.g_conserved)
+  |> mem "wall_s" (where "negative wall time" (fun x -> x >= 0.0) float) (fun l -> l.g_wall_s)
+  |> mem "per_shard" (list shard_detail) (fun l -> l.g_detail)
+  |> finish
+
+let sweep_row =
+  let open Exp_codec in
+  obj
+    (fun c_workers c_group c_txns c_flushes c_parks c_tps c_commit_p50_ms c_commit_p99_ms
+         c_txn_p99_ms ->
+      { c_workers; c_group; c_txns; c_flushes; c_parks; c_tps; c_commit_p50_ms;
+        c_commit_p99_ms; c_txn_p99_ms })
+  |> mem "workers" int (fun c -> c.c_workers)
+  |> mem "group" bool (fun c -> c.c_group)
+  |> mem "txns" int (fun c -> c.c_txns)
+  |> mem "wal_flushes" int (fun c -> c.c_flushes)
+  |> out "flushes_per_commit" float per_commit
+  |> out "commits_per_flush" float batch
+  |> mem "wal_parks" int (fun c -> c.c_parks)
+  |> mem "tps" float (fun c -> c.c_tps)
+  |> mem "commit_p50_ms" float (fun c -> c.c_commit_p50_ms)
+  |> mem "commit_p99_ms" float (fun c -> c.c_commit_p99_ms)
+  |> mem "txn_p99_ms" float (fun c -> c.c_txn_p99_ms)
+  |> finish
+
+(* Every group-commit row is measured against a per-commit row. *)
+let paired sweep =
+  List.length (sweep_pairs sweep) = List.length (List.filter (fun c -> c.c_group) sweep)
+
+let codec =
+  let open Exp_codec in
+  obj
+    (fun mode jobs total_txns cross_fraction legs sweep_txns sweep replay_identical checks ->
+      { mode; jobs; total_txns; cross_fraction; legs; sweep_txns; sweep; replay_identical; checks })
+  |> tag "schema" schema_version
+  |> mem "mode" string (fun r -> r.mode)
+  |> mem "jobs" int (fun r -> r.jobs)
+  |> mem "total_txns" (where "no transactions in the record" (fun n -> n > 0) int) (fun r ->
+         r.total_txns)
+  |> mem "cross_fraction" float (fun r -> r.cross_fraction)
+  |> mem "legs" (where "expected at least two legs" (fun l -> List.length l >= 2) (list leg))
+       (fun r -> r.legs)
+  |> mem "sweep_txns" int (fun r -> r.sweep_txns)
+  |> mem "group_commit"
+       (where "a group-commit row has no per-commit forcing row to compare against" paired
+          (list sweep_row))
+       (fun r -> r.sweep)
+  |> mem "replay_identical" bool (fun r -> r.replay_identical)
+  |> mem "checks" (list check) (fun r -> r.checks)
+  |> finish

@@ -91,19 +91,15 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     sequential run. *)
 
 val render : result -> string
-val to_json : result -> Sim_json.t
 
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
+val checks : result -> Exp_report.check list
+(** The embedded checks above. A record without a single-shard leg or
+    without a multi-shard leg gets one failing check naming its legs in
+    place of the leg checks. *)
 
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural check used by [@shard-smoke] and `vpp_repro validate`:
-    version tag, at least two legs with exact commit/abort accounting,
-    conservation and bounded abort rate, the single-shard leg free of
-    2PC/DSM work, multi-shard legs exchanging messages, strictly
-    increasing aggregate TPS, a group-commit sweep in which every group
-    row with more than one worker beats its per-commit row, forces per
-    commit fall as workers are added and stay below one at the default
-    worker count, every per-commit row forces once per commit and the
-    one-worker rows agree, replay identity, and every embedded check
-    passing. *)
+val codec : result Exp_codec.t
+(** The record. The decoder also requires [total_txns > 0], at least two
+    legs, a non-negative abort rate, [tps > 0] and non-negative [wall_s]
+    in every leg, and a per-commit row for every group-commit row;
+    [flushes_per_commit] and [commits_per_flush] are derived on output
+    only. *)

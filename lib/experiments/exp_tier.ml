@@ -22,7 +22,6 @@
    Everything is simulated time; no wall-clock, no randomness — reruns
    are bit-identical, which the embedded checks rely on. *)
 
-module J = Sim_json
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
@@ -32,6 +31,9 @@ module Engine = Sim_engine
 
 let schema_version = "vpp-tier/1"
 let page_size = 4096
+
+(* Frames in each of the managed leg's two pools (fast and slow). *)
+let pool_capacity = 32
 
 type leg = {
   g_mode : string;  (* "flat" | "static" | "managed" *)
@@ -69,7 +71,6 @@ type workload = {
   wk_fast_frames : int;
   wk_slow_frames : int;
   wk_pages : int;
-  wk_expect_compressed : bool;
   wk_trace : K.t -> Seg.id -> unit;
 }
 
@@ -105,7 +106,6 @@ let scale_workload ~rounds =
     wk_fast_frames = 256;
     wk_slow_frames = 768;
     wk_pages = 384;
-    wk_expect_compressed = false;
     wk_trace = scale_trace ~cold:288 ~hot:96 ~rounds;
   }
 
@@ -141,7 +141,6 @@ let btree_workload ~rounds =
        must push its coldest pages down into the compressed store. *)
     wk_slow_frames = 198;
     wk_pages = 384;
-    wk_expect_compressed = true;
     wk_trace = btree_trace ~pages:384 ~rounds;
   }
 
@@ -237,7 +236,9 @@ let run_plain ~mode ?tiers wk =
 let run_managed wk =
   let machine = Hw_machine.create ~tiers:(tiers_of wk) ~page_size () in
   let kernel = K.create machine in
-  let mgr = T.create kernel ~fast_pool_capacity:32 ~slow_pool_capacity:32 () in
+  let mgr =
+    T.create kernel ~fast_pool_capacity:pool_capacity ~slow_pool_capacity:pool_capacity ()
+  in
   let seg = T.create_segment mgr ~name:(wk.wk_name ^ "-heap") ~pages:wk.wk_pages () in
   Engine.spawn machine.Hw_machine.engine (fun () -> wk.wk_trace kernel seg);
   Engine.run machine.Hw_machine.engine;
@@ -275,7 +276,13 @@ let run_workloads ~jobs wks =
 (* The record                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let checks_of ~expect_compressed r =
+(* A machine short of pages + the managed leg's two pools must push its
+   coldest pages down into the compressed store (btree: 390 < 448 frames;
+   scale: 1024 >= 448). *)
+let expect_compressed r =
+  r.w_fast_frames + r.w_slow_frames < r.w_pages + (2 * pool_capacity)
+
+let checks_of r =
   let n = r.w_name in
   [
     Exp_report.check
@@ -307,12 +314,14 @@ let checks_of ~expect_compressed r =
       ~pass:
         (r.w_managed.g_promotions > 0
         && r.w_managed.g_demotions_slow > 0
-        && ((not expect_compressed) || r.w_managed.g_demotions_compressed > 0))
+        && ((not (expect_compressed r)) || r.w_managed.g_demotions_compressed > 0))
       ~detail:
         (Printf.sprintf "%d promoted, %d demoted, %d compressed, %d refetched"
            r.w_managed.g_promotions r.w_managed.g_demotions_slow
            r.w_managed.g_demotions_compressed r.w_managed.g_refetches);
   ]
+
+let checks r = List.concat_map checks_of r.runs
 
 let run ?(quick = false) ?(jobs = 1) () =
   let rounds = 1500 in
@@ -320,13 +329,9 @@ let run ?(quick = false) ?(jobs = 1) () =
     if quick then [ scale_workload ~rounds ]
     else [ scale_workload ~rounds; btree_workload ~rounds:1200 ]
   in
-  let runs = run_workloads ~jobs workloads in
-  let checks =
-    List.concat_map
-      (fun (wk, r) -> checks_of ~expect_compressed:wk.wk_expect_compressed r)
-      (List.combine workloads runs)
-  in
-  { mode = (if quick then "quick" else "full"); runs; checks }
+  let mode = if quick then "quick" else "full" in
+  let r = { mode; runs = run_workloads ~jobs workloads; checks = [] } in
+  { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -368,103 +373,54 @@ let render r =
   Buffer.add_string buf (Exp_report.render_checks r.checks);
   Buffer.contents buf
 
-let leg_json g =
-  J.Obj
-    [
-      ("mode", J.Str g.g_mode);
-      ("frames", J.Num (float_of_int g.g_frames));
-      ("touches", J.Num (float_of_int g.g_touches));
-      ("faults", J.Num (float_of_int g.g_faults));
-      ("migrate_calls", J.Num (float_of_int g.g_migrate_calls));
-      ("migrated_pages", J.Num (float_of_int g.g_migrated_pages));
-      ("events", J.Num (float_of_int g.g_events));
-      ("sim_us", J.Num g.g_sim_us);
-      ("resident_by_tier", J.List (List.map (fun n -> J.Num (float_of_int n)) g.g_resident_by_tier));
-      ("promotions", J.Num (float_of_int g.g_promotions));
-      ("demotions_slow", J.Num (float_of_int g.g_demotions_slow));
-      ("demotions_compressed", J.Num (float_of_int g.g_demotions_compressed));
-      ("refetches", J.Num (float_of_int g.g_refetches));
-      ("conserved", J.Bool g.g_conserved);
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ( "runs",
-        J.List
-          (List.map
-             (fun row ->
-               J.Obj
-                 [
-                   ("name", J.Str row.w_name);
-                   ("fast_frames", J.Num (float_of_int row.w_fast_frames));
-                   ("slow_frames", J.Num (float_of_int row.w_slow_frames));
-                   ("pages", J.Num (float_of_int row.w_pages));
-                   ("flat", leg_json row.w_flat);
-                   ("static", leg_json row.w_static);
-                   ("managed", leg_json row.w_managed);
-                 ])
-             r.runs) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
 (* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
+(* Record codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* runs = require "runs" (Option.bind (J.member "runs" json) J.to_list) in
-  let* () = if runs <> [] then Ok () else Error "expected at least one run" in
-  let leg_of what run =
-    let* leg = require what (J.member what run) in
-    let* sim_us = require (what ^ " sim_us") (Option.bind (J.member "sim_us" leg) J.to_float) in
-    let* conserved =
-      require (what ^ " conserved") (Option.bind (J.member "conserved" leg) J.to_bool)
-    in
-    if not conserved then Error (what ^ ": per-tier frame conservation failed")
-    else if sim_us <= 0.0 then Error (what ^ ": empty leg")
-    else Ok sim_us
-  in
-  let* () =
-    List.fold_left
-      (fun acc run ->
-        let* () = acc in
-        let* name = require "run name" (Option.bind (J.member "name" run) J.to_str) in
-        let* flat = leg_of "flat" run in
-        let* static_ = leg_of "static" run in
-        let* managed = leg_of "managed" run in
-        if static_ <= flat then Error (name ^ ": tier surcharge not measurable")
-        else if managed >= static_ then Error (name ^ ": managed placement did not beat static")
-        else Ok ())
-      (Ok ()) runs
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks
+let leg =
+  let open Exp_codec in
+  obj
+    (fun g_mode g_frames g_touches g_faults g_migrate_calls g_migrated_pages g_events g_sim_us
+         g_resident_by_tier g_promotions g_demotions_slow g_demotions_compressed g_refetches
+         g_conserved ->
+      { g_mode; g_frames; g_touches; g_faults; g_migrate_calls; g_migrated_pages; g_events;
+        g_sim_us; g_resident_by_tier; g_promotions; g_demotions_slow; g_demotions_compressed;
+        g_refetches; g_conserved })
+  |> mem "mode" string (fun g -> g.g_mode)
+  |> mem "frames" int (fun g -> g.g_frames)
+  |> mem "touches" int (fun g -> g.g_touches)
+  |> mem "faults" int (fun g -> g.g_faults)
+  |> mem "migrate_calls" int (fun g -> g.g_migrate_calls)
+  |> mem "migrated_pages" int (fun g -> g.g_migrated_pages)
+  |> mem "events" int (fun g -> g.g_events)
+  |> mem "sim_us" (where "empty leg (sim_us <= 0)" (fun t -> t > 0.0) float) (fun g -> g.g_sim_us)
+  |> mem "resident_by_tier" (list int) (fun g -> g.g_resident_by_tier)
+  |> mem "promotions" int (fun g -> g.g_promotions)
+  |> mem "demotions_slow" int (fun g -> g.g_demotions_slow)
+  |> mem "demotions_compressed" int (fun g -> g.g_demotions_compressed)
+  |> mem "refetches" int (fun g -> g.g_refetches)
+  |> mem "conserved" bool (fun g -> g.g_conserved)
+  |> finish
+
+let run_row =
+  let open Exp_codec in
+  obj (fun w_name w_fast_frames w_slow_frames w_pages w_flat w_static w_managed ->
+      { w_name; w_fast_frames; w_slow_frames; w_pages; w_flat; w_static; w_managed })
+  |> mem "name" string (fun w -> w.w_name)
+  |> mem "fast_frames" int (fun w -> w.w_fast_frames)
+  |> mem "slow_frames" int (fun w -> w.w_slow_frames)
+  |> mem "pages" int (fun w -> w.w_pages)
+  |> mem "flat" leg (fun w -> w.w_flat)
+  |> mem "static" leg (fun w -> w.w_static)
+  |> mem "managed" leg (fun w -> w.w_managed)
+  |> finish
+
+let codec =
+  let open Exp_codec in
+  obj (fun mode runs checks -> { mode; runs; checks })
+  |> tag "schema" schema_version
+  |> mem "mode" string (fun r -> r.mode)
+  |> mem "runs" (where "expected at least one run" (fun l -> l <> []) (list run_row)) (fun r ->
+         r.runs)
+  |> mem "checks" (list check) (fun r -> r.checks)
+  |> finish

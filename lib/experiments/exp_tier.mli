@@ -13,11 +13,13 @@
       slow tier into the compressed store, protection-fault sampling
       promotes hot pages back up.
 
-    The embedded checks (and {!validate_json}) gate on: per-tier frame
+    The embedded checks ({!checks}, which validation re-runs) gate on: per-tier frame
     conservation in every leg (incremental audit == full scan), the flat
     and static legs running the identical trace, a measurable tier
-    surcharge (static > flat), and managed placement beating static on
-    simulated time. Everything is simulated and seeded — reruns are
+    surcharge (static > flat), managed placement beating static on
+    simulated time, and the manager promoting and demoting (into the
+    compressed store too when the machine is short of pages plus the
+    managed leg's pools). Everything is simulated and seeded — reruns are
     bit-identical. *)
 
 type leg = {
@@ -60,8 +62,9 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     run. *)
 
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
 
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Schema + semantic gate for a [vpp-tier/1] record; see above. *)
+val checks : result -> Exp_report.check list
+
+val codec : result Exp_codec.t
+(** The record. The decoder also requires at least one run and
+    [sim_us > 0] in every leg. *)

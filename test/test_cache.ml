@@ -166,11 +166,11 @@ let test_cold_cache_charges_misses () =
 let test_record_replays () =
   let a = Exp_cache.run ~quick:true () in
   let b = Exp_cache.run ~quick:true () in
-  check_string "vpp-cache/1 record replays byte-identically" (Exp_cache.render_json a)
-    (Exp_cache.render_json b);
+  check_string "vpp-cache/1 record replays byte-identically"
+    (Exp_codec.print Exp_cache.codec a) (Exp_codec.print Exp_cache.codec b);
   check_bool "all embedded checks pass" true (Exp_report.all_pass a.Exp_cache.checks);
   check_bool "replay flag (random + colored legs seed-for-seed)" true a.Exp_cache.replay_identical;
-  match Exp_validate.validate (Exp_cache.to_json a) with
+  match Exp_record.validate (Exp_codec.enc Exp_cache.codec a) with
   | Ok tag -> check_string "validates under the dispatcher" Exp_cache.schema_version tag
   | Error e -> Alcotest.fail ("vpp-cache/1 record failed validation: " ^ e)
 

@@ -9,6 +9,11 @@ let render_failures checks =
   |> List.map (fun c -> c.Exp_report.what ^ " — " ^ c.Exp_report.detail)
   |> String.concat "; "
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let assert_all_pass checks =
   if not (Exp_report.all_pass checks) then Alcotest.fail (render_failures checks)
 
@@ -93,7 +98,7 @@ let test_par_reraises () =
     [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Exp_scale: the vpp-perf/1 record                                   *)
+(* Exp_scale: the vpp-perf/2 record                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* One quick record shared by the validation cases below: the run itself
@@ -105,28 +110,25 @@ let test_perf_record_quick () =
   assert_all_pass r.Exp_scale.checks;
   check_bool "parallel driver output identical" true r.Exp_scale.driver.Exp_scale.d_identical;
   (* The record validates both as the in-memory tree and after a print →
-     parse round-trip, which is what perf-validate consumes. *)
-  (match Exp_scale.validate_json (Exp_scale.to_json r) with
-  | Ok () -> ()
+     parse round-trip, which is what `vpp_repro validate` consumes. *)
+  (match Exp_record.validate (Exp_codec.enc Exp_scale.codec r) with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("in-memory record invalid: " ^ e));
-  match Sim_json.parse (Exp_scale.render_json r) with
-  | Error e -> Alcotest.fail ("rendered record does not parse: " ^ e)
-  | Ok json -> (
-      match Exp_scale.validate_json json with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e))
+  match Exp_record.validate_string (Exp_codec.print Exp_scale.codec r) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e)
 
-(* The validator must reject, not mis-accept, the failure modes a perf
+(* Validation must reject, not mis-accept, the failure modes a perf
    regression would actually produce. *)
 let test_perf_record_validator_rejects () =
   let reject what json =
-    match Exp_scale.validate_json json with
-    | Ok () -> Alcotest.fail ("validator accepted " ^ what)
+    match Exp_record.validate json with
+    | Ok _ -> Alcotest.fail ("validator accepted " ^ what)
     | Error _ -> ()
   in
   let parse s = match Sim_json.parse s with Ok j -> j | Error e -> Alcotest.fail e in
   reject "wrong schema" (parse {|{"schema": "vpp-perf/0"}|});
-  reject "missing scales" (parse {|{"schema": "vpp-perf/1", "mode": "full"}|});
+  reject "missing scales" (parse {|{"schema": "vpp-perf/2", "mode": "full"}|});
   let r = Lazy.force quick_record in
   let drop_first_scale = function
     | Sim_json.Obj fields ->
@@ -138,76 +140,106 @@ let test_perf_record_validator_rejects () =
              fields)
     | j -> j
   in
-  reject "a single remaining scale" (drop_first_scale (Exp_scale.to_json r))
+  (* Every recomputed check still passes on one scale, so only the
+     decoder's at-least-two rule catches it. *)
+  match Exp_record.validate (drop_first_scale (Exp_codec.enc Exp_scale.codec r)) with
+  | Ok _ -> Alcotest.fail "validator accepted a single remaining scale"
+  | Error e ->
+      check_bool
+        (Printf.sprintf "one-scale record rejected by the decoder (got %S)" e)
+        true
+        (contains ~needle:"scales: expected at least two scales" e)
 
 (* ------------------------------------------------------------------ *)
-(* Exp_validate: the unified schema dispatcher                         *)
+(* Exp_record: every schema, validated by its own checks               *)
 (* ------------------------------------------------------------------ *)
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_validate_known_schemas () =
   List.iter
     (fun tag ->
-      check_bool (tag ^ " is a known schema") true (List.mem tag Exp_validate.known_schemas))
+      check_bool (tag ^ " is a known schema") true (List.mem tag Exp_record.known_schemas))
     [
       Exp_scale.schema_version;
-      Exp_scale.schema_version_v1;
       Exp_market.schema_version;
       Exp_profile.schema_version;
       Exp_tier.schema_version;
       Exp_cache.schema_version;
       Exp_shard.schema_version;
     ];
-  Alcotest.(check int) "exactly the seven known schemas" 7
-    (List.length Exp_validate.known_schemas)
+  Alcotest.(check int) "exactly the six known schemas" 6 (List.length Exp_record.known_schemas)
 
-(* No command emits vpp-perf/1 anymore; the legacy validator is kept for
-   records written by older builds, so the coverage here is a
-   hand-crafted minimal record of that vintage. *)
-let legacy_perf_v1 =
-  {|{"schema": "vpp-perf/1", "mode": "quick",
-     "scales": [
-       {"name": "8mb", "conserved": true, "events": 70000, "faults": 1344, "wall_s": 0.1},
-       {"name": "512mb", "conserved": true, "events": 4000000, "faults": 86016, "wall_s": 1.5}],
-     "driver": {"parallel_identical": true, "jobs": 2},
-     "checks": [{"what": "per-size conservation", "pass": true}]}|}
+(* The quick record of every entry, run once and shared by the cases
+   below (perf and shard with --jobs 2, as the smoke rules run them). *)
+type quick = Quick : 'r Exp_record.spec * 'r -> quick
+
+let quick_records =
+  lazy
+    (List.map
+       (fun (Exp_record.Record e) -> Quick (e, e.run ~quick:true ~jobs:(Some 2)))
+       Exp_record.all)
+
+let printed_records =
+  lazy
+    (List.map
+       (fun (Quick (e, r)) -> (e.schema, Exp_codec.print e.codec r))
+       (Lazy.force quick_records))
+
+let quick_tree schema =
+  match List.assoc_opt schema (Lazy.force printed_records) with
+  | Some record -> (
+      match Sim_json.parse record with Ok j -> j | Error e -> Alcotest.fail e)
+  | None -> Alcotest.fail ("no quick record for " ^ schema)
 
 (* Every schema the dispatcher knows, dispatched both from the in-memory
-   tree and through the string (parse) entry point. The run-based records
-   come from the quick experiment configurations; the legacy vpp-perf/1
-   from the hand-crafted record above. *)
+   tree and through the string (parse) entry point. *)
 let test_validate_dispatches_all_schemas () =
-  let records =
-    [
-      (Exp_scale.schema_version, Exp_scale.render_json (Lazy.force quick_record));
-      (Exp_scale.schema_version_v1, legacy_perf_v1);
-      (Exp_market.schema_version, Exp_market.render_json (Exp_market.run ~quick:true ()));
-      (Exp_profile.schema_version, Exp_profile.render_json (Exp_profile.run ()));
-      (Exp_tier.schema_version, Exp_tier.render_json (Exp_tier.run ~quick:true ()));
-      (Exp_cache.schema_version, Exp_cache.render_json (Exp_cache.run ~quick:true ()));
-      (Exp_shard.schema_version, Exp_shard.render_json (Exp_shard.run ~quick:true ~jobs:2 ()));
-    ]
-  in
   List.iter
-    (fun (expect, record) ->
-      (match Exp_validate.validate_string record with
-      | Ok tag -> Alcotest.(check string) (expect ^ ": dispatched to its validator") expect tag
-      | Error e -> Alcotest.fail (expect ^ ": " ^ e));
-      match Sim_json.parse record with
-      | Error e -> Alcotest.fail (expect ^ ": record does not parse: " ^ e)
-      | Ok json -> (
-          match Exp_validate.validate json with
-          | Ok tag -> Alcotest.(check string) (expect ^ ": tree dispatch") expect tag
-          | Error e -> Alcotest.fail (expect ^ ": " ^ e)))
-    records
+    (fun (Quick (e, r)) ->
+      (match Exp_record.validate_string (Exp_codec.print e.codec r) with
+      | Ok tag -> Alcotest.(check string) (e.schema ^ ": dispatched to its codec") e.schema tag
+      | Error err -> Alcotest.fail (e.schema ^ ": " ^ err));
+      match Exp_record.validate (Exp_codec.enc e.codec r) with
+      | Ok tag -> Alcotest.(check string) (e.schema ^ ": tree dispatch") e.schema tag
+      | Error err -> Alcotest.fail (e.schema ^ ": " ^ err))
+    (Lazy.force quick_records)
+
+(* The tree round trip is exact (the printed one is not: non-integers
+   print through %.6g). *)
+let test_codec_round_trip () =
+  List.iter
+    (fun (Quick (e, r)) ->
+      check_bool (e.schema ^ ": dec (enc r) = Ok r") true
+        (Exp_codec.dec e.codec (Exp_codec.enc e.codec r) = Ok r);
+      check_bool (e.schema ^ ": run stored its own checks") true
+        (Sim_json.member "checks" (Exp_codec.enc e.codec r)
+        = Some (Exp_codec.enc (Exp_codec.list Exp_codec.check) (e.checks r))))
+    (Lazy.force quick_records)
+
+(* Rewrite the fields named by [path] (object keys; "*" for every list
+   item) with [f] on the old value. *)
+let rec edit path f json =
+  match (path, json) with
+  | [], j -> f j
+  | "*" :: rest, Sim_json.List items -> Sim_json.List (List.map (edit rest f) items)
+  | key :: rest, Sim_json.Obj fields ->
+      Sim_json.Obj (List.map (fun (k, v) -> if k = key then (k, edit rest f v) else (k, v)) fields)
+  | _, j -> j
+
+let first_only f = function
+  | Sim_json.List (x :: rest) -> Sim_json.List (f x :: rest)
+  | j -> j
+
+let expect_rejected what ~needle json =
+  match Exp_record.validate json with
+  | Ok tag -> Alcotest.fail ("validate accepted " ^ what ^ " as " ^ tag)
+  | Error e ->
+      check_bool
+        (Printf.sprintf "%s rejected for the right reason (want %S, got %S)" what needle e)
+        true (contains ~needle e)
 
 let test_validate_rejects () =
   let reject what ~expect input =
-    match Exp_validate.validate_string input with
+    match Exp_record.validate_string input with
     | Ok tag -> Alcotest.fail ("dispatcher accepted " ^ what ^ " as " ^ tag)
     | Error e ->
         check_bool
@@ -221,126 +253,196 @@ let test_validate_rejects () =
   reject "a record with no schema tag" ~expect:Exp_cache.schema_version {|{"mode": "quick"}|};
   reject "an unknown schema" ~expect:"unknown schema" {|{"schema": "vpp-frobnicate/9"}|};
   reject "an unknown schema" ~expect:Exp_tier.schema_version {|{"schema": "vpp-frobnicate/9"}|};
-  (* Known schema, malformed body: the dispatcher reaches the schema's own
-     validator and prefixes its complaint with the tag. *)
+  (* Known schema, malformed body: the schema's own codec rejects it and
+     the complaint is prefixed with the tag. *)
   reject "an empty vpp-cache/1 record" ~expect:"invalid vpp-cache/1 record"
     {|{"schema": "vpp-cache/1"}|};
   reject "an empty vpp-tier/1 record" ~expect:"invalid vpp-tier/1 record"
     {|{"schema": "vpp-tier/1"}|};
   reject "an empty vpp-shard/2 record" ~expect:"invalid vpp-shard/2 record"
     {|{"schema": "vpp-shard/2"}|};
-  reject "a vpp-perf/1 record with one scale" ~expect:"at least two scales"
+  (* No command emits the pre-superpage vpp-perf/1 layout; it is no
+     longer a known schema. *)
+  reject "a vpp-perf/1 record with one scale" ~expect:"unknown schema"
     {|{"schema": "vpp-perf/1", "mode": "quick",
        "scales": [{"name": "8mb", "conserved": true, "events": 1, "faults": 1, "wall_s": 0}]}|};
-  reject "a vpp-perf/1 record that leaked frames" ~expect:"frame conservation failed"
+  reject "a vpp-perf/1 record that leaked frames" ~expect:"unknown schema"
     {|{"schema": "vpp-perf/1", "mode": "quick",
        "scales": [
          {"name": "8mb", "conserved": false, "events": 1, "faults": 1, "wall_s": 0},
          {"name": "512mb", "conserved": true, "events": 1, "faults": 1, "wall_s": 0}]}|};
   (* A failing vpp-cache/1 gate: colored not better than random. *)
-  let r = Exp_cache.run ~quick:true () in
-  let doctored =
-    match Exp_cache.to_json r with
-    | Sim_json.Obj fields ->
-        Sim_json.Obj
-          (List.map
-             (function
-               | "legs", Sim_json.List legs ->
-                   ( "legs",
-                     Sim_json.List
-                       (List.map
-                          (function
-                            | Sim_json.Obj leg ->
-                                Sim_json.Obj
-                                  (List.map
-                                     (function
-                                       | "miss_rate", _ -> ("miss_rate", Sim_json.Num 0.5)
-                                       | kv -> kv)
-                                     leg)
-                            | j -> j)
-                          legs) )
-               | kv -> kv)
-             fields)
-    | j -> j
-  in
-  (match Exp_validate.validate doctored with
-  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored cache record as " ^ tag)
-  | Error e ->
-      check_bool
-        (Printf.sprintf "doctored cache record rejected for the right reason (got %S)" e)
-        true
-        (contains ~needle:"did not beat random" e));
+  expect_rejected "a cache record with every miss rate at 0.5"
+    ~needle:"failed check: colored placement beats random on miss rate"
+    (edit [ "legs"; "*"; "miss_rate" ] (fun _ -> Sim_json.Num 0.5)
+       (quick_tree Exp_cache.schema_version));
   (* A failing vpp-shard/2 gate: the single-shard baseline claiming 2PC
      traffic — the zero-delta discipline broken in the record itself. *)
-  let shard_record = Exp_shard.run ~quick:true () in
-  let doctored_shard =
-    match Exp_shard.to_json shard_record with
+  expect_rejected "a shard record whose single shard sent 2PC messages"
+    ~needle:"failed check: single shard is zero-delta: no 2PC messages, no DSM transfers"
+    (edit [ "legs" ]
+       (first_only (edit [ "msgs" ] (fun _ -> Sim_json.Num 8.0)))
+       (quick_tree Exp_shard.schema_version));
+  (* And a failing group-commit gate: the 8-worker group-commit row
+     forcing once per commit, i.e. no better than the per-commit
+     reference. *)
+  expect_rejected "a group-commit sweep forcing once per commit"
+    ~needle:"failed check: group commit forces the log less than once per commit at 8 workers"
+    (edit [ "group_commit" ]
+       (function
+         | Sim_json.List rows ->
+             Sim_json.List
+               (List.map
+                  (function
+                    | Sim_json.Obj row
+                      when List.assoc_opt "group" row = Some (Sim_json.Bool true)
+                           && List.assoc_opt "workers" row = Some (Sim_json.Num 8.0) ->
+                        edit [ "wal_flushes" ] (fun _ -> List.assoc "txns" row) (Sim_json.Obj row)
+                    | j -> j)
+                  rows)
+         | j -> j)
+       (quick_tree Exp_shard.schema_version))
+
+(* Every embedded "pass" in these records is still true: validation
+   must reject them by re-running the checks on the decoded fields. *)
+let test_validate_rechecks () =
+  let tier =
+    edit [ "runs" ]
+      (first_only (fun run ->
+           run
+           |> edit [ "managed"; "promotions" ] (fun _ -> Sim_json.Num 0.0)
+           |> edit [ "static"; "touches" ] (fun _ -> Sim_json.Num 1.0)))
+      (quick_tree Exp_tier.schema_version)
+  in
+  expect_rejected "a tier record whose manager never promoted"
+    ~needle:"failed check: scale: manager exercised promotion and demotion" tier;
+  expect_rejected "a tier record whose static leg touched once"
+    ~needle:"failed check: scale: flat and static legs ran the identical trace" tier;
+  expect_rejected "a cache record whose colored leg missed its color 40 times"
+    ~needle:"failed check: colored leg is perfectly colored (no color misses, audit clean)"
+    (edit [ "legs" ]
+       (function
+         | Sim_json.List legs ->
+             Sim_json.List
+               (List.map
+                  (function
+                    | Sim_json.Obj leg
+                      when List.assoc_opt "mode" leg = Some (Sim_json.Str "colored") ->
+                        edit [ "color_misses" ] (fun _ -> Sim_json.Num 40.0) (Sim_json.Obj leg)
+                    | j -> j)
+                  legs)
+         | j -> j)
+       (quick_tree Exp_cache.schema_version));
+  (* A record whose embedded verdicts disagree with the recomputed ones
+     is stale even when every recomputed check passes. *)
+  expect_rejected "a profile record with a renamed check"
+    ~needle:"embedded checks differ from the recomputed ones"
+    (edit [ "checks" ]
+       (first_only (edit [ "what" ] (fun _ -> Sim_json.Str "renamed")))
+       (quick_tree Exp_profile.schema_version));
+  (* A missing leg is a failing check, never an exception. *)
+  expect_rejected "a shard record without its single-shard leg"
+    ~needle:"failed check: record carries a single-shard and a multi-shard leg"
+    (edit [ "legs" ]
+       (function
+         | Sim_json.List (_ :: rest) -> Sim_json.List (rest @ rest)
+         | j -> j)
+       (quick_tree Exp_shard.schema_version))
+
+(* Apply [f] to the [n]th slot of [json] — object members and list
+   items, counted in pre-order: [None] drops the slot, [Some v] puts [v]
+   in its place. *)
+let edit_slot n f json =
+  let left = ref n in
+  let rec go j =
+    let slot v =
+      decr left;
+      if !left = -1 then f v else Some (go v)
+    in
+    match j with
     | Sim_json.Obj fields ->
-        Sim_json.Obj
-          (List.map
-             (function
-               | "legs", Sim_json.List legs ->
-                   ( "legs",
-                     Sim_json.List
-                       (List.map
-                          (function
-                            | Sim_json.Obj leg
-                              when List.assoc_opt "shards" leg = Some (Sim_json.Num 1.0) ->
-                                Sim_json.Obj
-                                  (List.map
-                                     (function
-                                       | "msgs", _ -> ("msgs", Sim_json.Num 8.0)
-                                       | kv -> kv)
-                                     leg)
-                            | j -> j)
-                          legs) )
-               | kv -> kv)
-             fields)
+        Sim_json.Obj (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (slot v)) fields)
+    | Sim_json.List items -> Sim_json.List (List.filter_map slot items)
     | j -> j
   in
-  (match Exp_validate.validate doctored_shard with
-  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored shard record as " ^ tag)
-  | Error e ->
-      check_bool
-        (Printf.sprintf "doctored shard record rejected for the right reason (got %S)" e)
-        true
-        (contains ~needle:"zero-delta broken" e));
-  (* And a failing group-commit gate: a group-commit row forcing once per
-     commit, i.e. no better than the per-commit reference. *)
-  let per_commit_group =
-    match Exp_shard.to_json shard_record with
-    | Sim_json.Obj fields ->
-        Sim_json.Obj
-          (List.map
-             (function
-               | "group_commit", Sim_json.List rows ->
-                   ( "group_commit",
-                     Sim_json.List
-                       (List.map
-                          (function
-                            | Sim_json.Obj row
-                              when List.assoc_opt "group" row = Some (Sim_json.Bool true)
-                                   && List.assoc_opt "workers" row = Some (Sim_json.Num 8.0) ->
-                                Sim_json.Obj
-                                  (List.map
-                                     (function
-                                       | "wal_flushes", _ ->
-                                           ("wal_flushes", List.assoc "txns" row)
-                                       | kv -> kv)
-                                     row)
-                            | j -> j)
-                          rows) )
-               | kv -> kv)
-             fields)
-    | j -> j
-  in
-  match Exp_validate.validate per_commit_group with
-  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored group-commit sweep as " ^ tag)
-  | Error e ->
-      check_bool
-        (Printf.sprintf "doctored group-commit sweep rejected for the right reason (got %S)" e)
-        true
-        (contains ~needle:"forced once per commit or more" e)
+  go json
+
+let rec slots = function
+  | Sim_json.Obj fields -> List.fold_left (fun acc (_, v) -> acc + 1 + slots v) 0 fields
+  | Sim_json.List items -> List.fold_left (fun acc v -> acc + 1 + slots v) 0 items
+  | _ -> 0
+
+(* Drop, or swap in a value of another type. *)
+let damages =
+  (fun _ -> None)
+  :: List.map
+       (fun t v -> Some (if t = v then Sim_json.Null else t))
+       Sim_json.[ Null; Bool true; Num 1.5; Num (-3.0); Str "x"; List []; Obj [] ]
+
+let validate_total input =
+  match Exp_record.validate_string input with _ -> true | exception _ -> false
+
+(* Every single-slot drop or retype of every quick record: validation
+   answers Ok or Error, never raises. *)
+let test_validate_total_on_damaged_slots () =
+  List.iter
+    (fun (schema, _) ->
+      let json = quick_tree schema in
+      for i = 0 to slots json - 1 do
+        List.iteri
+          (fun d damage ->
+            match Exp_record.validate (edit_slot i damage json) with
+            | _ -> ()
+            | exception e ->
+                Alcotest.failf "%s: slot %d, damage %d raised %s" schema i d
+                  (Printexc.to_string e))
+          damages
+      done)
+    (Lazy.force printed_records)
+
+type mutation = Byte of int * char | Truncate of int | Damage of int * int
+
+let mutation_gen =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  oneof
+    [
+      map2 (fun i c -> Byte (i, c)) pos char;
+      map (fun i -> Truncate i) pos;
+      map2 (fun i d -> Damage (i, d)) pos (int_bound (List.length damages - 1));
+    ]
+
+(* Whatever the damage, validation answers Ok or Error: it never
+   raises. *)
+let prop_validate_never_raises =
+  QCheck.Test.make ~name:"validate never raises on mutated records" ~count:3000
+    QCheck.(pair (int_bound 5) (make mutation_gen))
+    (fun (which, m) ->
+      let schema, record = List.nth (Lazy.force printed_records) which in
+      let n = String.length record in
+      validate_total
+        (match m with
+        | Byte (i, c) -> String.mapi (fun j b -> if j = i mod n then c else b) record
+        | Truncate i -> String.sub record 0 (i mod n)
+        | Damage (i, d) ->
+            let json = quick_tree schema in
+            Sim_json.to_string (edit_slot (i mod slots json) (List.nth damages d) json)))
+
+let test_diff () =
+  let a = quick_tree Exp_shard.schema_version in
+  let diff = Alcotest.(check (result (list string) string)) in
+  diff "a record against itself" (Ok []) (Exp_record.diff a a);
+  (* Wall-clock fields are not compared; everything else is. *)
+  let walled = edit [ "legs" ] (first_only (edit [ "wall_s" ] (fun _ -> Sim_json.Num 99.0))) a in
+  diff "wall_s skipped" (Ok []) (Exp_record.diff a walled);
+  let moved = edit [ "legs" ] (first_only (edit [ "tps" ] (fun _ -> Sim_json.Num 1.0))) a in
+  (match Exp_record.diff a moved with
+  | Ok [ line ] -> check_bool ("names the path: " ^ line) true (contains ~needle:"legs[0].tps" line)
+  | Ok lines -> Alcotest.failf "expected one difference, got %d" (List.length lines)
+  | Error e -> Alcotest.fail e);
+  match Exp_record.diff a (quick_tree Exp_tier.schema_version) with
+  | Ok _ -> Alcotest.fail "diffed records of two schemas"
+  | Error _ -> ()
 
 let test_renders_nonempty () =
   check_bool "table1 renders" true (String.length (Exp_table1.render (Exp_table1.run ())) > 100);
@@ -376,6 +478,12 @@ let () =
         [
           Alcotest.test_case "knows every schema" `Quick test_validate_known_schemas;
           Alcotest.test_case "dispatches every schema" `Slow test_validate_dispatches_all_schemas;
-          Alcotest.test_case "rejects malformed and unknown records" `Quick test_validate_rejects;
+          Alcotest.test_case "rejects malformed and unknown records" `Slow test_validate_rejects;
+          Alcotest.test_case "re-runs each record's own checks" `Slow test_validate_rechecks;
+          Alcotest.test_case "codec round trip per schema" `Slow test_codec_round_trip;
+          Alcotest.test_case "never raises on a damaged slot" `Slow
+            test_validate_total_on_damaged_slots;
+          QCheck_alcotest.to_alcotest prop_validate_never_raises;
+          Alcotest.test_case "diff skips wall fields only" `Slow test_diff;
         ] );
     ]

@@ -384,25 +384,25 @@ let test_storm_metrics_deterministic () =
 
 let test_profile_record_schema () =
   let r = Exp_profile.run () in
-  let j = Exp_profile.to_json r in
-  (match Exp_profile.validate_json j with
-  | Ok () -> ()
+  let j = Exp_codec.enc Exp_profile.codec r in
+  (match Exp_record.validate j with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("schema validation failed: " ^ e));
   (* The rendered record (what bench/main.exe writes to
      BENCH_observability.json) parses back and still validates. *)
-  match J.parse (Exp_profile.render_json r) with
+  match J.parse (Exp_codec.print Exp_profile.codec r) with
   | Error e -> Alcotest.fail ("rendered record unparseable: " ^ e)
   | Ok v -> (
       check_string "render/parse/render fixpoint"
         (J.to_string ~indent:true j ^ "\n")
         (J.to_string ~indent:true v ^ "\n");
-      match Exp_profile.validate_json v with
-      | Ok () -> ()
+      match Exp_record.validate v with
+      | Ok _ -> ()
       | Error e -> Alcotest.fail ("re-parsed record fails validation: " ^ e))
 
 let test_profile_record_stable () =
-  let a = Exp_profile.render_json (Exp_profile.run ()) in
-  let b = Exp_profile.render_json (Exp_profile.run ()) in
+  let a = Exp_codec.print Exp_profile.codec (Exp_profile.run ()) in
+  let b = Exp_codec.print Exp_profile.codec (Exp_profile.run ()) in
   check_string "two runs, byte-identical records" a b;
   check_bool "version string embedded" true
     (match J.parse a with
@@ -411,17 +411,25 @@ let test_profile_record_stable () =
 
 let test_profile_validator_rejects_drift () =
   let r = Exp_profile.run () in
-  match Exp_profile.to_json r with
+  match Exp_codec.enc Exp_profile.codec r with
   | J.Obj fields ->
-      let tampered =
-        J.Obj
-          (List.map
-             (fun (k, v) -> if k = "schema" then (k, J.Str "vpp-profile/999") else (k, v))
-             fields)
+      let rejected ~needle json =
+        match Exp_record.validate json with
+        | Ok _ -> false
+        | Error e ->
+            let n = String.length needle and len = String.length e in
+            let rec has i = i + n <= len && (String.sub e i n = needle || has (i + 1)) in
+            has 0
       in
-      check_bool "wrong version rejected" true (Exp_profile.validate_json tampered <> Ok ());
+      check_bool "wrong version rejected" true
+        (rejected ~needle:"unknown schema"
+           (J.Obj
+              (List.map
+                 (fun (k, v) -> if k = "schema" then (k, J.Str "vpp-profile/999") else (k, v))
+                 fields)));
       check_bool "missing rows rejected" true
-        (Exp_profile.validate_json (J.Obj (List.remove_assoc "table1_decomposition" fields |> List.map (fun (k, v) -> (k, v)))) <> Ok ())
+        (rejected ~needle:"table1_decomposition: missing"
+           (J.Obj (List.remove_assoc "table1_decomposition" fields)))
   | _ -> Alcotest.fail "profile record is not an object"
 
 let () =

@@ -460,15 +460,12 @@ let test_exp_shard_quick_record () =
               else Some (c.Exp_report.what ^ " — " ^ c.Exp_report.detail))
             r.Exp_shard.checks));
   check_bool "replay identical" true r.Exp_shard.replay_identical;
-  (match Exp_shard.validate_json (Exp_shard.to_json r) with
-  | Ok () -> ()
+  (match Exp_record.validate (Exp_codec.enc Exp_shard.codec r) with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("in-memory record invalid: " ^ e));
-  match Sim_json.parse (Exp_shard.render_json r) with
-  | Error e -> Alcotest.fail ("rendered record does not parse: " ^ e)
-  | Ok json -> (
-      match Exp_shard.validate_json json with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e))
+  match Exp_record.validate_string (Exp_codec.print Exp_shard.codec r) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e)
 
 let () =
   Alcotest.run "shard"
