@@ -22,13 +22,39 @@ let run_ablations jobs () = print_string (Exp_par.concat ~jobs ~sep:"" Exp_recor
 
 let run_all quick jobs () = print_string (Exp_par.concat ~jobs ~sep:"\n" (Exp_record.paper ~quick))
 
-(* One shell for every record: run it, write it (unless the subcommand
-   only prints), print the record or its rendering, and fail the exit
-   status on a failed check. *)
+(* A file that cannot be opened, read or written ends the command with
+   "FILE: reason" and exit status 1. [Sys_error] names the file when an
+   open fails but not when a read does (a directory opens, then reads
+   "Is a directory"), so the name is stripped before it is put back. *)
+let file_error file msg =
+  let prefix = file ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+    else msg
+  in
+  Printf.eprintf "%s: %s\n" file reason;
+  exit 1
+
+(* One shell for every record: open the output file (unless the
+   subcommand only prints) before the run, so a bad path fails at once,
+   run the record, write it, print the record or its rendering, and fail
+   the exit status on a failed check. *)
 let run_record (Exp_record.Record e) quick json jobs out =
+  let sink =
+    Option.map
+      (fun out -> (out, try Out_channel.open_text out with Sys_error m -> file_error out m))
+      out
+  in
   let r = e.run ~quick ~jobs in
   let record = Exp_codec.print e.codec r in
-  Option.iter (fun out -> Out_channel.with_open_text out (fun oc -> output_string oc record)) out;
+  Option.iter
+    (fun (out, oc) ->
+      try
+        output_string oc record;
+        Out_channel.close oc
+      with Sys_error m -> file_error out m)
+    sink;
   if json then print_string record
   else begin
     print_string (e.render r);
@@ -37,11 +63,7 @@ let run_record (Exp_record.Record e) quick json jobs out =
   if not (Exp_report.all_pass (e.checks r)) then exit 1
 
 let read_record file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | contents -> contents
-  | exception Sys_error e ->
-      Printf.eprintf "%s\n" e;
-      exit 1
+  try In_channel.with_open_text file In_channel.input_all with Sys_error m -> file_error file m
 
 let run_validate file () =
   match Exp_record.validate_string (read_record file) with

@@ -31,5 +31,3 @@ let to_string t =
     names
     |> List.filter_map (fun (f, n) -> if mem t f then Some n else None)
     |> String.concat "|"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

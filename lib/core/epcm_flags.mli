@@ -38,5 +38,4 @@ val mem : t -> t -> bool
 val intersects : t -> t -> bool
 val of_list : t list -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

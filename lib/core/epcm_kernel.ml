@@ -100,13 +100,6 @@ type t = {
   cached_keys : (int * int, keyset) Hashtbl.t;
   mutable fault_depth : int;
   max_fault_depth : int;
-  (* Superpage guards: [sp_segs] counts segments opted into superpage
-     mappings, [sp_live] counts promoted regions machine-wide. Both zero
-     on machines that never opt in, so every superpage pass below is a
-     single integer compare on the 4 KB hot paths — the same discipline
-     as the [Phys.n_tiers mem > 1] tier guards. *)
-  mutable sp_segs : int;
-  mutable sp_live : int;
 }
 
 let fresh_stats () =
@@ -131,17 +124,19 @@ let fresh_stats () =
 let charge ?label t us = Machine.charge ?label t.machine us
 let cost t = t.machine.Machine.cost
 
-(* Physically-indexed cache passes. Guarded on the machine's cache count
-   — one integer compare on machines built without [?cache], the same
-   discipline as the tier and superpage guards — so a cache-less machine
-   is bit-identical to the pre-cache model. Each reference goes to the
-   cache of the frame's tier (a node-local L2). *)
-
-(* One data reference: the line at the frame's base address. *)
-let cache_touch t frame_idx =
+(* One data reference to a resident frame, on both [touch] paths: the
+   far-memory premium of the frame's tier, then the line at its base
+   address through the cache of its tier (a node-local L2). A one-tier
+   machine has no premium to charge and a machine built without [?cache]
+   has no line to look up, so each part reads the state it charges for
+   and a flat machine is bit-identical to the pre-tier, pre-cache model. *)
+let reference t frame_idx =
+  let mem = t.machine.Machine.mem in
+  if Phys.n_tiers mem > 1 then
+    charge ~label:"kernel/tier_access" t
+      (Phys.tier_access_us mem (Phys.tier_of_frame mem frame_idx));
   let caches = t.machine.Machine.caches in
   if Array.length caches > 0 then begin
-    let mem = t.machine.Machine.mem in
     let cache = caches.(Phys.tier_of_frame mem frame_idx) in
     if not (Hw_cache.access cache ~phys_addr:(Phys.frame mem frame_idx).Phys.addr) then
       charge ~label:"kernel/cache_miss" t (cost t).Hw_cost.cache_miss_penalty
@@ -193,8 +188,6 @@ let create machine =
     cached_keys = Hashtbl.create 1024;
     fault_depth = 0;
     max_fault_depth = 16;
-    sp_segs = 0;
-    sp_live = 0;
   }
 
 let machine t = t.machine
@@ -301,7 +294,6 @@ let super_pages t = Machine.super_pages t.machine
 let demote_superpage t seg sindex =
   if Hashtbl.mem seg.Seg.sp_regions sindex then begin
     Hashtbl.remove seg.Seg.sp_regions sindex;
-    t.sp_live <- t.sp_live - 1;
     t.stats.sp_demotions <- t.stats.sp_demotions + 1;
     Pt.remove_super t.machine.Machine.page_table ~space:seg.Seg.sid ~svpn:sindex;
     Tlb.invalidate_super t.machine.Machine.tlb ~space:seg.Seg.sid ~svpn:sindex;
@@ -340,12 +332,10 @@ let try_promote_region t seg sindex =
            surcharges remain exact. Tiers are contiguous intervals, so
            checking the endpoints pins the whole run. *)
         let mem = t.machine.Machine.mem in
-        if !ok && Phys.n_tiers mem > 1
-           && Phys.tier_of_frame mem base <> Phys.tier_of_frame mem (base + sp - 1)
-        then ok := false;
+        if !ok && Phys.tier_of_frame mem base <> Phys.tier_of_frame mem (base + sp - 1) then
+          ok := false;
         if !ok then begin
           Hashtbl.replace seg.Seg.sp_regions sindex base;
-          t.sp_live <- t.sp_live + 1;
           t.stats.sp_promotions <- t.stats.sp_promotions + 1;
           let prot = { Pt.readable = true; writable = not ro0 } in
           Pt.insert_super t.machine.Machine.page_table ~space:seg.Seg.sid ~svpn:sindex
@@ -362,17 +352,13 @@ let try_promote_region t seg sindex =
     | _ -> false
   end
 
-let invalidate_slot t ~seg ~page =
+let invalidate_slot t s ~page =
   (* Any translation change inside a promoted region splits it first —
      protection change, partial eviction, partial migrate, teardown all
-     funnel through here. Guarded by the machine-wide live-region count
-     so flat 4 KB machines pay one integer compare. *)
-  if t.sp_live > 0 then begin
-    match Hashtbl.find_opt t.segments seg with
-    | Some s when s.Seg.sp_enabled && Hashtbl.length s.Seg.sp_regions > 0 ->
-        demote_superpage t s (page / super_pages t)
-    | _ -> ()
-  end;
+     funnel through here. A segment with no promoted region has nothing
+     to split. *)
+  if Hashtbl.length s.Seg.sp_regions > 0 then demote_superpage t s (page / super_pages t);
+  let seg = s.Seg.sid in
   (match Hashtbl.find_opt t.cached_keys (seg, page) with
   | None -> ()
   | Some (Single (space, vpn)) ->
@@ -448,8 +434,8 @@ let migrate_one t ~src_seg ~dst_seg ~src_page ~dst_page =
   Seg.set_frame src_seg src_page None;
   s_slot.Seg.flags <- Flags.empty;
   Phys.set_owner t.machine.Machine.mem frame_idx dst_seg.Seg.sid;
-  invalidate_slot t ~seg:src_seg.Seg.sid ~page:src_page;
-  invalidate_slot t ~seg:dst_seg.Seg.sid ~page:dst_page;
+  invalidate_slot t src_seg ~page:src_page;
+  invalidate_slot t dst_seg ~page:dst_page;
   d_slot
 
 let migrate_pages t ~src ~dst ~src_page ~dst_page ~count ?tier:want_tier
@@ -520,7 +506,7 @@ let modify_page_flags t ~seg ~page ~count ?(set_flags = Flags.empty)
     let before = slot.Seg.flags in
     slot.Seg.flags <- Flags.diff (Flags.union before set_flags) clear_flags;
     if Flags.intersects (Flags.union set_flags clear_flags) protection then begin
-      invalidate_slot t ~seg ~page:(page + i);
+      invalidate_slot t s ~page:(page + i);
       charge ~label:"kernel/tlb_flush" t c.Hw_cost.tlb_flush_page
     end
   done;
@@ -576,7 +562,7 @@ let release_frames t ~seg ~page ~count =
     | Some f ->
         Seg.set_frame s (page + i) None;
         slot.Seg.flags <- Flags.empty;
-        invalidate_slot t ~seg ~page:(page + i);
+        invalidate_slot t s ~page:(page + i);
         return_frame_to_initial t f;
         incr moved
   done;
@@ -617,20 +603,12 @@ let destroy_segment t sid =
       | Some f ->
           Seg.set_frame s i None;
           slot.Seg.flags <- Flags.empty;
-          invalidate_slot t ~seg:sid ~page:i;
+          invalidate_slot t s ~page:i;
           return_frame_to_initial t f)
     s.Seg.pages;
-  (* Promoted regions all covered resident pages, so the eviction loop
-     demoted them via invalidate_slot; clear defensively anyway and
-     retire the opt-in. *)
-  if Hashtbl.length s.Seg.sp_regions > 0 then begin
-    let regions = Hashtbl.fold (fun k _ acc -> k :: acc) s.Seg.sp_regions [] in
-    List.iter (fun sindex -> demote_superpage t s sindex) regions
-  end;
-  if s.Seg.sp_enabled then begin
-    s.Seg.sp_enabled <- false;
-    t.sp_segs <- t.sp_segs - 1
-  end;
+  (* Every promoted region covered resident pages, so the loop above
+     demoted them all through invalidate_slot. *)
+  s.Seg.sp_enabled <- false;
   s.Seg.alive <- false;
   Tlb.invalidate_space t.machine.Machine.tlb ~space:sid;
   Pt.remove_space t.machine.Machine.page_table ~space:sid;
@@ -643,14 +621,11 @@ let destroy_segment t sid =
 let set_superpages t ~seg ~enabled =
   if seg = t.init_seg then fail Initial_segment_operation;
   let s = segment t seg in
-  if s.Seg.sp_enabled <> enabled then begin
-    if not enabled then begin
-      let regions = Hashtbl.fold (fun k _ acc -> k :: acc) s.Seg.sp_regions [] in
-      List.iter (fun sindex -> demote_superpage t s sindex) regions
-    end;
-    s.Seg.sp_enabled <- enabled;
-    t.sp_segs <- t.sp_segs + (if enabled then 1 else -1)
+  if not enabled then begin
+    let regions = Hashtbl.fold (fun k _ acc -> k :: acc) s.Seg.sp_regions [] in
+    List.iter (fun sindex -> demote_superpage t s sindex) regions
   end;
+  s.Seg.sp_enabled <- enabled;
   charge ~label:"kernel/segment_ctl" t (cost t).Hw_cost.syscall_base
 
 (* An "identity run" of the initial segment: [run] aligned consecutive
@@ -737,7 +712,9 @@ let deliver_fault t (fault : Mgr.fault) =
 
 (* Ensure a frame with suitable protection is present at the slot that
    backs ([space], [page]); fault to managers as many times as needed
-   (missing, then protection, then cow can each fire once). *)
+   (missing, then protection, then cow can each fire once). Returns the
+   frame, the owning segment and page, the slot's flags and whether the
+   path went through a copy-on-write binding. *)
 let rec ensure_resident t ~space ~page ~(access : Mgr.access) ~attempts =
   if attempts > 6 then fail (Unresolved_fault { seg = space; page });
   let oseg_id, opage, via_cow = resolve_chain t ~space ~page ~depth:0 in
@@ -792,7 +769,7 @@ let rec ensure_resident t ~space ~page ~(access : Mgr.access) ~attempts =
         (* Mark referenced / dirty as the hardware would. *)
         slot.Seg.flags <- Flags.union slot.Seg.flags Flags.referenced;
         if access = Mgr.Write then slot.Seg.flags <- Flags.union slot.Seg.flags Flags.dirty;
-        (frame_idx, oseg_id, opage, flags, via_cow)
+        (frame_idx, oseg, opage, flags, via_cow)
       end
 
 and resolved_prot ~flags ~via_cow =
@@ -827,41 +804,23 @@ let touch t ~space ~page ~access =
               let svpn = page / sp in
               charge ~label:"kernel/tlb_refill_super" t c.Hw_cost.tlb_refill_super;
               Tlb.fill_super tlb ~space ~svpn ~frame:(frame - (page - (svpn * sp)))));
-      (* Far-memory latency premium: every reference to a slow-tier frame
-         pays it, not just the faulting one. Single-tier machines skip the
-         pass (and tier 0 charges zero anyway), keeping the warm path
-         byte-identical and allocation-free on flat machines. *)
-      let mem = t.machine.Machine.mem in
-      if Phys.n_tiers mem > 1 then
-        charge ~label:"kernel/tier_access" t
-          (Phys.tier_access_us mem (Phys.tier_of_frame mem frame));
-      (* The reference itself goes through the physically-indexed cache
-         (when one is attached) regardless of how translation resolved. *)
-      cache_touch t frame
+      (* The reference itself, however translation resolved. *)
+      reference t frame
   | Some _ | None ->
       (* Mapping-hash miss (or insufficient protection): walk segments. *)
       let t0 = Machine.now t.machine in
       charge ~label:"kernel/segment_walk" t c.Hw_cost.segment_walk;
-      let frame, oseg_id, opage, flags, via_cow = ensure_resident t ~space ~page ~access ~attempts:0 in
-      (* Tier surcharge for resolving onto far memory. Single-tier
-         machines skip the lookup; tier 0 there charges zero anyway. *)
-      let mem = t.machine.Machine.mem in
-      if Phys.n_tiers mem > 1 then
-        charge ~label:"kernel/tier_access" t
-          (Phys.tier_access_us mem (Phys.tier_of_frame mem frame));
-      (* The faulting reference completes against the cache too. *)
-      cache_touch t frame;
+      let frame, oseg, opage, flags, via_cow = ensure_resident t ~space ~page ~access ~attempts:0 in
+      (* The faulting reference completes like a warm one. *)
+      reference t frame;
       let prot = resolved_prot ~flags ~via_cow in
       (* Superpage install: a direct reference into an opted-in segment
          lands on its 2 MB mapping when the covering region is (or just
          became) promoted — e.g. the manager granted an aligned run during
-         the Missing fault above. Guarded so machines with no opted-in
-         segment take the 4 KB branch unconditionally. *)
+         the Missing fault above. Any other reference takes the 4 KB
+         branch. *)
       let installed_super =
-        t.sp_segs > 0 && space = oseg_id && not via_cow
-        &&
-        let oseg = segment t oseg_id in
-        oseg.Seg.sp_enabled
+        oseg.Seg.sp_enabled && space = oseg.Seg.sid && not via_cow
         &&
         let sindex = opage / super_pages t in
         match Hashtbl.find_opt oseg.Seg.sp_regions sindex with
@@ -877,7 +836,7 @@ let touch t ~space ~page ~access =
       if not installed_super then begin
         Pt.insert pt ~space ~vpn:page ~frame ~prot;
         Tlb.fill tlb ~space ~vpn:page ~frame;
-        record_cached_key t ~slot:(oseg_id, opage) ~key:(space, page);
+        record_cached_key t ~slot:(oseg.Seg.sid, opage) ~key:(space, page);
         charge ~label:"kernel/pte_update" t c.Hw_cost.pte_update
       end;
       Machine.observe t.machine ~kind:"kernel.fault" (Machine.now t.machine -. t0)
@@ -966,13 +925,6 @@ let initial_slots ?tier t ~limit =
     incr i
   done;
   List.rev !acc
-
-let free_frames_in_tier t ~tier =
-  let init = segment t t.init_seg in
-  let counts = Seg.resident_pages_by_tier init in
-  if tier < 0 || tier >= Array.length counts then
-    invalid_arg (Printf.sprintf "Epcm_kernel.free_frames_in_tier: tier %d out of range" tier);
-  counts.(tier)
 
 let render_address_space t sid =
   let seg = segment t sid in

@@ -197,9 +197,10 @@ val zero_pages : t -> seg:Epcm_segment.id -> page:int -> count:int -> unit
     (protection change, partial eviction, partial migrate, teardown)
     {e demotes} it back to 4 KB first. Residency bookkeeping never leaves
     4 KB granularity: the per-segment resident counters and the frame
-    conservation audits are exact throughout. Machines with no opted-in
-    segment skip every superpage pass on a single integer compare (the
-    [n_tiers > 1] discipline), keeping all 4 KB paths byte-identical. *)
+    conservation audits are exact throughout. Each superpage pass reads
+    the opt-in and promoted regions of the segment it is working on, so a
+    segment that never opted in — and every segment of a machine where
+    none did — takes the 4 KB paths unchanged. *)
 
 val set_superpages : t -> seg:Epcm_segment.id -> enabled:bool -> unit
 (** Opt a segment in or out of superpage mappings. Opting out demotes all
@@ -208,20 +209,18 @@ val set_superpages : t -> seg:Epcm_segment.id -> enabled:bool -> unit
 val super_pages : t -> int
 (** Base pages per superpage, from the machine ({!Hw_machine.super_pages}). *)
 
-val find_superpage_run : ?tier:int -> t -> start:int -> int option
-(** First frame of an aligned free run suitable to back one superpage: all
-    [super_pages t] frames sit in the initial segment {e in their boot
-    slots} (slot i holds frame i), at or after [start], optionally within
-    one memory tier. A manager advancing [start] monotonically scans each
-    frame at most once per streaming pass. *)
-
 val grant_superpage_run :
   ?tier:int -> t -> dst:Epcm_segment.id -> dst_page:int -> start:int -> int option
-(** Find such a run and move it into [dst] at superpage-aligned
+(** Find the first aligned free run suitable to back one superpage — all
+    [super_pages t] frames sit in the initial segment {e in their boot
+    slots} (slot i holds frame i), at or after [start], optionally within
+    one memory tier — and move it into [dst] at superpage-aligned
     [dst_page] with one contiguous {!migrate_pages}; when [dst] is opted
     in, the region promotes as part of the migrate. Returns the base
     frame granted (the caller's next [start] cursor), or [None] when no
-    aligned run is available — the caller falls back to 4 KB grants. *)
+    aligned run is available — the caller falls back to 4 KB grants. A
+    manager advancing [start] monotonically scans each frame at most once
+    per streaming pass. *)
 
 (** {2 Memory references and file access} *)
 
@@ -278,10 +277,6 @@ val initial_slots : ?tier:int -> t -> limit:int -> int list
 (** Free-frame selection: up to [limit] initial-segment slots currently
     holding frames, ascending — restricted to one memory tier when [tier]
     is given. This is how tier-aware managers refill per-tier pools. *)
-
-val free_frames_in_tier : t -> tier:int -> int
-(** Frames of a tier currently in the initial segment — O(tiers), from the
-    initial segment's per-tier resident counters. *)
 
 val render_address_space : t -> Epcm_segment.id -> string
 (** Figure 1-style dump of a composed address space. *)

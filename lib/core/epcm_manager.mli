@@ -48,5 +48,3 @@ type t = {
 }
 
 val pp_fault : Format.formatter -> fault -> unit
-val access_to_string : access -> string
-val kind_to_string : fault_kind -> string

@@ -147,16 +147,3 @@ let resident_pages_by_tier_scan t =
           counts.(k) <- counts.(k) + 1)
     t.pages;
   counts
-
-let frames t =
-  let acc = ref [] in
-  for i = Array.length t.pages - 1 downto 0 do
-    match t.pages.(i).frame with Some f -> acc := f :: !acc | None -> ()
-  done;
-  !acc
-
-let pp ppf t =
-  Format.fprintf ppf "seg %d %S: %d pages, %d resident, manager=%s, %d bindings" t.sid t.sname
-    (length t) (resident_pages t)
-    (match t.manager with None -> "none" | Some m -> string_of_int m)
-    (Array.length t.bindings)

@@ -110,12 +110,6 @@ val resident_pages_by_tier_scan : t -> int array
 (** The per-tier counts by scanning the page array — O(pages), the
     reference {!resident_pages_by_tier} is pinned against. *)
 
-val frames : t -> int list
-(** All frames mapped in this segment, ascending page order. *)
-
 val superpage_regions : t -> (int * int) list
 (** Promoted superpage regions as (region index, base frame) pairs,
     ascending — a sorted view of [sp_regions] for tests and reports. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: id, name, size, residency, manager. *)

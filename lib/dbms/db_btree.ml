@@ -58,8 +58,3 @@ let lookup_path t ~key =
       let scale = int_of_float (float_of_int t.fanout ** float_of_int below) in
       let idx = min (leaf_index / scale) (t.levels.(i) - 1) in
       t.level_start.(i) + idx)
-
-let pp ppf t =
-  Format.fprintf ppf "btree(fanout=%d, depth=%d, pages=%d, keys=%d; levels=[%s])" t.fanout
-    (depth t) (pages t) (keys t)
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.levels)))

@@ -34,4 +34,3 @@ val lookup_path : t -> key:int -> int list
     modulo {!keys}. Length = {!depth}. *)
 
 val leaf_of_key : t -> key:int -> int
-val pp : Format.formatter -> t -> unit

@@ -51,9 +51,3 @@ let index_regeneration =
   { base with label = "Index regeneration"; indexing = Index_regeneration }
 
 let all_paper_configs = [ no_index; index_in_memory; index_with_paging; index_regeneration ]
-
-let indexing_label = function
-  | No_index -> "No index"
-  | Index_in_memory -> "Index in memory"
-  | Index_with_paging -> "Index with paging"
-  | Index_regeneration -> "Index regeneration"

@@ -49,5 +49,3 @@ val index_with_paging : t
 val index_regeneration : t
 val all_paper_configs : t list
 (** The four Table 4 rows, in paper order. *)
-
-val indexing_label : indexing -> string

@@ -12,7 +12,6 @@ type t = {
   wal : Db_wal.t;
   net : messages:int -> unit;
   commit_records : (int, Db_wal.lsn) Hashtbl.t;
-  mutable started : int;
   mutable committed : int;
   mutable aborted : int;
   mutable prepares : int;
@@ -24,7 +23,6 @@ let create ~wal ?(net = fun ~messages:_ -> ()) () =
     wal;
     net;
     commit_records = Hashtbl.create 256;
-    started = 0;
     committed = 0;
     aborted = 0;
     prepares = 0;
@@ -39,7 +37,6 @@ let msg t n =
   t.net ~messages:n
 
 let run t ~txn participants =
-  t.started <- t.started + 1;
   (* Phase 1: a prepare request out and a vote back per participant. *)
   let votes =
     List.map
@@ -84,7 +81,6 @@ let recover t ~txn =
   | Some lsn when lsn <= Db_wal.flushed t.wal -> Committed
   | Some _ | None -> Aborted
 
-let started t = t.started
 let committed t = t.committed
 let aborted t = t.aborted
 let prepares t = t.prepares

@@ -60,7 +60,6 @@ val recover : t -> txn:int -> outcome
 
 (** {2 Counters} *)
 
-val started : t -> int
 val committed : t -> int
 val aborted : t -> int
 val prepares : t -> int  (** Prepare requests sent (participants asked). *)

@@ -24,11 +24,6 @@ let pp_mode ppf = function
   | S -> Format.pp_print_string ppf "S"
   | X -> Format.pp_print_string ppf "X"
 
-let pp_resource ppf = function
-  | Database -> Format.pp_print_string ppf "db"
-  | Relation r -> Format.fprintf ppf "rel(%d)" r
-  | Page (r, p) -> Format.fprintf ppf "page(%d,%d)" r p
-
 (* The order polymorphic [compare] gives resources — database, then
    relations by id, then pages by (relation, page) — which is also the
    global acquisition order. Release visits resources in it, and since

@@ -64,4 +64,3 @@ val timeouts : t -> int
 val compatible : mode -> mode -> bool
 val covers : held:mode -> wanted:mode -> bool
 val pp_mode : Format.formatter -> mode -> unit
-val pp_resource : Format.formatter -> resource -> unit

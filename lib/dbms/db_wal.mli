@@ -51,8 +51,6 @@ val append : t -> lsn
 val note_page_write : t -> seg:Epcm_segment.id -> page:int -> lsn:lsn -> unit
 (** Record that the page's latest modification is described by [lsn]. *)
 
-val page_lsn : t -> seg:Epcm_segment.id -> page:int -> lsn option
-
 val flush_to : t -> lsn:lsn -> unit
 (** Force the log to disk up to and including [lsn]; returns once
     [lsn <= flushed t] (at once if it already holds). Under group commit:

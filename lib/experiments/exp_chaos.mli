@@ -32,8 +32,6 @@ type scenario = {
 
 type result = { scenarios : scenario list; replay_ok : bool; checks : Exp_report.check list }
 
-val default_seed : int64
-
 val run : ?seed:int64 -> unit -> result
 (** Runs every scenario twice (replay check). Deterministic per seed. *)
 

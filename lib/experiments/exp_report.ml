@@ -29,11 +29,7 @@ let fmt_table ~header ~rows =
   Buffer.contents buf
 
 let us v = Printf.sprintf "%.1f" v
-let ms v = Printf.sprintf "%.1f" v
 let seconds v = Printf.sprintf "%.2f" v
-
-let ratio ~measured ~paper =
-  if paper = 0.0 then "n/a" else Printf.sprintf "x%.2f" (measured /. paper)
 
 type check = { what : string; pass : bool; detail : string }
 

@@ -8,11 +8,7 @@ val fmt_table : header:string list -> rows:string list list -> string
 val us : float -> string
 (** Microseconds, one decimal. *)
 
-val ms : float -> string
 val seconds : float -> string
-
-val ratio : measured:float -> paper:float -> string
-(** "x1.03"-style ratio of measured to paper. *)
 
 type check = { what : string; pass : bool; detail : string }
 

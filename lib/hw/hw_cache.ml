@@ -13,7 +13,6 @@ let create ?(line_bytes = 64) ~size_bytes () =
   { line_bytes; sets; tags = Array.make sets (-1); accesses = 0; hits = 0; misses = 0 }
 
 let sets t = t.sets
-let line_bytes t = t.line_bytes
 
 let access t ~phys_addr =
   let line = phys_addr / t.line_bytes in

@@ -14,7 +14,6 @@ val create : ?line_bytes:int -> size_bytes:int -> unit -> t
 (** Direct-mapped; default 64-byte lines. *)
 
 val sets : t -> int
-val line_bytes : t -> int
 
 val access : t -> phys_addr:int -> bool
 (** One read at a physical address: hit or miss is recorded and the

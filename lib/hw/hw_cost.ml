@@ -97,8 +97,6 @@ let sgi_4d_380 =
     context_switch = 70.0;
   }
 
-let instructions_us t n = n /. t.mips
-
 type tier_costs = {
   tier_access_us : float;
   tier_migrate_us : float;

@@ -107,10 +107,6 @@ val decstation_5000_200 : t
 val sgi_4d_380 : t
 (** The Table 4 machine: eight 30-MIPS processors (the paper uses six). *)
 
-val instructions_us : t -> float -> float
-(** [instructions_us t n] is the time to execute [n] instructions on one
-    processor. *)
-
 (** {2 Memory-tier surcharges}
 
     Per-tier extras layered {e on top of} the flat charges above when a

@@ -22,9 +22,6 @@ type t = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable read_errors : int;
-  mutable write_errors : int;
-  mutable injected_delay_us : float;
 }
 
 let create engine ?(params = default_params) () =
@@ -37,13 +34,9 @@ let create engine ?(params = default_params) () =
     writes = 0;
     bytes_read = 0;
     bytes_written = 0;
-    read_errors = 0;
-    write_errors = 0;
-    injected_delay_us = 0.0;
   }
 
 let set_chaos t plan = t.chaos <- plan
-let chaos t = t.chaos
 let set_metrics t m = t.metrics <- m
 let metrics t = t.metrics
 
@@ -54,17 +47,12 @@ let access_time_us t ~bytes =
 (* The error, if any, surfaces after the arm has done the work: a failed
    transfer costs full service time (plus any injected burst), exactly the
    retry-storm convoy a real disk produces. *)
-let inject t plan ~(op : op) ~block =
+let inject plan ~(op : op) ~block =
   let site = match op with `Read -> Sim_chaos.Disk_read | `Write -> Sim_chaos.Disk_write in
   match Sim_chaos.decide plan site ~now:(Engine.time ()) ~block with
   | Sim_chaos.Verdict.Pass -> ()
-  | Sim_chaos.Verdict.Delay us ->
-      t.injected_delay_us <- t.injected_delay_us +. us;
-      Engine.delay us
+  | Sim_chaos.Verdict.Delay us -> Engine.delay us
   | Sim_chaos.Verdict.Transient_failure | Sim_chaos.Verdict.Permanent_failure ->
-      (match op with
-      | `Read -> t.read_errors <- t.read_errors + 1
-      | `Write -> t.write_errors <- t.write_errors + 1);
       raise (Io_error { op; block })
 
 (* Queue for the arm, then serve. Bracketed by hand rather than through
@@ -73,7 +61,7 @@ let serve t ~op ~block ~bytes =
   Resource.acquire t.arm;
   match
     Engine.delay (access_time_us t ~bytes);
-    match t.chaos with None -> () | Some plan -> inject t plan ~op ~block
+    match t.chaos with None -> () | Some plan -> inject plan ~op ~block
   with
   | () -> Resource.release t.arm
   | exception e -> Resource.release_reraise t.arm e
@@ -117,7 +105,3 @@ let reads t = t.reads
 let writes t = t.writes
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written
-let read_errors t = t.read_errors
-let write_errors t = t.write_errors
-let injected_delay_us t = t.injected_delay_us
-let busy_fraction t = Resource.utilisation t.arm

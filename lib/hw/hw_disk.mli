@@ -14,10 +14,6 @@ type params = {
   us_per_kb : float;
 }
 
-val default_params : params
-(** ~12 ms seek, ~8.3 ms rotation (3600 rpm), ~0.65 µs/byte
-    (≈1.5 MB/s sustained): a typical 1992 SCSI disk. *)
-
 type op = [ `Read | `Write ]
 
 exception Io_error of { op : op; block : int option }
@@ -30,14 +26,14 @@ exception Io_error of { op : op; block : int option }
 type t
 
 val create : Sim_engine.t -> ?params:params -> unit -> t
-(** No chaos plan attached; every transfer succeeds. *)
+(** No chaos plan attached; every transfer succeeds. [params] defaults
+    to ~12 ms seek, ~8.3 ms rotation (3600 rpm), ~0.65 µs/byte (≈1.5 MB/s
+    sustained): a typical 1992 SCSI disk. *)
 
 val set_chaos : t -> Sim_chaos.t option -> unit
 (** Attach (or detach, with [None]) a fault plan. With [None] — the
     default — the transfer path is byte-identical to a plan-free disk:
     no RNG draws, no extra charges, no recording. *)
-
-val chaos : t -> Sim_chaos.t option
 
 val set_metrics : t -> Sim_metrics.t option -> unit
 (** Attach a metrics sink; when the sink is enabled, every transfer made
@@ -71,12 +67,3 @@ val reads : t -> int
 val writes : t -> int
 val bytes_read : t -> int
 val bytes_written : t -> int
-
-val read_errors : t -> int
-(** Injected read failures so far (attempts are counted in {!reads} too). *)
-
-val write_errors : t -> int
-val injected_delay_us : t -> float
-(** Total extra latency injected by [Delay] verdicts. *)
-
-val busy_fraction : t -> float

@@ -3,7 +3,6 @@ type t =
   | Bytes of bytes
   | Block of { file : int; block : int; version : int }
 
-let zero = Zero
 let of_string s = Bytes (Bytes.of_string s)
 let block ~file ~block ~version = Block { file; block; version }
 
@@ -27,5 +26,3 @@ let describe = function
   | Zero -> "zero"
   | Bytes b -> Printf.sprintf "bytes[%d]" (Bytes.length b)
   | Block { file; block; version } -> Printf.sprintf "file%d.block%d.v%d" file block version
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

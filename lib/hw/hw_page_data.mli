@@ -14,7 +14,6 @@ type t =
       (** Symbolic contents: version [version] of block [block] of file
           [file]. Bumping [version] models overwriting the block. *)
 
-val zero : t
 val of_string : string -> t
 val block : file:int -> block:int -> version:int -> t
 
@@ -26,4 +25,3 @@ val byte : t -> int -> char
     of (file, block, version, i) for [Block]. *)
 
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

@@ -86,8 +86,6 @@ let insert t ~space ~vpn ~frame ~prot =
   overflow_drop t ~space ~vpn;
   t.slots.(i) <- Some e
 
-let super_pages t = t.super_pages
-
 let insert_super t ~space ~svpn ~frame ~prot =
   let i = super_slot_of t ~space ~svpn in
   (match t.super.(i) with

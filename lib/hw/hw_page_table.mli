@@ -68,9 +68,6 @@ val capacity : t -> int
     sizes this to the physical frame count above the 64K default so warm
     scans of a large machine stay hash hits. *)
 
-val super_pages : t -> int
-(** Base pages per superpage ([super_pages] at {!create}). *)
-
 val hits : t -> int
 val misses : t -> int
 val collisions : t -> int

@@ -35,8 +35,6 @@ type t = {
 let bump t name =
   Option.iter (fun c -> Sim_stats.Counters.incr c ("checkpoint." ^ name)) t.counters
 
-let manager_id t = t.mid
-
 let state t seg =
   match Hashtbl.find_opt t.segs seg with
   | Some st -> st

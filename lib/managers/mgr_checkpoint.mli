@@ -40,8 +40,6 @@ val create :
     "checkpoint.durable_write_lost" on [counters], and the checkpoint
     still closes. Without [backing] the store is memory-only, as before. *)
 
-val manager_id : t -> Epcm_manager.id
-
 val create_segment : t -> name:string -> pages:int -> Epcm_segment.id
 
 val begin_checkpoint : t -> seg:Epcm_segment.id -> generation

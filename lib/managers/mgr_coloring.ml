@@ -42,8 +42,6 @@ let frame_color t frame =
   in
   c mod t.n_colors
 
-let color_of_frame t ~frame = frame_color t frame
-
 (* Placement probe: does the system still hold a free (initial-segment)
    frame of [color], within this manager's tier when it is tier-scoped?
    Served from the physical memory's per-color index
@@ -170,8 +168,6 @@ let create kern ?n_colors ?tier ~source ~pool_capacity () =
       ~on_fault:(fun f -> on_fault t f)
       ();
   t
-
-let n_colors t = t.n_colors
 
 let create_segment t ~name ~pages =
   let seg = K.create_segment t.kern ~name ~pages () in

@@ -45,13 +45,8 @@ val create :
 
 val manager_id : t -> Epcm_manager.id
 
-val n_colors : t -> int
-(** The color count the policy is running with (see {!create}). *)
-
 val create_segment : t -> name:string -> pages:int -> Epcm_segment.id
 (** Anonymous segment whose faults are served color-matched. *)
-
-val color_of_frame : t -> frame:int -> int
 
 val audit : t -> seg:Epcm_segment.id -> int * int
 (** (correctly colored resident pages, total resident pages). With a

@@ -30,7 +30,6 @@ type t = {
   mutable disk_fills : int;
 }
 
-let manager_id t = t.mid
 let charge ?label t us = Hw_machine.charge ?label (K.machine t.kern) us
 
 let pool_page_equivalents t =
@@ -159,7 +158,6 @@ let evict t ~seg ~page =
       Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page
 
 let resident t ~seg = Seg.resident_pages (K.segment t.kern seg)
-let compressed_entries t = Hashtbl.length t.store
 let compressions t = t.compressions
 let decompressions t = t.decompressions
 let spills t = t.spills

@@ -31,7 +31,6 @@ val create :
   unit ->
   t
 
-val manager_id : t -> Epcm_manager.id
 val create_segment : t -> name:string -> pages:int -> Epcm_segment.id
 
 val evict : t -> seg:Epcm_segment.id -> page:int -> unit
@@ -57,7 +56,6 @@ val has : t -> seg:Epcm_segment.id -> page:int -> bool
 (** Whether {!fetch} would return [Some] (store or spill area). *)
 
 val resident : t -> seg:Epcm_segment.id -> int
-val compressed_entries : t -> int
 val pool_page_equivalents : t -> float
 
 (** {2 Statistics} *)

@@ -35,7 +35,6 @@ let create kernel ?disk ?(name = "dbms-manager") ~source ~pool_capacity () =
   }
 
 let generic t = t.gen
-let manager_id t = G.manager_id t.gen
 
 (* Populate a whole segment from pooled frames with locally generated data
    (no backing-store traffic). Used for relation preload and index

@@ -37,7 +37,6 @@ val create :
     not interfere. *)
 
 val generic : t -> Mgr_generic.t
-val manager_id : t -> Epcm_manager.id
 
 val create_relation : t -> name:string -> pages:int -> Epcm_segment.id
 (** Created, fully populated from the free pool, and pinned. *)

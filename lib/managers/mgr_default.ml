@@ -7,7 +7,6 @@ type t = {
   counters : Sim_stats.Counters.t option;
   mutable closes : int;
   mutable admin_calls : int;
-  mutable flush_failures : int;
 }
 
 (* The paper: "the V++ default manager allocates pages in 4K units, except
@@ -31,7 +30,7 @@ let create kernel ?backing ?source ?(pool_capacity = 4096) ?counters () =
     G.create kernel ~name:"ucds.default-manager" ~mode:`Separate_process ~backing
       ?source ~hooks:(hooks ~backing) ~pool_capacity ?counters ()
   in
-  { gen; files = Hashtbl.create 32; counters; closes = 0; admin_calls = 0; flush_failures = 0 }
+  { gen; files = Hashtbl.create 32; counters; closes = 0; admin_calls = 0 }
 
 let generic t = t.gen
 let manager_id t = G.manager_id t.gen
@@ -112,30 +111,15 @@ let flush_file t seg =
                 Mgr_backing.write_block backing ~file:fid ~block:page data;
                 K.modify_page_flags kern ~seg ~page ~count:1 ~clear_flags:Epcm_flags.dirty ()
               with Mgr_backing.Backing_failed _ ->
-                t.flush_failures <- t.flush_failures + 1;
                 Option.iter
                   (fun c -> Sim_stats.Counters.incr c "ucds.flush_page_failed")
                   t.counters)
           | Some _ | None -> ())
         s.Epcm_segment.pages
 
-let evict_file t seg =
-  let fid =
-    Hashtbl.fold (fun fid fseg acc -> if fseg = seg then Some fid else acc) t.files None
-  in
-  (match fid with Some f -> Hashtbl.remove t.files f | None -> ());
-  G.close_segment t.gen seg
-
 let create_heap t ~name ~pages = G.create_segment t.gen ~name ~pages ~kind:G.Anon ()
 
-let sample_working_sets t =
-  List.iter (fun seg -> G.protect_for_sampling t.gen ~seg) (G.managed t.gen)
-
 let closes t = t.closes
-
-let admin_calls t = t.admin_calls
-
-let flush_failures t = t.flush_failures
 
 let total_manager_calls t =
   K.manager_calls_of (G.kernel t.gen) (G.manager_id t.gen) + t.closes + t.admin_calls

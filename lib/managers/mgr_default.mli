@@ -44,16 +44,13 @@ val close_file : t -> Epcm_segment.id -> unit
 val flush_file : t -> Epcm_segment.id -> unit
 (** Write every dirty page of the file back to backing store and clean the
     flags. A page whose write exhausts the backing retry budget keeps its
-    dirty flag — the next flush retries it — and is counted in
-    {!flush_failures}. *)
+    dirty flag — the next flush retries it — and is counted under
+    ["ucds.flush_page_failed"] on the [counters] given to {!create}. *)
 
 val admin_call : ?requests:int -> t -> unit
 (** Other kernel-forwarded requests (open of a new file, fstat, unlink):
     each costs an IPC round trip to the manager server and counts as a
     manager call. *)
-
-val evict_file : t -> Epcm_segment.id -> unit
-(** Actually drop a file from the cache (frames back to the pool). *)
 
 val create_heap : t -> name:string -> pages:int -> Epcm_segment.id
 (** Anonymous segment (program data/stack) managed by this server. First
@@ -61,16 +58,8 @@ val create_heap : t -> name:string -> pages:int -> Epcm_segment.id
 
 val file_segment : t -> file_id:int -> Epcm_segment.id option
 
-val sample_working_sets : t -> unit
-(** Start a clock-sampling interval: protect all resident unpinned pages
-    of managed segments so subsequent touches reveal the working set. *)
-
 val total_manager_calls : t -> int
 (** Fault deliveries + close notifications + admin requests — the Table 3
     "Manager Calls" column. *)
 
 val closes : t -> int
-val admin_calls : t -> int
-
-val flush_failures : t -> int
-(** Dirty pages {!flush_file} could not write out (left dirty). *)

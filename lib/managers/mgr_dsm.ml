@@ -21,12 +21,9 @@ type t = {
   mutable transfers : int;
   mutable invalidations : int;
   mutable downgrades : int;
-  mutable messages : int;
   serving : Sim_sync.Semaphore.t;
 }
 
-let nodes t = t.n_nodes
-let node_segment t ~node = t.node_segs.(node)
 let state t ~node ~page = t.states.(node).(page)
 
 let holders t ~page =
@@ -35,7 +32,6 @@ let holders t ~page =
     (List.init t.n_nodes Fun.id)
 
 let charge_net t messages =
-  t.messages <- t.messages + messages;
   Hw_machine.charge ~label:"dsm/net" (K.machine t.kern)
     (float_of_int messages *. t.net_latency_us)
 
@@ -183,7 +179,6 @@ let create kern ?(name = "dsm-manager") ~source ~nodes ~pages ?(net_latency_us =
       transfers = 0;
       invalidations = 0;
       downgrades = 0;
-      messages = 0;
       serving = Sim_sync.Semaphore.create 1;
     }
   in
@@ -228,4 +223,3 @@ let write t ~node ~page data =
 let transfers t = t.transfers
 let invalidations t = t.invalidations
 let downgrades t = t.downgrades
-let messages t = t.messages

@@ -33,9 +33,6 @@ val create :
     [name] (default ["dsm-manager"]) distinguishes several instances on
     one kernel (the sharded engine runs one per shard machine). *)
 
-val nodes : t -> int
-val node_segment : t -> node:int -> Epcm_segment.id
-
 val read : t -> node:int -> page:int -> Hw_page_data.t
 (** Coherent read: faults in a Shared copy if needed. *)
 
@@ -59,11 +56,7 @@ val transfers : t -> int  (** Copies shipped between nodes/home. *)
 val invalidations : t -> int
 val downgrades : t -> int  (** Exclusive → Shared on a remote read. *)
 
-val messages : t -> int
-(** All interconnect messages charged, coherence and
-    {!charge_messages}. *)
-
 val charge_messages : t -> messages:int -> unit
 (** Charge [messages] non-coherence messages (two-phase-commit control
-    traffic) at the same per-message latency, counted in {!messages}.
-    This is the transport hook the cross-shard coordinator uses. *)
+    traffic) at the same per-message latency as coherence traffic. This
+    is the transport hook the cross-shard coordinator uses. *)

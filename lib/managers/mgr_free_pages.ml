@@ -14,7 +14,6 @@ let create kernel ~name ~capacity =
   { kernel; seg; capacity; full = 0 }
 
 let segment t = t.seg
-let capacity t = t.capacity
 let available t = t.full
 let room t = t.capacity - t.full
 let grant_slot t = if t.full >= t.capacity then None else Some t.full
@@ -49,8 +48,6 @@ let frame_at t slot =
 let set_next_data t data =
   if t.full = 0 then raise (K.Error (K.No_frame { seg = t.seg; page = 0 }));
   (frame_at t (t.full - 1)).Hw_phys_mem.data <- data
-
-let peek_slot_data t ~slot = (frame_at t slot).Hw_phys_mem.data
 
 let release_to_initial t ~count =
   let n = min count t.full in

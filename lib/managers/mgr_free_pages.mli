@@ -15,7 +15,6 @@ val create : Epcm_kernel.t -> name:string -> capacity:int -> t
     the system page cache manager or from reclamation). *)
 
 val segment : t -> Epcm_segment.id
-val capacity : t -> int
 val available : t -> int
 (** Frames ready to hand out. *)
 
@@ -55,9 +54,6 @@ val set_next_data : t -> Hw_page_data.t -> unit
 (** Set the contents of the frame that the next single-page {!take_to}
     will hand out (the manager "copies the data into the previously
     allocated page frame", Figure 2). Raises if the pool is empty. *)
-
-val peek_slot_data : t -> slot:int -> Hw_page_data.t
-(** Contents of the frame at a full slot (for writeback after reclaim). *)
 
 val release_to_initial : t -> count:int -> int
 (** Give up to [count] pooled frames back to the kernel's initial segment

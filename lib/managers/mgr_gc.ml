@@ -10,11 +10,8 @@ type t = {
   source : Mgr_generic.source;
   backing : Mgr_backing.t;
   garbage : (Seg.id * int, unit) Hashtbl.t;
-  mutable discards : int;
   mutable avoided_writebacks : int;
 }
-
-let manager_id t = t.mid
 
 let ensure_pool t n =
   if Mgr_free_pages.available t.pool < n then begin
@@ -67,7 +64,6 @@ let create kern ?disk ~source ~pool_capacity () =
       source;
       backing = Mgr_backing.disk disk ~page_bytes:(Hw_machine.page_size (K.machine kern));
       garbage = Hashtbl.create 256;
-      discards = 0;
       avoided_writebacks = 0;
     }
   in
@@ -103,7 +99,6 @@ let reclaim_garbage t ~seg =
           let was_dirty = Flags.mem slot.Seg.flags Flags.dirty in
           room_or_release t;
           Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page;
-          t.discards <- t.discards + 1;
           if was_dirty then t.avoided_writebacks <- t.avoided_writebacks + 1;
           incr reclaimed
     end
@@ -134,5 +129,4 @@ let evict_conventional t ~seg ~page ~count =
 let should_collect (_ : t) ~live_pages ~budget_pages =
   float_of_int live_pages >= 0.75 *. float_of_int budget_pages
 
-let garbage_discards t = t.discards
 let writebacks_avoided t = t.avoided_writebacks

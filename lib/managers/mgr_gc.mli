@@ -25,8 +25,6 @@ type t
 val create :
   Epcm_kernel.t -> ?disk:Hw_disk.t -> source:Mgr_generic.source -> pool_capacity:int -> unit -> t
 
-val manager_id : t -> Epcm_manager.id
-
 val create_heap : t -> name:string -> pages:int -> Epcm_segment.id
 
 val declare_garbage : t -> seg:Epcm_segment.id -> page:int -> count:int -> unit
@@ -46,6 +44,5 @@ val should_collect : t -> live_pages:int -> budget_pages:int -> bool
 (** Collection-frequency policy: collect when the live heap exceeds ~75%
     of the frames available to us. *)
 
-val garbage_discards : t -> int
 val writebacks_avoided : t -> int
 (** Dirty garbage pages dropped without a disk write. *)

@@ -53,7 +53,7 @@ type stats = {
   mutable writeback_failures : int;
 }
 
-type seg_info = { kind : seg_kind; mutable high_water : int; sp : bool }
+type seg_info = { kind : seg_kind; mutable high_water : int }
 
 type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
 
@@ -297,7 +297,7 @@ let try_superpage_fill t (fault : Mgr.fault) inf seg =
            end
       end
 
-let handle_missing_base t (fault : Mgr.fault) inf =
+let handle_missing_base t (fault : Mgr.fault) inf seg =
   let machine = K.machine t.kern in
   let batch =
     max 1
@@ -305,7 +305,6 @@ let handle_missing_base t (fault : Mgr.fault) inf =
          ~high_water:inf.high_water)
   in
   (* Clamp the batch to the segment end and to pages that are still empty. *)
-  let seg = K.segment t.kern fault.Mgr.f_seg in
   let rec free_run p n =
     if n >= batch || not (Seg.in_range seg p) then n
     else if (Seg.page seg p).Seg.frame <> None then n
@@ -356,15 +355,14 @@ let handle_missing_base t (fault : Mgr.fault) inf =
   done;
   t.stats.fills <- t.stats.fills + 1
 
-let handle_missing t (fault : Mgr.fault) =
+let handle_missing t (fault : Mgr.fault) seg =
   let inf = info t fault.Mgr.f_seg in
-  if inf.sp && try_superpage_fill t fault inf (K.segment t.kern fault.Mgr.f_seg) then ()
-  else handle_missing_base t fault inf
+  if seg.Seg.sp_enabled && try_superpage_fill t fault inf seg then ()
+  else handle_missing_base t fault inf seg
 
-let handle_protection t (fault : Mgr.fault) =
+let handle_protection t (fault : Mgr.fault) seg =
   (* Clock sampling: re-enable a run of contiguous protected pages at once
      to amortise the fault cost. *)
-  let seg = K.segment t.kern fault.Mgr.f_seg in
   let rec run p n =
     if n >= t.hooks.reprotect_batch || not (Seg.in_range seg p) then n
     else
@@ -404,8 +402,8 @@ let on_fault t (fault : Mgr.fault) =
       in
       if not already_resolved then
         match fault.Mgr.f_kind with
-        | Mgr.Missing -> handle_missing t fault
-        | Mgr.Protection -> handle_protection t fault
+        | Mgr.Missing -> handle_missing t fault s
+        | Mgr.Protection -> handle_protection t fault s
         | Mgr.Cow_write -> handle_cow t fault)
 
 let on_close t seg =
@@ -528,33 +526,14 @@ let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity =
       ();
   t
 
-let adopt t seg ~kind ?high_water ?(superpages = false) () =
-  let s = K.segment t.kern seg in
-  let hw =
-    match (high_water, kind) with
-    | Some h, _ -> h
-    | None, Anon -> 0
-    | None, File _ -> Seg.length s
-  in
-  Hashtbl.replace t.segs seg { kind; high_water = hw; sp = superpages };
-  K.set_segment_manager t.kern seg t.mid;
-  if superpages then K.set_superpages t.kern ~seg ~enabled:true;
-  (* Track already-resident pages so the clock can see them. *)
-  Array.iteri (fun i slot -> if slot.Seg.frame <> None then track t seg i) s.Seg.pages
-
-let create_segment t ~name ~pages ~kind ?high_water ?(superpages = false) () =
+let create_segment t ~name ~pages ~kind ?(high_water = 0) ?(superpages = false) () =
   let seg = K.create_segment t.kern ~name ~pages () in
-  let hw = match (high_water, kind) with Some h, _ -> h | None, _ -> 0 in
-  Hashtbl.replace t.segs seg { kind; high_water = hw; sp = superpages };
+  Hashtbl.replace t.segs seg { kind; high_water };
   K.set_segment_manager t.kern seg t.mid;
   if superpages then K.set_superpages t.kern ~seg ~enabled:true;
   seg
 
 let close_segment t seg = K.destroy_segment t.kern seg
-
-let managed t = Hashtbl.fold (fun k _ acc -> k :: acc) t.segs [] |> List.sort compare
-
-let high_water t seg = (info t seg).high_water
 
 let pin t ~seg ~page ~count =
   K.modify_page_flags t.kern ~seg ~page ~count ~set_flags:Flags.pinned ()

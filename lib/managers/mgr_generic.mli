@@ -100,20 +100,9 @@ val backing : t -> Mgr_backing.t
 val stats : t -> stats
 
 val segment_kind : t -> Epcm_segment.id -> seg_kind option
-(** The kind a managed segment was created/adopted with ([None] for
+(** The kind a managed segment was created with ([None] for
     segments this manager does not own) — lets callers and tests see the
     backing [file_id] a [File] segment addresses. *)
-
-val adopt :
-  t -> Epcm_segment.id -> kind:seg_kind -> ?high_water:int -> ?superpages:bool -> unit -> unit
-(** Take over management of an existing segment ([SetSegmentManager]).
-    [high_water] is the number of pages with valid backing data (file
-    size); defaults to 0 for [Anon] and to the segment length for
-    [File]. [superpages] (default [false]) opts the segment into 2 MB
-    mappings ({!Epcm_kernel.set_superpages}); a missing fault on an empty
-    superpage-aligned region then first asks [sp_source] — when one was
-    given to {!create} — for a whole aligned run before falling back to
-    4 KB fills. *)
 
 val create_segment :
   t ->
@@ -124,15 +113,17 @@ val create_segment :
   ?superpages:bool ->
   unit ->
   Epcm_segment.id
-(** Create a fresh segment already managed by this manager. [superpages]
-    as in {!adopt}. *)
+(** Create a fresh segment already managed by this manager
+    ([SetSegmentManager]). [high_water] (default 0) is the number of pages
+    with valid backing data (file size). [superpages] (default [false])
+    opts the segment into 2 MB mappings ({!Epcm_kernel.set_superpages}); a
+    missing fault on an empty superpage-aligned region then first asks
+    [sp_source] — when one was given to {!create} — for a whole aligned
+    run before falling back to 4 KB fills. *)
 
 val close_segment : t -> Epcm_segment.id -> unit
 (** Destroy the segment; resident frames are reclaimed into the pool
     (dirty ones written back per the eviction hook). *)
-
-val managed : t -> Epcm_segment.id list
-val high_water : t -> Epcm_segment.id -> int
 
 val ensure_pool : t -> count:int -> unit
 (** Make sure at least [count] frames are pooled, refilling from the
@@ -162,7 +153,6 @@ val swap_in : t -> unit
     restore them lazily, with correct data, via the swap-aware fill). *)
 
 val pin : t -> seg:Epcm_segment.id -> page:int -> count:int -> unit
-val unpin : t -> seg:Epcm_segment.id -> page:int -> count:int -> unit
 
 val lock_in_memory : t -> seg:Epcm_segment.id -> unit
 (** The §2.2 initialisation protocol for a manager's own code and data:

@@ -30,8 +30,6 @@ type t = {
 
 let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c ("prefetch." ^ name)) t.counters
 
-let manager_id t = t.mid
-
 let info t seg =
   match Hashtbl.find_opt t.segs seg with
   | Some i -> i

@@ -30,8 +30,6 @@ val create :
     retry budget dies silently — the page stays absent and a fault on it
     degrades to an inline demand fill rather than wedging on the gate. *)
 
-val manager_id : t -> Epcm_manager.id
-
 val create_file_segment : t -> name:string -> file_id:int -> pages:int -> Epcm_segment.id
 (** Data lives on disk; nothing resident initially. *)
 

@@ -75,8 +75,6 @@ type t = {
   slow_clock : clock;
   refill_batch : int;
   reclaim_batch : int;
-  segs : (Seg.id, bool) Hashtbl.t;  (* value: segment opted into superpages *)
-  mutable sp_segs : int;  (* opted-in segments — 0 keeps fault paths byte-identical *)
   mutable sp_cursor : int;  (* next start frame for aligned-run searches *)
   stats : stats;
   (* Same discipline as Mgr_generic: one fault at a time — tier moves are
@@ -85,12 +83,7 @@ type t = {
   serving : Sim_sync.Semaphore.t;
 }
 
-let kernel t = t.kern
-let manager_id t = t.mid
 let stats t = t.stats
-let compressed t = t.compressed
-let fast_tier t = t.fast_tier
-let slow_tier t = t.slow_tier
 
 let charge_logic t =
   Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
@@ -264,11 +257,10 @@ let need_fast t n =
    region as part of the migrate. Falls back to the 4 KB path when no
    aligned identity run is free. *)
 let try_superpage_fill t ~seg ~page =
-  t.sp_segs > 0
-  && Hashtbl.find_opt t.segs seg = Some true
+  let s = K.segment t.kern seg in
+  s.Seg.sp_enabled
   &&
   let run = K.super_pages t.kern in
-  let s = K.segment t.kern seg in
   let sbase = page / run * run in
   sbase + run <= Seg.length s
   && (let ok = ref true in
@@ -388,10 +380,6 @@ let on_fault t (fault : Mgr.fault) =
   | Mgr.Cow_write -> handle_cow t fault
 
 let on_close t seg =
-  (match Hashtbl.find_opt t.segs seg with
-  | Some true -> t.sp_segs <- t.sp_segs - 1
-  | _ -> ());
-  Hashtbl.remove t.segs seg;
   purge_segment t.fast_clock seg;
   purge_segment t.slow_clock seg
 
@@ -403,8 +391,6 @@ let return_to_system_unlocked t ~pages =
     else 0
   in
   from_slow + from_fast
-
-let return_to_system t ~pages = with_serving t (fun () -> return_to_system_unlocked t ~pages)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -442,8 +428,6 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
       slow_clock = fresh_clock ();
       refill_batch;
       reclaim_batch;
-      segs = Hashtbl.create 16;
-      sp_segs = 0;
       sp_cursor = 0;
       stats = fresh_stats ();
       serving = Sim_sync.Semaphore.create 1;
@@ -463,34 +447,8 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
       ();
   t
 
-let register_seg t seg ~superpages =
-  Hashtbl.replace t.segs seg superpages;
-  if superpages then begin
-    t.sp_segs <- t.sp_segs + 1;
-    K.set_superpages t.kern ~seg ~enabled:true
-  end
-
 let create_segment t ~name ~pages ?(superpages = false) () =
   let seg = K.create_segment t.kern ~name ~pages () in
   K.set_segment_manager t.kern seg t.mid;
-  register_seg t seg ~superpages;
+  if superpages then K.set_superpages t.kern ~seg ~enabled:true;
   seg
-
-let adopt t ?(superpages = false) seg =
-  K.set_segment_manager t.kern seg t.mid;
-  register_seg t seg ~superpages;
-  let s = K.segment t.kern seg in
-  let mem = (K.machine t.kern).Hw_machine.mem in
-  Array.iteri
-    (fun i slot ->
-      match slot.Seg.frame with
-      | None -> ()
-      | Some f ->
-          if Phys.tier_of_frame mem f = t.slow_tier then track t.slow_clock seg i
-          else track t.fast_clock seg i)
-    s.Seg.pages
-
-let managed t = Hashtbl.fold (fun k _ acc -> k :: acc) t.segs [] |> List.sort compare
-let resident_by_tier t ~seg = Seg.resident_pages_by_tier (K.segment t.kern seg)
-let fast_available t = Mgr_free_pages.available t.fast_pool
-let slow_available t = Mgr_free_pages.available t.slow_pool

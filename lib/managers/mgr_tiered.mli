@@ -77,31 +77,4 @@ val create_segment :
     page of a promoted run splits it back to 4 KB automatically (the
     kernel demotes on the slot invalidation). *)
 
-val adopt : t -> ?superpages:bool -> Epcm_segment.id -> unit
-(** Take over an existing segment; already-resident pages are entered
-    into the clock of whichever tier their frame belongs to.
-    [superpages] as in {!create_segment}. *)
-
-val kernel : t -> Epcm_kernel.t
-val manager_id : t -> Epcm_manager.id
-val managed : t -> Epcm_segment.id list
 val stats : t -> stats
-
-val compressed : t -> Mgr_compressed.t
-(** The coldest-tier backend (for its compression/spill statistics). *)
-
-val fast_tier : t -> int
-val slow_tier : t -> int
-
-val resident_by_tier : t -> seg:Epcm_segment.id -> int array
-(** Per-tier resident page counts of a segment (the kernel's incremental
-    counters — see {!Epcm_segment.resident_pages_by_tier}). *)
-
-val fast_available : t -> int
-val slow_available : t -> int
-
-val return_to_system : t -> pages:int -> int
-(** Release up to [pages] pooled frames (slow first) back to the initial
-    segment; returns how many. The registered pressure callback does the
-    same but declines (returns 0) when the manager is mid-fault, per the
-    no-blocking rule. *)

@@ -122,8 +122,6 @@ let schedule t = List.rev t.log
 let injected_failures t = t.failures
 let injected_delays t = t.delays
 
-let site_to_string = function Disk_read -> "read" | Disk_write -> "write"
-
 let schedule_fingerprint t =
   schedule t
   |> List.filter_map (fun e ->
@@ -137,9 +135,3 @@ let schedule_fingerprint t =
                   (match e.ev_block with None -> "" | Some b -> Printf.sprintf "@%d" b)
                   (Verdict.to_string v)))
   |> String.concat " "
-
-let pp_event ppf e =
-  Format.fprintf ppf "[%12.2f us] #%-5d %-5s %-8s %s" e.ev_time e.ev_index
-    (site_to_string e.ev_site)
-    (match e.ev_block with None -> "-" | Some b -> string_of_int b)
-    (Verdict.to_string e.ev_verdict)

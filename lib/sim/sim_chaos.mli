@@ -89,6 +89,3 @@ val injected_failures : t -> int
 (** Transient + permanent failures injected so far. *)
 
 val injected_delays : t -> int
-
-val site_to_string : site -> string
-val pp_event : Format.formatter -> event -> unit

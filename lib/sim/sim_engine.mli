@@ -20,9 +20,6 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time in microseconds. *)
 
-val schedule : t -> at:float -> (unit -> unit) -> unit
-(** Low-level: run a thunk at an absolute time (clamped to [now t]). *)
-
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a new process at the current time. The body may use {!delay},
     {!time}, {!suspend} and {!fork}. *)

@@ -102,7 +102,6 @@ val kinds : t -> string list
 
 val hist : t -> kind:string -> Hist.t option
 
-val hist_to_json : Hist.t -> Sim_json.t
 val to_json : t -> Sim_json.t
 (** Stable encoding of the full sink (charge table plus latency summaries);
     equal sinks produce byte-identical strings via {!Sim_json.to_string}. *)

@@ -44,10 +44,6 @@ let exponential t ~mean =
 
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
-let choice t arr =
-  if Array.length arr = 0 then invalid_arg "Sim_rng.choice: empty array";
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -36,8 +36,5 @@ val exponential : t -> mean:float -> float
 
 val uniform : t -> lo:float -> hi:float -> float
 
-val choice : t -> 'a array -> 'a
-(** Uniform draw from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -28,7 +28,6 @@ module Summary = struct
   let count t = t.count
   let mean t = if t.count = 0 then 0.0 else t.acc.mean
   let variance t = if t.count < 2 then 0.0 else t.acc.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.acc.min_v
   let max t = t.acc.max_v
   let total t = t.acc.total
@@ -79,7 +78,6 @@ module Series = struct
 
   let count t = t.len
   let mean t = Summary.mean t.summary
-  let min t = Summary.min t.summary
   let max t = Summary.max t.summary
 
   (* Heapsort in [Float.compare] order, specialised to [float array]: a
@@ -117,61 +115,6 @@ module Series = struct
     in
     let rank = Stdlib.max 0 (Stdlib.min (t.len - 1) rank) in
     sorted.(rank)
-
-  let to_array t = Array.sub t.data 0 t.len
-  let summary t = t.summary
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    bins : int array;
-    mutable underflow : int;
-    mutable overflow : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Sim_stats.Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Sim_stats.Histogram.create: hi must exceed lo";
-    { lo; hi; bins = Array.make bins 0; underflow = 0; overflow = 0 }
-
-  let add t x =
-    if x < t.lo then t.underflow <- t.underflow + 1
-    else if x >= t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let n = Array.length t.bins in
-      let i = int_of_float ((x -. t.lo) /. (t.hi -. t.lo) *. float_of_int n) in
-      let i = Stdlib.min (n - 1) i in
-      t.bins.(i) <- t.bins.(i) + 1
-    end
-
-  let counts t = Array.copy t.bins
-  let underflow t = t.underflow
-  let overflow t = t.overflow
-  let total t = Array.fold_left ( + ) (t.underflow + t.overflow) t.bins
-
-  let bin_bounds t i =
-    let n = Array.length t.bins in
-    if i < 0 || i >= n then invalid_arg "Sim_stats.Histogram.bin_bounds";
-    let w = (t.hi -. t.lo) /. float_of_int n in
-    (t.lo +. (float_of_int i *. w), t.lo +. (float_of_int (i + 1) *. w))
-
-  let render t ~width =
-    let buf = Buffer.create 256 in
-    let max_count = Array.fold_left Stdlib.max 1 t.bins in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then begin
-          let lo, hi = bin_bounds t i in
-          let bar = String.make (c * width / max_count) '#' in
-          Buffer.add_string buf (Printf.sprintf "[%10.1f,%10.1f) %6d %s\n" lo hi c bar)
-        end)
-      t.bins;
-    if t.underflow > 0 then
-      Buffer.add_string buf (Printf.sprintf "underflow %d\n" t.underflow);
-    if t.overflow > 0 then Buffer.add_string buf (Printf.sprintf "overflow %d\n" t.overflow);
-    Buffer.contents buf
 end
 
 module Counters = struct
@@ -190,13 +133,6 @@ module Counters = struct
 
   let total t = Hashtbl.fold (fun _ v acc -> acc + v) t 0
   let clear t = Hashtbl.reset t
-
-  let render t =
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-40s %8d\n" name v))
-      (to_list t);
-    Buffer.contents buf
 end
 
 module Time_weighted = struct
@@ -218,8 +154,6 @@ module Time_weighted = struct
   let set t ~now v =
     advance t now;
     t.current <- v
-
-  let value t = t.current
 
   let average t ~now =
     advance t now;

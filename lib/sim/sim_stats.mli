@@ -14,7 +14,6 @@ module Summary : sig
   val variance : t -> float
   (** Sample variance; 0 when fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [infinity] when empty. *)
 
@@ -35,34 +34,10 @@ module Series : sig
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
-  val min : t -> float
   val max : t -> float
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [0,100]; nearest-rank on the sorted
       sample. Raises [Invalid_argument] when empty. *)
-
-  val to_array : t -> float array
-  (** Copy of the observations in insertion order. *)
-
-  val summary : t -> Summary.t
-end
-
-(** Fixed-bin histogram over [lo, hi); out-of-range values land in the
-    underflow/overflow counters. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  val counts : t -> int array
-  val underflow : t -> int
-  val overflow : t -> int
-  val total : t -> int
-  val bin_bounds : t -> int -> float * float
-  (** Bounds of bin [i]. *)
-
-  val render : t -> width:int -> string
-  (** ASCII rendering, one line per non-empty bin. *)
 end
 
 (** Named event counters with a deterministic rendering order. Managers
@@ -82,8 +57,6 @@ module Counters : sig
 
   val total : t -> int
   val clear : t -> unit
-  val render : t -> string
-  (** One "  name  count" line per counter, name-sorted. *)
 end
 
 (** Time-weighted average of a piecewise-constant quantity (e.g. busy
@@ -94,6 +67,5 @@ module Time_weighted : sig
 
   val create : now:float -> init:float -> t
   val set : t -> now:float -> float -> unit
-  val value : t -> float
   val average : t -> now:float -> float
 end

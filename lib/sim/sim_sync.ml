@@ -23,9 +23,6 @@ module Semaphore = struct
     let waiters = Queue.create () in
     { count = n; waiters; park = parker waiters }
 
-  let available t = t.count
-  let waiting t = Queue.length t.waiters
-
   let acquire t =
     if t.count > 0 then t.count <- t.count - 1
     else Sim_engine.park t.park
@@ -62,9 +59,7 @@ module Resource = struct
       busy_tw = Sim_stats.Time_weighted.create ~now:(Sim_engine.now engine) ~init:0.0;
     }
 
-  let capacity t = t.capacity
   let in_use t = t.busy
-  let waiting t = Semaphore.waiting t.sem
 
   let set_busy t n =
     t.busy <- n;
@@ -114,7 +109,6 @@ module Mailbox = struct
     | Some v -> v
     | None -> Sim_engine.suspend t.park
 
-  let try_recv t = Queue.take_opt t.items
   let length t = Queue.length t.items
 end
 
@@ -156,6 +150,4 @@ module Condition = struct
     let woken = List.of_seq (Queue.to_seq t.waiters) in
     Queue.clear t.waiters;
     List.iter (fun resume -> resume ()) woken
-
-  let waiting t = Queue.length t.waiters
 end

@@ -8,8 +8,6 @@ module Semaphore : sig
   type t
 
   val create : int -> t
-  val available : t -> int
-  val waiting : t -> int
   val acquire : t -> unit
   val try_acquire : t -> bool
   val release : t -> unit
@@ -22,9 +20,7 @@ module Resource : sig
   type t
 
   val create : Sim_engine.t -> capacity:int -> t
-  val capacity : t -> int
   val in_use : t -> int
-  val waiting : t -> int
   val use : t -> (unit -> 'a) -> 'a
   (** Acquire a server (waiting FIFO if all busy), run the thunk, release.
       An exception from the thunk releases the server and is re-raised
@@ -61,7 +57,6 @@ module Mailbox : sig
   val recv : 'a t -> 'a
   (** Blocks until a value is available. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end
 
@@ -84,5 +79,4 @@ module Condition : sig
   val create : unit -> t
   val await : t -> unit
   val signal_all : t -> unit
-  val waiting : t -> int
 end

@@ -27,5 +27,4 @@ val tags : t -> string list
 val clear : t -> unit
 val dropped : t -> int
 
-val pp_event : Format.formatter -> event -> unit
 val dump : t -> string

@@ -56,7 +56,6 @@ type t = {
   horizon : float;
   clients : (client_id, client) Hashtbl.t;
   mutable next_client : int;
-  mutable demand : bool;
   admit : waiter Spcm_admit.t;
   mutable defers : int;
   (* The SPCM is a single-threaded server process: requests from
@@ -73,13 +72,11 @@ let create kern ?market ?(affordability_horizon = 10.0) () =
     horizon = affordability_horizon;
     clients = Hashtbl.create 16;
     next_client = 1;
-    demand = false;
     admit = Spcm_admit.create ();
     defers = 0;
     serving = Sim_sync.Semaphore.create 1;
   }
 
-let kernel t = t.kern
 let market t = t.market
 let now_us t = Hw_machine.now (K.machine t.kern)
 
@@ -113,7 +110,6 @@ let account_of t id = Spcm_market.account t.market (client t id).cl_account
 
 let settle t = Spcm_market.settle t.market ~now_us:(now_us t)
 
-let pending_demand t = t.demand
 let pending_acquires t = Spcm_admit.size t.admit
 let defer_events t = t.defers
 
@@ -183,6 +179,8 @@ let grant_slots t cl ~dst ~dst_page slots =
   Spcm_market.note_holding_change t.market cl.cl_account ~delta_pages:n ~now_us:(now_us t);
   n
 
+(* Ask other clients' managers to surrender frames (the managers choose
+   which pages — paper §4). Returns frames recovered. *)
 let reclaim_from_clients t ~need ~exempt =
   let recovered = ref 0 in
   let victims =
@@ -208,6 +206,7 @@ let reclaim_from_clients t ~need ~exempt =
     victims;
   !recovered
 
+(* Treat bankrupt accounts as faulty: demand their entire holdings. *)
 let force_bankrupt_returns t =
   let recovered = ref 0 in
   Hashtbl.iter
@@ -273,7 +272,6 @@ let rec pump t =
 
 let note_free_frames t =
   if free_frames t > 0 && Spcm_admit.is_empty t.admit then begin
-    t.demand <- false;
     set_market_demand t false
   end
 
@@ -283,7 +281,6 @@ let request t ~client:cid ~dst ~dst_page ~count ?(constraint_ = Unconstrained) (
   let cl = client t cid in
   cl.cl_requests <- cl.cl_requests + 1;
   charge_rpc t;
-  t.demand <- true;
   set_market_demand t true;
   Spcm_market.settle_lazy t.market cl.cl_account ~now_us:(now_us t);
   let affordable =
@@ -343,7 +340,6 @@ let acquire t ~client:cid ~dst ~dst_page ~count ?(constraint_ = Unconstrained) (
     let cl = client t cid in
     cl.cl_requests <- cl.cl_requests + 1;
     charge_rpc t;
-    t.demand <- true;
     set_market_demand t true;
     Spcm_market.settle_lazy t.market cl.cl_account ~now_us:(now_us t);
     if not (Spcm_market.can_afford t.market cl.cl_account ~pages:count ~seconds:t.horizon)

@@ -55,7 +55,6 @@ val create : Epcm_kernel.t -> ?market:Spcm_market.config -> ?affordability_horiz
 (** [affordability_horizon] (seconds, default 10) is how long a client must
     be able to pay for a grant before it is approved. *)
 
-val kernel : t -> Epcm_kernel.t
 val market : t -> Spcm_market.t
 
 val register_client :
@@ -139,17 +138,9 @@ val note_returned : t -> client:client_id -> count:int -> unit
     batch time slice): decrement holdings without moving frames. Pumps the
     admission queue like {!return_pages}. *)
 
-val reclaim_from_clients : t -> need:int -> exempt:client_id option -> int
-(** Ask other clients' managers to surrender frames (the managers choose
-    which pages — paper §4). Returns frames recovered. *)
-
-val force_bankrupt_returns : t -> int
-(** Treat bankrupt accounts as faulty: demand their entire holdings. *)
-
 val settle : t -> unit
 (** Run full-scan market settlement at the machine's current time
     (O(accounts); reports and audits only). *)
 
 val client_stats : t -> client_id -> client_stats
 val account_of : t -> client_id -> Spcm_market.account
-val pending_demand : t -> bool

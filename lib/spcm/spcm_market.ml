@@ -85,7 +85,6 @@ let set_demand t d ~now_us =
     t.demand_since_us <- now_us
   end
 
-let demand t = t.demand
 
 let open_account ?income t ~name ~now_us =
   let income = Option.value income ~default:t.cfg.default_income in

@@ -98,8 +98,6 @@ val set_demand : t -> bool -> now_us:float -> unit
 (** Whether any memory requests are outstanding. Drives the billable
     clock; O(1) regardless of account count. *)
 
-val demand : t -> bool
-
 val billable_s : t -> now_us:float -> float
 (** The billable-clock reading at [now_us] (seconds). *)
 
@@ -117,8 +115,6 @@ val can_afford : t -> account_id -> pages:int -> seconds:float -> bool
 
 val bankrupt : t -> account_id -> bool
 (** Balance below zero — the SPCM may force memory return. *)
-
-val holding_cost_per_second : t -> pages:int -> float
 
 val conservation_error : t -> float
 (** The no-minting audit: for every account,

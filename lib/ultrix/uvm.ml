@@ -67,7 +67,6 @@ let create ?resident_limit machine =
       };
   }
 
-let machine t = t.machine
 let stats t = t.stats
 let resident_pages t = Hashtbl.length t.core
 let cost t = t.machine.Machine.cost

@@ -32,7 +32,6 @@ val create : ?resident_limit:int -> Hw_machine.t -> t
     (models memory pressure without building a huge machine); defaults to
     the full frame count. *)
 
-val machine : t -> Hw_machine.t
 val stats : t -> stats
 val resident_pages : t -> int
 

@@ -36,14 +36,10 @@ type result = {
           scan-based one, and no process deadlocked. *)
 }
 
-val config : name:string -> memory_bytes:int -> config
-(** 4 KB pages. *)
-
 val size_8mb : config
 (** The 1992 scale: 8 MB, 2K frames. *)
 
 val size_512mb : config
-val size_4gb : config
 
 val standard_sizes : config list
 (** [8 MB; 512 MB; 4 GB] — the three sizes the perf record reports. *)

@@ -29,12 +29,3 @@ let input_files t =
 
 let output_files t =
   List.filter_map (function Open_output { file } -> Some file | _ -> None) t.ops
-
-let opens t =
-  sum (function Open_input _ | Open_output _ -> 1 | _ -> 0) t
-
-let closes t = sum (function Close _ -> 1 | _ -> 0) t
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d ops, %d heap touches, %dKB read, %dKB appended" t.name
-    (List.length t.ops) (total_heap_touches t) (total_read_kb t) (total_append_kb t)

@@ -44,6 +44,3 @@ val input_files : t -> (int * int) list
 (** (file id, size kb) of every [Open_input]. *)
 
 val output_files : t -> int list
-val opens : t -> int
-val closes : t -> int
-val pp : Format.formatter -> t -> unit

@@ -203,17 +203,6 @@ let test_series_growth () =
   check_int "count survives growth" 1000 (Stats.Series.count s);
   check_float "mean" 500.5 (Stats.Series.mean s)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -1.0; 10.0; 25.0 ];
-  check_int "underflow" 1 (Stats.Histogram.underflow h);
-  check_int "overflow" 2 (Stats.Histogram.overflow h);
-  check_int "total" 7 (Stats.Histogram.total h);
-  let c = Stats.Histogram.counts h in
-  check_int "bin0" 1 c.(0);
-  check_int "bin1" 2 c.(1);
-  check_int "bin9" 1 c.(9)
-
 let test_time_weighted () =
   let tw = Stats.Time_weighted.create ~now:0.0 ~init:0.0 in
   Stats.Time_weighted.set tw ~now:10.0 4.0;
@@ -834,7 +823,6 @@ let () =
           Alcotest.test_case "series percentile" `Quick test_series_percentile;
           Alcotest.test_case "series empty percentile" `Quick test_series_empty_percentile;
           Alcotest.test_case "series growth" `Quick test_series_growth;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "time weighted" `Quick test_time_weighted;
         ] );
       ( "heap",

@@ -1,10 +1,11 @@
 (* Superpage (2 MB mapping) tests: promotion on batched migrates and on
-   incremental assembly, every demotion trigger (protection change,
-   partial eviction, partial migrate, opt-out, teardown), the manager
-   opt-ins (Mgr_generic aligned-run fills, Mgr_tiered fast-tier grants
-   with demotion auto-split), and qcheck churn pinning the incremental
-   frame-conservation audits against their scan references — flat and
-   tiered — at 4 KB granularity throughout.
+   incremental assembly (never across a tier boundary), every demotion
+   trigger (protection change, partial eviction, partial migrate,
+   opt-out, teardown), the manager opt-ins (Mgr_generic aligned-run
+   fills, Mgr_tiered fast-tier grants with demotion auto-split), opting
+   in without promoting as a zero-delta, and qcheck churn pinning the
+   incremental frame-conservation audits against their scan references —
+   flat and tiered — at 4 KB granularity throughout.
 
    Machines here use ~super_pages:8 so a "2 MB" region is 8 pages and the
    interesting alignment/splitting cases fit in tens of frames. *)
@@ -65,6 +66,25 @@ let tier_columns_conserved kernel machine =
 
 let ro = Flags.of_list [ Flags.read_only ]
 
+(* A Mgr_generic frame source: grants initial-segment frames one
+   MigratePages each, scanning the boot slots upward from [first] and
+   never revisiting one. *)
+let initial_source kernel ~first =
+  let init = K.initial_segment kernel in
+  let next = ref first in
+  fun ~dst ~dst_page ~count ->
+    let init_seg = K.segment kernel init in
+    let granted = ref 0 in
+    while !granted < count && !next < Seg.length init_seg do
+      (if (Seg.page init_seg !next).Seg.frame <> None then begin
+         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
+           ~count:1 ();
+         incr granted
+       end);
+      incr next
+    done;
+    !granted
+
 (* ------------------------------------------------------------------ *)
 (* Promotion                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -122,6 +142,29 @@ let test_no_promotion_without_alignment () =
   check_int "misaligned run not promoted" 0 (K.stats kernel).K.sp_promotions;
   check_bool "no region" true (Seg.superpage_regions (K.segment kernel seg) = []);
   check_bool "conserved" true (conserved machine kernel)
+
+(* An aligned identity run that straddles a tier boundary never promotes:
+   one 2 MB mapping must stay tier-pure. The fast tier ends at frame 12,
+   inside the run of frames 8..15. *)
+let test_no_promotion_across_tiers () =
+  let machine, kernel = tiered_kernel ~fast:12 ~slow:20 in
+  let init = K.initial_segment kernel in
+  let seg = K.create_segment kernel ~name:"sp" ~pages:(3 * run) () in
+  K.set_superpages kernel ~seg ~enabled:true;
+  K.migrate_pages kernel ~src:init ~dst:seg ~src_page:run ~dst_page:run ~count:run ();
+  check_int "straddling run not promoted by the migrate" 0 (K.stats kernel).K.sp_promotions;
+  (* A direct reference tries again on the fault path. *)
+  for page = run to (2 * run) - 1 do
+    K.touch kernel ~space:seg ~page ~access:Mgr.Read
+  done;
+  check_int "nor by a reference" 0 (K.stats kernel).K.sp_promotions;
+  check_bool "no region" true (Seg.superpage_regions (K.segment kernel seg) = []);
+  check_bool "audits = scans" true (audits_agree kernel);
+  check_bool "tier columns conserved" true (tier_columns_conserved kernel machine);
+  (* The same migrate of a run inside the slow tier does promote. *)
+  K.migrate_pages kernel ~src:init ~dst:seg ~src_page:(2 * run) ~dst_page:(2 * run) ~count:run ();
+  check_int "tier-pure run promoted" 1 (K.stats kernel).K.sp_promotions;
+  check_bool "audits = scans after" true (audits_agree kernel)
 
 (* ------------------------------------------------------------------ *)
 (* Demotion triggers                                                   *)
@@ -202,21 +245,7 @@ let test_generic_superpage_stream () =
         run
     | None -> 0
   in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = initial_source kernel ~first:0 in
   let pager =
     G.create kernel ~name:"stream" ~mode:`In_process ~backing ~source ~sp_source
       ~pool_capacity:32 ~refill_batch:8 ()
@@ -277,6 +306,108 @@ let test_tiered_superpage_fill_and_split () =
   check_bool "audits = scans" true (audits_agree kernel);
   check_bool "tier columns conserved" true (tier_columns_conserved kernel machine);
   check_int "no frame lost" (Machine.n_frames machine) (K.frame_owner_total kernel)
+
+(* ------------------------------------------------------------------ *)
+(* Zero-delta: opting in alone changes nothing                         *)
+(* ------------------------------------------------------------------ *)
+
+type opt_in =
+  | Never
+  | Kernel  (** [K.set_superpages] on a segment whose regions never promote *)
+  | Generic  (** [Mgr_generic ~superpages:true] with no [sp_source] *)
+  | In_then_out  (** opted in, then out again *)
+
+(* One trace under Mgr_generic on a flat machine — cold write faults,
+   warm rescans, protection-sampling faults, a partial release and its
+   refaults — with the segment opted in as [opt_in] says before the
+   simulation starts (a control call outside a process charges nothing).
+   No region promotes: the source starts at frame 1 and the pool hands
+   frames out last in, first out, so no region holds an aligned
+   ascending run (the comparison with [Never] pins sp_promotions at 0).
+   Returns whether the segment ended up opted in, every kernel, TLB and
+   page-table counter, the event count and the simulated time. *)
+let opt_in_trace opt_in =
+  let machine, kernel = flat_kernel ~frames:64 in
+  let pages = 3 * run in
+  let pager =
+    G.create kernel ~name:"pager" ~mode:`In_process ~backing:(Mgr_backing.memory ())
+      ~source:(initial_source kernel ~first:1) ~pool_capacity:8 ~refill_batch:4 ()
+  in
+  let seg =
+    G.create_segment pager ~name:"heap" ~pages ~kind:G.Anon ~superpages:(opt_in = Generic) ()
+  in
+  (match opt_in with
+  | Kernel -> K.set_superpages kernel ~seg ~enabled:true
+  | In_then_out ->
+      K.set_superpages kernel ~seg ~enabled:true;
+      K.set_superpages kernel ~seg ~enabled:false
+  | Never | Generic -> ());
+  let scan access =
+    for page = 0 to pages - 1 do
+      K.touch kernel ~space:seg ~page ~access
+    done
+  in
+  let engine = machine.Machine.engine in
+  Engine.spawn engine (fun () ->
+      scan Mgr.Write;
+      scan Mgr.Read;
+      scan Mgr.Read;
+      G.protect_for_sampling pager ~seg;
+      scan Mgr.Read;
+      K.release_frames kernel ~seg ~page:(run - 1) ~count:3;
+      scan Mgr.Write);
+  Engine.run engine;
+  let s = K.stats kernel and tlb = machine.Machine.tlb and pt = machine.Machine.page_table in
+  let counters =
+    [
+      ("faults missing", s.K.faults_missing);
+      ("faults protection", s.K.faults_protection);
+      ("faults cow", s.K.faults_cow);
+      ("manager calls", s.K.manager_calls);
+      ("migrate calls", s.K.migrate_calls);
+      ("migrated pages", s.K.migrated_pages);
+      ("modify flag calls", s.K.modify_flag_calls);
+      ("get attribute calls", s.K.get_attribute_calls);
+      ("uio reads", s.K.uio_reads);
+      ("uio writes", s.K.uio_writes);
+      ("page copies", s.K.page_copies);
+      ("page zeros", s.K.page_zeros);
+      ("touches", s.K.touches);
+      ("sp promotions", s.K.sp_promotions);
+      ("sp demotions", s.K.sp_demotions);
+      ("tlb hits", Hw_tlb.hits tlb);
+      ("tlb misses", Hw_tlb.misses tlb);
+      ("tlb super hits", Hw_tlb.super_hits tlb);
+      ("pt hits", Hw_page_table.hits pt);
+      ("pt misses", Hw_page_table.misses pt);
+      ("pt collisions", Hw_page_table.collisions pt);
+      ("pt super hits", Hw_page_table.super_hits pt);
+      ("pt super collisions", Hw_page_table.super_collisions pt);
+      ("pt super resident", Hw_page_table.super_resident pt);
+      ("pt resident", Hw_page_table.resident pt);
+      ("events", Engine.events_executed engine);
+    ]
+  in
+  ((K.segment kernel seg).Seg.sp_enabled, counters, Machine.now machine)
+
+(* A segment that opts in but never promotes runs exactly like one that
+   never opted in: every superpage pass reads the segment's own opt-in
+   and promoted regions, and finds nothing to do. *)
+let test_opt_in_alone_is_zero_delta () =
+  let _, base, base_us = opt_in_trace Never in
+  check_bool "the trace faults" true (List.assoc "faults missing" base > 3 * run);
+  check_bool "and samples" true (List.assoc "faults protection" base > 0);
+  List.iter
+    (fun (name, opt_in, enabled) ->
+      let sp_enabled, counters, us = opt_in_trace opt_in in
+      check_bool (name ^ ": opt-in state") enabled sp_enabled;
+      Alcotest.(check (list (pair string int))) (name ^ ": counters") base counters;
+      Alcotest.(check (float 0.0)) (name ^ ": simulated time (exact)") base_us us)
+    [
+      ("set_superpages", Kernel, true);
+      ("Mgr_generic ~superpages", Generic, true);
+      ("opted in then out", In_then_out, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck churn: conservation through promote/split storms             *)
@@ -383,6 +514,8 @@ let () =
             test_promote_incremental_assembly;
           Alcotest.test_case "misaligned runs never promote" `Quick
             test_no_promotion_without_alignment;
+          Alcotest.test_case "runs straddling a tier boundary never promote" `Quick
+            test_no_promotion_across_tiers;
         ] );
       ( "demotion",
         [
@@ -398,6 +531,11 @@ let () =
             test_generic_superpage_stream;
           Alcotest.test_case "tiered: region fills and pressure splits" `Quick
             test_tiered_superpage_fill_and_split;
+        ] );
+      ( "zero-delta",
+        [
+          Alcotest.test_case "opting in alone changes nothing" `Quick
+            test_opt_in_alone_is_zero_delta;
         ] );
       ("properties", qcheck_cases);
     ]
