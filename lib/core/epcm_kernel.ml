@@ -671,6 +671,31 @@ let count_fault t (kind : Mgr.fault_kind) =
   | Mgr.Protection -> t.stats.faults_protection <- t.stats.faults_protection + 1
   | Mgr.Cow_write -> t.stats.faults_cow <- t.stats.faults_cow + 1
 
+(* One delivery, from the trap to the resume; [deliver_fault] brackets it
+   with the fault depth and, only when the sink is on, the fault's span. *)
+let serve_fault t (fault : Mgr.fault) mid (m : Mgr.t) =
+  count_fault t fault.Mgr.f_kind;
+  t.stats.manager_calls <- t.stats.manager_calls + 1;
+  count_manager_call t mid;
+  let c = cost t in
+  charge ~label:"kernel/trap" t (c.Hw_cost.trap_entry +. c.Hw_cost.fault_decode);
+  Machine.trace_emit t.machine ~tag:"step1.fault_to_manager" (fun () ->
+      Printf.sprintf "%s -> manager %S" (Format.asprintf "%a" Mgr.pp_fault fault) m.Mgr.mname);
+  (match m.Mgr.mmode with
+  | `In_process ->
+      charge ~label:"kernel/upcall" t c.Hw_cost.upcall_deliver;
+      m.Mgr.on_fault fault;
+      charge ~label:"kernel/resume" t c.Hw_cost.resume_direct
+  | `Separate_process ->
+      charge ~label:"kernel/ipc_call" t
+        (c.Hw_cost.ipc_send +. c.Hw_cost.context_switch +. c.Hw_cost.manager_server_dispatch);
+      m.Mgr.on_fault fault;
+      charge ~label:"kernel/ipc_return" t
+        (c.Hw_cost.ipc_reply +. c.Hw_cost.context_switch +. c.Hw_cost.resume_via_kernel
+       +. c.Hw_cost.trap_exit));
+  Machine.trace_emit t.machine ~tag:"step5.resume" (fun () ->
+      Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
+
 let deliver_fault t (fault : Mgr.fault) =
   let seg = segment t fault.Mgr.f_seg in
   let mid = match seg.Seg.manager with Some m -> m | None -> fail (No_manager fault.Mgr.f_seg) in
@@ -678,37 +703,22 @@ let deliver_fault t (fault : Mgr.fault) =
   if t.fault_depth >= t.max_fault_depth then
     fail (Fault_recursion { manager = mid; depth = t.fault_depth });
   t.fault_depth <- t.fault_depth + 1;
-  let span =
-    match fault.Mgr.f_kind with
-    | Mgr.Missing -> "fault/missing"
-    | Mgr.Protection -> "fault/protection"
-    | Mgr.Cow_write -> "fault/cow"
-  in
-  Fun.protect
-    ~finally:(fun () -> t.fault_depth <- t.fault_depth - 1)
-    (fun () ->
-      Machine.with_span t.machine span @@ fun () ->
-      count_fault t fault.Mgr.f_kind;
-      t.stats.manager_calls <- t.stats.manager_calls + 1;
-      count_manager_call t mid;
-      let c = cost t in
-      charge ~label:"kernel/trap" t (c.Hw_cost.trap_entry +. c.Hw_cost.fault_decode);
-      Machine.trace_emit t.machine ~tag:"step1.fault_to_manager" (fun () ->
-          Printf.sprintf "%s -> manager %S" (Format.asprintf "%a" Mgr.pp_fault fault) m.Mgr.mname);
-      (match m.Mgr.mmode with
-      | `In_process ->
-          charge ~label:"kernel/upcall" t c.Hw_cost.upcall_deliver;
-          m.Mgr.on_fault fault;
-          charge ~label:"kernel/resume" t c.Hw_cost.resume_direct
-      | `Separate_process ->
-          charge ~label:"kernel/ipc_call" t
-            (c.Hw_cost.ipc_send +. c.Hw_cost.context_switch +. c.Hw_cost.manager_server_dispatch);
-          m.Mgr.on_fault fault;
-          charge ~label:"kernel/ipc_return" t
-            (c.Hw_cost.ipc_reply +. c.Hw_cost.context_switch +. c.Hw_cost.resume_via_kernel
-           +. c.Hw_cost.trap_exit));
-      Machine.trace_emit t.machine ~tag:"step5.resume" (fun () ->
-          Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page))
+  match
+    if Sim_metrics.enabled t.machine.Machine.metrics then
+      let span =
+        match fault.Mgr.f_kind with
+        | Mgr.Missing -> "fault/missing"
+        | Mgr.Protection -> "fault/protection"
+        | Mgr.Cow_write -> "fault/cow"
+      in
+      Machine.with_span t.machine span (fun () -> serve_fault t fault mid m)
+    else serve_fault t fault mid m
+  with
+  | () -> t.fault_depth <- t.fault_depth - 1
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.fault_depth <- t.fault_depth - 1;
+      Printexc.raise_with_backtrace e bt
 
 (* Ensure a frame with suitable protection is present at the slot that
    backs ([space], [page]); fault to managers as many times as needed
@@ -781,6 +791,43 @@ and resolved_prot ~flags ~via_cow =
       && not via_cow;
   }
 
+(* The slow half of [touch]: resolve the reference through the segments
+   (faulting to managers as needed), complete it like a warm one and
+   install the translation. *)
+let walk_and_map t ~space ~page ~access =
+  let c = cost t in
+  let tlb = t.machine.Machine.tlb and pt = t.machine.Machine.page_table in
+  charge ~label:"kernel/segment_walk" t c.Hw_cost.segment_walk;
+  let frame, oseg, opage, flags, via_cow = ensure_resident t ~space ~page ~access ~attempts:0 in
+  (* The faulting reference completes like a warm one. *)
+  reference t frame;
+  let prot = resolved_prot ~flags ~via_cow in
+  (* Superpage install: a direct reference into an opted-in segment
+     lands on its 2 MB mapping when the covering region is (or just
+     became) promoted — e.g. the manager granted an aligned run during
+     the Missing fault above. Any other reference takes the 4 KB
+     branch. *)
+  let installed_super =
+    oseg.Seg.sp_enabled && space = oseg.Seg.sid && not via_cow
+    &&
+    let sindex = opage / super_pages t in
+    match Hashtbl.find_opt oseg.Seg.sp_regions sindex with
+    | Some base ->
+        (* Promoted already; the 2 MB entry was displaced from (or
+           never reached) the translation caches — reinstall it. *)
+        Pt.insert_super pt ~space ~svpn:sindex ~frame:base ~prot;
+        Tlb.fill_super tlb ~space ~svpn:sindex ~frame:base;
+        charge ~label:"kernel/pte_update_super" t c.Hw_cost.pte_update_super;
+        true
+    | None -> try_promote_region t oseg sindex
+  in
+  if not installed_super then begin
+    Pt.insert pt ~space ~vpn:page ~frame ~prot;
+    Tlb.fill tlb ~space ~vpn:page ~frame;
+    record_cached_key t ~slot:(oseg.Seg.sid, opage) ~key:(space, page);
+    charge ~label:"kernel/pte_update" t c.Hw_cost.pte_update
+  end
+
 let touch t ~space ~page ~access =
   t.stats.touches <- t.stats.touches + 1;
   let c = cost t in
@@ -807,39 +854,15 @@ let touch t ~space ~page ~access =
       (* The reference itself, however translation resolved. *)
       reference t frame
   | Some _ | None ->
-      (* Mapping-hash miss (or insufficient protection): walk segments. *)
-      let t0 = Machine.now t.machine in
-      charge ~label:"kernel/segment_walk" t c.Hw_cost.segment_walk;
-      let frame, oseg, opage, flags, via_cow = ensure_resident t ~space ~page ~access ~attempts:0 in
-      (* The faulting reference completes like a warm one. *)
-      reference t frame;
-      let prot = resolved_prot ~flags ~via_cow in
-      (* Superpage install: a direct reference into an opted-in segment
-         lands on its 2 MB mapping when the covering region is (or just
-         became) promoted — e.g. the manager granted an aligned run during
-         the Missing fault above. Any other reference takes the 4 KB
-         branch. *)
-      let installed_super =
-        oseg.Seg.sp_enabled && space = oseg.Seg.sid && not via_cow
-        &&
-        let sindex = opage / super_pages t in
-        match Hashtbl.find_opt oseg.Seg.sp_regions sindex with
-        | Some base ->
-            (* Promoted already; the 2 MB entry was displaced from (or
-               never reached) the translation caches — reinstall it. *)
-            Pt.insert_super pt ~space ~svpn:sindex ~frame:base ~prot;
-            Tlb.fill_super tlb ~space ~svpn:sindex ~frame:base;
-            charge ~label:"kernel/pte_update_super" t c.Hw_cost.pte_update_super;
-            true
-        | None -> try_promote_region t oseg sindex
-      in
-      if not installed_super then begin
-        Pt.insert pt ~space ~vpn:page ~frame ~prot;
-        Tlb.fill tlb ~space ~vpn:page ~frame;
-        record_cached_key t ~slot:(oseg.Seg.sid, opage) ~key:(space, page);
-        charge ~label:"kernel/pte_update" t c.Hw_cost.pte_update
-      end;
-      Machine.observe t.machine ~kind:"kernel.fault" (Machine.now t.machine -. t0)
+      (* Mapping-hash miss (or insufficient protection): walk segments.
+         The kernel.fault latency sample is taken only when the sink is
+         on. *)
+      if Sim_metrics.enabled t.machine.Machine.metrics then begin
+        let t0 = Machine.now t.machine in
+        walk_and_map t ~space ~page ~access;
+        Machine.observe t.machine ~kind:"kernel.fault" (Machine.now t.machine -. t0)
+      end
+      else walk_and_map t ~space ~page ~access
 
 (* ------------------------------------------------------------------ *)
 (* UIO block interface                                                *)

@@ -45,21 +45,6 @@ let backoff_wait us =
 
 let op_name = function `Read -> "read" | `Write -> "write"
 
-(* Observe the end-to-end latency of one block operation (queueing,
-   service, backoffs and retries, even when it ultimately fails) into the
-   disk's metrics sink, under kind "backing.read"/"backing.write". Only
-   measurable inside a simulation process with an enabled sink. *)
-let observing t =
-  match t.latency with
-  | No_latency -> None
-  | Disk { device; _ } -> (
-      match Hw_disk.metrics device with
-      | Some m when Sim_metrics.enabled m -> (
-          match Sim_engine.time () with
-          | t0 -> Some (m, t0)
-          | exception Sim_engine.Not_in_process -> None)
-      | _ -> None)
-
 let attempt_io t ~op ~file ~block =
   match t.latency with
   | No_latency -> ()
@@ -69,15 +54,7 @@ let attempt_io t ~op ~file ~block =
       | `Read -> Hw_disk.read_at device ~block:blk ~bytes:page_bytes
       | `Write -> Hw_disk.write_at device ~block:blk ~bytes:page_bytes)
 
-let with_retry t ~op ~file ~block =
-  let obs = observing t in
-  Fun.protect
-    ~finally:(fun () ->
-      match obs with
-      | None -> ()
-      | Some (m, t0) ->
-          Sim_metrics.observe m ~kind:("backing." ^ op_name op) (Sim_engine.time () -. t0))
-  @@ fun () ->
+let retrying t ~op ~file ~block =
   let max_attempts = max 1 t.retry.attempts in
   let rec go n backoff =
     try attempt_io t ~op ~file ~block
@@ -95,6 +72,29 @@ let with_retry t ~op ~file ~block =
       end
   in
   go 1 t.retry.backoff_us
+
+(* Observe the end-to-end latency of one block operation (queueing,
+   service, backoffs and retries, even when it ultimately fails) into the
+   disk's metrics sink, under kind "backing.read"/"backing.write". Only
+   measurable inside a simulation process with an enabled sink; otherwise
+   an operation is [retrying] alone. *)
+let with_retry t ~op ~file ~block =
+  match t.latency with
+  | Disk { device; _ } -> (
+      match Hw_disk.metrics device with
+      | Some m when Sim_metrics.enabled m -> (
+          match Sim_engine.time () with
+          | exception Sim_engine.Not_in_process -> retrying t ~op ~file ~block
+          | t0 -> (
+              let kind = "backing." ^ op_name op in
+              match retrying t ~op ~file ~block with
+              | () -> Sim_metrics.observe m ~kind (Sim_engine.time () -. t0)
+              | exception e ->
+                  let bt = Printexc.get_raw_backtrace () in
+                  Sim_metrics.observe m ~kind (Sim_engine.time () -. t0);
+                  Printexc.raise_with_backtrace e bt))
+      | _ -> retrying t ~op ~file ~block)
+  | No_latency -> retrying t ~op ~file ~block
 
 let read_block t ~file ~block =
   t.reads <- t.reads + 1;

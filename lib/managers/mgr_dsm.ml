@@ -199,16 +199,7 @@ let create kern ?(name = "dsm-manager") ~source ~nodes ~pages ?(net_latency_us =
    the fault that installs a copy and the read of that copy. Accesses
    therefore serialise on [serving], fault handling included (it runs
    inside the access's touch); an uncontended access never blocks. *)
-let serialised t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  match f () with
-  | v ->
-      Sim_sync.Semaphore.release t.serving;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Sim_sync.Semaphore.release t.serving;
-      Printexc.raise_with_backtrace e bt
+let serialised t f = Sim_sync.Semaphore.use t.serving f
 
 let read t ~node ~page =
   serialised t (fun () ->

@@ -123,9 +123,7 @@ let charge_logic t =
    so any two of them interleave if run from different processes. Fault
    handling already serialises on [serving]; the batch entry points
    (swap_out, swap_in, return_to_system) take the same lock. *)
-let with_serving t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
+let with_serving t f = Sim_sync.Semaphore.use t.serving f
 
 (* ------------------------------------------------------------------ *)
 (* Pool refill and reclamation                                        *)
@@ -386,25 +384,27 @@ let handle_cow t (fault : Mgr.fault) =
   track t fault.Mgr.f_seg fault.Mgr.f_page;
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
+let serve_fault t (fault : Mgr.fault) =
+  (* Another fault on the same page may have been served while we
+     waited in the queue. *)
+  let s = K.segment t.kern fault.Mgr.f_seg in
+  let already_resolved =
+    fault.Mgr.f_kind = Mgr.Missing
+    && Seg.in_range s fault.Mgr.f_page
+    && (Seg.page s fault.Mgr.f_page).Seg.frame <> None
+  in
+  if not already_resolved then
+    match fault.Mgr.f_kind with
+    | Mgr.Missing -> handle_missing t fault s
+    | Mgr.Protection -> handle_protection t fault s
+    | Mgr.Cow_write -> handle_cow t fault
+
 let on_fault t (fault : Mgr.fault) =
   charge_logic t;
   Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect
-    ~finally:(fun () -> Sim_sync.Semaphore.release t.serving)
-    (fun () ->
-      (* Another fault on the same page may have been served while we
-         waited in the queue. *)
-      let s = K.segment t.kern fault.Mgr.f_seg in
-      let already_resolved =
-        fault.Mgr.f_kind = Mgr.Missing
-        && Seg.in_range s fault.Mgr.f_page
-        && (Seg.page s fault.Mgr.f_page).Seg.frame <> None
-      in
-      if not already_resolved then
-        match fault.Mgr.f_kind with
-        | Mgr.Missing -> handle_missing t fault s
-        | Mgr.Protection -> handle_protection t fault s
-        | Mgr.Cow_write -> handle_cow t fault)
+  match serve_fault t fault with
+  | () -> Sim_sync.Semaphore.release t.serving
+  | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
 
 let on_close t seg =
   t.stats.closes <- t.stats.closes + 1;
@@ -519,9 +519,11 @@ let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity =
            request — waiting would deadlock. A busy manager's pool is in
            flux anyway; declining is the honest answer. *)
         if Sim_sync.Semaphore.try_acquire t.serving then
-          Fun.protect
-            ~finally:(fun () -> Sim_sync.Semaphore.release t.serving)
-            (fun () -> return_to_system_unlocked t ~pages)
+          match return_to_system_unlocked t ~pages with
+          | n ->
+              Sim_sync.Semaphore.release t.serving;
+              n
+          | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
         else 0)
       ();
   t

@@ -39,9 +39,7 @@ let page_absent t seg page =
   let s = K.segment t.kern seg in
   Seg.in_range s page && (Seg.page s page).Seg.frame = None
 
-let with_pool t f =
-  Semaphore.acquire t.pool_lock;
-  Fun.protect ~finally:(fun () -> Semaphore.release t.pool_lock) f
+let with_pool t f = Semaphore.use t.pool_lock f
 
 (* Fill one page: read the block (disk latency), then take a pooled frame
    carrying the data into the slot. The pool lock covers only the pool
@@ -130,6 +128,26 @@ let create_file_segment t ~name ~file_id ~pages =
   K.set_segment_manager t.kern seg t.mid;
   seg
 
+let finish_prefetch t key gate =
+  Hashtbl.remove t.pending key;
+  Gate.open_ gate
+
+(* One read-ahead, run as its own process. A forked process has no caller
+   to unwind to — an escaped exception would abort the whole simulation —
+   so a failed fill is absorbed: the page stays absent and any waiter
+   degrades to a demand fill. The gate opens on every exit. *)
+let prefetch_one t ~seg ~page key gate =
+  match fill_page t seg page with
+  | () -> finish_prefetch t key gate
+  | exception (Mgr_backing.Backing_failed _ | Mgr_generic.Out_of_frames _) ->
+      t.prefetch_failures <- t.prefetch_failures + 1;
+      bump t "prefetch_fill_failed";
+      finish_prefetch t key gate
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish_prefetch t key gate;
+      Printexc.raise_with_backtrace e bt
+
 let prefetch t ~seg ~page ~count =
   for p = page to page + count - 1 do
     let key = (seg, p) in
@@ -137,20 +155,7 @@ let prefetch t ~seg ~page ~count =
       let gate = Gate.create () in
       Hashtbl.replace t.pending key gate;
       t.prefetches <- t.prefetches + 1;
-      Engine.fork ~name:"prefetch" (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              Hashtbl.remove t.pending key;
-              Gate.open_ gate)
-            (fun () ->
-              (* A forked process has no caller to unwind to — an escaped
-                 exception would abort the whole simulation. Absorb the
-                 failure; the page stays absent and any waiter degrades to
-                 a demand fill. *)
-              try fill_page t seg p
-              with Mgr_backing.Backing_failed _ | Mgr_generic.Out_of_frames _ ->
-                t.prefetch_failures <- t.prefetch_failures + 1;
-                bump t "prefetch_fill_failed"))
+      Engine.fork ~name:"prefetch" (fun () -> prefetch_one t ~seg ~page:p key gate)
     end
   done
 

@@ -89,10 +89,6 @@ let charge_logic t =
   Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
     (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
 
-let with_serving t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
-
 let frame_data t frame =
   (Phys.frame (K.machine t.kern).Hw_machine.mem frame).Phys.data
 
@@ -367,9 +363,7 @@ let handle_cow t (fault : Mgr.fault) =
   track t.fast_clock fault.Mgr.f_seg fault.Mgr.f_page;
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
-let on_fault t (fault : Mgr.fault) =
-  charge_logic t;
-  with_serving t @@ fun () ->
+let serve_fault t (fault : Mgr.fault) =
   match fault.Mgr.f_kind with
   | Mgr.Missing ->
       (* Another fault on the same page may have been served while we
@@ -378,6 +372,13 @@ let on_fault t (fault : Mgr.fault) =
         handle_missing t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
   | Mgr.Protection -> handle_protection t fault
   | Mgr.Cow_write -> handle_cow t fault
+
+let on_fault t (fault : Mgr.fault) =
+  charge_logic t;
+  Sim_sync.Semaphore.acquire t.serving;
+  match serve_fault t fault with
+  | () -> Sim_sync.Semaphore.release t.serving
+  | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
 
 let on_close t seg =
   purge_segment t.fast_clock seg;
@@ -440,9 +441,11 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
       ~on_pressure:(fun ~pages ->
         (* Never block (see Mgr_generic): decline when mid-fault. *)
         if Sim_sync.Semaphore.try_acquire t.serving then
-          Fun.protect
-            ~finally:(fun () -> Sim_sync.Semaphore.release t.serving)
-            (fun () -> return_to_system_unlocked t ~pages)
+          match return_to_system_unlocked t ~pages with
+          | n ->
+              Sim_sync.Semaphore.release t.serving;
+              n
+          | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
         else 0)
       ();
   t

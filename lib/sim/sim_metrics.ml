@@ -103,49 +103,137 @@ module Hist = struct
   let p99 t = quantile t 99.0
 end
 
-type entry = { mutable n : int; mutable us : float }
+(* Span paths are interned: a path is a trie node, created the first time
+   it is seen. A span moves to its node; a charge goes to the node of its
+   label under the current span — the slot of that (span, label) pair —
+   and adds into the node's entry of the path table. The per-charge work
+   is a walk over the current node's few children (physical equality
+   first, then string equality) and two array updates: no list, no
+   string, no hash. Path strings are built only when a node first gets
+   an entry and when the sink is read. Two nodes whose paths spell the
+   same string ("a" + "b/c", "a/b" + "c") share one entry, exactly as a
+   table keyed by path strings would. *)
+type node = {
+  parent : node;  (* the root's parent is itself *)
+  name : string;
+  mutable kids : node list;
+  mutable entry : int;  (* index into the sink's counts and totals; -1 until charged *)
+}
 
 type t = {
   mutable on : bool;
-  mutable stack : string list;  (* innermost span first *)
-  charges : (string, entry) Hashtbl.t;
+  mutable cur : node;  (* innermost open span; [unborn] until first use *)
+  charges : (string, int) Hashtbl.t;  (* path -> entry, numbered from 0 *)
+  mutable counts : int array;  (* per entry *)
+  mutable totals : Float.Array.t;  (* per entry *)
   hists : (string, Hist.t) Hashtbl.t;
 }
 
+(* The root of a sink that has not recorded anything yet. It is shared by
+   every such sink and never mutated: [current] replaces it with a fresh
+   root before anything is added, so a sink allocates no trie until it
+   is used. *)
+let rec unborn = { parent = unborn; name = ""; kids = []; entry = -1 }
+
+(* The innermost open span's node (the root at the top level). *)
+let current t =
+  if t.cur == unborn then begin
+    let rec r = { parent = r; name = ""; kids = []; entry = -1 } in
+    t.cur <- r
+  end;
+  t.cur
+
 let create ?(enabled = false) () =
-  { on = enabled; stack = []; charges = Hashtbl.create 64; hists = Hashtbl.create 16 }
+  {
+    on = enabled;
+    cur = unborn;
+    charges = Hashtbl.create 64;
+    counts = [||];
+    totals = Float.Array.create 0;
+    hists = Hashtbl.create 16;
+  }
 
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 
 let reset t =
-  t.stack <- [];
+  t.cur <- unborn;
   Hashtbl.reset t.charges;
   Hashtbl.reset t.hists
+
+(* The lookups answer [unborn] for "none", so a hit allocates nothing. *)
+let rec kid_phys name = function
+  | [] -> unborn
+  | k :: rest -> if k.name == name then k else kid_phys name rest
+
+let rec kid_equal name = function
+  | [] -> unborn
+  | k :: rest -> if String.equal k.name name then k else kid_equal name rest
+
+let child node name =
+  let k = kid_phys name node.kids in
+  let k = if k != unborn then k else kid_equal name node.kids in
+  if k != unborn then k
+  else begin
+    let k = { parent = node; name; kids = []; entry = -1 } in
+    node.kids <- k :: node.kids;
+    k
+  end
+
+(* Leaving a span pops the innermost open one, whichever process opened
+   it; at the top level (after a [reset] inside a span) it does nothing. *)
+let pop t = t.cur <- t.cur.parent
 
 let with_span t name f =
   if not t.on then f ()
   else begin
-    t.stack <- name :: t.stack;
-    Fun.protect ~finally:(fun () -> t.stack <- List.tl t.stack) f
+    t.cur <- child (current t) name;
+    match f () with
+    | v ->
+        pop t;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        pop t;
+        Printexc.raise_with_backtrace e bt
   end
 
-let current_path t = String.concat "/" (List.rev t.stack)
+(* Span names from the outermost down to [node], followed by [tail]. *)
+let rec names node tail = if node.parent == node then tail else names node.parent (node.name :: tail)
+
+let current_path t = String.concat "/" (names t.cur [])
+
+(* The entry of [node]'s path: the one already there for the same path
+   string, or a new zeroed one. *)
+let entry_of t node =
+  let path = String.concat "/" (names node []) in
+  let e =
+    match Hashtbl.find_opt t.charges path with
+    | Some e -> e
+    | None ->
+        let e = Hashtbl.length t.charges in
+        if e = Array.length t.counts then begin
+          let cap = max 16 (2 * e) in
+          let counts = Array.make cap 0 and totals = Float.Array.make cap 0.0 in
+          Array.blit t.counts 0 counts 0 e;
+          Float.Array.blit t.totals 0 totals 0 e;
+          t.counts <- counts;
+          t.totals <- totals
+        end;
+        t.counts.(e) <- 0;
+        Float.Array.set t.totals e 0.0;
+        Hashtbl.replace t.charges path e;
+        e
+  in
+  node.entry <- e;
+  e
 
 let record_charge t ?label us =
   if t.on then begin
-    let leaf = Option.value label ~default:"unattributed" in
-    let path = String.concat "/" (List.rev (leaf :: t.stack)) in
-    let e =
-      match Hashtbl.find_opt t.charges path with
-      | Some e -> e
-      | None ->
-          let e = { n = 0; us = 0.0 } in
-          Hashtbl.replace t.charges path e;
-          e
-    in
-    e.n <- e.n + 1;
-    e.us <- e.us +. us
+    let leaf = child (current t) (match label with Some l -> l | None -> "unattributed") in
+    let e = if leaf.entry >= 0 then leaf.entry else entry_of t leaf in
+    t.counts.(e) <- t.counts.(e) + 1;
+    Float.Array.set t.totals e (Float.Array.get t.totals e +. us)
   end
 
 let observe t ~kind us =
@@ -162,7 +250,7 @@ let observe t ~kind us =
   end
 
 let charges t =
-  Hashtbl.fold (fun path e acc -> (path, e.n, e.us) :: acc) t.charges []
+  Hashtbl.fold (fun path e acc -> (path, t.counts.(e), Float.Array.get t.totals e) :: acc) t.charges []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let charged_total ?(prefix = "") t =
@@ -170,7 +258,7 @@ let charged_total ?(prefix = "") t =
     (fun path e acc ->
       if prefix = "" || (String.length path >= String.length prefix
                          && String.sub path 0 (String.length prefix) = prefix)
-      then acc +. e.us
+      then acc +. Float.Array.get t.totals e
       else acc)
     t.charges 0.0
 

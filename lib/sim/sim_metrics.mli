@@ -13,15 +13,30 @@
 
     A metrics sink is {e disabled} by default: every entry point is then a
     no-op, so instrumented code paths behave byte-identically to the
-    uninstrumented build. All state is plain hash tables filled in by the
-    (deterministic) simulation, so recorded data is seed-for-seed
-    reproducible.
+    uninstrumented build. All state is filled in by the (deterministic)
+    simulation, so recorded data is seed-for-seed reproducible.
+
+    Span paths are interned: each path is a trie node, created the first
+    time it is seen. {!with_span} moves to its span's node; a charge adds
+    into the entry of its label's node under the current span — the slot
+    of that (span, label) pair, found by physical equality first, then by
+    string equality. Counts live in an [int array] and totals in a
+    [Float.Array]. Once its slot exists, a charge with the sink on
+    allocates nothing, and neither does a span enter/exit whose node
+    exists. Path strings are built only when a slot first gets an entry
+    and when the sink is read; slots whose paths spell the same string
+    share one entry, so every reader sees exactly what a table keyed by
+    path strings would hold. A sink that never records allocates nothing
+    beyond its record and two hash tables.
 
     Caveat: the span stack is per-sink (i.e. per machine), not per
-    process. When simulation processes interleave inside another process's
-    span, their charges are attributed under it. The engine is
+    process. Leaving a span pops the innermost open one, whichever process
+    opened it, so when simulation processes interleave inside another
+    process's span, their charges are attributed under it. The engine is
     deterministic, so the attribution is too — but treat cross-process
-    paths as "charged while serving", not strict call-tree ancestry. *)
+    paths as "charged while serving", not strict call-tree ancestry.
+    Per-process stacks need a process identity in {!Sim_engine} (ROADMAP
+    item 3b). *)
 
 module Hist : sig
   (** Log-bucketed histogram: four buckets per octave (~19% relative
@@ -71,20 +86,22 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val reset : t -> unit
-(** Drop all recorded data (and any dangling span state); the enabled flag
-    is preserved. *)
+(** Drop all recorded data and the open span path; the enabled flag is
+    preserved. Leaving a span that was open at the reset does nothing, and
+    charges made after it land at the top level. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk with a span pushed; charges recorded inside get the span's
-    name as a path prefix. Exception-safe; when disabled just runs the
-    thunk. *)
+    name as a path prefix. The span is popped on every exit, an exception
+    re-raised with its backtrace; when disabled just runs the thunk. *)
 
 val current_path : t -> string
 (** The open span path, outermost first ("" at top level). *)
 
 val record_charge : t -> ?label:string -> float -> unit
 (** Attribute a charge of so-many units to [current span path ^ "/" ^
-    label] (label defaults to ["unattributed"]). No-op when disabled. *)
+    label] (label defaults to ["unattributed"]). No-op when disabled;
+    allocation-free once the (span path, label) slot exists. *)
 
 val observe : t -> kind:string -> float -> unit
 (** Feed one latency sample into the histogram for [kind], creating it on

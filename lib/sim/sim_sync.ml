@@ -38,6 +38,16 @@ module Semaphore = struct
     match Queue.take_opt t.waiters with
     | Some resume -> resume ()
     | None -> t.count <- t.count + 1
+
+  let release_reraise t e = release_reraise release t e
+
+  let use t f =
+    acquire t;
+    match f () with
+    | v ->
+        release t;
+        v
+    | exception e -> release_reraise t e
 end
 
 module Resource = struct

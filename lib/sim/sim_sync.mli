@@ -11,6 +11,16 @@ module Semaphore : sig
   val acquire : t -> unit
   val try_acquire : t -> bool
   val release : t -> unit
+
+  val use : t -> (unit -> 'a) -> 'a
+  (** Acquire, run the thunk, release. An exception from the thunk
+      releases and is re-raised with its backtrace. *)
+
+  val release_reraise : t -> exn -> 'a
+  (** [release_reraise t e], called first thing in an exception handler:
+      {!release}, then re-raise [e] with its backtrace — the error path
+      of {!use}, for callers bracketing with {!acquire} or
+      {!try_acquire} that must not allocate a thunk. *)
 end
 
 (** A pool of identical servers (CPUs, disk arms) with utilisation

@@ -225,9 +225,7 @@ let force_bankrupt_returns t =
     t.clients;
   !recovered
 
-let serialised t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
+let serialised t f = Sim_sync.Semaphore.use t.serving f
 
 let set_market_demand t d = Spcm_market.set_demand t.market d ~now_us:(now_us t)
 

@@ -127,7 +127,7 @@ let class_name = function Normal -> "interactive" | Premium -> "premium" | Poor 
 type tenant = {
   t_index : int;
   t_class : tenant_class;
-  t_kind : string;  (* per-tenant metrics kind *)
+  mutable t_latency_us : float;  (* acquire to resident; 0 until sampled *)
   t_pages : int;
   t_hold_us : float;
   t_income : float;
@@ -157,7 +157,7 @@ let draw_tenants cfg rng =
       {
         t_index = i;
         t_class = cls;
-        t_kind = Printf.sprintf "mkt/%05d" i;
+        t_latency_us = 0.0;
         t_pages = pages;
         t_hold_us = hold;
         t_income = income;
@@ -174,9 +174,6 @@ let run cfg =
   | None -> ()
   | Some spec ->
       Hw_disk.set_chaos machine.Hw_machine.disk (Some (Sim_chaos.create ~seed:cfg.c_seed spec)));
-  (* The SLO report needs the metrics sink; this machine is owned by the
-     workload, so turning profiling on cannot perturb the pinned tables. *)
-  Hw_machine.set_profiling machine true;
   let kernel = K.create machine in
   let spcm = Spcm.create kernel ~market:cfg.c_market () in
   let rng = Sim_rng.create cfg.c_seed in
@@ -191,6 +188,9 @@ let run cfg =
   let saver_starved = ref 0 in
   let saver_backings = ref [] in
   let all_done () = !finished >= cfg.c_tenants in
+  (* One acquire-to-resident sample per granted tenant, kept by class. *)
+  let class_hists = [| Hist.create (); Hist.create (); Hist.create () |] in
+  let class_index = function Normal -> 0 | Premium -> 1 | Poor -> 2 in
 
   let run_tenant t =
     let name = Printf.sprintf "tenant-%05d" t.t_index in
@@ -208,7 +208,8 @@ let run cfg =
       for page = 0 to got - 1 do
         K.touch kernel ~space:seg ~page ~access:Mgr.Write
       done;
-      Hw_machine.observe machine ~kind:t.t_kind (Engine.time () -. t0);
+      t.t_latency_us <- Engine.time () -. t0;
+      Hist.add class_hists.(class_index t.t_class) t.t_latency_us;
       granted_frames := !granted_frames + got;
       Engine.delay t.t_hold_us;
       Spcm.return_pages spcm ~client ~seg ~page:0 ~count:got;
@@ -295,29 +296,22 @@ let run cfg =
   let min_balance =
     List.fold_left (fun acc a -> Float.min acc a.M.balance) infinity accounts
   in
-  let metrics = Hw_machine.metrics machine in
   let slo_for cls =
     let members = Array.to_list tenants |> List.filter (fun t -> t.t_class = cls) in
-    let hists = List.filter_map (fun t -> Sim_metrics.hist metrics ~kind:t.t_kind) members in
-    let merged = match hists with [] -> None | h :: tl -> List.fold_left Hist.merge h tl |> Option.some in
-    let q p = match merged with None -> 0.0 | Some h -> Hist.quantile h p in
+    let h = class_hists.(class_index cls) in
     {
       sc_class = class_name cls;
       sc_tenants = List.length members;
       sc_completed = List.length (List.filter (fun t -> t.t_completed) members);
       sc_refused = List.length (List.filter (fun t -> t.t_refused) members);
-      sc_samples = (match merged with None -> 0 | Some h -> Hist.count h);
-      sc_p50_us = q 50.0;
-      sc_p99_us = q 99.0;
-      sc_p999_us = q 99.9;
-      sc_max_us = (match merged with None -> 0.0 | Some h -> Hist.max_value h);
+      sc_samples = Hist.count h;
+      sc_p50_us = Hist.quantile h 50.0;
+      sc_p99_us = Hist.quantile h 99.0;
+      sc_p999_us = Hist.quantile h 99.9;
+      sc_max_us = Hist.max_value h;
+      (* A tenant's p99 is its one sample; unsampled tenants stay at 0. *)
       sc_violations =
-        List.fold_left
-            (fun acc t ->
-              match Sim_metrics.hist metrics ~kind:t.t_kind with
-              | Some h when Hist.quantile h 99.0 > cfg.c_slo_us -> acc + 1
-              | _ -> acc)
-            0 members;
+        List.fold_left (fun acc t -> if t.t_latency_us > cfg.c_slo_us then acc + 1 else acc) 0 members;
     }
   in
   let holdings_left =

@@ -9,13 +9,13 @@
 
     - Interactive tenants acquire a small working set through the blocking
       {!Spcm.acquire} path (admission-queue on shortage), touch it, hold
-      it for a drawn dwell time, and return it. Each tenant's
-      acquire-to-resident latency is observed into the machine's
-      {!Sim_metrics} sink under a per-tenant kind, from which the
-      per-class SLO report (p50/p99/p999 over tenants, violations against
-      a target) is extracted. A premium slice runs at higher admission
-      priority; a poor slice has starvation income and is refused by the
-      market.
+      it for a drawn dwell time, and return it. Each granted tenant
+      records one acquire-to-resident latency sample into its class's
+      {!Sim_metrics.Hist}, from which the per-class SLO report
+      (p50/p99/p999 over tenants, violations against a target) is
+      extracted; the machine's metrics sink stays off. A premium slice
+      runs at higher admission priority; a poor slice has starvation
+      income and is refused by the market.
     - Savers run the paper's batch cycle (fault the working set through a
       {!Mgr_generic} manager fed by {!Spcm.source_for}, compute, swap out,
       reconcile with {!Spcm.note_returned}) and are the reclaim targets
@@ -66,7 +66,7 @@ type class_slo = {
   sc_p99_us : float;
   sc_p999_us : float;
   sc_max_us : float;
-  sc_violations : int;  (** Tenants whose own p99 exceeds [c_slo_us]. *)
+  sc_violations : int;  (** Tenants whose latency sample exceeds [c_slo_us]. *)
 }
 
 type result = {

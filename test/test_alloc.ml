@@ -206,6 +206,66 @@ let test_charge_metrics_off () =
   in
   gate "Hw_machine.charge (metrics off)" ~bound:0.5 w
 
+(* With the sink on, a charge whose (span, label) slot exists adds into
+   it in place: no path string, no list, no hash. *)
+let test_charge_metrics_on () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  Hw_machine.set_profiling m true;
+  let charges () =
+    for _ = 1 to n do
+      Hw_machine.charge ~label:"kernel/probe" m 1.0
+    done
+  in
+  Hw_machine.with_span m "probe" (fun () -> Hw_machine.charge ~label:"kernel/probe" m 1.0);
+  let w = per_op ~ops:n m.Hw_machine.engine (fun () -> Hw_machine.with_span m "probe" charges) in
+  if Sim_metrics.charges (Hw_machine.metrics m) <> [ ("probe/kernel/probe", n + 1, float_of_int (n + 1)) ]
+  then Alcotest.fail "charges did not land in the interned slot";
+  gate "Hw_machine.charge (metrics on, path interned)" ~bound:0.5 w
+
+let test_span_metrics_on () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  Hw_machine.set_profiling m true;
+  Hw_machine.with_span m "probe" noop;
+  let w =
+    per_op ~ops:n m.Hw_machine.engine (fun () ->
+        for _ = 1 to n do
+          Hw_machine.with_span m "probe" noop
+        done)
+  in
+  gate "with_span enter/exit (metrics on)" ~bound:0.5 w
+
+(* A missing fault served end to end with the sink off: trap, upcall into
+   an in-process Mgr_generic, a frame from its pre-filled pool, resume and
+   the translation install. Each touch faults on a fresh page. *)
+let test_fault_round_trip () =
+  let faults = 4096 in
+  let m = Hw_machine.create ~memory_bytes:(2 * faults * 4096) () in
+  let k = K.create m in
+  let init = K.initial_segment k in
+  let next = ref 0 in
+  let source ~dst ~dst_page ~count =
+    K.migrate_pages k ~src:init ~dst ~src_page:!next ~dst_page ~count ();
+    next := !next + count;
+    count
+  in
+  let mgr =
+    Mgr_generic.create k ~name:"probe" ~mode:`In_process ~backing:(Mgr_backing.memory ()) ~source
+      ~pool_capacity:faults ~refill_batch:faults ()
+  in
+  Mgr_generic.ensure_pool mgr ~count:faults;
+  let seg = Mgr_generic.create_segment mgr ~name:"cold" ~pages:faults ~kind:Mgr_generic.Anon () in
+  let access = Epcm_manager.Write in
+  let w =
+    per_op ~ops:faults m.Hw_machine.engine (fun () ->
+        for page = 0 to faults - 1 do
+          K.touch k ~space:seg ~page ~access
+        done)
+  in
+  let s = Mgr_generic.stats mgr in
+  if s.Mgr_generic.fills <> faults || s.Mgr_generic.refill_requests <> 1 then
+    Alcotest.fail "every touch must fault once and be served from the pre-filled pool";
+  gate "faulting K.touch (Mgr_generic, metrics off)" ~bound:155.5 w
+
 let test_rng_draws () =
   let r = Sim_rng.create 1L in
   let sink = ref 0 in
@@ -236,6 +296,9 @@ let () =
           Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
           Alcotest.test_case "warm K.touch" `Quick test_warm_touch;
           Alcotest.test_case "charge with metrics off" `Quick test_charge_metrics_off;
+          Alcotest.test_case "charge with metrics on" `Quick test_charge_metrics_on;
+          Alcotest.test_case "with_span with metrics on" `Quick test_span_metrics_on;
+          Alcotest.test_case "faulting K.touch round trip" `Quick test_fault_round_trip;
           Alcotest.test_case "Sim_rng draws" `Quick test_rng_draws;
         ] );
     ]

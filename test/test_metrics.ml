@@ -230,7 +230,19 @@ let test_sink_reset () =
   check_bool "charges dropped" true (M.charges m = []);
   check_bool "kinds dropped" true (M.kinds m = []);
   M.record_charge m ~label:"b" 3.0;
-  check_float "usable after reset" 3.0 (M.charged_total m)
+  check_float "usable after reset" 3.0 (M.charged_total m);
+  (* Reset inside an open span: leaving the span afterwards does nothing,
+     and charges made after the reset land at the top level. *)
+  let m = M.create ~enabled:true () in
+  M.with_span m "outer" (fun () ->
+      M.record_charge m ~label:"a" 1.0;
+      M.reset m;
+      check_string "top level after reset" "" (M.current_path m);
+      M.record_charge m ~label:"b" 2.0);
+  check_string "leaving the span is a no-op" "" (M.current_path m);
+  M.record_charge m ~label:"c" 4.0;
+  check_bool "charges after reset at top level" true
+    (M.charges m = [ ("b", 1, 2.0); ("c", 1, 4.0) ])
 
 let test_sink_observe_kinds () =
   let m = M.create ~enabled:true () in
@@ -244,6 +256,234 @@ let test_sink_observe_kinds () =
       check_float "total" 300.0 (H.total h)
   | None -> Alcotest.fail "disk.read histogram missing");
   check_bool "unknown kind" true (M.hist m ~kind:"nope" = None)
+
+(* ------------------------------------------------------------------ *)
+(* Sink: differential test against a string-path reference             *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model: a sink keyed by path strings, building the path
+   of every charge from a list of open span names. Leaving a span pops the
+   innermost name and does nothing at the top level. *)
+module Model = struct
+  type entry = { mutable n : int; mutable us : float }
+
+  type t = {
+    mutable on : bool;
+    mutable stack : string list;  (* innermost span first *)
+    charges : (string, entry) Hashtbl.t;
+    hists : (string, H.t) Hashtbl.t;
+  }
+
+  let create () = { on = false; stack = []; charges = Hashtbl.create 64; hists = Hashtbl.create 16 }
+
+  let reset t =
+    t.stack <- [];
+    Hashtbl.reset t.charges;
+    Hashtbl.reset t.hists
+
+  let with_span t name f =
+    if not t.on then f ()
+    else begin
+      t.stack <- name :: t.stack;
+      Fun.protect ~finally:(fun () -> t.stack <- (match t.stack with [] -> [] | _ :: tl -> tl)) f
+    end
+
+  let current_path t = String.concat "/" (List.rev t.stack)
+
+  let record_charge t ?label us =
+    if t.on then begin
+      let leaf = Option.value label ~default:"unattributed" in
+      let path = String.concat "/" (List.rev (leaf :: t.stack)) in
+      let e =
+        match Hashtbl.find_opt t.charges path with
+        | Some e -> e
+        | None ->
+            let e = { n = 0; us = 0.0 } in
+            Hashtbl.replace t.charges path e;
+            e
+      in
+      e.n <- e.n + 1;
+      e.us <- e.us +. us
+    end
+
+  let observe t ~kind us =
+    if t.on then begin
+      let h =
+        match Hashtbl.find_opt t.hists kind with
+        | Some h -> h
+        | None ->
+            let h = H.create () in
+            Hashtbl.replace t.hists kind h;
+            h
+      in
+      H.add h us
+    end
+
+  let charges t =
+    Hashtbl.fold (fun path e acc -> (path, e.n, e.us) :: acc) t.charges []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+  let charged_total ~prefix t =
+    Hashtbl.fold
+      (fun path e acc ->
+        if String.starts_with ~prefix path then acc +. e.us else acc)
+      t.charges 0.0
+
+  let hist_json h =
+    J.Obj
+      [
+        ("count", J.Num (float_of_int (H.count h)));
+        ("total_us", J.Num (H.total h));
+        ("min_us", J.Num (H.min_value h));
+        ("p50_us", J.Num (H.p50 h));
+        ("p95_us", J.Num (H.p95 h));
+        ("p99_us", J.Num (H.p99 h));
+        ("max_us", J.Num (H.max_value h));
+        ( "buckets",
+          J.List
+            (List.map
+               (fun (i, c) ->
+                 J.Obj
+                   [
+                     ("upper_us", J.Num (H.bucket_upper_bound i));
+                     ("count", J.Num (float_of_int c));
+                   ])
+               (H.buckets h)) );
+      ]
+
+  let to_json t =
+    let kinds = Hashtbl.fold (fun k _ acc -> k :: acc) t.hists [] |> List.sort compare in
+    J.Obj
+      [
+        ( "charges",
+          J.List
+            (List.map
+               (fun (path, n, us) ->
+                 J.Obj
+                   [
+                     ("path", J.Str path);
+                     ("count", J.Num (float_of_int n));
+                     ("us", J.Num us);
+                   ])
+               (charges t)) );
+        ( "latency",
+          J.List
+            (List.map
+               (fun kind ->
+                 match hist_json (Hashtbl.find t.hists kind) with
+                 | J.Obj fields -> J.Obj (("kind", J.Str kind) :: fields)
+                 | other -> other)
+               kinds) );
+      ]
+end
+
+exception Boom
+
+(* A random program over one sink: nested spans, some left by an
+   exception ([Raise] unwinds to the nearest [Try]), charges with and
+   without a label, enable/disable toggles, latency samples, resets and
+   checkpoints. *)
+type op =
+  | Span of string * op list
+  | Try of op list
+  | Raise
+  | Charge of string option * float
+  | Toggle of bool
+  | Observe of string * float
+  | Reset
+  | Check
+
+let rec show_op = function
+  | Span (name, body) -> Printf.sprintf "span %S [%s]" name (show_ops body)
+  | Try body -> Printf.sprintf "try [%s]" (show_ops body)
+  | Raise -> "raise"
+  | Charge (None, us) -> Printf.sprintf "charge %g" us
+  | Charge (Some l, us) -> Printf.sprintf "charge %S %g" l us
+  | Toggle on -> Printf.sprintf "toggle %b" on
+  | Observe (kind, v) -> Printf.sprintf "observe %S %g" kind v
+  | Reset -> "reset"
+  | Check -> "check"
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+(* Names chosen so that different (span, label) splits spell the same
+   path ("a" + "b/c", "a/b" + "c", "a" then "b" + "c"); half the draws are
+   fresh copies, so lookups by physical equality miss and must fall back
+   to string equality. *)
+let gen_name pool =
+  QCheck.Gen.(
+    map2
+      (fun s fresh -> if fresh then String.init (String.length s) (String.get s) else s)
+      (oneofl pool) bool)
+
+let span_names = [ "a"; "b"; "a/b"; "fault/missing"; "" ]
+let labels = [ "c"; "b/c"; "kernel/trap"; "unattributed"; "" ]
+
+let gen_program =
+  QCheck.Gen.(
+    sized_size (int_range 4 64)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (8, map2 (fun l us -> Charge (l, us)) (opt (gen_name labels)) (float_range 0.0 100.0));
+                 (2, map (fun on -> Toggle on) (frequency [ (3, return true); (1, return false) ]));
+                 (2, map2 (fun k v -> Observe (k, v)) (oneofl [ "disk.read"; "wal.flush" ])
+                       (float_range (-1.0) 1e4));
+                 (1, return Reset);
+                 (1, return Raise);
+                 (2, return Check);
+               ]
+           in
+           if n <= 1 then list_size (int_range 0 4) leaf
+           else
+             list_size (int_range 1 6)
+               (frequency
+                  [
+                    (3, leaf);
+                    (3, map2 (fun name body -> Span (name, body)) (gen_name span_names) (self (n / 2)));
+                    (1, map (fun body -> Try body) (self (n / 2)));
+                  ])))
+
+let arb_program = QCheck.make ~print:show_ops gen_program
+
+let prefixes = [ ""; "a"; "a/b"; "fault"; "unattributed"; "c" ]
+
+let agree m r =
+  M.charges m = Model.charges r
+  && M.current_path m = Model.current_path r
+  && J.to_string (M.to_json m) = J.to_string (Model.to_json r)
+  && List.for_all
+       (fun prefix ->
+         let a = M.charged_total ~prefix m and b = Model.charged_total ~prefix r in
+         Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b))
+       prefixes
+
+let rec exec m r = function
+  | Span (name, body) ->
+      M.with_span m name (fun () -> Model.with_span r name (fun () -> List.iter (exec m r) body))
+  | Try body -> ( try List.iter (exec m r) body with Boom -> ())
+  | Raise -> raise Boom
+  | Charge (label, us) ->
+      M.record_charge m ?label us;
+      Model.record_charge r ?label us
+  | Toggle on ->
+      M.set_enabled m on;
+      r.Model.on <- on
+  | Observe (kind, v) ->
+      M.observe m ~kind v;
+      Model.observe r ~kind v
+  | Reset ->
+      M.reset m;
+      Model.reset r
+  | Check -> if not (agree m r) then failwith "sink and model disagree"
+
+let prop_sink_matches_model =
+  QCheck.Test.make ~name:"interned sink = string-path model" ~count:500 arb_program (fun prog ->
+      let m = M.create ~enabled:true () and r = Model.create () in
+      r.Model.on <- true;
+      (try List.iter (exec m r) prog with Boom -> ());
+      agree m r)
 
 (* ------------------------------------------------------------------ *)
 (* Charges survive outside a simulation process; time does not          *)
@@ -465,6 +705,7 @@ let () =
           Alcotest.test_case "latency kinds" `Quick test_sink_observe_kinds;
           Alcotest.test_case "charge attributes outside a process" `Quick
             test_machine_charge_attributes_without_engine;
+          QCheck_alcotest.to_alcotest prop_sink_matches_model;
         ] );
       ( "json",
         [
