@@ -1,19 +1,26 @@
 #!/usr/bin/env bash
-# Counter identity of this checkout against another one (typically the
+# Behaviour identity of this checkout against another one (typically the
 # parent commit, unpacked with `git archive`):
 #
 #   bash bench/identity.sh PARENT_DIR
 #
-# Builds benchmark/vpp_bench.exe in both trees, runs every benchmark
-# workload once at full size with spans on (seed 1, --seconds 0
-# --trace 1) and diffs what each reports: correct/attempted/failed and
-# every metric except the host-time and allocation ones (host.*,
-# *.self_frac, sim.events_per_s, trace.overhead_frac, epcm.touch_words).
-# Prints "W identical" or the diff per workload, then each workload's
-# alloc_mwords and peak_heap_mb from one untraced iteration on both
-# sides. Exits 1 if any workload differs, 2 on bad usage. Traces and
-# intermediate files go to a temporary directory, so neither tree gains
-# files outside its _build/.
+# Builds benchmark/vpp_bench.exe, bin/vpp_repro.exe and the examples in
+# both trees, then compares, printing "X identical" or the difference
+# for each:
+#
+# - every benchmark workload once at full size with spans on (seed 1,
+#   --seconds 0 --trace 1): correct/attempted/failed and every metric
+#   except the host-time and allocation ones (host.*, *.self_frac,
+#   sim.events_per_s, trace.overhead_frac, epcm.touch_words);
+# - the full-size perf, market, tier, cache and shard records
+#   (--jobs 2), through this tree's `vpp_repro diff`, which ignores key
+#   order and each schema's wall-clock fields;
+# - the stdout of the ten examples, byte for byte.
+#
+# Then prints each workload's alloc_mwords and peak_heap_mb from one
+# untraced iteration on both sides. Exits 1 if anything differs, 2 on
+# bad usage. Traces, records and intermediate files go to a temporary
+# directory, so neither tree gains files outside its _build/.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1" ]; then
@@ -32,8 +39,12 @@ skip='with_entries(select((.key|startswith("host.")|not) and (.key|endswith(".se
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+examples="quickstart db_cache prefetch_scan page_coloring memory_market checkpoint
+          numa_placement gc_discard mp3d_adaptive dsm_sharing"
+records="perf market tier cache shard"
 for dir in "$parent" "$change"; do
-  (cd "$dir" && dune build --root . --display quiet ./benchmark/vpp_bench.exe)
+  (cd "$dir" && dune build --root . --display quiet ./benchmark/vpp_bench.exe \
+    ./bin/vpp_repro.exe $(for e in $examples; do echo "./examples/$e.exe"; done))
 done
 
 # bench DIR WORKLOAD TRACE: the JSON line one iteration of WORKLOAD prints.
@@ -53,6 +64,42 @@ for w in $workloads; do
     echo "$w identical"
   else
     echo "$w DIFFERS"
+    status=1
+  fi
+done
+
+# A record whose own checks fail exits 1 but is still written and
+# compared; the failure is reported and fails the run.
+for r in $records; do
+  for side in parent change; do
+    dir=$([ "$side" = parent ] && echo "$parent" || echo "$change")
+    if ! (cd "$tmp" && "$dir/_build/default/bin/vpp_repro.exe" "$r" --jobs 2 \
+      --out "$tmp/$r.$side.json" >/dev/null); then
+      echo "$r: a check failed in the $side tree"
+      status=1
+    fi
+  done
+  if "$change/_build/default/bin/vpp_repro.exe" diff "$tmp/$r.parent.json" "$tmp/$r.change.json"
+  then
+    echo "$r record identical"
+  else
+    echo "$r record DIFFERS"
+    status=1
+  fi
+done
+
+for e in $examples; do
+  for side in parent change; do
+    dir=$([ "$side" = parent ] && echo "$parent" || echo "$change")
+    if ! (cd "$tmp" && "$dir/_build/default/examples/$e.exe") >"$tmp/$e.$side.out"; then
+      echo "$e: the example failed in the $side tree"
+      status=1
+    fi
+  done
+  if diff "$tmp/$e.parent.out" "$tmp/$e.change.out"; then
+    echo "$e example identical"
+  else
+    echo "$e example DIFFERS"
     status=1
   fi
 done

@@ -80,7 +80,7 @@ let run_diff old_file new_file () =
         Printf.eprintf "%s: JSON parse error: %s\n" file e;
         exit 1
   in
-  match Exp_record.diff (parse old_file) (parse new_file) with
+  match Exp_record.diff (old_file, parse old_file) (new_file, parse new_file) with
   | Ok [] -> ()
   | Ok lines ->
       List.iter print_endline lines;

@@ -9,7 +9,6 @@
    Run with: dune exec examples/checkpoint.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Engine = Sim_engine
 
 let state_pages = 200
@@ -19,21 +18,7 @@ let writes_per_epoch = 30 (* hot working set: ~15% of state mutates per epoch *)
 let build () =
   let machine = Hw_machine.create ~memory_bytes:(8 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   (machine, kernel, source)
 
 (* One mutator run: [checkpointed] decides whether each epoch opens a

@@ -13,7 +13,6 @@
    Run with: dune exec examples/db_cache.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Engine = Sim_engine
 
 let index_pages = 256 (* 1 MB *)
@@ -23,21 +22,7 @@ let build () =
     Hw_machine.create ~preset:Hw_machine.Sgi_4d_380 ~memory_bytes:(32 * 1024 * 1024) ()
   in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let mgr = Mgr_dbms.create kernel ~source ~pool_capacity:1024 () in
   (machine, kernel, mgr)
 

@@ -17,7 +17,6 @@
    Run with: dune exec examples/dsm_sharing.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Engine = Sim_engine
 
 let updates = 200
@@ -25,21 +24,7 @@ let updates = 200
 let build () =
   let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let dsm = Mgr_dsm.create kernel ~source ~nodes:2 ~pages:4 () in
   (machine, dsm)
 

@@ -17,7 +17,6 @@
    Run with: dune exec examples/mp3d_adaptive.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Engine = Sim_engine
 module G = Mgr_generic
 
@@ -31,24 +30,7 @@ let build () =
      rest is spoken for by other jobs, modelled by a capped source). *)
   let machine = Hw_machine.create ~memory_bytes:(16 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let granted_total = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let allowed = min count (available_frames - !granted_total) in
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < allowed && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    granted_total := !granted_total + !granted;
-    !granted
-  in
+  let source = K.initial_source kernel ~budget:available_frames in
   let backing_disk = machine.Hw_machine.disk in
   let mgr =
     G.create kernel ~name:"mp3d"

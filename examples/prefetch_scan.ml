@@ -11,7 +11,6 @@
    Run with: dune exec examples/prefetch_scan.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Engine = Sim_engine
 
 let dataset_pages = 512 (* 2 MB *)
@@ -21,21 +20,7 @@ let prefetch_depth = 8
 let build () =
   let machine = Hw_machine.create ~memory_bytes:(8 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let mgr = Mgr_prefetch.create kernel ~source ~pool_capacity:256 () in
   let seg = Mgr_prefetch.create_file_segment mgr ~name:"dataset" ~file_id:1 ~pages:dataset_pages in
   (machine, kernel, mgr, seg)

@@ -8,7 +8,6 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module K = Epcm_kernel
-module Seg = Epcm_segment
 
 let () =
   (* A DECstation-like machine with 4 MB of physical memory and tracing
@@ -20,23 +19,9 @@ let () =
 
   (* At boot, every page frame lives in the well-known initial segment in
      physical-address order. The system page cache manager would normally
-     parcel it out; here we write a two-line "source" that grants frames
-     straight from it. *)
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let granted = ref 0 in
-    let init_seg = K.segment kernel init in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+     parcel it out; here the kernel's stand-in source grants frames
+     straight from it, in slot order. *)
+  let source = K.initial_source kernel in
 
   (* A segment manager built from the generic one (paper §2.2): in-process
      fault delivery, a free-page segment, default policies. *)

@@ -929,6 +929,80 @@ let frame_owner_audit_tiered_scan t = audit_with Seg.resident_pages_by_tier_scan
 let frame_owner_total t =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (frame_owner_audit t)
 
+(* One pass over the live segments, building no lists: each segment's
+   counters against its page array (one walk counts both the flat and the
+   per-tier scan), the owned total against the machine, and no process
+   left parked. *)
+let audit t =
+  let scan = Array.make (Phys.n_tiers t.machine.Machine.mem) 0 in
+  let owned = ref 0 and agree = ref true in
+  Hashtbl.iter
+    (fun _ seg ->
+      if seg.Seg.alive then begin
+        owned := !owned + seg.Seg.resident;
+        Array.fill scan 0 (Array.length scan) 0;
+        let resident = ref 0 in
+        Array.iter
+          (fun slot ->
+            match slot.Seg.frame with
+            | None -> ()
+            | Some f ->
+                incr resident;
+                let k = seg.Seg.tier_of f in
+                scan.(k) <- scan.(k) + 1)
+          seg.Seg.pages;
+        if !resident <> seg.Seg.resident || scan <> seg.Seg.resident_by_tier then agree := false
+      end)
+    t.segments;
+  !agree
+  && !owned = Machine.n_frames t.machine
+  && Sim_engine.live_processes t.machine.Machine.engine = 0
+
+type observation = {
+  o_frames : int;
+  o_touches : int;
+  o_faults : int;
+  o_migrate_calls : int;
+  o_migrated_pages : int;
+  o_events : int;
+  o_sim_us : float;
+  o_conserved : bool;
+}
+
+let observe t =
+  let s = t.stats in
+  {
+    o_frames = Machine.n_frames t.machine;
+    o_touches = s.touches;
+    o_faults = s.faults_missing + s.faults_protection + s.faults_cow;
+    o_migrate_calls = s.migrate_calls;
+    o_migrated_pages = s.migrated_pages;
+    o_events = Sim_engine.events_executed t.machine.Machine.engine;
+    o_sim_us = Machine.now t.machine;
+    o_conserved = audit t;
+  }
+
+(* The cursor is advanced before the migrate: its charge can block, and a
+   second manager filling from the same source meanwhile must not pick
+   the same slot. *)
+let initial_source ?(budget = max_int) t =
+  let next = ref 0 and granted_total = ref 0 in
+  fun ~dst ~dst_page ~count ->
+    let init = segment t t.init_seg in
+    let count = min count (budget - !granted_total) in
+    let granted = ref 0 in
+    while !granted < count && !next < Seg.length init do
+      let slot = !next in
+      incr next;
+      if (Seg.page init slot).Seg.frame <> None then begin
+        migrate_pages t ~src:t.init_seg ~dst ~src_page:slot ~dst_page:(dst_page + !granted)
+          ~count:1 ();
+        incr granted
+      end
+    done;
+    granted_total := !granted_total + !granted;
+    !granted
+
 (* Free-frame selection, optionally scoped by tier: initial-segment slots
    currently holding frames (of the tier), ascending, up to [limit]. Same
    scan the SPCM's [free_slots] does, with the tier filter the tiered

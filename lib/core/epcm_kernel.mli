@@ -247,8 +247,9 @@ val resolve_slot : t -> space:Epcm_segment.id -> page:int -> (Epcm_segment.id * 
     is unmapped and unbound. *)
 
 val frame_owner_audit : t -> (int * int) list
-(** For the conservation invariant: (segment id, resident frames) for all
-    live segments. The sum over all segments always equals the number of
+(** (segment id, resident frames) for all live segments, for tests and
+    reports that want the breakdown; {!audit} is the conservation
+    verdict. The sum over all segments always equals the number of
     physical frames. Uses the per-segment incremental resident counters:
     O(live segments), not O(segments × pages). *)
 
@@ -272,6 +273,42 @@ val frame_owner_audit_tiered_scan : t -> (int * int array) list
 (** The per-tier audit computed by scanning every page array — the
     O(segments × pages) reference {!frame_owner_audit_tiered} is pinned
     against. *)
+
+val audit : t -> bool
+(** Frame conservation, the one predicate every record and suite states
+    it with: for each live segment the incremental resident counters
+    equal a scan of its page array, flat and per memory tier; the frames
+    owned by live segments add up to the machine's frame count; and no
+    simulation process is left parked ({!Sim_engine.live_processes} is
+    0). One pass over the segments; builds no lists. *)
+
+type observation = {
+  o_frames : int;  (** Physical frames on the machine. *)
+  o_touches : int;  (** Memory references issued. *)
+  o_faults : int;  (** Missing + protection + copy-on-write faults delivered. *)
+  o_migrate_calls : int;
+  o_migrated_pages : int;
+  o_events : int;  (** Simulation-engine events executed. *)
+  o_sim_us : float;  (** The simulated clock. *)
+  o_conserved : bool;  (** {!audit}. *)
+}
+(** What every record leg reports of the kernel that ran it. *)
+
+val observe : t -> observation
+(** The kernel's counters and machine clock now, with {!audit}'s verdict. *)
+
+val initial_source :
+  ?budget:int -> t -> dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+(** A frame source standing in for the SPCM (paper §2.4) where one does
+    not matter: grants up to [count] initial-segment frames into
+    consecutive pages of [dst] from [dst_page], one single-page
+    {!migrate_pages} each, and returns how many it granted. Slots are
+    taken in ascending order from one monotone cursor (O(frames) over
+    the source's life), and each slot is claimed before it is migrated,
+    so managers sharing one source never pick the same frame even when a
+    migrate's charge blocks. [budget] caps the total granted over the
+    source's life (default unlimited). Each application
+    [initial_source ?budget t] is a fresh cursor. *)
 
 val initial_slots : ?tier:int -> t -> limit:int -> int list
 (** Free-frame selection: up to [limit] initial-segment slots currently

@@ -71,21 +71,7 @@ let build cfg =
       ~disk_params:table4_disk ()
   in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next_slot = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next_slot < Seg.length init_seg do
-      (if (Seg.page init_seg !next_slot).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next_slot
-           ~dst_page:(dst_page + !granted) ~count:1 ();
-         incr granted
-       end);
-      incr next_slot
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let mgr = Mgr_dbms.create kernel ~source ~pool_capacity:1024 () in
   let seg_accounts = Mgr_dbms.create_relation mgr ~name:"accounts" ~pages:accounts_pages in
   let seg_orders = Mgr_dbms.create_relation mgr ~name:"orders" ~pages:orders_pages in
@@ -252,8 +238,6 @@ let run cfg =
       in
       loop ());
   Engine.run engine;
-  let n_frames = Hw_machine.n_frames w.machine in
-  let audited = K.frame_owner_total w.kernel in
   let series_avg s = if Sim_stats.Series.count s = 0 then 0.0 else Sim_stats.Series.mean s in
   {
     label = cfg.Cfg.label;
@@ -269,7 +253,7 @@ let run cfg =
     regenerations = Mgr_dbms.regenerations w.mgr;
     cpu_utilisation = Resource.utilisation w.cpus;
     lock_waits = Db_locks.total_blocked w.locks;
-    frames_conserved = audited = n_frames;
+    frames_conserved = K.audit w.kernel;
   }
 
 let paper_numbers =

@@ -29,7 +29,7 @@ type result = {
   regenerations : int;
   cpu_utilisation : float;
   lock_waits : int;  (** Acquisitions that had to block. *)
-  frames_conserved : bool;  (** Whole-machine frame audit at the end. *)
+  frames_conserved : bool;  (** {!Epcm_kernel.audit} at the end. *)
 }
 
 val run : Db_config.t -> result

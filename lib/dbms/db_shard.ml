@@ -107,25 +107,8 @@ let build spec ~shard =
       ~disk_params:shard_disk ()
   in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next_slot = ref 0 in
-  (* The DBMS and DSM managers both fill from here, and a migrate can
-     block on its charge, so a slot is claimed before it is migrated:
-     two interleaved fills never pick the same frame. *)
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next_slot < Seg.length init_seg do
-      let slot = !next_slot in
-      incr next_slot;
-      if (Seg.page init_seg slot).Seg.frame <> None then begin
-        K.migrate_pages kernel ~src:init ~dst ~src_page:slot ~dst_page:(dst_page + !granted)
-          ~count:1 ();
-        incr granted
-      end
-    done;
-    !granted
-  in
+  (* The DBMS and DSM managers both fill from this one source. *)
+  let source = K.initial_source kernel in
   let mgr =
     Mgr_dbms.create kernel ~name:(Printf.sprintf "shard-%d-dbms" shard) ~source ~pool_capacity
       ()
@@ -281,12 +264,6 @@ let run_txn w rng =
   if committed then w.commits <- w.commits + 1 else w.aborts <- w.aborts + 1;
   Sim_stats.Series.add w.latencies ((Engine.time () -. arrival) /. 1000.0)
 
-let conserved w =
-  K.frame_owner_total w.kernel = Hw_machine.n_frames w.machine
-  && K.frame_owner_audit w.kernel = K.frame_owner_audit_scan w.kernel
-  && K.frame_owner_audit_tiered w.kernel = K.frame_owner_audit_tiered_scan w.kernel
-  && Engine.live_processes w.machine.Hw_machine.engine = 0
-
 let execute w =
   let spec = w.spec in
   let engine = w.machine.Hw_machine.engine in
@@ -305,7 +282,8 @@ let execute w =
           done)
   done;
   Engine.run engine;
-  let sim_us = Hw_machine.now w.machine in
+  let obs = K.observe w.kernel in
+  let sim_us = obs.K.o_sim_us in
   let txns = w.commits + w.aborts in
   let pct p =
     if Sim_stats.Series.count w.latencies = 0 then 0.0
@@ -322,7 +300,7 @@ let execute w =
     r_p99_ms = pct 99.0;
     r_tps = (if sim_us > 0.0 then float_of_int txns /. (sim_us /. 1_000_000.0) else 0.0);
     r_sim_us = sim_us;
-    r_events = Engine.events_executed engine;
+    r_events = obs.K.o_events;
     r_msgs = Db_coord.messages w.coord;
     r_prepares = Db_coord.prepares w.coord;
     r_wal_flushes = Db_wal.flushes w.wal;
@@ -331,8 +309,8 @@ let execute w =
     r_lock_timeouts =
       Db_locks.timeouts w.locks
       + Array.fold_left (fun acc l -> acc + Db_locks.timeouts l) 0 w.remote_locks;
-    r_frames = Hw_machine.n_frames w.machine;
-    r_conserved = conserved w;
+    r_frames = obs.K.o_frames;
+    r_conserved = obs.K.o_conserved;
   }
 
 let run_shard spec ~shard = execute (build spec ~shard)

@@ -76,9 +76,7 @@ type result = {
   r_dsm_transfers : int;  (** Remote page copies shipped. *)
   r_lock_timeouts : int;  (** Remote waits that expired into abort votes. *)
   r_frames : int;
-  r_conserved : bool;
-      (** Frame audit (incremental = scan, flat and tiered), total =
-          machine frames, and no leaked processes. *)
+  r_conserved : bool;  (** {!Epcm_kernel.audit} after the run. *)
 }
 
 type world

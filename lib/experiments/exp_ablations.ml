@@ -1,5 +1,4 @@
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module G = Mgr_generic
 module Engine = Sim_engine
 
@@ -17,22 +16,7 @@ type ablation = {
 let kernel_with_source ~frames () =
   let machine = Hw_machine.create ~memory_bytes:(frames * 4096) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
-  (machine, kernel, source)
+  (machine, kernel, K.initial_source kernel)
 
 let timed machine f =
   let result = ref 0.0 in

@@ -49,11 +49,7 @@ let random_seed = 47L
 
 type leg = {
   l_mode : string;
-  l_frames : int;
-  l_touches : int;
-  l_faults : int;
-  l_migrate_calls : int;
-  l_migrated_pages : int;
+  l_obs : K.observation;
   l_accesses : int;
   l_hits : int;
   l_misses : int;
@@ -61,9 +57,6 @@ type leg = {
   l_color_misses : int;
   l_audit_good : int;
   l_audit_total : int;
-  l_events : int;
-  l_sim_us : float;
-  l_conserved : bool;
 }
 
 type result = {
@@ -107,23 +100,15 @@ let serve_protection kernel (fault : Mgr.fault) =
 
 (* Address-order placement, as in Exp_tier's naive pager. *)
 let sequential_pager kernel =
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
+  let source = K.initial_source kernel in
   let on_fault (fault : Mgr.fault) =
     let machine = K.machine kernel in
     Hw_machine.charge ~label:"mgr/fault_logic" machine
       machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
     match fault.Mgr.f_kind with
     | Mgr.Missing | Mgr.Cow_write ->
-        let init_seg = K.segment kernel init in
-        let len = Seg.length init_seg in
-        while !next < len && (Seg.page init_seg !next).Seg.frame = None do
-          incr next
-        done;
-        if !next >= len then failwith "Exp_cache: sequential pager out of frames";
-        K.migrate_pages kernel ~src:init ~dst:fault.Mgr.f_seg ~src_page:!next
-          ~dst_page:fault.Mgr.f_page ~count:1 ();
-        incr next
+        if source ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1 = 0 then
+          failwith "Exp_cache: sequential pager out of frames"
     | Mgr.Protection -> serve_protection kernel fault
   in
   K.register_manager kernel ~name:"sequential-pager" ~mode:`In_process ~on_fault ()
@@ -181,14 +166,7 @@ let colored_source ?tier kernel ~color ~dst ~dst_page ~count =
 (* Leg runners                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let conserved kernel machine =
-  K.frame_owner_total kernel = Hw_machine.n_frames machine
-  && K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel
-  && K.frame_owner_audit_tiered kernel = K.frame_owner_audit_tiered_scan kernel
-  && Engine.live_processes machine.Hw_machine.engine = 0
-
 let finish ~mode ~machine ~kernel ~coloring =
-  let stats = K.stats kernel in
   let accesses, hits, misses = Hw_machine.cache_stats machine in
   let color_misses, (audit_good, audit_total) =
     match coloring with
@@ -197,11 +175,7 @@ let finish ~mode ~machine ~kernel ~coloring =
   in
   {
     l_mode = mode;
-    l_frames = Hw_machine.n_frames machine;
-    l_touches = stats.K.touches;
-    l_faults = stats.K.faults_missing + stats.K.faults_protection + stats.K.faults_cow;
-    l_migrate_calls = stats.K.migrate_calls;
-    l_migrated_pages = stats.K.migrated_pages;
+    l_obs = K.observe kernel;
     l_accesses = accesses;
     l_hits = hits;
     l_misses = misses;
@@ -209,9 +183,6 @@ let finish ~mode ~machine ~kernel ~coloring =
     l_color_misses = color_misses;
     l_audit_good = audit_good;
     l_audit_total = audit_total;
-    l_events = Engine.events_executed machine.Hw_machine.engine;
-    l_sim_us = Hw_machine.now machine;
-    l_conserved = conserved kernel machine;
   }
 
 let cache_spec = Hw_machine.l2_cache ~line_bytes ~size_bytes:cache_bytes ()
@@ -282,7 +253,7 @@ let checks r =
   | Some sequential, Some random, Some colored, Some tiered ->
       [
         Exp_report.check ~what:"frame conservation held in every leg"
-          ~pass:(List.for_all (fun l -> l.l_conserved) legs)
+          ~pass:(List.for_all (fun l -> l.l_obs.K.o_conserved) legs)
           ~detail:(Printf.sprintf "%d legs" (List.length legs));
         Exp_report.check ~what:"cache stats conserved in every leg (accesses = hits + misses)"
           ~pass:(List.for_all (fun l -> l.l_accesses = l.l_hits + l.l_misses) legs)
@@ -290,10 +261,14 @@ let checks r =
         Exp_report.check ~what:"all legs issued the identical reference stream"
           ~pass:
             (List.for_all
-               (fun l -> l.l_touches = colored.l_touches && l.l_accesses = colored.l_accesses)
+               (fun l ->
+                 l.l_obs.K.o_touches = colored.l_obs.K.o_touches
+                 && l.l_accesses = colored.l_accesses)
                legs
-            && List.for_all (fun l -> l.l_faults = colored.l_faults) legs)
-          ~detail:(Printf.sprintf "%d touches, %d faults" colored.l_touches colored.l_faults);
+            && List.for_all (fun l -> l.l_obs.K.o_faults = colored.l_obs.K.o_faults) legs)
+          ~detail:
+            (Printf.sprintf "%d touches, %d faults" colored.l_obs.K.o_touches
+               colored.l_obs.K.o_faults);
         Exp_report.check ~what:"colored placement beats random on miss rate"
           ~pass:(colored.l_miss_rate < random.l_miss_rate)
           ~detail:
@@ -304,10 +279,11 @@ let checks r =
             (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate)
                (pct sequential.l_miss_rate));
         Exp_report.check ~what:"miss penalties dominate: colored saves simulated time vs sequential"
-          ~pass:(colored.l_sim_us < sequential.l_sim_us)
+          ~pass:(colored.l_obs.K.o_sim_us < sequential.l_obs.K.o_sim_us)
           ~detail:
-            (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" colored.l_sim_us sequential.l_sim_us
-               (sequential.l_sim_us -. colored.l_sim_us));
+            (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" colored.l_obs.K.o_sim_us
+               sequential.l_obs.K.o_sim_us
+               (sequential.l_obs.K.o_sim_us -. colored.l_obs.K.o_sim_us));
         Exp_report.check ~what:"colored leg is perfectly colored (no color misses, audit clean)"
           ~pass:
             (colored.l_color_misses = 0
@@ -320,7 +296,7 @@ let checks r =
           ~what:"tier-scoped coloring reproduces flat placement quality (frames_of_color ~tier)"
           ~pass:
             (tiered.l_hits = colored.l_hits && tiered.l_misses = colored.l_misses
-            && tiered.l_color_misses = 0 && tiered.l_conserved)
+            && tiered.l_color_misses = 0 && tiered.l_obs.K.o_conserved)
           ~detail:
             (Printf.sprintf "%d hits / %d misses on both" tiered.l_hits tiered.l_misses);
         Exp_report.check ~what:"random leg deterministic per seed (replay identical)"
@@ -388,14 +364,14 @@ let render r =
             (fun l ->
               [
                 l.l_mode;
-                string_of_int l.l_faults;
-                string_of_int l.l_migrated_pages;
+                string_of_int l.l_obs.K.o_faults;
+                string_of_int l.l_obs.K.o_migrated_pages;
                 string_of_int l.l_accesses;
                 string_of_int l.l_hits;
                 string_of_int l.l_misses;
                 Printf.sprintf "%.2f" (pct l.l_miss_rate);
                 string_of_int l.l_color_misses;
-                Printf.sprintf "%.0f" l.l_sim_us;
+                Printf.sprintf "%.0f" l.l_obs.K.o_sim_us;
               ])
             r.legs));
   Buffer.add_string buf "\nShape checks:\n";
@@ -409,18 +385,12 @@ let render r =
 let leg =
   let open Exp_codec in
   obj
-    (fun l_mode l_frames l_touches l_faults l_migrate_calls l_migrated_pages l_accesses l_hits
-         l_misses l_miss_rate l_color_misses l_audit_good l_audit_total l_events l_sim_us
-         l_conserved ->
-      { l_mode; l_frames; l_touches; l_faults; l_migrate_calls; l_migrated_pages;
-        l_accesses; l_hits; l_misses; l_miss_rate; l_color_misses; l_audit_good;
-        l_audit_total; l_events; l_sim_us; l_conserved })
+    (fun l_mode l_obs l_accesses l_hits l_misses l_miss_rate l_color_misses l_audit_good
+         l_audit_total ->
+      { l_mode; l_obs; l_accesses; l_hits; l_misses; l_miss_rate; l_color_misses;
+        l_audit_good; l_audit_total })
   |> mem "mode" string (fun l -> l.l_mode)
-  |> mem "frames" int (fun l -> l.l_frames)
-  |> mem "touches" int (fun l -> l.l_touches)
-  |> mem "faults" int (fun l -> l.l_faults)
-  |> mem "migrate_calls" int (fun l -> l.l_migrate_calls)
-  |> mem "migrated_pages" int (fun l -> l.l_migrated_pages)
+  |> splice observation (fun l -> l.l_obs)
   |> mem "accesses" (where "no cache accesses recorded" (fun n -> n > 0) int) (fun l ->
          l.l_accesses)
   |> mem "hits" int (fun l -> l.l_hits)
@@ -430,9 +400,6 @@ let leg =
   |> mem "color_misses" int (fun l -> l.l_color_misses)
   |> mem "audit_good" int (fun l -> l.l_audit_good)
   |> mem "audit_total" int (fun l -> l.l_audit_total)
-  |> mem "events" int (fun l -> l.l_events)
-  |> mem "sim_us" float (fun l -> l.l_sim_us)
-  |> mem "conserved" bool (fun l -> l.l_conserved)
   |> finish
 
 (* The geometry constants are written for the reader; only the color

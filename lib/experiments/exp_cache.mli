@@ -13,11 +13,7 @@
 
 type leg = {
   l_mode : string;  (** "sequential" | "random" | "colored" | "colored (tiered)" *)
-  l_frames : int;
-  l_touches : int;
-  l_faults : int;
-  l_migrate_calls : int;
-  l_migrated_pages : int;
+  l_obs : Epcm_kernel.observation;
   l_accesses : int;
   l_hits : int;
   l_misses : int;
@@ -25,9 +21,6 @@ type leg = {
   l_color_misses : int;  (** {!Mgr_coloring.color_misses}; 0 for uncolored legs. *)
   l_audit_good : int;  (** {!Mgr_coloring.audit}; (0, 0) for uncolored legs. *)
   l_audit_total : int;
-  l_events : int;
-  l_sim_us : float;
-  l_conserved : bool;
 }
 
 type result = {

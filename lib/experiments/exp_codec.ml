@@ -87,12 +87,37 @@ let tag name value o =
         | _ -> Error (name, Printf.sprintf "expected %S" value));
   }
 
+let splice frag get o =
+  {
+    encs = List.map (fun f r -> f (get r)) frag.encs @ o.encs;
+    build =
+      (fun fields ->
+        match o.build fields with
+        | Error e -> Error e
+        | Ok k -> Result.map k (frag.build fields));
+  }
+
 let finish o =
   let encs = List.rev o.encs in
   {
     enc = (fun r -> J.Obj (List.map (fun f -> f r) encs));
     dec = (function J.Obj fields -> o.build fields | _ -> Error ("", "expected an object"));
   }
+
+let observation =
+  obj
+    (fun o_frames o_touches o_faults o_migrate_calls o_migrated_pages o_events o_sim_us
+         o_conserved ->
+      { Epcm_kernel.o_frames; o_touches; o_faults; o_migrate_calls; o_migrated_pages; o_events;
+        o_sim_us; o_conserved })
+  |> mem "frames" int (fun o -> o.Epcm_kernel.o_frames)
+  |> mem "touches" int (fun o -> o.Epcm_kernel.o_touches)
+  |> mem "faults" int (fun o -> o.Epcm_kernel.o_faults)
+  |> mem "migrate_calls" int (fun o -> o.Epcm_kernel.o_migrate_calls)
+  |> mem "migrated_pages" int (fun o -> o.Epcm_kernel.o_migrated_pages)
+  |> mem "events" int (fun o -> o.Epcm_kernel.o_events)
+  |> mem "sim_us" float (fun o -> o.Epcm_kernel.o_sim_us)
+  |> mem "conserved" bool (fun o -> o.Epcm_kernel.o_conserved)
 
 let check =
   obj (fun what pass detail -> { Exp_report.what; pass; detail })

@@ -62,9 +62,21 @@ val tag : string -> string -> ('r, 'k) obj -> ('r, 'k) obj
 (** [tag name value]: a constant string field; decoding requires that
     exact value. *)
 
+val splice : ('s, 's) obj -> ('r -> 's) -> ('r, 's -> 'k) obj -> ('r, 'k) obj
+(** [splice frag get]: the members of the unfinished object codec [frag],
+    encoded from [get r] inline and flat at this position (no nested
+    object); decoding builds the ['s] from those members and passes it to
+    the constructor as one argument. *)
+
 val finish : ('r, 'r) obj -> 'r t
 
 (** {1 Shared pieces} *)
+
+val observation : (Epcm_kernel.observation, Epcm_kernel.observation) obj
+(** The members every record leg splices in for its kernel's
+    {!Epcm_kernel.observe}: ["frames"], ["touches"], ["faults"],
+    ["migrate_calls"], ["migrated_pages"], ["events"], ["sim_us"] and
+    ["conserved"], in that order. *)
 
 val check : Exp_report.check t
 (** [{"what", "pass", "detail"}]. *)

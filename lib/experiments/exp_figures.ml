@@ -1,5 +1,4 @@
 module K = Epcm_kernel
-module Seg = Epcm_segment
 
 type result = {
   figure1 : string;
@@ -7,22 +6,6 @@ type result = {
   figure2_local : string list;
   checks : Exp_report.check list;
 }
-
-let init_source kernel =
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  fun ~dst ~dst_page ~count ->
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
 
 let figure1 () =
   (* Rebuild Figure 1: a virtual address space segment with code, data and
@@ -43,7 +26,7 @@ let figure2 ~local () =
   let machine = Hw_machine.create ~trace:true () in
   let kernel = K.create machine in
   let backing = Mgr_backing.memory () in
-  let source = init_source kernel in
+  let source = K.initial_source kernel in
   let gen = Mgr_generic.create kernel ~name:"fig2-mgr" ~mode:`In_process ~backing ~source () in
   let seg =
     if local then Mgr_generic.create_segment gen ~name:"heap" ~pages:8 ~kind:Mgr_generic.Anon ()

@@ -1,6 +1,5 @@
 module K = Epcm_kernel
 module Engine = Sim_engine
-module Seg = Epcm_segment
 module Metrics = Sim_metrics
 
 let schema_version = "vpp-profile/1"
@@ -48,21 +47,7 @@ let timed machine f =
 let vpp_setup ~mode () =
   let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let backing = Mgr_backing.memory () in
   let gen = Mgr_generic.create kernel ~name:"profile-mgr" ~mode ~backing ~source () in
   let seg =
@@ -143,21 +128,7 @@ let table1_rows () =
 let latency_workload () =
   let machine = Hw_machine.create ~memory_bytes:(1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let backing =
     Mgr_backing.disk machine.Hw_machine.disk ~page_bytes:(Hw_machine.page_size machine)
   in

@@ -116,11 +116,13 @@ let validate_string contents =
   | Error e -> Error (Printf.sprintf "JSON parse error: %s" e)
   | Ok json -> validate json
 
-let diff a b =
-  match (entry a, entry b) with
+let diff (name_a, a) (name_b, b) =
+  let entry name json = Result.map_error (fun e -> name ^ ": " ^ e) (entry json) in
+  match (entry name_a a, entry name_b b) with
   | (Error e, _ | _, Error e) -> Error e
   | Ok (Record ea), Ok (Record eb) when ea.schema <> eb.schema ->
-      Error (Printf.sprintf "different schemas: %s vs %s" ea.schema eb.schema)
+      Error
+        (Printf.sprintf "different schemas: %s is %s, %s is %s" name_a ea.schema name_b eb.schema)
   | Ok (Record e), Ok _ ->
       let rec walk path a b acc =
         match (a, b) with

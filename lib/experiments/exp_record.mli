@@ -40,10 +40,12 @@ val validate : Sim_json.t -> (string, string) result
 val validate_string : string -> (string, string) result
 (** {!validate} after parsing; JSON syntax errors become [Error]. *)
 
-val diff : Sim_json.t -> Sim_json.t -> (string list, string) result
+val diff : string * Sim_json.t -> string * Sim_json.t -> (string list, string) result
 (** Every path at which two records of the same known schema differ, one
-    line each, skipping that schema's {!spec.wall} fields. [Error] when
-    the schemas differ or are unknown. *)
+    line each, skipping that schema's {!spec.wall} fields. Each record
+    comes with the name it is reported under (its file): [Error] names
+    the record whose schema tag is missing or unknown, or both records'
+    schemas when they differ. *)
 
 val paper : quick:bool -> (unit -> string) list
 (** Tables 1-4 and the figures, rendered: the [all] command. [quick]

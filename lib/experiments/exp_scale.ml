@@ -7,6 +7,8 @@
    side of every number below is reproducible and only [wall_s] varies
    between hosts. *)
 
+module K = Epcm_kernel
+
 let schema_version = "vpp-perf/2"
 
 type scale_row = {
@@ -55,31 +57,29 @@ let driver_tasks () =
 let checks r =
   List.concat_map
     (fun s ->
-      let w = s.s_result in
+      let name = s.s_result.Wl_scale.r_name and o = s.s_result.Wl_scale.r_obs in
       [
         Exp_report.check
-          ~what:(Printf.sprintf "%s: frame conservation held" w.Wl_scale.r_name)
-          ~pass:w.Wl_scale.r_conserved
-          ~detail:(Printf.sprintf "%d frames" w.Wl_scale.r_frames);
+          ~what:(Printf.sprintf "%s: frame conservation held" name)
+          ~pass:o.K.o_conserved
+          ~detail:(Printf.sprintf "%d frames" o.K.o_frames);
         Exp_report.check
-          ~what:(Printf.sprintf "%s: workload exercised every axis" w.Wl_scale.r_name)
-          ~pass:
-            (w.Wl_scale.r_faults > 0 && w.Wl_scale.r_migrated_pages > 0
-           && w.Wl_scale.r_events > 0)
+          ~what:(Printf.sprintf "%s: workload exercised every axis" name)
+          ~pass:(o.K.o_faults > 0 && o.K.o_migrated_pages > 0 && o.K.o_events > 0)
           ~detail:
-            (Printf.sprintf "%d faults, %d migrated, %d events" w.Wl_scale.r_faults
-               w.Wl_scale.r_migrated_pages w.Wl_scale.r_events);
+            (Printf.sprintf "%d faults, %d migrated, %d events" o.K.o_faults o.K.o_migrated_pages
+               o.K.o_events);
       ])
     r.scales
   @ [
       Exp_report.check ~what:"event count grows with machine size"
         ~pass:
-          (let evs = List.map (fun s -> s.s_result.Wl_scale.r_events) r.scales in
+          (let evs = List.map (fun s -> s.s_result.Wl_scale.r_obs.K.o_events) r.scales in
            List.sort compare evs = evs
            && List.length (List.sort_uniq compare evs) = List.length evs)
         ~detail:
           (String.concat ", "
-             (List.map (fun s -> string_of_int s.s_result.Wl_scale.r_events) r.scales));
+             (List.map (fun s -> string_of_int s.s_result.Wl_scale.r_obs.K.o_events) r.scales));
       Exp_report.check ~what:"parallel driver output byte-identical to sequential"
         ~pass:r.driver.d_identical
         ~detail:(Printf.sprintf "%d job(s)" r.driver.d_jobs);
@@ -87,22 +87,23 @@ let checks r =
   @
   match r.stream with
   | [ { t_result = plain; _ }; { t_result = sp; _ } ] ->
+      let po = plain.Wl_scale.s_obs and so = sp.Wl_scale.s_obs in
       [
         Exp_report.check ~what:"stream: frame conservation held on both legs"
-          ~pass:(plain.Wl_scale.s_conserved && sp.Wl_scale.s_conserved)
-          ~detail:(Printf.sprintf "%d frames" plain.Wl_scale.s_frames);
+          ~pass:(po.K.o_conserved && so.K.o_conserved)
+          ~detail:(Printf.sprintf "%d frames" po.K.o_frames);
         Exp_report.check ~what:"stream: legs issued identical references"
           ~pass:
-            (plain.Wl_scale.s_touches = sp.Wl_scale.s_touches
+            (po.K.o_touches = so.K.o_touches
             && plain.Wl_scale.s_stream_pages = sp.Wl_scale.s_stream_pages)
           ~detail:
-            (Printf.sprintf "%d touches over %d pages" plain.Wl_scale.s_touches
+            (Printf.sprintf "%d touches over %d pages" po.K.o_touches
                plain.Wl_scale.s_stream_pages);
         Exp_report.check ~what:"stream: superpage leg takes >= 100x fewer faults"
-          ~pass:(sp.Wl_scale.s_faults > 0 && plain.Wl_scale.s_faults >= 100 * sp.Wl_scale.s_faults)
+          ~pass:(so.K.o_faults > 0 && po.K.o_faults >= 100 * so.K.o_faults)
           ~detail:
-            (Printf.sprintf "%d vs %d faults (%.0fx)" plain.Wl_scale.s_faults sp.Wl_scale.s_faults
-               (float_of_int plain.Wl_scale.s_faults /. float_of_int (max 1 sp.Wl_scale.s_faults)));
+            (Printf.sprintf "%d vs %d faults (%.0fx)" po.K.o_faults so.K.o_faults
+               (float_of_int po.K.o_faults /. float_of_int (max 1 so.K.o_faults)));
         Exp_report.check ~what:"stream: superpage leg promoted and split regions"
           ~pass:
             (sp.Wl_scale.s_sp_promotions > 0 && sp.Wl_scale.s_sp_demotions > 0
@@ -174,15 +175,16 @@ let render r =
          (List.map
             (fun s ->
               let w = s.s_result in
+              let o = w.Wl_scale.r_obs in
               [
                 Printf.sprintf "%s (%.0f MB)" w.Wl_scale.r_name (mb w.Wl_scale.r_memory_bytes);
-                string_of_int w.Wl_scale.r_frames;
-                string_of_int w.Wl_scale.r_faults;
-                string_of_int w.Wl_scale.r_migrated_pages;
-                string_of_int w.Wl_scale.r_events;
+                string_of_int o.K.o_frames;
+                string_of_int o.K.o_faults;
+                string_of_int o.K.o_migrated_pages;
+                string_of_int o.K.o_events;
                 Printf.sprintf "%.2f" s.s_wall_s;
-                Printf.sprintf "%.0f" (per_sec w.Wl_scale.r_events s.s_wall_s);
-                Printf.sprintf "%.0f" (per_sec w.Wl_scale.r_faults s.s_wall_s);
+                Printf.sprintf "%.0f" (per_sec o.K.o_events s.s_wall_s);
+                Printf.sprintf "%.0f" (per_sec o.K.o_faults s.s_wall_s);
               ])
             r.scales));
   Buffer.add_string buf
@@ -200,11 +202,11 @@ let render r =
               [
                 (if w.Wl_scale.s_superpages then "superpage" else "4kb");
                 string_of_int w.Wl_scale.s_stream_pages;
-                string_of_int w.Wl_scale.s_faults;
-                string_of_int w.Wl_scale.s_migrate_calls;
+                string_of_int w.Wl_scale.s_obs.K.o_faults;
+                string_of_int w.Wl_scale.s_obs.K.o_migrate_calls;
                 string_of_int w.Wl_scale.s_sp_promotions;
                 string_of_int w.Wl_scale.s_sp_demotions;
-                Printf.sprintf "%.1f" (w.Wl_scale.s_sim_us /. 1000.0);
+                Printf.sprintf "%.1f" (w.Wl_scale.s_obs.K.o_sim_us /. 1000.0);
                 Printf.sprintf "%.2f" s.t_wall_s;
               ])
             r.stream));
@@ -226,61 +228,38 @@ let wall = Exp_codec.(where "negative wall time" (fun s -> s >= 0.0) float)
 let scale_row =
   let open Exp_codec in
   let w f s = f s.s_result in
-  obj
-    (fun r_name r_memory_bytes r_frames r_touches r_faults r_migrate_calls r_migrated_pages
-         r_events r_sim_us r_conserved s_wall_s ->
-      {
-        s_result =
-          { Wl_scale.r_name; r_memory_bytes; r_frames; r_touches; r_faults; r_migrate_calls;
-            r_migrated_pages; r_events; r_sim_us; r_conserved };
-        s_wall_s;
-      })
+  obj (fun r_name r_memory_bytes r_obs s_wall_s ->
+      { s_result = { Wl_scale.r_name; r_memory_bytes; r_obs }; s_wall_s })
   |> mem "name" string (w (fun r -> r.Wl_scale.r_name))
   |> mem "memory_bytes" int (w (fun r -> r.Wl_scale.r_memory_bytes))
-  |> mem "frames" int (w (fun r -> r.Wl_scale.r_frames))
-  |> mem "touches" int (w (fun r -> r.Wl_scale.r_touches))
-  |> mem "faults" int (w (fun r -> r.Wl_scale.r_faults))
-  |> mem "migrate_calls" int (w (fun r -> r.Wl_scale.r_migrate_calls))
-  |> mem "migrated_pages" int (w (fun r -> r.Wl_scale.r_migrated_pages))
-  |> mem "events" int (w (fun r -> r.Wl_scale.r_events))
-  |> mem "sim_us" float (w (fun r -> r.Wl_scale.r_sim_us))
-  |> mem "conserved" bool (w (fun r -> r.Wl_scale.r_conserved))
+  |> splice observation (w (fun r -> r.Wl_scale.r_obs))
   |> mem "wall_s" wall (fun s -> s.s_wall_s)
-  |> out "events_per_s" float (fun s -> per_sec s.s_result.Wl_scale.r_events s.s_wall_s)
-  |> out "faults_per_s" float (fun s -> per_sec s.s_result.Wl_scale.r_faults s.s_wall_s)
+  |> out "events_per_s" float (fun s -> per_sec s.s_result.Wl_scale.r_obs.K.o_events s.s_wall_s)
+  |> out "faults_per_s" float (fun s -> per_sec s.s_result.Wl_scale.r_obs.K.o_faults s.s_wall_s)
   |> out "migrated_pages_per_s" float (fun s ->
-         per_sec s.s_result.Wl_scale.r_migrated_pages s.s_wall_s)
+         per_sec s.s_result.Wl_scale.r_obs.K.o_migrated_pages s.s_wall_s)
   |> finish
 
 let stream_row =
   let open Exp_codec in
   let w f s = f s.t_result in
   obj
-    (fun s_name s_superpages s_memory_bytes s_frames s_run s_stream_pages s_touches s_faults
-         s_migrate_calls s_migrated_pages s_sp_promotions s_sp_demotions s_events s_sim_us
-         s_conserved t_wall_s ->
+    (fun s_name s_superpages s_memory_bytes s_run s_stream_pages s_sp_promotions s_sp_demotions
+         s_obs t_wall_s ->
       {
         t_result =
-          { Wl_scale.s_name; s_memory_bytes; s_frames; s_superpages; s_run; s_stream_pages;
-            s_touches; s_faults; s_migrate_calls; s_migrated_pages; s_sp_promotions;
-            s_sp_demotions; s_events; s_sim_us; s_conserved };
+          { Wl_scale.s_name; s_memory_bytes; s_superpages; s_run; s_stream_pages;
+            s_sp_promotions; s_sp_demotions; s_obs };
         t_wall_s;
       })
   |> mem "name" string (w (fun r -> r.Wl_scale.s_name))
   |> mem "superpages" bool (w (fun r -> r.Wl_scale.s_superpages))
   |> mem "memory_bytes" int (w (fun r -> r.Wl_scale.s_memory_bytes))
-  |> mem "frames" int (w (fun r -> r.Wl_scale.s_frames))
   |> mem "pages_per_superpage" int (w (fun r -> r.Wl_scale.s_run))
   |> mem "stream_pages" int (w (fun r -> r.Wl_scale.s_stream_pages))
-  |> mem "touches" int (w (fun r -> r.Wl_scale.s_touches))
-  |> mem "faults" int (w (fun r -> r.Wl_scale.s_faults))
-  |> mem "migrate_calls" int (w (fun r -> r.Wl_scale.s_migrate_calls))
-  |> mem "migrated_pages" int (w (fun r -> r.Wl_scale.s_migrated_pages))
   |> mem "sp_promotions" int (w (fun r -> r.Wl_scale.s_sp_promotions))
   |> mem "sp_demotions" int (w (fun r -> r.Wl_scale.s_sp_demotions))
-  |> mem "events" int (w (fun r -> r.Wl_scale.s_events))
-  |> mem "sim_us" float (w (fun r -> r.Wl_scale.s_sim_us))
-  |> mem "conserved" bool (w (fun r -> r.Wl_scale.s_conserved))
+  |> splice observation (w (fun r -> r.Wl_scale.s_obs))
   |> mem "wall_s" wall (fun s -> s.t_wall_s)
   |> finish
 

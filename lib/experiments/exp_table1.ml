@@ -1,6 +1,5 @@
 module K = Epcm_kernel
 module Engine = Sim_engine
-module Seg = Epcm_segment
 
 type row = {
   label : string;
@@ -25,21 +24,7 @@ let timed machine f =
 let vpp_setup ~mode () =
   let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let backing = Mgr_backing.memory () in
   let gen = Mgr_generic.create kernel ~name:"bench-mgr" ~mode ~backing ~source () in
   let seg = Mgr_generic.create_segment gen ~name:"bench-heap" ~pages:64 ~kind:Mgr_generic.Anon () in

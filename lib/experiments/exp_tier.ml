@@ -37,19 +37,12 @@ let pool_capacity = 32
 
 type leg = {
   g_mode : string;  (* "flat" | "static" | "managed" *)
-  g_frames : int;
-  g_touches : int;
-  g_faults : int;
-  g_migrate_calls : int;
-  g_migrated_pages : int;
-  g_events : int;
-  g_sim_us : float;
+  g_obs : K.observation;
   g_resident_by_tier : int list;
   g_promotions : int;
   g_demotions_slow : int;
   g_demotions_compressed : int;
   g_refetches : int;
-  g_conserved : bool;
 }
 
 type run_row = {
@@ -149,28 +142,18 @@ let btree_workload ~rounds =
 (* ------------------------------------------------------------------ *)
 
 (* The tier-oblivious baseline manager: one frame per missing fault,
-   taken from the initial segment in address order (a monotone scan, like
-   Wl_scale's capped_source). No pools, no tier awareness. *)
+   taken from the initial segment in address order
+   (K.initial_source). No pools, no tier awareness. *)
 let naive_pager kernel =
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
+  let source = K.initial_source kernel in
   let on_fault (fault : Mgr.fault) =
     let machine = K.machine kernel in
     Hw_machine.charge ~label:"mgr/fault_logic" machine
       machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
     match fault.Mgr.f_kind with
     | Mgr.Missing | Mgr.Cow_write ->
-        let init_seg = K.segment kernel init in
-        let len = Seg.length init_seg in
-        while !next < len && (Seg.page init_seg !next).Seg.frame = None do
-          incr next
-        done;
-        if !next >= len then failwith "Exp_tier: naive pager out of frames";
-        K.migrate_pages kernel ~src:init ~dst:fault.Mgr.f_seg ~src_page:!next
-          ~dst_page:fault.Mgr.f_page ~count:1
-          ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
-          ();
-        incr next
+        if source ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1 = 0 then
+          failwith "Exp_tier: naive pager out of frames"
     | Mgr.Protection ->
         K.modify_page_flags kernel ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
           ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
@@ -178,14 +161,7 @@ let naive_pager kernel =
   in
   K.register_manager kernel ~name:"naive-pager" ~mode:`In_process ~on_fault ()
 
-let conserved kernel machine =
-  K.frame_owner_total kernel = Hw_machine.n_frames machine
-  && K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel
-  && K.frame_owner_audit_tiered kernel = K.frame_owner_audit_tiered_scan kernel
-  && Engine.live_processes machine.Hw_machine.engine = 0
-
-let finish ~mode ~machine ~kernel ~seg ~mstats =
-  let stats = K.stats kernel in
+let finish ~mode ~kernel ~seg ~mstats =
   let promotions, demotions_slow, demotions_compressed, refetches =
     match mstats with
     | None -> (0, 0, 0, 0)
@@ -194,19 +170,12 @@ let finish ~mode ~machine ~kernel ~seg ~mstats =
   in
   {
     g_mode = mode;
-    g_frames = Hw_machine.n_frames machine;
-    g_touches = stats.K.touches;
-    g_faults = stats.K.faults_missing + stats.K.faults_protection + stats.K.faults_cow;
-    g_migrate_calls = stats.K.migrate_calls;
-    g_migrated_pages = stats.K.migrated_pages;
-    g_events = Engine.events_executed machine.Hw_machine.engine;
-    g_sim_us = Hw_machine.now machine;
+    g_obs = K.observe kernel;
     g_resident_by_tier = Array.to_list (Seg.resident_pages_by_tier (K.segment kernel seg));
     g_promotions = promotions;
     g_demotions_slow = demotions_slow;
     g_demotions_compressed = demotions_compressed;
     g_refetches = refetches;
-    g_conserved = conserved kernel machine;
   }
 
 let tiers_of wk =
@@ -231,7 +200,7 @@ let run_plain ~mode ?tiers wk =
   K.set_segment_manager kernel seg mid;
   Engine.spawn machine.Hw_machine.engine (fun () -> wk.wk_trace kernel seg);
   Engine.run machine.Hw_machine.engine;
-  finish ~mode ~machine ~kernel ~seg ~mstats:None
+  finish ~mode ~kernel ~seg ~mstats:None
 
 let run_managed wk =
   let machine = Hw_machine.create ~tiers:(tiers_of wk) ~page_size () in
@@ -242,7 +211,7 @@ let run_managed wk =
   let seg = T.create_segment mgr ~name:(wk.wk_name ^ "-heap") ~pages:wk.wk_pages () in
   Engine.spawn machine.Hw_machine.engine (fun () -> wk.wk_trace kernel seg);
   Engine.run machine.Hw_machine.engine;
-  finish ~mode:"managed" ~machine ~kernel ~seg ~mstats:(Some (T.stats mgr))
+  finish ~mode:"managed" ~kernel ~seg ~mstats:(Some (T.stats mgr))
 
 (* Each workload's three legs are independent deterministic simulations,
    so with --jobs they fan out over domains; the in-order join keeps the
@@ -284,31 +253,29 @@ let expect_compressed r =
 
 let checks_of r =
   let n = r.w_name in
+  let flat = r.w_flat.g_obs and static = r.w_static.g_obs and managed = r.w_managed.g_obs in
   [
     Exp_report.check
       ~what:(Printf.sprintf "%s: per-tier frame conservation held in all legs" n)
-      ~pass:(r.w_flat.g_conserved && r.w_static.g_conserved && r.w_managed.g_conserved)
-      ~detail:(Printf.sprintf "%d frames" r.w_static.g_frames);
+      ~pass:(flat.K.o_conserved && static.K.o_conserved && managed.K.o_conserved)
+      ~detail:(Printf.sprintf "%d frames" static.K.o_frames);
     Exp_report.check
       ~what:(Printf.sprintf "%s: flat and static legs ran the identical trace" n)
-      ~pass:
-        (r.w_flat.g_touches = r.w_static.g_touches && r.w_flat.g_faults = r.w_static.g_faults)
-      ~detail:
-        (Printf.sprintf "%d touches, %d faults" r.w_static.g_touches r.w_static.g_faults);
+      ~pass:(flat.K.o_touches = static.K.o_touches && flat.K.o_faults = static.K.o_faults)
+      ~detail:(Printf.sprintf "%d touches, %d faults" static.K.o_touches static.K.o_faults);
     Exp_report.check
       ~what:(Printf.sprintf "%s: tier surcharges are measurable (static > flat)" n)
-      ~pass:(r.w_static.g_sim_us > r.w_flat.g_sim_us)
+      ~pass:(static.K.o_sim_us > flat.K.o_sim_us)
       ~detail:
         (Printf.sprintf "+%.0f us (%.0f vs %.0f)"
-           (r.w_static.g_sim_us -. r.w_flat.g_sim_us)
-           r.w_static.g_sim_us r.w_flat.g_sim_us);
+           (static.K.o_sim_us -. flat.K.o_sim_us)
+           static.K.o_sim_us flat.K.o_sim_us);
     Exp_report.check
       ~what:(Printf.sprintf "%s: managed placement beats static (managed < static)" n)
-      ~pass:(r.w_managed.g_sim_us < r.w_static.g_sim_us)
+      ~pass:(managed.K.o_sim_us < static.K.o_sim_us)
       ~detail:
-        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" r.w_managed.g_sim_us
-           r.w_static.g_sim_us
-           (r.w_static.g_sim_us -. r.w_managed.g_sim_us));
+        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" managed.K.o_sim_us static.K.o_sim_us
+           (static.K.o_sim_us -. managed.K.o_sim_us));
     Exp_report.check
       ~what:(Printf.sprintf "%s: manager exercised promotion and demotion" n)
       ~pass:
@@ -359,9 +326,9 @@ let render r =
                 (fun g ->
                   [
                     g.g_mode;
-                    string_of_int g.g_faults;
-                    string_of_int g.g_migrated_pages;
-                    Printf.sprintf "%.0f" g.g_sim_us;
+                    string_of_int g.g_obs.K.o_faults;
+                    string_of_int g.g_obs.K.o_migrated_pages;
+                    Printf.sprintf "%.0f" g.g_obs.K.o_sim_us;
                     String.concat "/" (List.map string_of_int g.g_resident_by_tier);
                     string_of_int g.g_promotions;
                     string_of_int g.g_demotions_slow;
@@ -380,27 +347,19 @@ let render r =
 let leg =
   let open Exp_codec in
   obj
-    (fun g_mode g_frames g_touches g_faults g_migrate_calls g_migrated_pages g_events g_sim_us
-         g_resident_by_tier g_promotions g_demotions_slow g_demotions_compressed g_refetches
-         g_conserved ->
-      { g_mode; g_frames; g_touches; g_faults; g_migrate_calls; g_migrated_pages; g_events;
-        g_sim_us; g_resident_by_tier; g_promotions; g_demotions_slow; g_demotions_compressed;
-        g_refetches; g_conserved })
+    (fun g_mode g_obs g_resident_by_tier g_promotions g_demotions_slow g_demotions_compressed
+         g_refetches ->
+      { g_mode; g_obs; g_resident_by_tier; g_promotions; g_demotions_slow;
+        g_demotions_compressed; g_refetches })
   |> mem "mode" string (fun g -> g.g_mode)
-  |> mem "frames" int (fun g -> g.g_frames)
-  |> mem "touches" int (fun g -> g.g_touches)
-  |> mem "faults" int (fun g -> g.g_faults)
-  |> mem "migrate_calls" int (fun g -> g.g_migrate_calls)
-  |> mem "migrated_pages" int (fun g -> g.g_migrated_pages)
-  |> mem "events" int (fun g -> g.g_events)
-  |> mem "sim_us" (where "empty leg (sim_us <= 0)" (fun t -> t > 0.0) float) (fun g -> g.g_sim_us)
+  |> splice observation (fun g -> g.g_obs)
   |> mem "resident_by_tier" (list int) (fun g -> g.g_resident_by_tier)
   |> mem "promotions" int (fun g -> g.g_promotions)
   |> mem "demotions_slow" int (fun g -> g.g_demotions_slow)
   |> mem "demotions_compressed" int (fun g -> g.g_demotions_compressed)
   |> mem "refetches" int (fun g -> g.g_refetches)
-  |> mem "conserved" bool (fun g -> g.g_conserved)
   |> finish
+  |> where "empty leg (sim_us <= 0)" (fun g -> g.g_obs.K.o_sim_us > 0.0)
 
 let run_row =
   let open Exp_codec in

@@ -13,8 +13,9 @@
       slow tier into the compressed store, protection-fault sampling
       promotes hot pages back up.
 
-    The embedded checks ({!checks}, which validation re-runs) gate on: per-tier frame
-    conservation in every leg (incremental audit == full scan), the flat
+    The embedded checks ({!checks}, which validation re-runs) gate on:
+    frame conservation in every leg ({!Epcm_kernel.audit}: incremental
+    counters == full scan, flat and per tier), the flat
     and static legs running the identical trace, a measurable tier
     surcharge (static > flat), managed placement beating static on
     simulated time, and the manager promoting and demoting (into the
@@ -24,19 +25,12 @@
 
 type leg = {
   g_mode : string;
-  g_frames : int;
-  g_touches : int;
-  g_faults : int;
-  g_migrate_calls : int;
-  g_migrated_pages : int;
-  g_events : int;
-  g_sim_us : float;
+  g_obs : Epcm_kernel.observation;
   g_resident_by_tier : int list;  (** Workload segment, per machine tier. *)
   g_promotions : int;
   g_demotions_slow : int;
   g_demotions_compressed : int;
   g_refetches : int;
-  g_conserved : bool;
 }
 
 type run_row = {

@@ -1,70 +1,18 @@
-module Summary = struct
-  (* The float accumulators sit in an all-float record, which OCaml stores
-     flat: updating them on every [add] boxes nothing (float fields of a
-     record that also holds an [int] are boxed on each store). *)
-  type acc = {
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min_v : float;
-    mutable max_v : float;
-    mutable total : float;
-  }
-
-  type t = { mutable count : int; acc : acc }
-
-  let create () =
-    { count = 0; acc = { mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; total = 0.0 } }
-
-  let add t x =
-    let a = t.acc in
-    t.count <- t.count + 1;
-    a.total <- a.total +. x;
-    let delta = x -. a.mean in
-    a.mean <- a.mean +. (delta /. float_of_int t.count);
-    a.m2 <- a.m2 +. (delta *. (x -. a.mean));
-    if x < a.min_v then a.min_v <- x;
-    if x > a.max_v then a.max_v <- x
-
-  let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.acc.mean
-  let variance t = if t.count < 2 then 0.0 else t.acc.m2 /. float_of_int (t.count - 1)
-  let min t = t.acc.min_v
-  let max t = t.acc.max_v
-  let total t = t.acc.total
-  let copy t = { count = t.count; acc = { t.acc with total = t.acc.total } }
-
-  let merge a b =
-    if a.count = 0 then copy b
-    else if b.count = 0 then copy a
-    else begin
-      let n = a.count + b.count in
-      let fa = float_of_int a.count and fb = float_of_int b.count in
-      let a = a.acc and b = b.acc in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. fb /. float_of_int n) in
-      let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-      {
-        count = n;
-        acc =
-          {
-            mean;
-            m2;
-            min_v = Stdlib.min a.min_v b.min_v;
-            max_v = Stdlib.max a.max_v b.max_v;
-            total = a.total +. b.total;
-          };
-      }
-    end
-end
-
 module Series = struct
+  (* The running mean (Welford's update) and max sit in an all-float
+     record, which OCaml stores flat: updating them on every [add] boxes
+     nothing (float fields of a record that also holds an [int] are boxed
+     on each store). *)
+  type acc = { mutable mean : float; mutable max_v : float }
+
   type t = {
     mutable data : float array;
     mutable len : int;
-    summary : Summary.t;
+    acc : acc;
   }
 
-  let create () = { data = Array.make 64 0.0; len = 0; summary = Summary.create () }
+  let create () =
+    { data = Array.make 64 0.0; len = 0; acc = { mean = 0.0; max_v = neg_infinity } }
 
   let add t x =
     if t.len = Array.length t.data then begin
@@ -74,11 +22,13 @@ module Series = struct
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1;
-    Summary.add t.summary x
+    let a = t.acc in
+    a.mean <- a.mean +. ((x -. a.mean) /. float_of_int t.len);
+    if x > a.max_v then a.max_v <- x
 
   let count t = t.len
-  let mean t = Summary.mean t.summary
-  let max t = Summary.max t.summary
+  let mean t = if t.len = 0 then 0.0 else t.acc.mean
+  let max t = t.acc.max_v
 
   (* Heapsort in [Float.compare] order, specialised to [float array]: a
      polymorphic sort boxes every element it reads from a float array. *)

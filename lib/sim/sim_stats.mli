@@ -1,30 +1,5 @@
 (** Statistics accumulators used by the experiment runners. *)
 
-(** Streaming summary: count, mean (Welford), variance, min, max. Constant
-    memory; suitable for long simulations. *)
-module Summary : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val variance : t -> float
-  (** Sample variance; 0 when fewer than two observations. *)
-
-  val min : t -> float
-  (** [infinity] when empty. *)
-
-  val max : t -> float
-  (** [neg_infinity] when empty. *)
-
-  val total : t -> float
-  val merge : t -> t -> t
-  (** Combine two summaries as if all observations were added to one. *)
-end
-
 (** Full-sample series: keeps every observation, supports exact percentiles.
     Used for response-time distributions where the paper reports worst case. *)
 module Series : sig
@@ -34,7 +9,11 @@ module Series : sig
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
+  (** Running (Welford) mean; 0 when empty. *)
+
   val max : t -> float
+  (** [neg_infinity] when empty. *)
+
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [0,100]; nearest-rank on the sorted
       sample. Raises [Invalid_argument] when empty. *)

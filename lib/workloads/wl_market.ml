@@ -317,11 +317,10 @@ let run cfg =
   let holdings_left =
     List.fold_left (fun acc a -> acc + a.M.holding_pages) 0 accounts
   in
-  let stats = K.stats kernel in
-  let frames = Hw_machine.n_frames machine in
+  let obs = K.observe kernel in
   {
     r_name = cfg.c_name;
-    r_frames = frames;
+    r_frames = obs.K.o_frames;
     r_tenants = cfg.c_tenants;
     r_savers = cfg.c_savers;
     r_completed = !completed;
@@ -330,9 +329,9 @@ let run cfg =
     r_granted_frames = !granted_frames;
     r_saver_cycles = !saver_cycles;
     r_saver_starved = !saver_starved;
-    r_faults = stats.K.faults_missing + stats.K.faults_protection + stats.K.faults_cow;
-    r_events = Engine.events_executed machine.Hw_machine.engine;
-    r_sim_us = now;
+    r_faults = obs.K.o_faults;
+    r_events = obs.K.o_events;
+    r_sim_us = obs.K.o_sim_us;
     r_slo_us = cfg.c_slo_us;
     r_slos = List.map slo_for [ Normal; Premium; Poor ];
     r_accounts = M.n_accounts market;
@@ -341,10 +340,5 @@ let run cfg =
     r_conservation_residual = M.conservation_error market;
     r_io_failures =
       List.fold_left (fun acc b -> acc + Mgr_backing.io_failures b) 0 !saver_backings;
-    r_conserved =
-      K.frame_owner_total kernel = frames
-      && K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel
-      && Engine.live_processes machine.Hw_machine.engine = 0
-      && Spcm.pending_acquires spcm = 0
-      && holdings_left = 0;
+    r_conserved = obs.K.o_conserved && Spcm.pending_acquires spcm = 0 && holdings_left = 0;
   }

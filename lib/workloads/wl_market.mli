@@ -91,8 +91,8 @@ type result = {
   r_conservation_residual : float;  (** {!Spcm_market.conservation_error}. *)
   r_io_failures : int;  (** Backing I/O failures (chaos runs). *)
   r_conserved : bool;
-      (** Frame audits agree, every frame owned, no live processes, no
-          queued waiters, all client holdings returned. *)
+      (** {!Epcm_kernel.audit} held, no queued waiters, all client
+          holdings returned. *)
 }
 
 val small : config

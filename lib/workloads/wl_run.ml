@@ -45,25 +45,10 @@ let machine_128mb () = Hw_machine.create ~memory_bytes:(128 * 1024 * 1024) ()
 let run_vpp ?seed:_ trace =
   let machine = machine_128mb () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
   (* A direct initial-segment source stands in for the SPCM: the workload
      runs alone, so global allocation is not interesting here and keeping
      it out of the measured path mirrors the paper's setup. *)
-  let next_slot = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next_slot < Epcm_segment.length init_seg do
-      (if (Epcm_segment.page init_seg !next_slot).Epcm_segment.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next_slot
-           ~dst_page:(dst_page + !granted) ~count:1 ();
-         incr granted
-       end);
-      incr next_slot
-    done;
-    !granted
-  in
-  let ucds = Mgr_default.create kernel ~source () in
+  let ucds = Mgr_default.create kernel ~source:(K.initial_source kernel) () in
   let gen = Mgr_default.generic ucds in
   (* Warm phase (unmeasured): cache the input files, build the heap
      segment, prime the free-page pool. *)

@@ -1,5 +1,4 @@
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Mgr = Epcm_manager
 module G = Mgr_generic
 module Engine = Sim_engine
@@ -10,18 +9,7 @@ type config = {
   c_page_size : int;
 }
 
-type result = {
-  r_name : string;
-  r_memory_bytes : int;
-  r_frames : int;
-  r_touches : int;
-  r_faults : int;
-  r_migrate_calls : int;
-  r_migrated_pages : int;
-  r_events : int;
-  r_sim_us : float;
-  r_conserved : bool;
-}
+type result = { r_name : string; r_memory_bytes : int; r_obs : K.observation }
 
 let config ~name ~memory_bytes = { c_name = name; c_memory_bytes = memory_bytes; c_page_size = 4096 }
 
@@ -30,45 +18,15 @@ let size_512mb = config ~name:"512mb" ~memory_bytes:(512 * 1024 * 1024)
 let size_4gb = config ~name:"4gb" ~memory_bytes:(4 * 1024 * 1024 * 1024)
 let standard_sizes = [ size_8mb; size_512mb; size_4gb ]
 
-(* The experiment-harness SPCM stand-in: grant frames straight out of the
-   initial segment, scanning it monotonically (O(frames) across the whole
-   run, not per call). [budget] caps total grants so the churn phase runs
-   under genuine memory pressure at every machine size. *)
-let capped_source kernel ~budget =
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let granted_total = ref 0 in
-  fun ~dst ~dst_page ~count ->
-    let init_seg = K.segment kernel init in
-    let count = min count (max 0 (budget - !granted_total)) in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    granted_total := !granted_total + !granted;
-    !granted
-
 type stream_result = {
   s_name : string;
   s_memory_bytes : int;
-  s_frames : int;
   s_superpages : bool;
   s_run : int;
   s_stream_pages : int;
-  s_touches : int;
-  s_faults : int;
-  s_migrate_calls : int;
-  s_migrated_pages : int;
   s_sp_promotions : int;
   s_sp_demotions : int;
-  s_events : int;
-  s_sim_us : float;
-  s_conserved : bool;
+  s_obs : K.observation;
 }
 
 let run_stream ?(superpages = false) cfg =
@@ -94,7 +52,7 @@ let run_stream ?(superpages = false) cfg =
   in
   let pager =
     G.create kernel ~name:"stream-pager" ~mode:`In_process ~backing
-      ~source:(capped_source kernel ~budget:(stream_pages + slack))
+      ~source:(K.initial_source kernel ~budget:(stream_pages + slack))
       ?sp_source:(if superpages then Some sp_source else None)
       ~pool_capacity:(stream_pages + slack) ~refill_batch:256 ()
   in
@@ -124,26 +82,15 @@ let run_stream ?(superpages = false) cfg =
       done);
   Engine.run machine.Hw_machine.engine;
   let stats = K.stats kernel in
-  let faults = stats.K.faults_missing + stats.K.faults_protection + stats.K.faults_cow in
   {
     s_name = cfg.c_name;
     s_memory_bytes = cfg.c_memory_bytes;
-    s_frames = frames;
     s_superpages = superpages;
     s_run = run;
     s_stream_pages = stream_pages;
-    s_touches = stats.K.touches;
-    s_faults = faults;
-    s_migrate_calls = stats.K.migrate_calls;
-    s_migrated_pages = stats.K.migrated_pages;
     s_sp_promotions = stats.K.sp_promotions;
     s_sp_demotions = stats.K.sp_demotions;
-    s_events = Engine.events_executed machine.Hw_machine.engine;
-    s_sim_us = Hw_machine.now machine;
-    s_conserved =
-      K.frame_owner_total kernel = frames
-      && K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel
-      && Engine.live_processes machine.Hw_machine.engine = 0;
+    s_obs = K.observe kernel;
   }
 
 let run cfg =
@@ -161,7 +108,7 @@ let run cfg =
   (* Phase A/B manager: ample frames — pure demand-paging cost. *)
   let pager =
     G.create kernel ~name:"scale-pager" ~mode:`In_process ~backing
-      ~source:(capped_source kernel ~budget:(seg_pages + (migrate_batch * 2)))
+      ~source:(K.initial_source kernel ~budget:(seg_pages + (migrate_batch * 2)))
       ~pool_capacity:(seg_pages + (migrate_batch * 2))
       ~refill_batch:256 ()
   in
@@ -173,7 +120,7 @@ let run cfg =
   let churn_backing = Mgr_backing.memory () in
   let churner =
     G.create kernel ~name:"scale-churner" ~mode:`In_process ~backing:churn_backing
-      ~source:(capped_source kernel ~budget:churn_budget)
+      ~source:(K.initial_source kernel ~budget:churn_budget)
       ~pool_capacity:churn_budget ~refill_batch:64 ~reclaim_batch:32 ()
   in
   let churn =
@@ -212,22 +159,4 @@ let run cfg =
         done
       done);
   Engine.run machine.Hw_machine.engine;
-  let stats = K.stats kernel in
-  let faults =
-    stats.K.faults_missing + stats.K.faults_protection + stats.K.faults_cow
-  in
-  {
-    r_name = cfg.c_name;
-    r_memory_bytes = cfg.c_memory_bytes;
-    r_frames = frames;
-    r_touches = stats.K.touches;
-    r_faults = faults;
-    r_migrate_calls = stats.K.migrate_calls;
-    r_migrated_pages = stats.K.migrated_pages;
-    r_events = Engine.events_executed machine.Hw_machine.engine;
-    r_sim_us = Hw_machine.now machine;
-    r_conserved =
-      K.frame_owner_total kernel = frames
-      && K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel
-      && Engine.live_processes machine.Hw_machine.engine = 0;
-  }
+  { r_name = cfg.c_name; r_memory_bytes = cfg.c_memory_bytes; r_obs = K.observe kernel }

@@ -24,16 +24,7 @@ type config = {
 type result = {
   r_name : string;
   r_memory_bytes : int;
-  r_frames : int;
-  r_touches : int;  (** Memory references issued. *)
-  r_faults : int;  (** Missing + protection + cow faults delivered. *)
-  r_migrate_calls : int;
-  r_migrated_pages : int;
-  r_events : int;  (** Simulation-engine events executed. *)
-  r_sim_us : float;  (** Final simulated clock. *)
-  r_conserved : bool;
-      (** Frame conservation held, the incremental owner audit matched the
-          scan-based one, and no process deadlocked. *)
+  r_obs : Epcm_kernel.observation;  (** The kernel after the run. *)
 }
 
 val size_8mb : config
@@ -51,19 +42,12 @@ val run : config -> result
 type stream_result = {
   s_name : string;
   s_memory_bytes : int;
-  s_frames : int;
   s_superpages : bool;  (** Whether the stream segment was opted in. *)
   s_run : int;  (** Base pages per superpage on this machine. *)
   s_stream_pages : int;  (** Pages streamed (a multiple of [s_run]). *)
-  s_touches : int;
-  s_faults : int;
-  s_migrate_calls : int;
-  s_migrated_pages : int;
   s_sp_promotions : int;
   s_sp_demotions : int;
-  s_events : int;
-  s_sim_us : float;
-  s_conserved : bool;
+  s_obs : Epcm_kernel.observation;
 }
 
 val run_stream : ?superpages:bool -> config -> stream_result

@@ -36,22 +36,7 @@ let page_read_us = 18_814.0
 let kernel_with_source ~frames () =
   let machine = Machine.create ~memory_bytes:(frames * 4096) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
-  (machine, kernel, source)
+  (machine, kernel, K.initial_source kernel)
 
 (* ------------------------------------------------------------------ *)
 (* Mgr_backing: the retry loop itself                                  *)

@@ -295,26 +295,9 @@ let test_engine_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let wal_setup () =
-  let machine, kernel, source = 
-    let machine = Hw_machine.create ~memory_bytes:(256 * 4096) () in
-    let kernel = Epcm_kernel.create machine in
-    let init = Epcm_kernel.initial_segment kernel in
-    let next = ref 0 in
-    let source ~dst ~dst_page ~count =
-      let init_seg = Epcm_kernel.segment kernel init in
-      let granted = ref 0 in
-      while !granted < count && !next < Epcm_segment.length init_seg do
-        (if (Epcm_segment.page init_seg !next).Epcm_segment.frame <> None then begin
-           Epcm_kernel.migrate_pages kernel ~src:init ~dst ~src_page:!next
-             ~dst_page:(dst_page + !granted) ~count:1 ();
-           incr granted
-         end);
-        incr next
-      done;
-      !granted
-    in
-    (machine, kernel, source)
-  in
+  let machine = Hw_machine.create ~memory_bytes:(256 * 4096) () in
+  let kernel = Epcm_kernel.create machine in
+  let source = Epcm_kernel.initial_source kernel in
   let wal = Db_wal.create machine.Hw_machine.disk () in
   let backing = Mgr_backing.memory () in
   let base = Mgr_generic.default_hooks ~backing in

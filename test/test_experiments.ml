@@ -430,19 +430,27 @@ let prop_validate_never_raises =
 
 let test_diff () =
   let a = quick_tree Exp_shard.schema_version in
-  let diff = Alcotest.(check (result (list string) string)) in
-  diff "a record against itself" (Ok []) (Exp_record.diff a a);
+  let diff x y = Exp_record.diff ("a.json", x) ("b.json", y) in
+  let same = Alcotest.(check (result (list string) string)) in
+  same "a record against itself" (Ok []) (diff a a);
   (* Wall-clock fields are not compared; everything else is. *)
   let walled = edit [ "legs" ] (first_only (edit [ "wall_s" ] (fun _ -> Sim_json.Num 99.0))) a in
-  diff "wall_s skipped" (Ok []) (Exp_record.diff a walled);
+  same "wall_s skipped" (Ok []) (diff a walled);
   let moved = edit [ "legs" ] (first_only (edit [ "tps" ] (fun _ -> Sim_json.Num 1.0))) a in
-  (match Exp_record.diff a moved with
+  (match diff a moved with
   | Ok [ line ] -> check_bool ("names the path: " ^ line) true (contains ~needle:"legs[0].tps" line)
   | Ok lines -> Alcotest.failf "expected one difference, got %d" (List.length lines)
   | Error e -> Alcotest.fail e);
-  match Exp_record.diff a (quick_tree Exp_tier.schema_version) with
-  | Ok _ -> Alcotest.fail "diffed records of two schemas"
-  | Error _ -> ()
+  (* A schema error names the record at fault. *)
+  let rejects what ~needle b =
+    match diff a b with
+    | Ok _ -> Alcotest.fail ("diffed " ^ what)
+    | Error e -> check_bool (Printf.sprintf "%s: %S names it" what e) true (contains ~needle e)
+  in
+  rejects "records of two schemas" ~needle:"b.json is vpp-tier/1"
+    (quick_tree Exp_tier.schema_version);
+  rejects "a record with no schema tag" ~needle:"b.json: record has no \"schema\" tag"
+    (Sim_json.Obj [])
 
 let test_renders_nonempty () =
   check_bool "table1 renders" true (String.length (Exp_table1.render (Exp_table1.run ())) > 100);

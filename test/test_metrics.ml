@@ -7,7 +7,6 @@ module M = Sim_metrics
 module H = Sim_metrics.Hist
 module J = Sim_json
 module K = Epcm_kernel
-module Seg = Epcm_segment
 module Mgr = Epcm_manager
 module G = Mgr_generic
 module Machine = Hw_machine
@@ -572,21 +571,7 @@ let profiled_storm ~seed =
   let frames = 48 in
   let machine = Machine.create ~memory_bytes:(frames * 4096) () in
   let kernel = K.create machine in
-  let init = K.initial_segment kernel in
-  let next = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = K.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next < Seg.length init_seg do
-      (if (Seg.page init_seg !next).Seg.frame <> None then begin
-         K.migrate_pages kernel ~src:init ~dst ~src_page:!next ~dst_page:(dst_page + !granted)
-           ~count:1 ();
-         incr granted
-       end);
-      incr next
-    done;
-    !granted
-  in
+  let source = K.initial_source kernel in
   let chaos =
     Chaos.create ~seed
       { Chaos.default_spec with read_error_p = 0.1; write_error_p = 0.1; delay_p = 0.05 }

@@ -323,21 +323,7 @@ let test_timeout_cancelled_head_unblocks_queue () =
 let test_two_dbms_instances_one_kernel () =
   let machine = Hw_machine.create ~memory_bytes:(512 * 4096) () in
   let kernel = Epcm_kernel.create machine in
-  let init = Epcm_kernel.initial_segment kernel in
-  let next_slot = ref 0 in
-  let source ~dst ~dst_page ~count =
-    let init_seg = Epcm_kernel.segment kernel init in
-    let granted = ref 0 in
-    while !granted < count && !next_slot < Epcm_segment.length init_seg do
-      (if (Epcm_segment.page init_seg !next_slot).Epcm_segment.frame <> None then begin
-         Epcm_kernel.migrate_pages kernel ~src:init ~dst ~src_page:!next_slot
-           ~dst_page:(dst_page + !granted) ~count:1 ();
-         incr granted
-       end);
-      incr next_slot
-    done;
-    !granted
-  in
+  let source = Epcm_kernel.initial_source kernel in
   let m1 = Mgr_dbms.create kernel ~name:"dbms-a" ~source ~pool_capacity:32 () in
   let m2 = Mgr_dbms.create kernel ~name:"dbms-b" ~source ~pool_capacity:32 () in
   let file_of mgr seg =

@@ -50,11 +50,11 @@ let test_rng_int_invalid () =
 
 let test_rng_exponential_mean () =
   let r = Rng.create 11L in
-  let s = Stats.Summary.create () in
+  let s = Stats.Series.create () in
   for _ = 1 to 50_000 do
-    Stats.Summary.add s (Rng.exponential r ~mean:25.0)
+    Stats.Series.add s (Rng.exponential r ~mean:25.0)
   done;
-  let m = Stats.Summary.mean s in
+  let m = Stats.Series.mean s in
   check_bool "mean near 25" true (m > 24.0 && m < 26.0)
 
 let test_rng_bernoulli () =
@@ -129,34 +129,17 @@ let test_rng_golden () =
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The running summary a series keeps beside its samples. *)
 let test_summary_basic () =
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_int "count" 4 (Stats.Summary.count s);
-  check_float "mean" 2.5 (Stats.Summary.mean s);
-  check_float "min" 1.0 (Stats.Summary.min s);
-  check_float "max" 4.0 (Stats.Summary.max s);
-  check_float "total" 10.0 (Stats.Summary.total s);
-  Alcotest.(check (float 1e-6)) "variance" (5.0 /. 3.0) (Stats.Summary.variance s)
+  let s = Stats.Series.create () in
+  List.iter (Stats.Series.add s) [ 1.0; 2.0; 3.0; 4.0 ];
+  check_int "count" 4 (Stats.Series.count s);
+  check_float "mean" 2.5 (Stats.Series.mean s);
+  check_float "max" 4.0 (Stats.Series.max s)
 
 let test_summary_empty () =
-  let s = Stats.Summary.create () in
-  check_float "mean of empty" 0.0 (Stats.Summary.mean s);
-  check_float "variance of empty" 0.0 (Stats.Summary.variance s)
-
-let test_summary_merge () =
-  let a = Stats.Summary.create () and b = Stats.Summary.create () in
-  let all = Stats.Summary.create () in
-  List.iter
-    (fun x ->
-      Stats.Summary.add (if x < 5.0 then a else b) x;
-      Stats.Summary.add all x)
-    [ 1.0; 2.0; 7.0; 9.0; 3.0; 11.0 ];
-  let merged = Stats.Summary.merge a b in
-  check_int "count" (Stats.Summary.count all) (Stats.Summary.count merged);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.Summary.mean all) (Stats.Summary.mean merged);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.Summary.variance all)
-    (Stats.Summary.variance merged)
+  let s = Stats.Series.create () in
+  check_float "mean of empty" 0.0 (Stats.Series.mean s)
 
 let test_series_percentile () =
   let s = Stats.Series.create () in
@@ -819,7 +802,6 @@ let () =
         [
           Alcotest.test_case "summary basic" `Quick test_summary_basic;
           Alcotest.test_case "summary empty" `Quick test_summary_empty;
-          Alcotest.test_case "summary merge" `Quick test_summary_merge;
           Alcotest.test_case "series percentile" `Quick test_series_percentile;
           Alcotest.test_case "series empty percentile" `Quick test_series_empty_percentile;
           Alcotest.test_case "series growth" `Quick test_series_growth;

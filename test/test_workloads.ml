@@ -2,6 +2,7 @@
    runner. *)
 
 module T = Wl_trace
+module K = Epcm_kernel
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -130,19 +131,21 @@ let test_scale_deterministic () =
 (* Pin the 8 MB deterministic counts: the phases are sized by arithmetic
    on the frame count (half cold-paged, quarter ping-ponged, churn over
    budget), so a drift here means the workload's shape changed and
-   cross-PR throughput numbers stop being comparable. The engine event
+   cross-PR throughput numbers stop being comparable. Wl_scale builds
+   one-tier machines without [?cache], so the same counts also pin the
+   tier and cache zero-delta rules on this workload. The engine event
    count is deliberately not pinned — it tracks charge structure, which
    the Table 1 goldens already own. *)
 let test_scale_counts_pinned () =
-  let r = Wl_scale.run Wl_scale.size_8mb in
-  check_int "frames" 2048 r.Wl_scale.r_frames;
-  check_int "touches" 3584 r.Wl_scale.r_touches;
-  check_int "faults" 1344 r.Wl_scale.r_faults;
-  check_int "migrate calls" 2696 r.Wl_scale.r_migrate_calls;
-  check_int "migrated pages" 3200 r.Wl_scale.r_migrated_pages;
-  check_bool "conserved (total, audit = scan, no wedged process)" true r.Wl_scale.r_conserved;
-  check_bool "events counted" true (r.Wl_scale.r_events > 0);
-  check_bool "simulated clock advanced" true (r.Wl_scale.r_sim_us > 0.0)
+  let o = (Wl_scale.run Wl_scale.size_8mb).Wl_scale.r_obs in
+  check_int "frames" 2048 o.K.o_frames;
+  check_int "touches" 3584 o.K.o_touches;
+  check_int "faults" 1344 o.K.o_faults;
+  check_int "migrate calls" 2696 o.K.o_migrate_calls;
+  check_int "migrated pages" 3200 o.K.o_migrated_pages;
+  check_bool "conserved (K.audit)" true o.K.o_conserved;
+  check_bool "events counted" true (o.K.o_events > 0);
+  check_bool "simulated clock advanced" true (o.K.o_sim_us > 0.0)
 
 (* The perf record's own legs are fanned over domains by [~jobs]; the
    in-order join must keep every deterministic field identical to a
