@@ -14,7 +14,7 @@
 #   sim.events_per_s, trace.overhead_frac, epcm.touch_words);
 # - the full-size perf, market, tier, cache and shard records
 #   (--jobs 2), through this tree's `vpp_repro diff`, which ignores key
-#   order and each schema's wall-clock fields;
+#   order;
 # - the stdout of the ten examples, byte for byte.
 #
 # Then prints each workload's alloc_mwords and peak_heap_mb from one

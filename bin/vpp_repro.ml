@@ -123,8 +123,8 @@ let record_jobs_opt =
     & opt (some jobs_conv) None
     & info [ "jobs"; "j" ] ~docv:"N" ~absent:"1; the recommended domain count for perf and market"
         ~doc:
-          "Run the record's independent legs on $(docv) OCaml domains. Every field but the \
-           wall-clock ones is identical to a sequential run.")
+          "Run the record's independent legs on $(docv) OCaml domains. The record is identical \
+           to a sequential run.")
 
 let file_arg n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc)
 
@@ -133,15 +133,16 @@ let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 let record_cmd (Exp_record.Record e as record) =
   let run = run_record record in
   cmd e.name e.doc
-    (if e.writes then
-       let out_opt =
-         Arg.(
-           value & opt string e.out
-           & info [ "out" ] ~docv:"FILE" ~doc:("Where to write the " ^ e.schema ^ " record."))
-       in
-       Term.(const (fun quick json jobs out -> run quick json jobs (Some out))
-             $ quick_flag $ json_flag $ record_jobs_opt $ out_opt)
-     else Term.(const (fun json -> run false json None None) $ json_flag))
+    (match e.out with
+    | Some default ->
+        let out_opt =
+          Arg.(
+            value & opt string default
+            & info [ "out" ] ~docv:"FILE" ~doc:("Where to write the " ^ e.schema ^ " record."))
+        in
+        Term.(const (fun quick json jobs out -> run quick json jobs (Some out))
+              $ quick_flag $ json_flag $ record_jobs_opt $ out_opt)
+    | None -> Term.(const (fun json -> run false json None None) $ json_flag))
 
 let () =
   let cmds =
@@ -167,8 +168,8 @@ let () =
          ^ "): decode it under its embedded schema tag and re-run the record's own checks")
           Term.(const run_validate $ file_arg 0 "FILE" "Record to validate." $ const ());
         cmd "diff"
-          "Compare two records of the same schema field by field, skipping its wall-clock \
-           fields; print each difference and exit 1 if there is any"
+          "Compare two records of the same schema field by field, ignoring key order; print each \
+           difference and exit 1 if there is any"
           Term.(
             const run_diff
             $ file_arg 0 "OLD" "Baseline record."

@@ -1,23 +1,12 @@
 module W = Wl_market
 
-let schema_version = "vpp-market/1"
-
-type leg = {
-  l_result : W.result;
-  l_wall_s : float;
-}
+let schema_version = "vpp-market/2"
 
 type result = {
   mode : string;
-  jobs : int;
-  legs : leg list;
+  legs : W.result list;
   checks : Exp_report.check list;
 }
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 let slo_ordered s =
   s.W.sc_samples = 0
@@ -61,27 +50,20 @@ let checks_for r =
                   s.W.sc_p999_us)
               r.W.r_slos));
     Exp_report.check
-      ~what:(name "billable time never exceeds wall time")
+      ~what:(name "billable time never exceeds simulated time")
       ~pass:(r.W.r_billable_s <= (r.W.r_sim_us /. 1_000_000.0) +. 1e-9)
       ~detail:
         (Printf.sprintf "%.3fs billable of %.3fs simulated" r.W.r_billable_s
            (r.W.r_sim_us /. 1_000_000.0));
   ]
 
-let checks r = List.concat_map (fun l -> checks_for l.l_result) r.legs
+let checks r = List.concat_map checks_for r.legs
 
 let run ?(quick = false) ?jobs () =
   let jobs = match jobs with Some j -> max 1 j | None -> Exp_par.default_jobs () in
   let configs = if quick then [ W.small ] else [ W.small; W.production ] in
-  let legs =
-    Exp_par.map ~jobs
-      (List.map
-         (fun cfg () ->
-           let r, wall = timed (fun () -> W.run cfg) in
-           { l_result = r; l_wall_s = wall })
-         configs)
-  in
-  let r = { mode = (if quick then "quick" else "full"); jobs; legs; checks = [] } in
+  let legs = Exp_par.map ~jobs (List.map (fun cfg () -> W.run cfg) configs) in
+  let r = { mode = (if quick then "quick" else "full"); legs; checks = [] } in
   { r with checks = checks r }
 
 (* ------------------------------------------------------------------ *)
@@ -98,12 +80,11 @@ let render r =
        ~header:
          [
            "run"; "tenants"; "frames"; "completed"; "refused"; "defers"; "granted"; "saver cyc";
-           "faults"; "sim (s)"; "wall (s)";
+           "faults"; "sim (s)";
          ]
        ~rows:
          (List.map
-            (fun l ->
-              let w = l.l_result in
+            (fun w ->
               [
                 w.W.r_name;
                 string_of_int w.W.r_tenants;
@@ -115,12 +96,10 @@ let render r =
                 string_of_int w.W.r_saver_cycles;
                 string_of_int w.W.r_faults;
                 Printf.sprintf "%.3f" (w.W.r_sim_us /. 1_000_000.0);
-                Printf.sprintf "%.2f" l.l_wall_s;
               ])
             r.legs));
   List.iter
-    (fun l ->
-      let w = l.l_result in
+    (fun w ->
       Buffer.add_string buf
         (Printf.sprintf "\n%s: per-class SLO (acquire-to-resident, target %.0f us)\n" w.W.r_name
            w.W.r_slo_us);
@@ -174,50 +153,43 @@ let slo =
 
 let leg =
   let open Exp_codec in
-  let w f l = f l.l_result in
   obj
     (fun r_name r_frames r_tenants r_savers r_completed r_refused r_defer_events
          r_granted_frames r_saver_cycles r_saver_starved r_faults r_events r_sim_us r_slo_us
          r_accounts r_min_balance r_billable_s r_conservation_residual r_io_failures r_conserved
-         l_wall_s r_slos ->
-      {
-        l_result =
-          { W.r_name; r_frames; r_tenants; r_savers; r_completed; r_refused; r_defer_events;
-            r_granted_frames; r_saver_cycles; r_saver_starved; r_faults; r_events; r_sim_us;
-            r_slo_us; r_slos; r_accounts; r_min_balance; r_billable_s;
-            r_conservation_residual; r_io_failures; r_conserved };
-        l_wall_s;
-      })
-  |> mem "name" string (w (fun r -> r.W.r_name))
-  |> mem "frames" int (w (fun r -> r.W.r_frames))
-  |> mem "tenants" int (w (fun r -> r.W.r_tenants))
-  |> mem "savers" int (w (fun r -> r.W.r_savers))
-  |> mem "completed" int (w (fun r -> r.W.r_completed))
-  |> mem "refused" int (w (fun r -> r.W.r_refused))
-  |> mem "defer_events" int (w (fun r -> r.W.r_defer_events))
-  |> mem "granted_frames" int (w (fun r -> r.W.r_granted_frames))
-  |> mem "saver_cycles" int (w (fun r -> r.W.r_saver_cycles))
-  |> mem "saver_starved" int (w (fun r -> r.W.r_saver_starved))
-  |> mem "faults" int (w (fun r -> r.W.r_faults))
-  |> mem "events" int (w (fun r -> r.W.r_events))
-  |> mem "sim_us" float (w (fun r -> r.W.r_sim_us))
-  |> mem "slo_us" float (w (fun r -> r.W.r_slo_us))
-  |> mem "accounts" int (w (fun r -> r.W.r_accounts))
-  |> mem "min_balance" float (w (fun r -> r.W.r_min_balance))
-  |> mem "billable_s" float (w (fun r -> r.W.r_billable_s))
-  |> mem "conservation_residual" float (w (fun r -> r.W.r_conservation_residual))
-  |> mem "io_failures" int (w (fun r -> r.W.r_io_failures))
-  |> mem "conserved" bool (w (fun r -> r.W.r_conserved))
-  |> mem "wall_s" (where "negative wall time" (fun s -> s >= 0.0) float) (fun l -> l.l_wall_s)
-  |> mem "slos" (list slo) (w (fun r -> r.W.r_slos))
+         r_slos ->
+      { W.r_name; r_frames; r_tenants; r_savers; r_completed; r_refused; r_defer_events;
+        r_granted_frames; r_saver_cycles; r_saver_starved; r_faults; r_events; r_sim_us;
+        r_slo_us; r_slos; r_accounts; r_min_balance; r_billable_s; r_conservation_residual;
+        r_io_failures; r_conserved })
+  |> mem "name" string (fun r -> r.W.r_name)
+  |> mem "frames" int (fun r -> r.W.r_frames)
+  |> mem "tenants" int (fun r -> r.W.r_tenants)
+  |> mem "savers" int (fun r -> r.W.r_savers)
+  |> mem "completed" int (fun r -> r.W.r_completed)
+  |> mem "refused" int (fun r -> r.W.r_refused)
+  |> mem "defer_events" int (fun r -> r.W.r_defer_events)
+  |> mem "granted_frames" int (fun r -> r.W.r_granted_frames)
+  |> mem "saver_cycles" int (fun r -> r.W.r_saver_cycles)
+  |> mem "saver_starved" int (fun r -> r.W.r_saver_starved)
+  |> mem "faults" int (fun r -> r.W.r_faults)
+  |> mem "events" int (fun r -> r.W.r_events)
+  |> mem "sim_us" float (fun r -> r.W.r_sim_us)
+  |> mem "slo_us" float (fun r -> r.W.r_slo_us)
+  |> mem "accounts" int (fun r -> r.W.r_accounts)
+  |> mem "min_balance" float (fun r -> r.W.r_min_balance)
+  |> mem "billable_s" float (fun r -> r.W.r_billable_s)
+  |> mem "conservation_residual" float (fun r -> r.W.r_conservation_residual)
+  |> mem "io_failures" int (fun r -> r.W.r_io_failures)
+  |> mem "conserved" bool (fun r -> r.W.r_conserved)
+  |> mem "slos" (list slo) (fun r -> r.W.r_slos)
   |> finish
 
 let codec =
   let open Exp_codec in
-  obj (fun mode jobs legs checks -> { mode; jobs; legs; checks })
+  obj (fun mode legs checks -> { mode; legs; checks })
   |> tag "schema" schema_version
   |> mem "mode" string (fun r -> r.mode)
-  |> mem "jobs" int (fun r -> r.jobs)
   |> mem "legs" (where "expected at least one leg" (fun l -> l <> []) (list leg)) (fun r -> r.legs)
   |> mem "checks" (list check) (fun r -> r.checks)
   |> finish

@@ -1,32 +1,28 @@
-(** The [vpp-market/1] record: the multi-tenant memory-market workload
+(** The [vpp-market/2] record: the multi-tenant memory-market workload
     ({!Wl_market}) at one or two scales, with per-class SLO tables,
     market-conservation audits and machine-checked shape checks.
 
-    Follows the [vpp-perf/2] pattern: [run] produces a result whose
+    Follows the [vpp-perf/3] pattern: [run] produces a result whose
     record carries a [schema] tag and a [checks] array, and validating a
     written record decodes it and re-runs {!checks}, so CI can gate on
-    the file itself. Wall-clock seconds come from [Unix.gettimeofday] — the same
-    deliberate exception to the no-wall-clock rule as [Exp_scale]; every
-    other field is deterministic from the workload seeds. *)
+    the file itself. Every field is deterministic from the workload
+    seeds. *)
 
 val schema_version : string
-
-type leg = {
-  l_result : Wl_market.result;
-  l_wall_s : float;
-}
+(** ["vpp-market/2"]. v2 dropped the host-time [wall_s] of each leg and
+    the [jobs] field. *)
 
 type result = {
   mode : string;  (** "quick" (small leg only) or "full". *)
-  jobs : int;
-  legs : leg list;
+  legs : Wl_market.result list;
   checks : Exp_report.check list;
 }
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
 (** [quick] runs only the [small] leg; the full run adds [production]
-    (~5,000 tenants). [jobs] fans the legs over domains ({!Exp_par.map});
-    results are deterministic either way. *)
+    (~5,000 tenants). [jobs] (default [Exp_par.default_jobs ()]) fans the
+    legs over domains ({!Exp_par.map}); the result is the same for every
+    [jobs]. *)
 
 val render : result -> string
 
@@ -37,5 +33,4 @@ val checks : result -> Exp_report.check list
     simulated time. *)
 
 val codec : result Exp_codec.t
-(** The record. The decoder also requires at least one leg and
-    non-negative [wall_s]. *)
+(** The record. The decoder also requires at least one leg. *)

@@ -11,7 +11,7 @@ val default_jobs : unit -> int
 
 val jobs_of_string : string -> (int, string) result
 (** Parse a [--jobs] argument: a positive integer, or an error naming
-    the bad value. Both command-line drivers read [--jobs] through it. *)
+    the bad value. [vpp_repro] reads [--jobs] through it. *)
 
 val map : jobs:int -> (unit -> 'a) list -> 'a list
 (** Run the thunks on up to [jobs] domains (clamped to [1 ..] and to the

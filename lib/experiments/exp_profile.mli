@@ -2,8 +2,7 @@
     enabled and decomposes the pinned row totals into their span-attributed
     charges, then drives a deterministic demand-paging + WAL workload to
     populate latency histograms per operation kind. Emits a versioned,
-    schema-stable JSON record ([BENCH_observability.json] /
-    [vpp_repro profile --json]). *)
+    schema-stable JSON record ([vpp_repro profile --json]). *)
 
 val schema_version : string
 (** ["vpp-profile/1"]. Bump when the record layout changes. *)

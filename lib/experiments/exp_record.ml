@@ -3,11 +3,8 @@ module J = Sim_json
 type 'r spec = {
   name : string;
   doc : string;
-  title : string;
   schema : string;
-  out : string;
-  writes : bool;
-  wall : string list;
+  out : string option;
   run : quick:bool -> jobs:int option -> 'r;
   render : 'r -> string;
   codec : 'r Exp_codec.t;
@@ -19,59 +16,44 @@ type t = Record : 'r spec -> t
 let all =
   [
     Record
-      { name = "profile"; schema = Exp_profile.schema_version; out = "BENCH_observability.json";
-        writes = false; wall = [];
-        title = "Observability: Table 1 cost attribution and latency histograms";
+      { name = "profile"; schema = Exp_profile.schema_version; out = None;
         doc = "Cost attribution for the Table 1 paths plus latency histograms (not a paper table)";
         run = (fun ~quick:_ ~jobs:_ -> Exp_profile.run ());
         render = Exp_profile.render; codec = Exp_profile.codec; checks = Exp_profile.checks };
     Record
-      { name = "perf"; schema = Exp_scale.schema_version; out = "BENCH_perf.json"; writes = true;
-        wall =
-          [ "wall_s"; "events_per_s"; "faults_per_s"; "migrated_pages_per_s"; "sequential_s";
-            "parallel_s"; "speedup" ];
-        title = "Perf: simulator throughput at scale";
+      { name = "perf"; schema = Exp_scale.schema_version; out = Some "BENCH_perf.json";
         doc =
-          "Simulator throughput at 8 MB/512 MB/4 GB machine sizes, the 4 KB-vs-superpage \
-           streaming legs and the parallel-driver timing (the vpp-perf/2 record; not a paper \
-           table)";
+          "Simulated work at 8 MB/512 MB/4 GB machine sizes and the 4 KB-vs-superpage streaming \
+           legs (the vpp-perf/3 record; not a paper table)";
         run = (fun ~quick ~jobs -> Exp_scale.run ~quick ?jobs ());
         render = Exp_scale.render; codec = Exp_scale.codec; checks = Exp_scale.checks };
     Record
-      { name = "market"; schema = Exp_market.schema_version; out = "BENCH_market.json";
-        writes = true; wall = [ "wall_s" ];
-        title = "Market: multi-tenant admission control at production scale";
+      { name = "market"; schema = Exp_market.schema_version; out = Some "BENCH_market.json";
         doc =
           "Multi-tenant memory market at production scale: admission control, lazy settlement \
-           and per-class SLOs (the vpp-market/1 record; not a paper table)";
+           and per-class SLOs (the vpp-market/2 record; not a paper table)";
         run = (fun ~quick ~jobs -> Exp_market.run ~quick ?jobs ());
         render = Exp_market.render; codec = Exp_market.codec; checks = Exp_market.checks };
     Record
-      { name = "tier"; schema = Exp_tier.schema_version; out = "BENCH_tier.json"; writes = true;
-        wall = [];
-        title = "Tier: single-tier vs tiered frame placement";
+      { name = "tier"; schema = Exp_tier.schema_version; out = Some "BENCH_tier.json";
         doc =
           "Single-tier vs tiered frame placement: a tier-oblivious pager against Mgr_tiered's \
            hot/cold migration on the same traces (the vpp-tier/1 record; not a paper table)";
         run = (fun ~quick ~jobs -> Exp_tier.run ~quick ?jobs ());
         render = Exp_tier.render; codec = Exp_tier.codec; checks = Exp_tier.checks };
     Record
-      { name = "cache"; schema = Exp_cache.schema_version; out = "BENCH_cache.json"; writes = true;
-        wall = [];
-        title = "Cache: frame placement vs a physically-indexed L2";
+      { name = "cache"; schema = Exp_cache.schema_version; out = Some "BENCH_cache.json";
         doc =
           "Frame placement vs a physically-indexed cache: the same trace under sequential, \
            random and page-colored placement (the vpp-cache/1 record; not a paper table)";
         run = (fun ~quick ~jobs -> Exp_cache.run ~quick ?jobs ());
         render = Exp_cache.render; codec = Exp_cache.codec; checks = Exp_cache.checks };
     Record
-      { name = "shard"; schema = Exp_shard.schema_version; out = "BENCH_shard.json"; writes = true;
-        wall = [ "wall_s" ];
-        title = "Shard: parallel DBMS shards with two-phase commit";
+      { name = "shard"; schema = Exp_shard.schema_version; out = Some "BENCH_shard.json";
         doc =
           "Sharded DBMS throughput: the same transactions over 1/4/8 parallel shards with \
            two-phase commit on the cross-shard fraction, plus group commit against per-commit \
-           log forcing on one shard (the vpp-shard/2 record; not a paper table)";
+           log forcing on one shard (the vpp-shard/3 record; not a paper table)";
         run = (fun ~quick ~jobs -> Exp_shard.run ~quick ?jobs ());
         render = Exp_shard.render; codec = Exp_shard.codec; checks = Exp_shard.checks };
   ]
@@ -123,7 +105,7 @@ let diff (name_a, a) (name_b, b) =
   | Ok (Record ea), Ok (Record eb) when ea.schema <> eb.schema ->
       Error
         (Printf.sprintf "different schemas: %s is %s, %s is %s" name_a ea.schema name_b eb.schema)
-  | Ok (Record e), Ok _ ->
+  | Ok _, Ok _ ->
       let rec walk path a b acc =
         match (a, b) with
         | J.Obj fa, J.Obj fb ->
@@ -134,7 +116,6 @@ let diff (name_a, a) (name_b, b) =
               (fun acc k ->
                 let p = if path = "" then k else path ^ "." ^ k in
                 match (List.assoc_opt k fa, List.assoc_opt k fb) with
-                | _ when List.mem k e.wall -> acc
                 | Some x, Some y -> walk p x y acc
                 | Some _, None -> (p ^ ": only in the first record") :: acc
                 | _ -> (p ^ ": only in the second record") :: acc)

@@ -1,21 +1,19 @@
 (** The versioned records, declared once each.
 
     One entry per record schema drives every consumer: the [vpp_repro]
-    subcommand that runs and writes it, the bench harness section, and
-    validation. Validating a file decodes it with the record's codec and
-    re-runs the record's own {!Exp_report.check} function on the result,
-    so the in-memory checks and the file checks cannot drift apart. *)
+    subcommand that runs and writes it, validation and {!diff}.
+    Validating a file decodes it with the record's codec and re-runs the
+    record's own {!Exp_report.check} function on the result, so the
+    in-memory checks and the file checks cannot drift apart. *)
 
 type 'r spec = {
   name : string;  (** Subcommand name. *)
   doc : string;  (** Subcommand help. *)
-  title : string;  (** Section heading in the bench report. *)
   schema : string;  (** The ["schema"] tag. *)
-  out : string;  (** Default output file. *)
-  writes : bool;
-      (** The subcommand takes [--quick], [--jobs] and [--out] and writes
-          the record to a file; otherwise (profile) it only prints. *)
-  wall : string list;  (** Host-time field names, skipped by {!diff}. *)
+  out : string option;
+      (** [Some file]: the subcommand takes [--quick], [--jobs] and
+          [--out] and writes the record to a file, [file] by default;
+          [None] (profile): it only prints. *)
   run : quick:bool -> jobs:int option -> 'r;
       (** [jobs = None] keeps the record's own default domain count. *)
   render : 'r -> string;
@@ -26,7 +24,7 @@ type 'r spec = {
 type t = Record : 'r spec -> t
 
 val all : t list
-(** profile, perf, market, tier, cache, shard: the bench report's order. *)
+(** profile, perf, market, tier, cache, shard. *)
 
 val known_schemas : string list
 
@@ -42,10 +40,10 @@ val validate_string : string -> (string, string) result
 
 val diff : string * Sim_json.t -> string * Sim_json.t -> (string list, string) result
 (** Every path at which two records of the same known schema differ, one
-    line each, skipping that schema's {!spec.wall} fields. Each record
-    comes with the name it is reported under (its file): [Error] names
-    the record whose schema tag is missing or unknown, or both records'
-    schemas when they differ. *)
+    line each; key order does not count. Each record comes with the name
+    it is reported under (its file): [Error] names the record whose
+    schema tag is missing or unknown, or both records' schemas when they
+    differ. *)
 
 val paper : quick:bool -> (unit -> string) list
 (** Tables 1-4 and the figures, rendered: the [all] command. [quick]

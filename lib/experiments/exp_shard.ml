@@ -1,4 +1,4 @@
-(* Sharded-DBMS throughput record (`vpp_repro shard`, vpp-shard/2).
+(* Sharded-DBMS throughput record (`vpp_repro shard`, vpp-shard/3).
 
    The same total transaction count runs through Db_shard at increasing
    shard counts; each shard is a self-contained deterministic machine,
@@ -13,8 +13,7 @@
    commit/abort accounting, a bounded abort rate, frame conservation on
    every machine, the single-shard zero-delta (no 2PC messages, no DSM
    transfers — the transport is never instantiated) and seed-replay
-   identity of the multi-shard leg. Only the wall_s fields vary between
-   runs.
+   identity of the multi-shard leg.
 
    The group-commit sweep runs one shard at several worker counts, once
    with group commit and once with per-commit forcing (Db_wal's
@@ -25,7 +24,7 @@
    forcing wherever commits overlap, and to be identical to it with a
    single worker, where they never do. *)
 
-let schema_version = "vpp-shard/2"
+let schema_version = "vpp-shard/3"
 
 type leg = {
   g_shards : int;
@@ -45,7 +44,6 @@ type leg = {
   g_sim_s : float;
   g_flushes : int;
   g_conserved : bool;
-  g_wall_s : float;
   g_detail : Db_shard.result list;
 }
 
@@ -63,7 +61,6 @@ type sweep_row = {
 
 type result = {
   mode : string;
-  jobs : int;
   total_txns : int;
   cross_fraction : float;
   legs : leg list;
@@ -80,11 +77,9 @@ let fmax f detail = List.fold_left (fun acc (r : Db_shard.result) -> Float.max a
 
 let run_leg ~spec ~shards ~jobs =
   let spec = { spec with Db_shard.sp_shards = shards } in
-  let t0 = Unix.gettimeofday () in
   let detail =
     Exp_par.map ~jobs (List.init shards (fun shard () -> Db_shard.run_shard spec ~shard))
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
   let txns = sum (fun r -> r.Db_shard.r_txns) detail in
   let sim_s = fmax (fun r -> r.Db_shard.r_sim_us) detail /. 1_000_000.0 in
   {
@@ -107,12 +102,8 @@ let run_leg ~spec ~shards ~jobs =
     g_sim_s = sim_s;
     g_flushes = sum (fun r -> r.Db_shard.r_wal_flushes) detail;
     g_conserved = List.for_all (fun (r : Db_shard.result) -> r.Db_shard.r_conserved) detail;
-    g_wall_s = wall_s;
     g_detail = detail;
   }
-
-(* The replay check compares everything but the wall clock. *)
-let leg_eq a b = { a with g_wall_s = 0.0 } = { b with g_wall_s = 0.0 }
 
 (* A sweep configuration runs with its machine's metrics sink on, so its
    disk records each commit's log-force latency (parking included) under
@@ -299,13 +290,12 @@ let run ?(quick = false) ?(jobs = 1) () =
   let r =
     {
       mode = (if quick then "quick" else "full");
-      jobs;
       total_txns;
       cross_fraction = spec.Db_shard.sp_cross_fraction;
       legs;
       sweep_txns;
       sweep;
-      replay_identical = leg_eq four replay;
+      replay_identical = four = replay;
       checks = [];
     }
   in
@@ -322,17 +312,16 @@ let render r =
        schema_version r.mode);
   Buffer.add_string buf
     (Printf.sprintf
-       "%d transactions per leg, %.0f%% cross-shard, %d worker(s) x %d CPU(s) per shard, \
-        jobs=%d\n"
+       "%d transactions per leg, %.0f%% cross-shard, %d worker(s) x %d CPU(s) per shard\n"
        r.total_txns
        (100.0 *. r.cross_fraction)
-       Db_shard.default.Db_shard.sp_workers Db_shard.default.Db_shard.sp_cpus r.jobs);
+       Db_shard.default.Db_shard.sp_workers Db_shard.default.Db_shard.sp_cpus);
   Buffer.add_string buf
     (Exp_report.fmt_table
        ~header:
          [
            "shards"; "txns"; "commit"; "abort"; "abort %"; "2pc msgs"; "dsm xfer"; "forces";
-           "p50 ms"; "p99 ms"; "sim (s)"; "agg TPS"; "wall (s)";
+           "p50 ms"; "p99 ms"; "sim (s)"; "agg TPS";
          ]
        ~rows:
          (List.map
@@ -350,7 +339,6 @@ let render r =
                 Printf.sprintf "%.1f" l.g_p99_ms;
                 Printf.sprintf "%.1f" l.g_sim_s;
                 Printf.sprintf "%.0f" l.g_tps;
-                Printf.sprintf "%.2f" l.g_wall_s;
               ])
             r.legs));
   (* Per-shard rows of the widest leg: the load-balance picture. *)
@@ -446,11 +434,10 @@ let leg =
   let open Exp_codec in
   obj
     (fun g_shards g_txns g_commits g_aborts g_abort_rate g_local g_cross g_msgs g_prepares
-         g_transfers g_timeouts g_tps g_p50_ms g_p99_ms g_sim_s g_flushes g_conserved g_wall_s
-         g_detail ->
+         g_transfers g_timeouts g_tps g_p50_ms g_p99_ms g_sim_s g_flushes g_conserved g_detail ->
       { g_shards; g_txns; g_commits; g_aborts; g_abort_rate; g_local; g_cross; g_msgs;
         g_prepares; g_transfers; g_timeouts; g_tps; g_p50_ms; g_p99_ms; g_sim_s; g_flushes;
-        g_conserved; g_wall_s; g_detail })
+        g_conserved; g_detail })
   |> mem "shards" int (fun l -> l.g_shards)
   |> mem "txns" int (fun l -> l.g_txns)
   |> mem "commits" int (fun l -> l.g_commits)
@@ -469,7 +456,6 @@ let leg =
   |> mem "sim_s" float (fun l -> l.g_sim_s)
   |> mem "wal_flushes" int (fun l -> l.g_flushes)
   |> mem "conserved" bool (fun l -> l.g_conserved)
-  |> mem "wall_s" (where "negative wall time" (fun x -> x >= 0.0) float) (fun l -> l.g_wall_s)
   |> mem "per_shard" (list shard_detail) (fun l -> l.g_detail)
   |> finish
 
@@ -500,11 +486,10 @@ let paired sweep =
 let codec =
   let open Exp_codec in
   obj
-    (fun mode jobs total_txns cross_fraction legs sweep_txns sweep replay_identical checks ->
-      { mode; jobs; total_txns; cross_fraction; legs; sweep_txns; sweep; replay_identical; checks })
+    (fun mode total_txns cross_fraction legs sweep_txns sweep replay_identical checks ->
+      { mode; total_txns; cross_fraction; legs; sweep_txns; sweep; replay_identical; checks })
   |> tag "schema" schema_version
   |> mem "mode" string (fun r -> r.mode)
-  |> mem "jobs" int (fun r -> r.jobs)
   |> mem "total_txns" (where "no transactions in the record" (fun n -> n > 0) int) (fun r ->
          r.total_txns)
   |> mem "cross_fraction" float (fun r -> r.cross_fraction)

@@ -1,5 +1,5 @@
 (** Sharded-DBMS throughput record (`vpp_repro shard`,
-    [BENCH_shard.json], schema [vpp-shard/2]).
+    [BENCH_shard.json], schema [vpp-shard/3]).
 
     Runs the same total transaction count through {!Db_shard} at
     increasing shard counts — 1 and 4 in quick mode, 1/4/8 in full —
@@ -23,11 +23,12 @@
     overlap, per-commit forcing forcing exactly once per commit, and
     the two identical with a single worker.
 
-    Deterministic fields reproduce exactly across hosts; only the
-    [wall_s] fields vary. *)
+    Every field is simulated, so the record reproduces exactly across
+    hosts and [jobs] values. *)
 
 val schema_version : string
-(** ["vpp-shard/2"]. Bump when the record layout changes. *)
+(** ["vpp-shard/3"]. Bump when the record layout changes. v3 dropped the
+    host-time [wall_s] of each leg and the [jobs] field. *)
 
 type leg = {
   g_shards : int;
@@ -49,7 +50,6 @@ type leg = {
   g_sim_s : float;  (** Slowest shard's simulated seconds. *)
   g_flushes : int;  (** Forces of the shards' own logs, summed. *)
   g_conserved : bool;  (** Frame audit held on every shard machine. *)
-  g_wall_s : float;
   g_detail : Db_shard.result list;  (** Per-shard rows, in shard order. *)
 }
 
@@ -71,7 +71,6 @@ type sweep_row = {
 
 type result = {
   mode : string;  (** ["full"] or ["quick"]. *)
-  jobs : int;
   total_txns : int;
   cross_fraction : float;
   legs : leg list;  (** Ascending shard count. *)
@@ -79,16 +78,14 @@ type result = {
   sweep : sweep_row list;
       (** Ascending worker count, group commit first at each. *)
   replay_identical : bool;
-      (** The re-run 4-shard leg matched field for field (wall
-          excluded). *)
+      (** The re-run 4-shard leg matched field for field. *)
   checks : Exp_report.check list;
 }
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
 (** [quick] (CI smoke) drops the 8-shard leg and shrinks the
     transaction count; [jobs] (default 1) fans each leg's shards over
-    that many domains — deterministic fields are byte-identical to a
-    sequential run. *)
+    that many domains — the result is identical to a sequential run. *)
 
 val render : result -> string
 
@@ -99,7 +96,7 @@ val checks : result -> Exp_report.check list
 
 val codec : result Exp_codec.t
 (** The record. The decoder also requires [total_txns > 0], at least two
-    legs, a non-negative abort rate, [tps > 0] and non-negative [wall_s]
-    in every leg, and a per-commit row for every group-commit row;
+    legs, a non-negative abort rate and [tps > 0] in every leg, and a
+    per-commit row for every group-commit row;
     [flushes_per_commit] and [commits_per_flush] are derived on output
     only. *)

@@ -98,17 +98,16 @@ let test_par_reraises () =
     [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Exp_scale: the vpp-perf/2 record                                   *)
+(* Exp_scale: the vpp-perf/3 record                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* One quick record shared by the validation cases below: the run itself
-   (two machine sizes plus the timed driver legs) costs a few seconds. *)
+   (two machine sizes plus the stream legs) costs a few seconds. *)
 let quick_record = lazy (Exp_scale.run ~quick:true ~jobs:2 ())
 
 let test_perf_record_quick () =
   let r = Lazy.force quick_record in
   assert_all_pass r.Exp_scale.checks;
-  check_bool "parallel driver output identical" true r.Exp_scale.driver.Exp_scale.d_identical;
   (* The record validates both as the in-memory tree and after a print →
      parse round-trip, which is what `vpp_repro validate` consumes. *)
   (match Exp_record.validate (Exp_codec.enc Exp_scale.codec r) with
@@ -128,7 +127,7 @@ let test_perf_record_validator_rejects () =
   in
   let parse s = match Sim_json.parse s with Ok j -> j | Error e -> Alcotest.fail e in
   reject "wrong schema" (parse {|{"schema": "vpp-perf/0"}|});
-  reject "missing scales" (parse {|{"schema": "vpp-perf/2", "mode": "full"}|});
+  reject "missing scales" (parse {|{"schema": "vpp-perf/3", "mode": "full"}|});
   let r = Lazy.force quick_record in
   let drop_first_scale = function
     | Sim_json.Obj fields ->
@@ -168,8 +167,8 @@ let test_validate_known_schemas () =
     ];
   Alcotest.(check int) "exactly the six known schemas" 6 (List.length Exp_record.known_schemas)
 
-(* The quick record of every entry, run once and shared by the cases
-   below (perf and shard with --jobs 2, as the smoke rules run them). *)
+(* The quick record of every entry, run once at --jobs 2 (as the smoke
+   rules run them) and shared by the cases below. *)
 type quick = Quick : 'r Exp_record.spec * 'r -> quick
 
 let quick_records =
@@ -189,6 +188,16 @@ let quick_tree schema =
   | Some record -> (
       match Sim_json.parse record with Ok j -> j | Error e -> Alcotest.fail e)
   | None -> Alcotest.fail ("no quick record for " ^ schema)
+
+(* Every field of every record is simulated, so a record is the same
+   whatever the domain count: the legs fanned over domains join in input
+   order and carry no host time. *)
+let test_records_jobs_invariant () =
+  List.iter
+    (fun (Quick (e, r)) ->
+      check_bool (e.schema ^ ": --jobs 1 = --jobs 2") true
+        (e.run ~quick:true ~jobs:(Some 1) = r))
+    (Lazy.force quick_records)
 
 (* Every schema the dispatcher knows, dispatched both from the in-memory
    tree and through the string (parse) entry point. *)
@@ -259,8 +268,8 @@ let test_validate_rejects () =
     {|{"schema": "vpp-cache/1"}|};
   reject "an empty vpp-tier/1 record" ~expect:"invalid vpp-tier/1 record"
     {|{"schema": "vpp-tier/1"}|};
-  reject "an empty vpp-shard/2 record" ~expect:"invalid vpp-shard/2 record"
-    {|{"schema": "vpp-shard/2"}|};
+  reject "an empty vpp-shard/3 record" ~expect:"invalid vpp-shard/3 record"
+    {|{"schema": "vpp-shard/3"}|};
   (* No command emits the pre-superpage vpp-perf/1 layout; it is no
      longer a known schema. *)
   reject "a vpp-perf/1 record with one scale" ~expect:"unknown schema"
@@ -276,7 +285,7 @@ let test_validate_rejects () =
     ~needle:"failed check: colored placement beats random on miss rate"
     (edit [ "legs"; "*"; "miss_rate" ] (fun _ -> Sim_json.Num 0.5)
        (quick_tree Exp_cache.schema_version));
-  (* A failing vpp-shard/2 gate: the single-shard baseline claiming 2PC
+  (* A failing vpp-shard/3 gate: the single-shard baseline claiming 2PC
      traffic — the zero-delta discipline broken in the record itself. *)
   expect_rejected "a shard record whose single shard sent 2PC messages"
     ~needle:"failed check: single shard is zero-delta: no 2PC messages, no DSM transfers"
@@ -433,9 +442,6 @@ let test_diff () =
   let diff x y = Exp_record.diff ("a.json", x) ("b.json", y) in
   let same = Alcotest.(check (result (list string) string)) in
   same "a record against itself" (Ok []) (diff a a);
-  (* Wall-clock fields are not compared; everything else is. *)
-  let walled = edit [ "legs" ] (first_only (edit [ "wall_s" ] (fun _ -> Sim_json.Num 99.0))) a in
-  same "wall_s skipped" (Ok []) (diff a walled);
   let moved = edit [ "legs" ] (first_only (edit [ "tps" ] (fun _ -> Sim_json.Num 1.0))) a in
   (match diff a moved with
   | Ok [ line ] -> check_bool ("names the path: " ^ line) true (contains ~needle:"legs[0].tps" line)
@@ -475,6 +481,8 @@ let () =
         [
           Alcotest.test_case "in-order join" `Quick test_par_in_order_join;
           Alcotest.test_case "re-raises task exceptions" `Quick test_par_reraises;
+          Alcotest.test_case "records invariant under --jobs" `Slow
+            test_records_jobs_invariant;
         ] );
       ( "perf record",
         [
@@ -492,6 +500,6 @@ let () =
           Alcotest.test_case "never raises on a damaged slot" `Slow
             test_validate_total_on_damaged_slots;
           QCheck_alcotest.to_alcotest prop_validate_never_raises;
-          Alcotest.test_case "diff skips wall fields only" `Slow test_diff;
+          Alcotest.test_case "diff names each differing path" `Slow test_diff;
         ] );
     ]

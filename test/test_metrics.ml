@@ -613,8 +613,8 @@ let test_profile_record_schema () =
   (match Exp_record.validate j with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("schema validation failed: " ^ e));
-  (* The rendered record (what bench/main.exe writes to
-     BENCH_observability.json) parses back and still validates. *)
+  (* The printed record (what `vpp_repro profile --json` writes) parses
+     back and still validates. *)
   match J.parse (Exp_codec.print Exp_profile.codec r) with
   | Error e -> Alcotest.fail ("rendered record unparseable: " ^ e)
   | Ok v -> (
