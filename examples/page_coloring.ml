@@ -49,8 +49,7 @@ let color_blind () =
   while !placed < working_set_pages && !slot < Seg.length init_seg do
     (match (Seg.page init_seg !slot).Seg.frame with
     | Some f
-      when Hw_cache.color_of cache
-             ~phys_addr:(Hw_phys_mem.frame machine.Hw_machine.mem f).Hw_phys_mem.addr
+      when Hw_cache.color_of cache ~phys_addr:(Hw_phys_mem.addr machine.Hw_machine.mem f)
              ~page_bytes
            = 0 ->
         K.migrate_pages kernel ~src:init ~dst:seg ~src_page:!slot ~dst_page:!placed ~count:1 ();

@@ -138,7 +138,7 @@ let reference t frame_idx =
   let caches = t.machine.Machine.caches in
   if Array.length caches > 0 then begin
     let cache = caches.(Phys.tier_of_frame mem frame_idx) in
-    if not (Hw_cache.access cache ~phys_addr:(Phys.frame mem frame_idx).Phys.addr) then
+    if not (Hw_cache.access cache ~phys_addr:(Phys.addr mem frame_idx)) then
       charge ~label:"kernel/cache_miss" t (cost t).Hw_cost.cache_miss_penalty
   end
 
@@ -149,7 +149,7 @@ let cache_sweep t frame_idx =
     let mem = t.machine.Machine.mem in
     let cache = caches.(Phys.tier_of_frame mem frame_idx) in
     let before = Hw_cache.misses cache in
-    Hw_cache.touch_page cache ~phys_addr:(Phys.frame mem frame_idx).Phys.addr
+    Hw_cache.touch_page cache ~phys_addr:(Phys.addr mem frame_idx)
       ~page_bytes:(Phys.page_size mem);
     let missed = Hw_cache.misses cache - before in
     if missed > 0 then
@@ -298,8 +298,9 @@ let demote_superpage t seg sindex =
     Pt.remove_super t.machine.Machine.page_table ~space:seg.Seg.sid ~svpn:sindex;
     Tlb.invalidate_super t.machine.Machine.tlb ~space:seg.Seg.sid ~svpn:sindex;
     charge ~label:"kernel/superpage_demote" t (cost t).Hw_cost.superpage_demote;
-    Machine.trace_emit t.machine ~tag:"superpage.demote" (fun () ->
-        Printf.sprintf "seg %d region %d" seg.Seg.sid sindex)
+    if Machine.tracing t.machine then
+      Machine.trace_emit t.machine ~tag:"superpage.demote"
+        (Printf.sprintf "seg %d region %d" seg.Seg.sid sindex)
   end
 
 (* Fold an aligned, fully resident, protection-uniform run of 4 KB pages
@@ -344,9 +345,10 @@ let try_promote_region t seg sindex =
           let c = cost t in
           charge ~label:"kernel/superpage_promote" t
             (c.Hw_cost.superpage_promote +. c.Hw_cost.pte_update_super);
-          Machine.trace_emit t.machine ~tag:"superpage.promote" (fun () ->
-              Printf.sprintf "seg %d region %d frames [%d..%d]" seg.Seg.sid sindex base
-                (base + sp - 1))
+          if Machine.tracing t.machine then
+            Machine.trace_emit t.machine ~tag:"superpage.promote"
+              (Printf.sprintf "seg %d region %d frames [%d..%d]" seg.Seg.sid sindex base
+                 (base + sp - 1))
         end;
         !ok
     | _ -> false
@@ -489,8 +491,9 @@ let migrate_pages t ~src ~dst ~src_page ~dst_page ~count ?tier:want_tier
   end;
   t.stats.migrate_calls <- t.stats.migrate_calls + 1;
   t.stats.migrated_pages <- t.stats.migrated_pages + count;
-  Machine.trace_emit t.machine ~tag:"step4.migrate" (fun () ->
-      Printf.sprintf "%d page(s) seg %d[%d..] -> seg %d[%d..]" count src src_page dst dst_page)
+  if Machine.tracing t.machine then
+    Machine.trace_emit t.machine ~tag:"step4.migrate"
+      (Printf.sprintf "%d page(s) seg %d[%d..] -> seg %d[%d..]" count src src_page dst dst_page)
 
 let modify_page_flags t ~seg ~page ~count ?(set_flags = Flags.empty)
     ?(clear_flags = Flags.empty) () =
@@ -526,7 +529,7 @@ let get_page_attributes t ~seg ~page ~count =
         pa_flags = slot.Seg.flags;
         pa_frame = slot.Seg.frame;
         pa_phys_addr =
-          Option.map (fun f -> (Phys.frame t.machine.Machine.mem f).Phys.addr) slot.Seg.frame;
+          Option.map (Phys.addr t.machine.Machine.mem) slot.Seg.frame;
       })
 
 (* Return a frame to the initial segment: slot = first free initial slot at
@@ -679,8 +682,9 @@ let serve_fault t (fault : Mgr.fault) mid (m : Mgr.t) =
   count_manager_call t mid;
   let c = cost t in
   charge ~label:"kernel/trap" t (c.Hw_cost.trap_entry +. c.Hw_cost.fault_decode);
-  Machine.trace_emit t.machine ~tag:"step1.fault_to_manager" (fun () ->
-      Printf.sprintf "%s -> manager %S" (Format.asprintf "%a" Mgr.pp_fault fault) m.Mgr.mname);
+  if Machine.tracing t.machine then
+    Machine.trace_emit t.machine ~tag:"step1.fault_to_manager"
+      (Printf.sprintf "%s -> manager %S" (Format.asprintf "%a" Mgr.pp_fault fault) m.Mgr.mname);
   (match m.Mgr.mmode with
   | `In_process ->
       charge ~label:"kernel/upcall" t c.Hw_cost.upcall_deliver;
@@ -693,8 +697,9 @@ let serve_fault t (fault : Mgr.fault) mid (m : Mgr.t) =
       charge ~label:"kernel/ipc_return" t
         (c.Hw_cost.ipc_reply +. c.Hw_cost.context_switch +. c.Hw_cost.resume_via_kernel
        +. c.Hw_cost.trap_exit));
-  Machine.trace_emit t.machine ~tag:"step5.resume" (fun () ->
-      Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
+  if Machine.tracing t.machine then
+    Machine.trace_emit t.machine ~tag:"step5.resume"
+      (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
 
 let deliver_fault t (fault : Mgr.fault) =
   let seg = segment t fault.Mgr.f_seg in
@@ -872,7 +877,7 @@ let uio_page_data t seg page =
   let s = segment t seg in
   let slot = Seg.page s page in
   match slot.Seg.frame with
-  | Some f -> (Phys.frame t.machine.Machine.mem f, slot)
+  | Some f -> (f, slot)
   | None -> fail (No_frame { seg; page })
 
 let uio_ensure t ~seg ~page ~(access : Mgr.access) =
@@ -894,9 +899,9 @@ let uio_read t ~seg ~page =
   t.stats.page_copies <- t.stats.page_copies + 1;
   let frame, slot = uio_page_data t seg page in
   (* The copy reads every line of the page through the cache. *)
-  cache_sweep t frame.Phys.index;
+  cache_sweep t frame;
   slot.Seg.flags <- Flags.union slot.Seg.flags Flags.referenced;
-  frame.Phys.data
+  Phys.data t.machine.Machine.mem frame
 
 let uio_write t ~seg ~page data =
   let c = cost t in
@@ -907,8 +912,8 @@ let uio_write t ~seg ~page data =
   t.stats.page_copies <- t.stats.page_copies + 1;
   let frame, slot = uio_page_data t seg page in
   (* The copy writes every line of the page through the cache. *)
-  cache_sweep t frame.Phys.index;
-  frame.Phys.data <- data;
+  cache_sweep t frame;
+  Phys.set_data t.machine.Machine.mem frame data;
   slot.Seg.flags <- Flags.union slot.Seg.flags (Flags.union Flags.dirty Flags.referenced)
 
 (* ------------------------------------------------------------------ *)
@@ -1003,21 +1008,29 @@ let initial_source ?(budget = max_int) t =
     granted_total := !granted_total + !granted;
     !granted
 
-(* Free-frame selection, optionally scoped by tier: initial-segment slots
-   currently holding frames (of the tier), ascending, up to [limit]. Same
-   scan the SPCM's [free_slots] does, with the tier filter the tiered
-   managers use to refill their per-tier pools. *)
-let initial_slots ?tier t ~limit =
+(* The one free-frame walk. It counts the frames it passes (of [tier])
+   and stops at the initial segment's resident counter for that scope:
+   past it no free frame is left, so a tier with none answers without
+   visiting a slot. The counters are exact ([audit]). *)
+let initial_slots ?tier ?filter t ~limit =
   let init = segment t t.init_seg in
   let mem = t.machine.Machine.mem in
-  let matches f = match tier with None -> true | Some k -> Phys.tier_of_frame mem f = k in
-  let n = Seg.length init in
-  let acc = ref [] and found = ref 0 and i = ref 0 in
-  while !found < limit && !i < n do
+  let present =
+    match tier with
+    | None -> init.Seg.resident
+    | Some k when k >= 0 && k < Array.length init.Seg.resident_by_tier ->
+        init.Seg.resident_by_tier.(k)
+    | Some _ -> 0
+  in
+  let acc = ref [] and found = ref 0 and seen = ref 0 and i = ref 0 in
+  while !found < limit && !seen < present do
     (match (Seg.page init !i).Seg.frame with
-    | Some f when matches f ->
-        acc := !i :: !acc;
-        incr found
+    | Some f when (match tier with None -> true | Some k -> Phys.tier_of_frame mem f = k) ->
+        incr seen;
+        if match filter with None -> true | Some keep -> keep f then begin
+          acc := !i :: !acc;
+          incr found
+        end
     | Some _ | None -> ());
     incr i
   done;

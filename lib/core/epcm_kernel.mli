@@ -310,10 +310,20 @@ val initial_source :
     source's life (default unlimited). Each application
     [initial_source ?budget t] is a fresh cursor. *)
 
-val initial_slots : ?tier:int -> t -> limit:int -> int list
-(** Free-frame selection: up to [limit] initial-segment slots currently
-    holding frames, ascending — restricted to one memory tier when [tier]
-    is given. This is how tier-aware managers refill per-tier pools. *)
+val initial_slots : ?tier:int -> ?filter:(int -> bool) -> t -> limit:int -> int list
+(** The one free-frame walk: up to [limit] initial-segment slots currently
+    holding a frame, ascending — restricted to one memory tier when
+    [tier] is given, and to frames [filter] accepts (it is passed the
+    frame index). Tier-aware managers refill their per-tier pools
+    through it, and the SPCM serves every request constraint with it
+    ([Tier] as [tier], [Color] and [Phys_range] as a [filter]).
+
+    The walk stops once it has seen as many frames of its scope as the
+    initial segment's resident counter holds ([resident], or
+    [resident_by_tier.(tier)], of {!Epcm_segment.t}), so it never passes
+    the last free frame, and a tier with no free frame — or an unknown tier id, which
+    answers [[]] — costs O(1) however large the machine. It keeps no
+    state between calls. *)
 
 val render_address_space : t -> Epcm_segment.id -> string
 (** Figure 1-style dump of a composed address space. *)

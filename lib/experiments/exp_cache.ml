@@ -138,29 +138,19 @@ let random_pager kernel ~seed =
   in
   K.register_manager kernel ~name:"random-pager" ~mode:`In_process ~on_fault ()
 
-(* Color-constrained SPCM stand-in: grant the lowest free initial-segment
-   frame of the wanted color (scoped to [tier] when given), served from
-   the per-color frame index. Frames never return to the initial segment
-   here, so slot = frame index (identity holds from boot). *)
+(* Color-constrained SPCM stand-in: grant the first free initial-segment
+   frame of the wanted color (scoped to [tier] when given) through the
+   kernel's free-frame walk, as the SPCM's [Color] constraint does. *)
 let colored_source ?tier kernel ~color ~dst ~dst_page ~count =
-  let init = K.initial_segment kernel in
-  let mem = (K.machine kernel).Hw_machine.mem in
-  let grant frame =
-    K.migrate_pages kernel ~src:init ~dst ~src_page:frame ~dst_page ~count:1 ();
-    1
-  in
   if count <> 1 then invalid_arg "Exp_cache.colored_source: count must be 1";
-  match color with
-  | Some c -> (
-      match
-        List.find_opt (fun f -> Phys.owner mem f = init) (Phys.frames_of_color ?tier mem c)
-      with
-      | Some f -> grant f
-      | None -> 0)
-  | None -> (
-      match K.initial_slots ?tier kernel ~limit:1 with
-      | slot :: _ -> grant slot
-      | [] -> 0)
+  let mem = (K.machine kernel).Hw_machine.mem in
+  let filter = Option.map (fun c f -> Phys.color mem f = c) color in
+  match K.initial_slots ?tier ?filter kernel ~limit:1 with
+  | slot :: _ ->
+      K.migrate_pages kernel ~src:(K.initial_segment kernel) ~dst ~src_page:slot ~dst_page
+        ~count:1 ();
+      1
+  | [] -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Leg runners                                                         *)

@@ -93,5 +93,6 @@ let observe t ~kind us = Sim_metrics.observe t.metrics ~kind us
 let metrics t = t.metrics
 let set_profiling t on = Sim_metrics.set_enabled t.metrics on
 let now t = Engine.now t.engine
+let tracing t = Trace.enabled t.trace
 let trace_emit t ~tag detail =
-  if Trace.enabled t.trace then Trace.emit t.trace ~time:(Engine.now t.engine) ~tag (detail ())
+  if Trace.enabled t.trace then Trace.emit t.trace ~time:(Engine.now t.engine) ~tag detail

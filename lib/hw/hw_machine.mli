@@ -96,8 +96,13 @@ val set_profiling : t -> bool -> unit
 
 val now : t -> float
 
-val trace_emit : t -> tag:string -> (unit -> string) -> unit
-(** Append a protocol-trace event. The detail thunk is forced only when
-    the trace is enabled, so emit sites on kernel hot paths cost one
-    branch and one closure — not a formatted string — when tracing is
-    off (the default). *)
+val tracing : t -> bool
+(** Whether the protocol trace is on ([?trace] at {!create}; off by
+    default). *)
+
+val trace_emit : t -> tag:string -> string -> unit
+(** Append a protocol-trace event; a no-op when tracing is off. Emit
+    sites build their detail string only under [if tracing t], so with
+    tracing off a site costs one branch and allocates nothing — a detail
+    built before the test (a formatted string, or a thunk capturing the
+    site's variables) would be allocated on every call. *)

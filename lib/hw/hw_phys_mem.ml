@@ -19,27 +19,16 @@ type tier = {
   ti_migrate_us : float;
 }
 
-type frame = {
-  index : int;
-  addr : int;
-  color : int;
-  tier : int;
-  mutable data : Hw_page_data.t;
-}
-
+(* Only what changes per frame is stored: the contents and the owner tag.
+   Address, color and tier are functions of the index. Ownership lives in
+   its own array so the only mutation path is [set_owner] — the kernel —
+   and the per-segment resident counters cannot be bypassed. *)
 type t = {
   page_size : int;
   n_colors : int;
-  frames : frame array;
-  (* Frame ownership (which segment a frame is migrated into) lives in a
-     side array rather than a mutable frame field, so the only mutation
-     path is [set_owner] — the kernel — and the per-segment resident
-     counters cannot be bypassed. *)
+  data : Hw_page_data.t array;
   owners : int array;
   tiers : tier array;
-  (* Frame indices per color, ascending — precomputed once so color
-     queries never rescan the frame array. *)
-  by_color : int array array;
 }
 
 let create_tiered ?(n_colors = 16) ~page_size ~tiers () =
@@ -71,33 +60,7 @@ let create_tiered ?(n_colors = 16) ~page_size ~tiers () =
   in
   let tiers = Array.of_list (List.rev descs) in
   let n = Array.fold_left (fun acc d -> acc + d.ti_frames) 0 tiers in
-  if n <= 0 then invalid_arg "Hw_phys_mem.create: need at least one page";
-  (* Tiers partition the frame index space contiguously in declaration
-     order, so addr and color keep their flat-array identities and a
-     single-tier machine is structurally indistinguishable from the
-     pre-tier layout. *)
-  let tier_of =
-    let bounds = Array.map (fun d -> d.ti_first + d.ti_frames) tiers in
-    fun i ->
-      let rec find k = if i < bounds.(k) then k else find (k + 1) in
-      find 0
-  in
-  let frames =
-    Array.init n (fun i ->
-        {
-          index = i;
-          addr = i * page_size;
-          color = i mod n_colors;
-          tier = tier_of i;
-          data = Hw_page_data.Zero;
-        })
-  in
-  let by_color =
-    Array.init n_colors (fun c ->
-        if c >= n then [||]
-        else Array.init (((n - 1 - c) / n_colors) + 1) (fun j -> c + (j * n_colors)))
-  in
-  { page_size; n_colors; frames; owners = Array.make n (-1); tiers; by_color }
+  { page_size; n_colors; data = Array.make n Hw_page_data.Zero; owners = Array.make n (-1); tiers }
 
 let create ?n_colors ~page_size ~total_bytes () =
   if page_size <= 0 then invalid_arg "Hw_phys_mem.create: page_size must be positive";
@@ -105,13 +68,12 @@ let create ?n_colors ~page_size ~total_bytes () =
   create_tiered ?n_colors ~page_size ~tiers:[ dram_tier ~bytes:total_bytes ] ()
 
 let page_size t = t.page_size
-let n_frames t = Array.length t.frames
+let n_frames t = Array.length t.data
 let n_colors t = t.n_colors
 
-let frame t i =
-  if i < 0 || i >= Array.length t.frames then
-    invalid_arg (Printf.sprintf "Hw_phys_mem.frame: index %d out of range" i);
-  t.frames.(i)
+let check t i =
+  if i < 0 || i >= Array.length t.data then
+    invalid_arg (Printf.sprintf "Hw_phys_mem: frame %d out of range" i)
 
 let n_tiers t = Array.length t.tiers
 
@@ -120,57 +82,78 @@ let tier t k =
     invalid_arg (Printf.sprintf "Hw_phys_mem.tier: tier %d out of range" k);
   t.tiers.(k)
 
-let tier_of_frame t i = (frame t i).tier
+(* Tiers partition the index space contiguously in declaration order, so
+   addr and color keep their flat-array identities, and a frame's tier is
+   the last one starting at or below it. *)
+let addr t i =
+  check t i;
+  i * t.page_size
+
+let color t i =
+  check t i;
+  i mod t.n_colors
+
+let rec tier_from tiers i k =
+  if k + 1 < Array.length tiers && i >= tiers.(k + 1).ti_first then tier_from tiers i (k + 1)
+  else k
+
+let tier_of_frame t i =
+  check t i;
+  tier_from t.tiers i 0
+
+let data t i =
+  check t i;
+  t.data.(i)
+
+let set_data t i d =
+  check t i;
+  t.data.(i) <- d
+
 let tier_access_us t k = (tier t k).ti_access_us
 let tier_migrate_us t k = (tier t k).ti_migrate_us
 let tier_bounds t k =
   let d = tier t k in
   (d.ti_first, d.ti_frames)
 
+(* [(first, count)] of one tier, or of the whole machine. *)
+let interval ?tier:tk t = match tk with None -> (0, n_frames t) | Some k -> tier_bounds t k
+
 let owner t i =
-  ignore (frame t i);
+  check t i;
   t.owners.(i)
 
 let set_owner t i o =
-  ignore (frame t i);
+  check t i;
   t.owners.(i) <- o
 
-(* The tier filter clamps the regular color pattern (frame i has color
-   i mod n_colors) to the tier's contiguous index interval — still
-   O(result), no scan. *)
+(* Frame i has color i mod n_colors, so a color's frames within an index
+   interval are an arithmetic progression: built back to front, O(result). *)
 let frames_of_color ?tier:tk t color =
   if color < 0 || color >= t.n_colors then []
-  else
-    match tk with
-    | None -> Array.fold_right (fun i acc -> i :: acc) t.by_color.(color) []
-    | Some k ->
-        let first, count = tier_bounds t k in
-        let limit = first + count in
-        let rem = (color - first) mod t.n_colors in
-        let start = first + (if rem < 0 then rem + t.n_colors else rem) in
-        let acc = ref [] in
-        let i = ref start in
-        while !i < limit do
-          acc := !i :: !acc;
-          i := !i + t.n_colors
-        done;
-        List.rev !acc
+  else begin
+    let first, count = interval ?tier:tk t in
+    let limit = first + count in
+    let rem = (color - first) mod t.n_colors in
+    let start = first + if rem < 0 then rem + t.n_colors else rem in
+    let acc = ref [] in
+    if start < limit then begin
+      let i = ref (start + ((limit - 1 - start) / t.n_colors * t.n_colors)) in
+      while !i >= start do
+        acc := !i :: !acc;
+        i := !i - t.n_colors
+      done
+    end;
+    !acc
+  end
 
 (* Frames are laid out contiguously (addr = index * page_size), so an
    address interval is an index interval: no scan, no intermediate list. *)
 let frames_in_range ?tier:tk t ~lo_addr ~hi_addr =
-  let n = Array.length t.frames in
   if hi_addr <= 0 || hi_addr <= lo_addr then []
   else begin
-    let lo = if lo_addr <= 0 then 0 else (lo_addr + t.page_size - 1) / t.page_size in
-    let hi = min (n - 1) ((hi_addr - 1) / t.page_size) in
-    let lo, hi =
-      match tk with
-      | None -> (lo, hi)
-      | Some k ->
-          let first, count = tier_bounds t k in
-          (max lo first, min hi (first + count - 1))
-    in
+    let first, count = interval ?tier:tk t in
+    let lo = max first ((lo_addr + t.page_size - 1) / t.page_size) in
+    let hi = min (first + count - 1) ((hi_addr - 1) / t.page_size) in
     let acc = ref [] in
     for i = hi downto lo do
       acc := i :: !acc
@@ -185,9 +168,7 @@ let frames_in_range ?tier:tk t ~lo_addr ~hi_addr =
    scans each frame at most once across a whole streaming pass. *)
 let find_aligned_run ?tier:tk t ~start ~run ~owned_by =
   if run <= 0 then invalid_arg "Hw_phys_mem.find_aligned_run: run must be positive";
-  let first, count =
-    match tk with None -> (0, Array.length t.frames) | Some k -> tier_bounds t k
-  in
+  let first, count = interval ?tier:tk t in
   let limit = first + count in
   let align i = (i + run - 1) / run * run in
   let result = ref (-1) in
@@ -202,11 +183,8 @@ let find_aligned_run ?tier:tk t ~start ~run ~owned_by =
   done;
   if !result < 0 then None else Some !result
 
-let zero_frame t i = (frame t i).data <- Hw_page_data.Zero
-
-let copy_frame t ~src ~dst =
-  let s = frame t src and d = frame t dst in
-  d.data <- s.data
+let zero_frame t i = set_data t i Hw_page_data.Zero
+let copy_frame t ~src ~dst = set_data t dst (data t src)
 
 let owners_histogram t =
   let tbl = Hashtbl.create 16 in

@@ -1,13 +1,18 @@
 (** Physical memory: tier-indexed pools of page frames.
 
-    Frames carry their physical address, cache color, memory tier and
-    current contents. A machine is built from one or more {e tiers} (fast
-    DRAM, slow CXL/NVM-like DRAM, …), each a contiguous run of frames with
-    its own per-access / per-migration {!Hw_cost.tier_costs} surcharges.
-    Tiers partition the frame index space in declaration order, so
-    [addr = index * page_size] and [color = index mod n_colors] hold
-    exactly as they did when memory was one flat array — a single-DRAM-tier
-    machine is structurally and cost-wise identical to the pre-tier model.
+    A frame is an index, [0 .. n_frames-1]. Per frame the machine stores
+    only what changes: its contents ({!data}) and the kernel's owner tag
+    ({!owner}). A machine is built from one or more {e tiers} (fast DRAM,
+    slow CXL/NVM-like DRAM, …), each a contiguous run of frames with its
+    own per-access / per-migration {!Hw_cost.tier_costs} surcharges.
+    Tiers partition the frame index space in declaration order, so a
+    frame's physical address ([index * page_size]), cache color
+    ([index mod n_colors]) and tier are arithmetic over the index and
+    the tier intervals ({!addr}, {!color}, {!tier_of_frame}), exactly as
+    when memory was one flat array — a single-DRAM-tier machine is
+    structurally and cost-wise identical to the pre-tier model. Every
+    per-frame accessor allocates nothing and raises [Invalid_argument]
+    for an out-of-range index.
 
     Who {e owns} a frame (which segment it is migrated into) is the
     kernel's business, not the hardware's; the kernel records an opaque
@@ -41,14 +46,6 @@ type tier = {
   ti_migrate_us : float;
 }
 
-type frame = {
-  index : int;  (** Frame number, [0 .. n_frames-1]. *)
-  addr : int;  (** Physical byte address of the frame. *)
-  color : int;  (** [addr / page_size mod n_colors] — cache color. *)
-  tier : int;  (** Tier id, [0 .. n_tiers-1]. *)
-  mutable data : Hw_page_data.t;
-}
-
 type t
 
 val create : ?n_colors:int -> page_size:int -> total_bytes:int -> unit -> t
@@ -64,8 +61,16 @@ val page_size : t -> int
 val n_frames : t -> int
 val n_colors : t -> int
 
-val frame : t -> int -> frame
-(** Raises [Invalid_argument] for an out-of-range index. *)
+val addr : t -> int -> int
+(** Physical byte address of a frame: [index * page_size]. *)
+
+val color : t -> int -> int
+(** Cache color of a frame: [index mod n_colors]. *)
+
+val data : t -> int -> Hw_page_data.t
+(** Current contents of a frame. *)
+
+val set_data : t -> int -> Hw_page_data.t -> unit
 
 val n_tiers : t -> int
 
@@ -73,6 +78,9 @@ val tier : t -> int -> tier
 (** Raises [Invalid_argument] for an out-of-range tier id. *)
 
 val tier_of_frame : t -> int -> int
+(** Tier id of a frame, [0 .. n_tiers-1]: the tier whose interval holds
+    it, found by walking the tier bounds (O(tiers)). *)
+
 val tier_access_us : t -> int -> float
 val tier_migrate_us : t -> int -> float
 
@@ -87,9 +95,9 @@ val set_owner : t -> int -> int -> unit
 
 val frames_of_color : ?tier:int -> t -> int -> int list
 (** Frame indices with the given color, ascending, optionally restricted
-    to one tier. Served from a per-color index precomputed at {!create}
-    (tier scoping clamps the regular color pattern to the tier interval):
-    O(result), no frame-array scan. *)
+    to one tier. Frame [i] has color [i mod n_colors], so the answer is an
+    arithmetic progression over the (tier's) index interval: O(result),
+    no scan and no precomputed index. *)
 
 val frames_in_range : ?tier:int -> t -> lo_addr:int -> hi_addr:int -> int list
 (** Frame indices whose physical address lies in [lo_addr, hi_addr),

@@ -43,7 +43,7 @@ let state t seg =
 let frame_data t seg page =
   let s = K.segment t.kern seg in
   match (Seg.page s page).Seg.frame with
-  | Some f -> Some (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem f).Hw_phys_mem.data
+  | Some f -> Some (Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem f)
   | None -> None
 
 let ensure_pool t n =

@@ -28,27 +28,27 @@ let manager_id t = t.mid
    in the cache of its tier ([Hw_cache.color_of]) — so the policy stays
    faithful if the cache's color count ever diverges from the [n_colors]
    the physical memory was built with. Without a cache it falls back to
-   the static [Hw_phys_mem] color tag, as before. *)
+   [Hw_phys_mem.color], the frame index modulo the memory's colors. *)
 let frame_color t frame =
   let machine = K.machine t.kern in
-  let fr = Phys.frame machine.Hw_machine.mem frame in
+  let mem = machine.Hw_machine.mem in
   let c =
-    if Array.length machine.Hw_machine.caches = 0 then fr.Phys.color
+    if Array.length machine.Hw_machine.caches = 0 then Phys.color mem frame
     else
       Hw_cache.color_of
-        machine.Hw_machine.caches.(fr.Phys.tier)
-        ~phys_addr:fr.Phys.addr
+        machine.Hw_machine.caches.(Phys.tier_of_frame mem frame)
+        ~phys_addr:(Phys.addr mem frame)
         ~page_bytes:(Hw_machine.page_size machine)
   in
   c mod t.n_colors
 
 (* Placement probe: does the system still hold a free (initial-segment)
    frame of [color], within this manager's tier when it is tier-scoped?
-   Served from the physical memory's per-color index
+   Served from the physical memory's color arithmetic
    ([Phys.frames_of_color ?tier]) plus the owner tags, so a futile
    refill round-trip to the source is skipped when the answer is no.
-   Only exact when the manager's color space matches the one the frame
-   index is keyed by; otherwise we conservatively answer yes. *)
+   Only exact when the manager's color space matches the memory's;
+   otherwise we conservatively answer yes. *)
 let color_available t ~color =
   let machine = K.machine t.kern in
   let mem = machine.Hw_machine.mem in

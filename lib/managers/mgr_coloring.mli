@@ -13,10 +13,10 @@
     frame's color is the set group its physical address actually maps to
     ({!Hw_cache.color_of} in the cache of the frame's tier) and
     [n_colors] defaults to {!Hw_machine.cache_colors}; without a cache it
-    falls back to the static {!Hw_phys_mem} color tag. Before asking the
-    source for a specific color, the manager probes availability through
-    the per-color frame index ({!Hw_phys_mem.frames_of_color}, scoped by
-    [?tier] when the manager is tier-bound), so a color the system has
+    falls back to {!Hw_phys_mem.color}. Before asking the source for a
+    specific color, the manager probes availability through
+    {!Hw_phys_mem.frames_of_color} (scoped by [?tier] when the manager
+    is tier-bound), so a color the system has
     run out of degrades to best-effort without a futile round-trip.
 
     Unlike {!Mgr_free_pages}, the pool here is slot-addressed, not

@@ -151,7 +151,7 @@ let evict t ~seg ~page =
   match (Seg.page s page).Seg.frame with
   | None -> ()
   | Some frame ->
-      let data = (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data in
+      let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
       stash t ~seg ~page data;
       (if Mgr_free_pages.room t.pool = 0 then
          ignore (Mgr_free_pages.release_to_initial t.pool ~count:16));

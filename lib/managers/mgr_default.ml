@@ -102,9 +102,7 @@ let flush_file t seg =
         (fun page slot ->
           match slot.Epcm_segment.frame with
           | Some frame when Epcm_flags.mem slot.Epcm_segment.flags Epcm_flags.dirty -> (
-              let data =
-                (Hw_phys_mem.frame (K.machine kern).Hw_machine.mem frame).Hw_phys_mem.data
-              in
+              let data = Hw_phys_mem.data (K.machine kern).Hw_machine.mem frame in
               (* The dirty bit only clears once the block is durably out;
                  a failed write leaves it set so the next flush retries. *)
               try

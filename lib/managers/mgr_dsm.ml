@@ -60,7 +60,7 @@ let ensure_pool t n =
 let frame_data t seg page =
   let s = K.segment t.kern seg in
   match (Seg.page s page).Seg.frame with
-  | Some f -> (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem f).Hw_phys_mem.data
+  | Some f -> Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem f
   | None -> Hw_page_data.Zero
 
 (* Current authoritative contents of a page. *)

@@ -39,15 +39,12 @@ let put_from t ~src ~src_page =
     ();
   t.full <- t.full + 1
 
-let frame_at t slot =
-  let seg = K.segment t.kernel t.seg in
-  match (Seg.page seg slot).Seg.frame with
-  | Some f -> Hw_phys_mem.frame (K.machine t.kernel).Hw_machine.mem f
-  | None -> raise (K.Error (K.No_frame { seg = t.seg; page = slot }))
-
 let set_next_data t data =
   if t.full = 0 then raise (K.Error (K.No_frame { seg = t.seg; page = 0 }));
-  (frame_at t (t.full - 1)).Hw_phys_mem.data <- data
+  let slot = t.full - 1 in
+  match (Seg.page (K.segment t.kernel t.seg) slot).Seg.frame with
+  | Some f -> Hw_phys_mem.set_data (K.machine t.kernel).Hw_machine.mem f data
+  | None -> raise (K.Error (K.No_frame { seg = t.seg; page = slot }))
 
 let release_to_initial t ~count =
   let n = min count t.full in

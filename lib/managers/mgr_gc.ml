@@ -115,9 +115,7 @@ let evict_conventional t ~seg ~page ~count =
       | None -> ()
       | Some frame ->
           (if Flags.mem slot.Seg.flags Flags.dirty then
-             let data =
-               (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data
-             in
+             let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
              Mgr_backing.write_block t.backing ~file:(-seg) ~block:p data);
           room_or_release t;
           Mgr_free_pages.put_from t.pool ~src:seg ~src_page:p;

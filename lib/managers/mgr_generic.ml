@@ -175,9 +175,7 @@ let evict_one t entry =
           try
             match t.hooks.on_eviction ~seg:entry.ce_seg ~page:entry.ce_page ~dirty with
             | `Writeback ->
-                let data =
-                  (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data
-                in
+                let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
                 (* Anonymous pages write to a swap area modelled by the same
                    backing store under the negated segment id. *)
                 let file =
@@ -288,9 +286,10 @@ let try_superpage_fill t (fault : Mgr.fault) inf seg =
                track t fault.Mgr.f_seg (sbase + i)
              done;
              t.stats.fills <- t.stats.fills + 1;
-             Hw_machine.trace_emit (K.machine t.kern) ~tag:"step2-3.superpage_fill" (fun () ->
-                 Printf.sprintf "seg %d pages %d..%d (aligned run)" fault.Mgr.f_seg sbase
-                   (sbase + got - 1));
+             if Hw_machine.tracing (K.machine t.kern) then
+               Hw_machine.trace_emit (K.machine t.kern) ~tag:"step2-3.superpage_fill"
+                 (Printf.sprintf "seg %d pages %d..%d (aligned run)" fault.Mgr.f_seg sbase
+                    (sbase + got - 1));
              true
            end
       end
@@ -325,22 +324,25 @@ let handle_missing_base t (fault : Mgr.fault) inf seg =
     in
     match filled with
     | Some data ->
-        Hw_machine.trace_emit machine ~tag:"step2.request_data" (fun () ->
-            Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
+        if Hw_machine.tracing machine then
+          Hw_machine.trace_emit machine ~tag:"step2.request_data"
+            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
         Mgr_free_pages.set_next_data t.pool data;
-        Hw_machine.trace_emit machine ~tag:"step3.data_reply" (fun () ->
-            Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
+        if Hw_machine.tracing machine then
+          Hw_machine.trace_emit machine ~tag:"step3.data_reply"
+            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
         (* Copying the arrived data into the allocated frame. *)
         Hw_machine.charge ~label:"mgr/copy_page" machine
           machine.Hw_machine.cost.Hw_cost.copy_page
     | None ->
-        Hw_machine.trace_emit machine ~tag:"step2-3.local_fill" (fun () ->
-            Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
+        if Hw_machine.tracing machine then
+          Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
+            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
   end
-  else
-    Hw_machine.trace_emit machine ~tag:"step2-3.local_fill" (fun () ->
-        Printf.sprintf "seg %d pages %d..%d (append batch)" fault.Mgr.f_seg fault.Mgr.f_page
-          (fault.Mgr.f_page + batch - 1));
+  else if Hw_machine.tracing machine then
+    Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
+      (Printf.sprintf "seg %d pages %d..%d (append batch)" fault.Mgr.f_seg fault.Mgr.f_page
+         (fault.Mgr.f_page + batch - 1));
   let moved =
     Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:batch
       ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
@@ -422,10 +424,7 @@ let on_close t seg =
               (if Flags.mem slot.Seg.flags Flags.dirty then
                  match inf.kind with
                  | File { file_id } -> (
-                     let data =
-                       (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame)
-                         .Hw_phys_mem.data
-                     in
+                     let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
                      (* The segment is going away regardless; an exhausted
                         retry budget here is explicit, counted data loss,
                         not a reason to wedge the close. *)

@@ -90,7 +90,7 @@ let charge_logic t =
     (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
 
 let frame_data t frame =
-  (Phys.frame (K.machine t.kern).Hw_machine.mem frame).Phys.data
+  Phys.data (K.machine t.kern).Hw_machine.mem frame
 
 let slot_state t seg page =
   if not (K.segment_exists t.kern seg) then None

@@ -20,9 +20,10 @@
       through to its disk spill area) into a fast frame.
 
     Frames come straight from the kernel's initial segment
-    ({!Epcm_kernel.initial_slots} with a tier filter), so tier capacity
-    itself is the residency bound: the demotion cascade starts when a
-    tier's free frames run out.
+    ({!Epcm_kernel.initial_slots} scoped to the tier, which answers in
+    O(1) once the tier has no free frame), so tier capacity itself is
+    the residency bound: the demotion cascade starts when a tier's free
+    frames run out.
 
     Both pools are {e tier-pure} — every [take_to] passes [~tier], so the
     kernel's [Tier_mismatch] check audits purity on each allocation. *)

@@ -5,14 +5,17 @@ module Series = struct
      on each store). *)
   type acc = { mutable mean : float; mutable max_v : float }
 
+  (* [sorted]: the first [len] samples are in sorted order, so a
+     percentile reads them in place; an [add] clears it. *)
   type t = {
     mutable data : float array;
     mutable len : int;
+    mutable sorted : bool;
     acc : acc;
   }
 
   let create () =
-    { data = Array.make 64 0.0; len = 0; acc = { mean = 0.0; max_v = neg_infinity } }
+    { data = Array.make 64 0.0; len = 0; sorted = true; acc = { mean = 0.0; max_v = neg_infinity } }
 
   let add t x =
     if t.len = Array.length t.data then begin
@@ -22,6 +25,7 @@ module Series = struct
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1;
+    t.sorted <- false;
     let a = t.acc in
     a.mean <- a.mean +. ((x -. a.mean) /. float_of_int t.len);
     if x > a.max_v then a.max_v <- x
@@ -44,8 +48,7 @@ module Series = struct
       end
     end
 
-  let sort (a : float array) =
-    let n = Array.length a in
+  let sort (a : float array) n =
     for i = (n / 2) - 1 downto 0 do
       sift_down a i n
     done;
@@ -58,13 +61,15 @@ module Series = struct
 
   let percentile t p =
     if t.len = 0 then invalid_arg "Sim_stats.Series.percentile: empty series";
-    let sorted = Array.sub t.data 0 t.len in
-    sort sorted;
+    if not t.sorted then begin
+      sort t.data t.len;
+      t.sorted <- true
+    end;
     let rank =
       int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) - 1
     in
     let rank = Stdlib.max 0 (Stdlib.min (t.len - 1) rank) in
-    sorted.(rank)
+    t.data.(rank)
 end
 
 module Counters = struct

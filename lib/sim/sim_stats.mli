@@ -16,7 +16,9 @@ module Series : sig
 
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [0,100]; nearest-rank on the sorted
-      sample. Raises [Invalid_argument] when empty. *)
+      sample. The samples are sorted in place, once per run of [add]s,
+      so a second quantile costs neither a copy nor a sort. Raises
+      [Invalid_argument] when empty. *)
 end
 
 (** Named event counters with a deterministic rendering order. Managers

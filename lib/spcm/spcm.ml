@@ -120,31 +120,18 @@ let charge_rpc t =
     (c.Hw_cost.ipc_send +. c.Hw_cost.context_switch +. c.Hw_cost.manager_server_dispatch
    +. c.Hw_cost.ipc_reply +. c.Hw_cost.context_switch)
 
-(* Free frames live in the kernel's initial segment. *)
+(* Free frames live in the kernel's initial segment: a constraint is a
+   tier or a frame filter on the kernel's one free-frame walk. *)
 let free_slots t ~constraint_ ~limit =
-  let init = K.segment t.kern (K.initial_segment t.kern) in
   let mem = (K.machine t.kern).Hw_machine.mem in
-  let matches frame_idx =
-    match constraint_ with
-    | Unconstrained -> true
-    | Color c -> (Phys.frame mem frame_idx).Phys.color = c
-    | Phys_range { lo_addr; hi_addr } ->
-        let addr = (Phys.frame mem frame_idx).Phys.addr in
-        addr >= lo_addr && addr < hi_addr
-    | Tier k -> Phys.tier_of_frame mem frame_idx = k
-  in
-  let acc = ref [] and found = ref 0 in
-  let n = Seg.length init in
-  let slot = ref 0 in
-  while !found < limit && !slot < n do
-    (match (Seg.page init !slot).Seg.frame with
-    | Some f when matches f ->
-        acc := !slot :: !acc;
-        incr found
-    | Some _ | None -> ());
-    incr slot
-  done;
-  List.rev !acc
+  match constraint_ with
+  | Unconstrained -> K.initial_slots t.kern ~limit
+  | Tier k -> K.initial_slots ~tier:k t.kern ~limit
+  | Color c -> K.initial_slots ~filter:(fun f -> Phys.color mem f = c) t.kern ~limit
+  | Phys_range { lo_addr; hi_addr } ->
+      K.initial_slots t.kern ~limit ~filter:(fun f ->
+          let addr = Phys.addr mem f in
+          addr >= lo_addr && addr < hi_addr)
 
 let free_frames t =
   Seg.resident_pages (K.segment t.kern (K.initial_segment t.kern))

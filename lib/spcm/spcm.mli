@@ -10,6 +10,11 @@
     back from other clients through their pressure callbacks, and it can
     force memory out of bankrupt accounts.
 
+    Free frames are the initial segment's, and the SPCM finds them with
+    the kernel's one free-frame walk ({!Epcm_kernel.initial_slots}): a
+    [Tier] constraint scopes the walk to that tier (an unknown tier id
+    finds nothing), [Color] and [Phys_range] become a frame filter on it.
+
     {b Admission control at scale (ROADMAP item 1).} Two request
     interfaces coexist:
 

@@ -264,7 +264,73 @@ let test_fault_round_trip () =
   let s = Mgr_generic.stats mgr in
   if s.Mgr_generic.fills <> faults || s.Mgr_generic.refill_requests <> 1 then
     Alcotest.fail "every touch must fault once and be served from the pre-filled pool";
-  gate "faulting K.touch (Mgr_generic, metrics off)" ~bound:155.5 w
+  gate "faulting K.touch (Mgr_generic, metrics off)" ~bound:134.5 w
+
+(* One page out of the initial segment and back, with tracing off: the
+   step4.migrate detail is built only when tracing is on. *)
+let test_migrate_pair () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  let k = K.create m in
+  let init = K.initial_segment k in
+  let seg = K.create_segment k ~name:"pair" ~pages:1 () in
+  let w =
+    per_op ~ops:n m.Hw_machine.engine (fun () ->
+        for _ = 1 to n do
+          K.migrate_pages k ~src:init ~dst:seg ~src_page:0 ~dst_page:0 ~count:1 ();
+          K.migrate_pages k ~src:seg ~dst:init ~src_page:0 ~dst_page:0 ~count:1 ()
+        done)
+  in
+  gate "migrate_pages pair, tracing off" ~bound:28.5 w
+
+(* The free-frame walk on a tier with no free frame answers from the
+   initial segment's per-tier counter without visiting a slot: what is
+   left is the segment lookup. *)
+let test_walk_empty_tier () =
+  let m =
+    Hw_machine.create
+      ~tiers:
+        [
+          Hw_phys_mem.dram_tier ~bytes:(64 * 4096);
+          Hw_phys_mem.slow_dram_tier ~bytes:(4096 * 4096);
+        ]
+      ()
+  in
+  let k = K.create m in
+  let seg = K.create_segment k ~name:"fast" ~pages:64 () in
+  K.migrate_pages k ~src:(K.initial_segment k) ~dst:seg ~src_page:0 ~dst_page:0 ~count:64 ();
+  let empty = ref 0 in
+  let w =
+    words_during (fun () ->
+        for _ = 1 to n do
+          if K.initial_slots ~tier:0 k ~limit:1 = [] then incr empty
+        done)
+    /. float_of_int n
+  in
+  if !empty <> n then Alcotest.fail "the fast tier must have no free frame";
+  gate "initial_slots on an empty tier" ~bound:2.5 w
+
+let test_phys_accessors () =
+  let mem =
+    Hw_phys_mem.create_tiered ~page_size:4096
+      ~tiers:
+        [
+          Hw_phys_mem.dram_tier ~bytes:(64 * 4096);
+          Hw_phys_mem.slow_dram_tier ~bytes:(64 * 4096);
+          Hw_phys_mem.slow_dram_tier ~bytes:(64 * 4096);
+        ]
+      ()
+  in
+  let sink = ref 0 in
+  let w =
+    words_during (fun () ->
+        for i = 1 to n do
+          let f = i mod 192 in
+          sink := !sink + Hw_phys_mem.addr mem f + Hw_phys_mem.tier_of_frame mem f;
+          if Hw_phys_mem.data mem f == Hw_page_data.Zero then incr sink
+        done)
+    /. float_of_int (3 * n)
+  in
+  gate "Hw_phys_mem addr / data / tier_of_frame" ~bound:0.5 w
 
 let test_rng_draws () =
   let r = Sim_rng.create 1L in
@@ -299,6 +365,9 @@ let () =
           Alcotest.test_case "charge with metrics on" `Quick test_charge_metrics_on;
           Alcotest.test_case "with_span with metrics on" `Quick test_span_metrics_on;
           Alcotest.test_case "faulting K.touch round trip" `Quick test_fault_round_trip;
+          Alcotest.test_case "migrate_pages pair" `Quick test_migrate_pair;
+          Alcotest.test_case "walk on an empty tier" `Quick test_walk_empty_tier;
+          Alcotest.test_case "Hw_phys_mem accessors" `Quick test_phys_accessors;
           Alcotest.test_case "Sim_rng draws" `Quick test_rng_draws;
         ] );
     ]

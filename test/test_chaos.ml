@@ -329,7 +329,7 @@ let test_coloring_traffic_storm () =
       | Some f
         when (match color with
              | None -> true
-             | Some c -> (Hw_phys_mem.frame mem f).Hw_phys_mem.color = c) ->
+             | Some c -> Hw_phys_mem.color mem f = c) ->
           K.migrate_pages kernel ~src:init ~dst ~src_page:!slot ~dst_page:(dst_page + !granted)
             ~count:1 ();
           incr granted
@@ -396,7 +396,7 @@ let coloring_cache_storm ~tiered ~seed =
       | Some f
         when (match color with
              | None -> true
-             | Some c -> (Hw_phys_mem.frame mem f).Hw_phys_mem.color = c) ->
+             | Some c -> Hw_phys_mem.color mem f = c) ->
           K.migrate_pages kernel ~src:init ~dst ~src_page:!slot ~dst_page:(dst_page + !granted)
             ~count:1 ();
           incr granted

@@ -44,9 +44,11 @@ let test_data_byte_observation () =
 let test_phys_layout () =
   let m = Phys.create ~n_colors:4 ~page_size:4096 ~total_bytes:(16 * 4096) () in
   check_int "frames" 16 (Phys.n_frames m);
-  check_int "addr of frame 3" (3 * 4096) (Phys.frame m 3).Phys.addr;
-  check_int "color cycles" 3 (Phys.frame m 3).Phys.color;
-  check_int "color wraps" 0 (Phys.frame m 4).Phys.color
+  check_int "addr of frame 3" (3 * 4096) (Phys.addr m 3);
+  check_int "color cycles" 3 (Phys.color m 3);
+  check_int "color wraps" 0 (Phys.color m 4);
+  Alcotest.check_raises "index past the end"
+    (Invalid_argument "Hw_phys_mem: frame 16 out of range") (fun () -> ignore (Phys.addr m 16))
 
 let test_phys_queries () =
   let m = Phys.create ~n_colors:4 ~page_size:4096 ~total_bytes:(16 * 4096) () in
@@ -54,10 +56,10 @@ let test_phys_queries () =
   Alcotest.(check (list int)) "address range" [ 2; 3 ]
     (Phys.frames_in_range m ~lo_addr:8192 ~hi_addr:16384)
 
-(* The color/range queries are served from indexes precomputed at create
-   (per-color frame lists, interval arithmetic) instead of scanning the
-   frame array. Pin them against the naive scan they replaced, across
-   awkward geometries: colors > frames, a single frame, unaligned and
+(* The color/range queries are index arithmetic (a color's frames are an
+   arithmetic progression, an address interval is an index interval).
+   Pin them against a scan of the per-frame accessors, across awkward
+   geometries: colors > frames, a single frame, unaligned and
    out-of-range address bounds. *)
 let test_phys_indexes_match_scan () =
   let geometries =
@@ -67,12 +69,12 @@ let test_phys_indexes_match_scan () =
     (fun (n_colors, page_size, total_bytes) ->
       let m = Phys.create ~n_colors ~page_size ~total_bytes () in
       let scan keep =
-        List.filter (fun i -> keep (Phys.frame m i)) (List.init (Phys.n_frames m) Fun.id)
+        List.filter keep (List.init (Phys.n_frames m) Fun.id)
       in
       for color = 0 to Phys.n_colors m - 1 do
         Alcotest.(check (list int))
           (Printf.sprintf "color %d of %d/%d frames" color n_colors (Phys.n_frames m))
-          (scan (fun f -> f.Phys.color = color))
+          (scan (fun i -> Phys.color m i = color))
           (Phys.frames_of_color m color)
       done;
       let ranges =
@@ -89,18 +91,18 @@ let test_phys_indexes_match_scan () =
         (fun (lo_addr, hi_addr) ->
           Alcotest.(check (list int))
             (Printf.sprintf "range [%d, %d)" lo_addr hi_addr)
-            (scan (fun f -> f.Phys.addr >= lo_addr && f.Phys.addr < hi_addr))
+            (scan (fun i -> Phys.addr m i >= lo_addr && Phys.addr m i < hi_addr))
             (Phys.frames_in_range m ~lo_addr ~hi_addr))
         ranges)
     geometries
 
 let test_phys_copy_zero () =
   let m = Phys.create ~page_size:4096 ~total_bytes:(4 * 4096) () in
-  (Phys.frame m 0).Phys.data <- Data.of_string "payload";
+  Phys.set_data m 0 (Data.of_string "payload");
   Phys.copy_frame m ~src:0 ~dst:1;
-  check_bool "copied" true (Data.equal (Phys.frame m 1).Phys.data (Data.of_string "payload"));
+  check_bool "copied" true (Data.equal (Phys.data m 1) (Data.of_string "payload"));
   Phys.zero_frame m 1;
-  check_bool "zeroed" true (Data.equal (Phys.frame m 1).Phys.data Data.Zero)
+  check_bool "zeroed" true (Data.equal (Phys.data m 1) Data.Zero)
 
 let test_phys_bad_create () =
   Alcotest.check_raises "no pages"
@@ -122,8 +124,22 @@ let test_phys_tiered_layout () =
   check_int "last fast frame" 0 (Phys.tier_of_frame m 5);
   check_int "first slow frame" 1 (Phys.tier_of_frame m 6);
   (* Address/color arithmetic is tier-blind: same as the flat machine. *)
-  check_int "addr crosses the boundary linearly" (7 * 4096) (Phys.frame m 7).Phys.addr;
-  check_int "color keeps cycling" 3 (Phys.frame m 7).Phys.color;
+  check_int "addr crosses the boundary linearly" (7 * 4096) (Phys.addr m 7);
+  check_int "color keeps cycling" 3 (Phys.color m 7);
+  (* With three tiers every frame's tier is the interval holding it. *)
+  let m3 =
+    Phys.create_tiered ~page_size:4096
+      ~tiers:
+        [
+          Phys.dram_tier ~bytes:(3 * 4096);
+          Phys.slow_dram_tier ~bytes:4096;
+          Phys.slow_dram_tier ~bytes:(5 * 4096);
+        ]
+      ()
+  in
+  Alcotest.(check (list int))
+    "tier of each frame, three tiers" [ 0; 0; 0; 1; 2; 2; 2; 2; 2 ]
+    (List.init (Phys.n_frames m3) (Phys.tier_of_frame m3));
   (* Cost surcharges come from the tier spec. *)
   check_float "dram access surcharge" 0.0 (Phys.tier_access_us m 0);
   check_bool "slow tier surcharges" true

@@ -650,7 +650,7 @@ let coloring_setup () =
       | Some f
         when (match color with
              | None -> true
-             | Some c -> (Hw_phys_mem.frame mem f).Hw_phys_mem.color = c) ->
+             | Some c -> Hw_phys_mem.color mem f = c) ->
           K.migrate_pages kernel ~src:init ~dst ~src_page:!slot ~dst_page:(dst_page + !granted)
             ~count:1 ();
           incr granted
@@ -686,7 +686,7 @@ let test_coloring_falls_back_when_color_exhausted () =
         let slot = ref 0 in
         while !granted < count && !slot < Seg.length init_seg do
           (match (Seg.page init_seg !slot).Seg.frame with
-          | Some f when (Hw_phys_mem.frame mem f).Hw_phys_mem.color <> 3 ->
+          | Some f when Hw_phys_mem.color mem f <> 3 ->
               K.migrate_pages kernel ~src:init ~dst ~src_page:!slot
                 ~dst_page:(dst_page + !granted) ~count:1 ();
               incr granted

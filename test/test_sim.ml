@@ -157,21 +157,31 @@ let test_series_percentile () =
    are equal and so are both zeros, the only ties a sort can order
    differently. *)
 let prop_series_percentile_reference =
+  let sample = QCheck.(oneof [ float; oneofl [ nan; infinity; neg_infinity; 0.0; -0.0; 1.0 ] ]) in
   QCheck.Test.make ~name:"series percentile matches a Float.compare sort" ~count:300
     QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 300)
-           (oneof [ float; oneofl [ nan; infinity; neg_infinity; 0.0; -0.0; 1.0 ] ]))
+      triple
+        (list_of_size Gen.(1 -- 300) sample)
+        (list_of_size Gen.(0 -- 50) sample)
         (float_bound_inclusive 100.0))
-    (fun (xs, p) ->
+    (fun (xs, ys, p) ->
       let s = Stats.Series.create () in
+      let expect xs =
+        let sorted = Array.of_list xs in
+        Array.sort Float.compare sorted;
+        let n = Array.length sorted in
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+        sorted.(max 0 (min (n - 1) rank))
+      in
+      (* Samples added after a percentile (which sorts in place) count
+         in the next one. *)
       List.iter (Stats.Series.add s) xs;
-      let sorted = Array.of_list xs in
-      Array.sort Float.compare sorted;
-      let n = Array.length sorted in
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      let expect = sorted.(max 0 (min (n - 1) rank)) in
-      Float.equal expect (Stats.Series.percentile s p))
+      Float.equal (expect xs) (Stats.Series.percentile s p)
+      && Float.equal (expect xs) (Stats.Series.percentile s p)
+      && begin
+           List.iter (Stats.Series.add s) ys;
+           Float.equal (expect (xs @ ys)) (Stats.Series.percentile s p)
+         end)
 
 let test_series_empty_percentile () =
   let s = Stats.Series.create () in

@@ -524,7 +524,7 @@ let test_spcm_color_constraint () =
   Array.iter
     (fun a ->
       let f = Option.get a.K.pa_frame in
-      check_int "right color" 5 (Hw_phys_mem.frame machine.Hw_machine.mem f).Hw_phys_mem.color)
+      check_int "right color" 5 (Hw_phys_mem.color machine.Hw_machine.mem f))
     attrs
 
 let test_spcm_phys_range_constraint () =

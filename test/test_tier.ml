@@ -274,8 +274,137 @@ let prop_churn_preserves_contents_and_ownership =
       && tier_columns_conserved kernel machine
       && K.frame_owner_total kernel = Hw_machine.n_frames machine)
 
+(* The free-frame walk ([K.initial_slots]) against the scan it replaced:
+   every initial-segment slot in ascending order, keeping those whose
+   frame is in scope, up to the limit. The walk stops at the initial
+   segment's resident counters instead of the segment's end. *)
+let scan_initial_slots kernel ~in_scope ~limit =
+  let init = K.segment kernel (K.initial_segment kernel) in
+  let acc = ref [] and found = ref 0 in
+  for slot = 0 to Seg.length init - 1 do
+    match (Seg.page init slot).Seg.frame with
+    | Some f when !found < limit && in_scope f ->
+        acc := slot :: !acc;
+        incr found
+    | Some _ | None -> ()
+  done;
+  List.rev !acc
+
+(* Random grant / release / destroy / migrate sequences on machines of
+   one to three tiers (one to twelve frames each, four colors). After
+   every operation each scope — no filter, every tier, two unknown tier
+   ids (which answer [[]]), each color, a physical range, a tier with a
+   color — at limits 1, 3 and all must answer exactly what the scan
+   does. Grants go through the walk itself; [release_frames] and
+   [destroy_segment] put frames back at arbitrary initial slots, and
+   migrates move frames between segments and back into empty initial
+   slots, so the free frames end up scattered across the segment. *)
+let prop_walk_matches_scan =
+  QCheck.Test.make ~name:"free-frame walk matches a full scan of the initial segment" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 3) (int_range 1 12))
+        (list_of_size Gen.(int_range 0 40) (triple (int_bound 4) small_nat small_nat)))
+    (fun (sizes, ops) ->
+      let machine =
+        Hw_machine.create ~page_size ~n_colors:4
+          ~tiers:
+            (List.mapi
+               (fun i frames ->
+                 if i = 0 then Phys.dram_tier ~bytes:(frames * page_size)
+                 else Phys.slow_dram_tier ~bytes:(frames * page_size))
+               sizes)
+          ()
+      in
+      let kernel = K.create machine in
+      let mem = machine.Hw_machine.mem in
+      let n = Phys.n_frames mem and n_tiers = Phys.n_tiers mem in
+      let init = K.initial_segment kernel in
+      let fresh i = K.create_segment kernel ~name:(Printf.sprintf "s%d" i) ~pages:n () in
+      let segs = Array.init 3 fresh in
+      let in_tier k f =
+        let first, count = Phys.tier_bounds mem k in
+        f >= first && f < first + count
+      in
+      let in_range f =
+        let a = Phys.addr mem f in
+        a >= 2 * page_size && a < (n - 1) * page_size
+      in
+      let scopes =
+        (None, None, fun _ -> true)
+        :: List.init (n_tiers + 2) (fun i ->
+               let k = i - 1 in
+               (Some k, None, fun f -> k >= 0 && k < n_tiers && in_tier k f))
+        @ List.init 4 (fun c ->
+              let keep f = Phys.color mem f = c in
+              (None, Some keep, keep))
+        @ [
+            (None, Some in_range, in_range);
+            ( Some 0,
+              Some (fun f -> Phys.color mem f = 1),
+              fun f -> in_tier 0 f && Phys.color mem f = 1 );
+          ]
+      in
+      let agree () =
+        List.for_all
+          (fun (tier, filter, in_scope) ->
+            List.for_all
+              (fun limit ->
+                K.initial_slots ?tier ?filter kernel ~limit
+                = scan_initial_slots kernel ~in_scope ~limit)
+              [ 1; 3; max_int ])
+          scopes
+      in
+      let frame_at seg page = (Seg.page (K.segment kernel seg) page).Seg.frame in
+      (* The first page at or cyclically after [from] whose frame presence
+         is [full], if any. *)
+      let find seg ~from ~full =
+        let rec go i =
+          if i = n then None
+          else
+            let p = (from + i) mod n in
+            if (frame_at seg p <> None) = full then Some p else go (i + 1)
+        in
+        go 0
+      in
+      let move ~src ~src_page ~dst ~from =
+        match find dst ~from ~full:false with
+        | Some dst_page -> K.migrate_pages kernel ~src ~dst ~src_page ~dst_page ~count:1 ()
+        | None -> ()
+      in
+      let step (op, a, b) =
+        let s = a mod 3 in
+        match op with
+        | 0 ->
+            let tier, filter, _ = List.nth scopes (a mod List.length scopes) in
+            List.iter
+              (fun slot -> move ~src:init ~src_page:slot ~dst:segs.(s) ~from:0)
+              (K.initial_slots ?tier ?filter kernel ~limit:(1 + (b mod 4)))
+        | 1 ->
+            let page = b mod n in
+            K.release_frames kernel ~seg:segs.(s) ~page ~count:(min 3 (n - page))
+        | 2 ->
+            K.destroy_segment kernel segs.(s);
+            segs.(s) <- fresh s
+        | 3 -> (
+            match find segs.(s) ~from:(b mod n) ~full:true with
+            | Some src_page -> move ~src:segs.(s) ~src_page ~dst:segs.((s + 1) mod 3) ~from:0
+            | None -> ())
+        | _ -> (
+            match find segs.(s) ~from:(b mod n) ~full:true with
+            | Some src_page -> move ~src:segs.(s) ~src_page ~dst:init ~from:(b mod n)
+            | None -> ())
+      in
+      agree ()
+      && List.for_all
+           (fun op ->
+             step op;
+             agree ())
+           ops)
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_churn_preserves_contents_and_ownership ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_churn_preserves_contents_and_ownership; prop_walk_matches_scan ]
 
 let () =
   Alcotest.run "tier"
