@@ -18,7 +18,10 @@
 # - the stdout of the ten examples, byte for byte.
 #
 # Then prints each workload's alloc_mwords and peak_heap_mb from one
-# untraced iteration on both sides. Exits 1 if anything differs, 2 on
+# untraced iteration on both sides, and the .ml/.mli line totals of
+# lib/, bin/, bench/, lib/managers and lib+bin+bench in both trees (a
+# simplification shows as fewer lines with everything above identical).
+# Exits 1 if anything differs, 2 on
 # bad usage. Traces, records and intermediate files go to a temporary
 # directory, so neither tree gains files outside its _build/.
 set -euo pipefail
@@ -112,5 +115,17 @@ for w in $workloads; do
   read -r pa pp <<<"$p"
   read -r ca cp <<<"$c"
   printf '%-10s %14.2f %14.2f %14.2f %14.2f\n' "$w" "$pa" "$ca" "$pp" "$cp"
+done
+
+# lines TREE DIR...: the .ml/.mli lines under DIRs of TREE.
+lines() {
+  local tree="$1"
+  shift
+  (cd "$tree" && find "$@" \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l)
+}
+echo
+printf '%-14s %14s %14s\n' lines parent change
+for dirs in lib bin bench lib/managers "lib bin bench"; do
+  printf '%-14s %14d %14d\n' "${dirs// /+}" "$(lines "$parent" $dirs)" "$(lines "$change" $dirs)"
 done
 exit $status

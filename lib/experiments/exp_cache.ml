@@ -31,7 +31,6 @@
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
-module Flags = Epcm_flags
 module Phys = Hw_phys_mem
 module Engine = Sim_engine
 
@@ -93,50 +92,27 @@ let trace ~rounds kernel seg =
 (* Placement policies                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let serve_protection kernel (fault : Mgr.fault) =
-  K.modify_page_flags kernel ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-    ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-    ()
-
-(* Address-order placement, as in Exp_tier's naive pager. *)
-let sequential_pager kernel =
-  let source = K.initial_source kernel in
-  let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
-    match fault.Mgr.f_kind with
-    | Mgr.Missing | Mgr.Cow_write ->
-        if source ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1 = 0 then
-          failwith "Exp_cache: sequential pager out of frames"
-    | Mgr.Protection -> serve_protection kernel fault
-  in
-  K.register_manager kernel ~name:"sequential-pager" ~mode:`In_process ~on_fault ()
-
-(* Uniform draw from the remaining free initial slots (frames never come
-   back in this workload, so a swap-removal array stays exact). *)
-let random_pager kernel ~seed =
+(* The sequential and random legs run Mgr_generic's pool-less pager; the
+   source is their placement. Sequential is address order
+   (K.initial_source). Random is a uniform draw from the remaining free
+   initial slots (frames never come back in this workload, so a
+   swap-removal array stays exact). *)
+let random_source kernel ~seed =
   let rng = Sim_rng.create seed in
   let init = K.initial_segment kernel in
   let n = Seg.length (K.segment kernel init) in
   let free = Array.init n Fun.id in
   let left = ref n in
-  let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
-    match fault.Mgr.f_kind with
-    | Mgr.Missing | Mgr.Cow_write ->
-        if !left = 0 then failwith "Exp_cache: random pager out of frames";
-        let j = Sim_rng.int rng !left in
-        let slot = free.(j) in
-        free.(j) <- free.(!left - 1);
-        decr left;
-        K.migrate_pages kernel ~src:init ~dst:fault.Mgr.f_seg ~src_page:slot
-          ~dst_page:fault.Mgr.f_page ~count:1 ();
-    | Mgr.Protection -> serve_protection kernel fault
-  in
-  K.register_manager kernel ~name:"random-pager" ~mode:`In_process ~on_fault ()
+  fun ~dst ~dst_page ~count ->
+    let granted = min count !left in
+    for i = 0 to granted - 1 do
+      let j = Sim_rng.int rng !left in
+      let slot = free.(j) in
+      free.(j) <- free.(!left - 1);
+      decr left;
+      K.migrate_pages kernel ~src:init ~dst ~src_page:slot ~dst_page:(dst_page + i) ~count:1 ()
+    done;
+    granted
 
 (* Color-constrained SPCM stand-in: grant the first free initial-segment
    frame of the wanted color (scoped to [tier] when given) through the
@@ -210,12 +186,15 @@ let run_leg ~mode ~rounds ~make_manager ~tiered () =
 
 let run_sequential ~rounds () =
   run_leg ~mode:"sequential" ~rounds ~tiered:false
-    ~make_manager:(fun kernel -> (sequential_pager kernel, None))
+    ~make_manager:(fun kernel ->
+      (Mgr_generic.pager kernel ~name:"sequential-pager" (K.initial_source kernel), None))
     ()
 
 let run_random ~rounds ~mode () =
   run_leg ~mode ~rounds ~tiered:false
-    ~make_manager:(fun kernel -> (random_pager kernel ~seed:random_seed, None))
+    ~make_manager:(fun kernel ->
+      let source = random_source kernel ~seed:random_seed in
+      (Mgr_generic.pager kernel ~name:"random-pager" source, None))
     ()
 
 let run_colored ~rounds ~tiered () =

@@ -25,7 +25,6 @@
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
-module Flags = Epcm_flags
 module T = Mgr_tiered
 module Engine = Sim_engine
 
@@ -141,26 +140,6 @@ let btree_workload ~rounds =
 (* Leg runners                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The tier-oblivious baseline manager: one frame per missing fault,
-   taken from the initial segment in address order
-   (K.initial_source). No pools, no tier awareness. *)
-let naive_pager kernel =
-  let source = K.initial_source kernel in
-  let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
-    match fault.Mgr.f_kind with
-    | Mgr.Missing | Mgr.Cow_write ->
-        if source ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1 = 0 then
-          failwith "Exp_tier: naive pager out of frames"
-    | Mgr.Protection ->
-        K.modify_page_flags kernel ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-          ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-          ()
-  in
-  K.register_manager kernel ~name:"naive-pager" ~mode:`In_process ~on_fault ()
-
 let finish ~mode ~kernel ~seg ~mstats =
   let promotions, demotions_slow, demotions_compressed, refetches =
     match mstats with
@@ -195,7 +174,10 @@ let run_plain ~mode ?tiers wk =
     | Some tiers -> Hw_machine.create ~tiers ~page_size ()
   in
   let kernel = K.create machine in
-  let mid = naive_pager kernel in
+  (* The tier-oblivious baseline manager: one frame per missing fault,
+     taken from the initial segment in address order. No pools, no tier
+     awareness. *)
+  let mid = Mgr_generic.pager kernel ~name:"naive-pager" (K.initial_source kernel) in
   let seg = K.create_segment kernel ~name:(wk.wk_name ^ "-heap") ~pages:wk.wk_pages () in
   K.set_segment_manager kernel seg mid;
   Engine.spawn machine.Hw_machine.engine (fun () -> wk.wk_trace kernel seg);

@@ -146,21 +146,6 @@ let frames_of_color ?tier:tk t color =
     !acc
   end
 
-(* Frames are laid out contiguously (addr = index * page_size), so an
-   address interval is an index interval: no scan, no intermediate list. *)
-let frames_in_range ?tier:tk t ~lo_addr ~hi_addr =
-  if hi_addr <= 0 || hi_addr <= lo_addr then []
-  else begin
-    let first, count = interval ?tier:tk t in
-    let lo = max first ((lo_addr + t.page_size - 1) / t.page_size) in
-    let hi = min (first + count - 1) ((hi_addr - 1) / t.page_size) in
-    let acc = ref [] in
-    for i = hi downto lo do
-      acc := i :: !acc
-    done;
-    !acc
-  end
-
 (* Aligned-run search for superpage backing: walk [run]-aligned windows
    of the tier's contiguous index interval and accept the first whose
    frames all carry [owned_by]'s owner tag. On a mismatch at index j the
@@ -185,13 +170,3 @@ let find_aligned_run ?tier:tk t ~start ~run ~owned_by =
 
 let zero_frame t i = set_data t i Hw_page_data.Zero
 let copy_frame t ~src ~dst = set_data t dst (data t src)
-
-let owners_histogram t =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun o ->
-      let c = try Hashtbl.find tbl o with Not_found -> 0 in
-      Hashtbl.replace tbl o (c + 1))
-    t.owners;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -99,11 +99,6 @@ val frames_of_color : ?tier:int -> t -> int -> int list
     arithmetic progression over the (tier's) index interval: O(result),
     no scan and no precomputed index. *)
 
-val frames_in_range : ?tier:int -> t -> lo_addr:int -> hi_addr:int -> int list
-(** Frame indices whose physical address lies in [lo_addr, hi_addr),
-    optionally intersected with one tier. Frames are contiguous, so the
-    interval maps to index arithmetic: O(result), no frame-array scan. *)
-
 val find_aligned_run : ?tier:int -> t -> start:int -> run:int -> owned_by:int -> int option
 (** First frame of the lowest [run]-aligned window at or after [start]
     (within [tier] when given) whose frames all carry owner tag
@@ -114,6 +109,3 @@ val find_aligned_run : ?tier:int -> t -> start:int -> run:int -> owned_by:int ->
 
 val zero_frame : t -> int -> unit
 val copy_frame : t -> src:int -> dst:int -> unit
-
-val owners_histogram : t -> (int * int) list
-(** (owner tag, frame count) pairs, for whole-machine accounting checks. *)

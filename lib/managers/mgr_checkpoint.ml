@@ -46,31 +46,13 @@ let frame_data t seg page =
   | Some f -> Some (Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem f)
   | None -> None
 
-let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
-  if Mgr_free_pages.available t.pool < n then
-    raise (Mgr_generic.Out_of_frames "Mgr_checkpoint: no frames")
-
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match fault.Mgr.f_kind with
-  | Mgr.Missing ->
-      ensure_pool t 1;
-      let moved =
-        Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-          ~clear_flags:Flags.dirty ()
-      in
-      assert (moved = 1)
+  | Mgr.Missing | Mgr.Cow_write ->
+      Mgr_generic.need_frame t.pool ~source:t.source ~who:"Mgr_checkpoint";
+      Mgr_free_pages.hand_out t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
+        ~clear_flags:Flags.dirty ()
   | Mgr.Protection -> (
       let st = state t fault.Mgr.f_seg in
       match st.open_gen with
@@ -83,23 +65,14 @@ let on_fault t (fault : Mgr.fault) =
               Hashtbl.replace st.images (gen, fault.Mgr.f_page) data;
               t.preserved <- t.preserved + 1;
               (* The preserving copy costs one page copy. *)
+              let machine = K.machine t.kern in
               Hw_machine.charge ~label:"mgr/copy_page" machine
                 machine.Hw_machine.cost.Hw_cost.copy_page
           | None -> ());
           Hashtbl.remove st.protected_pages fault.Mgr.f_page;
           K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
             ~clear_flags:Flags.read_only ()
-      | Some _ | None ->
-          K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-            ~clear_flags:(Flags.of_list [ Flags.read_only; Flags.no_access ])
-            ())
-  | Mgr.Cow_write ->
-      ensure_pool t 1;
-      let moved =
-        Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-          ~clear_flags:Flags.dirty ()
-      in
-      assert (moved = 1)
+      | Some _ | None -> Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page)
 
 let create kern ?backing ?counters ~source ~pool_capacity () =
   let t =

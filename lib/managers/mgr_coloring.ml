@@ -1,7 +1,6 @@
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
-module Flags = Epcm_flags
 module Phys = Hw_phys_mem
 
 type colored_source =
@@ -120,16 +119,12 @@ let take_colored t ~color ~dst ~dst_page =
       end
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
       let wanted = fault.Mgr.f_page mod t.n_colors in
       ignore (take_colored t ~color:wanted ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page)
-  | Mgr.Protection ->
-      K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-        ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-        ()
+  | Mgr.Protection -> Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
 
 let create kern ?n_colors ?tier ~source ~pool_capacity () =
   let machine = K.machine kern in

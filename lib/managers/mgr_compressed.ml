@@ -35,20 +35,6 @@ let charge ?label t us = Hw_machine.charge ?label (K.machine t.kern) us
 let pool_page_equivalents t =
   float_of_int (Hashtbl.length t.store) *. t.cfg.compression_ratio
 
-let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
-  if Mgr_free_pages.available t.pool < n then
-    raise (Mgr_generic.Out_of_frames "Mgr_compressed: no frames")
-
 (* Spill the oldest compressed entries to disk until within budget. *)
 let enforce_budget t =
   while pool_page_equivalents t > t.cfg.budget_pages do
@@ -99,23 +85,14 @@ let has t ~seg ~page =
   Hashtbl.mem t.store (seg, page) || Mgr_backing.has_block t.backing ~file:(-seg) ~block:page
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
-      ensure_pool t 1;
-      (match fetch t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page with
-      | Some data -> Mgr_free_pages.set_next_data t.pool data
-      | None -> ());
-      let moved =
-        Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-          ~clear_flags:Flags.dirty ()
-      in
-      assert (moved = 1)
-  | Mgr.Protection ->
-      K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-        ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-        ()
+      Mgr_generic.need_frame t.pool ~source:t.source ~who:"Mgr_compressed";
+      let data = fetch t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page in
+      Mgr_free_pages.hand_out t.pool ?data ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
+        ~clear_flags:Flags.dirty ()
+  | Mgr.Protection -> Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
 
 let create kern ?disk ?(config = default_config) ~source ~pool_capacity () =
   let disk = Option.value disk ~default:(K.machine kern).Hw_machine.disk in
@@ -153,9 +130,7 @@ let evict t ~seg ~page =
   | Some frame ->
       let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
       stash t ~seg ~page data;
-      (if Mgr_free_pages.room t.pool = 0 then
-         ignore (Mgr_free_pages.release_to_initial t.pool ~count:16));
-      Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page
+      Mgr_free_pages.put_spill t.pool ~spill:16 ~src:seg ~src_page:page
 
 let resident t ~seg = Seg.resident_pages (K.segment t.kern seg)
 let compressions t = t.compressions

@@ -43,12 +43,9 @@ let populate t seg ~pages ~file_tag =
   let pool = G.pool t.gen in
   for page = 0 to pages - 1 do
     G.ensure_pool t.gen ~count:1;
-    Mgr_free_pages.set_next_data pool (Hw_page_data.block ~file:file_tag ~block:page ~version:1);
-    let moved =
-      Mgr_free_pages.take_to pool ~dst:seg ~dst_page:page ~count:1 ~clear_flags:Epcm_flags.dirty
-        ()
-    in
-    assert (moved = 1)
+    Mgr_free_pages.hand_out pool
+      ~data:(Hw_page_data.block ~file:file_tag ~block:page ~version:1)
+      ~dst:seg ~dst_page:page ~count:1 ~clear_flags:Epcm_flags.dirty ()
   done
 
 (* Relations get sequential backing-file ids per instance. (The historic

@@ -39,13 +39,9 @@ let preload_file t seg ~file_id ~size_pages =
   let pool = G.pool t.gen in
   for page = 0 to size_pages - 1 do
     G.ensure_pool t.gen ~count:1;
-    Mgr_free_pages.set_next_data pool
-      (Mgr_backing.read_block (G.backing t.gen) ~file:file_id ~block:page);
-    let moved =
-      Mgr_free_pages.take_to pool ~dst:seg ~dst_page:page ~count:1
-        ~clear_flags:Epcm_flags.dirty ()
-    in
-    assert (moved = 1)
+    let data = Mgr_backing.read_block (G.backing t.gen) ~file:file_id ~block:page in
+    Mgr_free_pages.hand_out pool ~data ~dst:seg ~dst_page:page ~count:1
+      ~clear_flags:Epcm_flags.dirty ()
   done
 
 let open_file t ~file_id ~size_pages ?(preload = false) ?(empty = false) () =

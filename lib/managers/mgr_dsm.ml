@@ -43,20 +43,6 @@ let charge_copy t =
   Hw_machine.charge ~label:"dsm/copy_page" (K.machine t.kern)
     (K.machine t.kern).Hw_machine.cost.Hw_cost.copy_page
 
-let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
-  if Mgr_free_pages.available t.pool < n then
-    raise (Mgr_generic.Out_of_frames "Mgr_dsm: no frames")
-
 let frame_data t seg page =
   let s = K.segment t.kern seg in
   match (Seg.page s page).Seg.frame with
@@ -84,9 +70,7 @@ let revoke t ~node ~page =
   | Shared | Exclusive ->
       if t.states.(node).(page) = Exclusive then
         Hashtbl.replace t.home page (frame_data t t.node_segs.(node) page);
-      if Mgr_free_pages.room t.pool = 0 then
-        ignore (Mgr_free_pages.release_to_initial t.pool ~count:16);
-      Mgr_free_pages.put_from t.pool ~src:t.node_segs.(node) ~src_page:page;
+      Mgr_free_pages.put_spill t.pool ~spill:16 ~src:t.node_segs.(node) ~src_page:page;
       t.states.(node).(page) <- Invalid;
       t.invalidations <- t.invalidations + 1;
       charge_net t 1 (* the invalidation message *)
@@ -105,21 +89,16 @@ let downgrade t ~node ~page =
 (* Install a copy at a node with the given rights. *)
 let install t ~node ~page ~exclusive =
   let data = latest_data t ~page in
-  ensure_pool t 1;
+  Mgr_generic.need_frame t.pool ~source:t.source ~who:"Mgr_dsm";
   (* Request + data reply across the interconnect, then the local copy. *)
   charge_net t 2;
   t.transfers <- t.transfers + 1;
-  Mgr_free_pages.set_next_data t.pool data;
   charge_copy t;
   let flags_clear = Flags.of_list [ Flags.dirty; Flags.no_access ] in
   let set_flags = if exclusive then Flags.empty else Flags.read_only in
-  let moved =
-    Mgr_free_pages.take_to t.pool ~dst:t.node_segs.(node) ~dst_page:page ~count:1
-      ~set_flags
-      ~clear_flags:(if exclusive then Flags.union flags_clear Flags.read_only else flags_clear)
-      ()
-  in
-  assert (moved = 1);
+  Mgr_free_pages.hand_out t.pool ~data ~dst:t.node_segs.(node) ~dst_page:page ~count:1 ~set_flags
+    ~clear_flags:(if exclusive then Flags.union flags_clear Flags.read_only else flags_clear)
+    ();
   t.states.(node).(page) <- (if exclusive then Exclusive else Shared)
 
 let acquire_shared t ~node ~page =
@@ -143,8 +122,7 @@ let acquire_exclusive t ~node ~page =
       install t ~node ~page ~exclusive:true
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match Hashtbl.find_opt t.seg_to_node fault.Mgr.f_seg with
   | None -> ()
   | Some node -> (

@@ -1,6 +1,8 @@
 module K = Epcm_kernel
 module Seg = Epcm_segment
 
+type source = dst:Seg.id -> dst_page:int -> count:int -> int
+
 type t = {
   kernel : K.t;
   seg : Seg.id;
@@ -21,6 +23,14 @@ let note_granted t n =
   if n < 0 || t.full + n > t.capacity then invalid_arg "Mgr_free_pages.note_granted";
   t.full <- t.full + n
 
+let refill t ~source ~count =
+  if t.full >= t.capacity then 0
+  else begin
+    let got = source ~dst:t.seg ~dst_page:t.full ~count:(min count (room t)) in
+    note_granted t got;
+    got
+  end
+
 let take_to t ~dst ~dst_page ~count ?tier ?(set_flags = Epcm_flags.empty)
     ?(clear_flags = Epcm_flags.empty) () =
   let n = min count t.full in
@@ -39,12 +49,16 @@ let put_from t ~src ~src_page =
     ();
   t.full <- t.full + 1
 
-let set_next_data t data =
-  if t.full = 0 then raise (K.Error (K.No_frame { seg = t.seg; page = 0 }));
-  let slot = t.full - 1 in
-  match (Seg.page (K.segment t.kernel t.seg) slot).Seg.frame with
-  | Some f -> Hw_phys_mem.set_data (K.machine t.kernel).Hw_machine.mem f data
-  | None -> raise (K.Error (K.No_frame { seg = t.seg; page = slot }))
+let hand_out t ?data ~dst ~dst_page ~count ?tier ?set_flags ?clear_flags () =
+  if t.full < count then raise (K.Error (K.No_frame { seg = t.seg; page = t.full }));
+  (match data with
+  | None -> ()
+  | Some data -> (
+      let slot = t.full - 1 in
+      match (Seg.page (K.segment t.kernel t.seg) slot).Seg.frame with
+      | Some f -> Hw_phys_mem.set_data (K.machine t.kernel).Hw_machine.mem f data
+      | None -> raise (K.Error (K.No_frame { seg = t.seg; page = slot }))));
+  ignore (take_to t ~dst ~dst_page ~count ?tier ?set_flags ?clear_flags ())
 
 let release_to_initial t ~count =
   let n = min count t.full in
@@ -53,3 +67,7 @@ let release_to_initial t ~count =
     t.full <- t.full - n
   end;
   n
+
+let put_spill t ~spill ~src ~src_page =
+  if room t = 0 then ignore (release_to_initial t ~count:spill);
+  put_from t ~src ~src_page

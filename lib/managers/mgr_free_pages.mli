@@ -10,6 +10,10 @@
 
 type t
 
+type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+(** Ask the system page cache manager for frames, migrated into
+    [dst_page..] of [dst]; returns how many were granted. *)
+
 val create : Epcm_kernel.t -> name:string -> capacity:int -> t
 (** Creates the underlying segment (initially empty — frames arrive from
     the system page cache manager or from reclamation). *)
@@ -30,6 +34,11 @@ val note_granted : t -> int -> unit
 (** Record that [n] frames were migrated into the segment at the grant
     position. *)
 
+val refill : t -> source:source -> count:int -> int
+(** Ask [source] for at most [min count (room t)] frames at the grant
+    slot and note them; returns how many came. A full pool asks for
+    none. *)
+
 val take_to :
   t ->
   dst:Epcm_segment.id ->
@@ -46,14 +55,30 @@ val take_to :
     (as {!Mgr_tiered} keeps) asserts every handed-out frame really is of
     its tier. *)
 
+val hand_out :
+  t ->
+  ?data:Hw_page_data.t ->
+  dst:Epcm_segment.id ->
+  dst_page:int ->
+  count:int ->
+  ?tier:int ->
+  ?set_flags:Epcm_flags.t ->
+  ?clear_flags:Epcm_flags.t ->
+  unit ->
+  unit
+(** {!take_to} that must move all [count] frames: raises
+    {!Epcm_kernel.Error}, moving nothing, when the pool holds fewer.
+    [data] first becomes the contents of the frame landing at
+    [dst_page + count - 1] (the manager "copies the data into the
+    previously allocated page frame", Figure 2). *)
+
 val put_from : t -> src:Epcm_segment.id -> src_page:int -> unit
 (** Reclaim: migrate the frame at ([src], [src_page]) into the pool.
     Raises {!Epcm_kernel.Error} if the pool is full or the page empty. *)
 
-val set_next_data : t -> Hw_page_data.t -> unit
-(** Set the contents of the frame that the next single-page {!take_to}
-    will hand out (the manager "copies the data into the previously
-    allocated page frame", Figure 2). Raises if the pool is empty. *)
+val put_spill : t -> spill:int -> src:Epcm_segment.id -> src_page:int -> unit
+(** {!put_from} that first gives [spill] frames back to the initial
+    segment ({!release_to_initial}) when the pool is full. *)
 
 val release_to_initial : t -> count:int -> int
 (** Give up to [count] pooled frames back to the kernel's initial segment

@@ -13,46 +13,27 @@ type t = {
   mutable avoided_writebacks : int;
 }
 
-let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
-  if Mgr_free_pages.available t.pool < n then
-    raise (Mgr_generic.Out_of_frames "Mgr_gc: no frames")
-
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
       let key = (fault.Mgr.f_seg, fault.Mgr.f_page) in
-      ensure_pool t 1;
+      Mgr_generic.need_frame t.pool ~source:t.source ~who:"Mgr_gc";
       (* A page that was evicted conventionally comes back from swap;
          garbage pages never do (the collector reallocates them fresh —
          and, within one protection domain, without zero-fill). *)
-      if
-        (not (Hashtbl.mem t.garbage key))
-        && Mgr_backing.has_block t.backing ~file:(-fault.Mgr.f_seg) ~block:fault.Mgr.f_page
-      then
-        Mgr_free_pages.set_next_data t.pool
-          (Mgr_backing.read_block t.backing ~file:(-fault.Mgr.f_seg) ~block:fault.Mgr.f_page);
-      Hashtbl.remove t.garbage key;
-      let moved =
-        Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-          ~clear_flags:Flags.dirty ()
+      let data =
+        if
+          (not (Hashtbl.mem t.garbage key))
+          && Mgr_backing.has_block t.backing ~file:(-fault.Mgr.f_seg) ~block:fault.Mgr.f_page
+        then
+          Some (Mgr_backing.read_block t.backing ~file:(-fault.Mgr.f_seg) ~block:fault.Mgr.f_page)
+        else None
       in
-      assert (moved = 1)
-  | Mgr.Protection ->
-      K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-        ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-        ()
+      Hashtbl.remove t.garbage key;
+      Mgr_free_pages.hand_out t.pool ?data ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
+        ~clear_flags:Flags.dirty ()
+  | Mgr.Protection -> Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
 
 let create kern ?disk ~source ~pool_capacity () =
   let disk = Option.value disk ~default:(K.machine kern).Hw_machine.disk in
@@ -83,10 +64,6 @@ let declare_garbage t ~seg ~page ~count =
     Hashtbl.replace t.garbage (seg, p) ()
   done
 
-let room_or_release t =
-  if Mgr_free_pages.room t.pool = 0 then
-    ignore (Mgr_free_pages.release_to_initial t.pool ~count:16)
-
 let reclaim_garbage t ~seg =
   let s = K.segment t.kern seg in
   let reclaimed = ref 0 in
@@ -97,8 +74,7 @@ let reclaim_garbage t ~seg =
       | None -> ()
       | Some _ ->
           let was_dirty = Flags.mem slot.Seg.flags Flags.dirty in
-          room_or_release t;
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page;
+          Mgr_free_pages.put_spill t.pool ~spill:16 ~src:seg ~src_page:page;
           if was_dirty then t.avoided_writebacks <- t.avoided_writebacks + 1;
           incr reclaimed
     end
@@ -117,8 +93,7 @@ let evict_conventional t ~seg ~page ~count =
           (if Flags.mem slot.Seg.flags Flags.dirty then
              let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
              Mgr_backing.write_block t.backing ~file:(-seg) ~block:p data);
-          room_or_release t;
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:p;
+          Mgr_free_pages.put_spill t.pool ~spill:16 ~src:seg ~src_page:p;
           incr reclaimed
     end
   done;

@@ -33,7 +33,7 @@ let default_hooks ~backing =
     reprotect_batch = 8;
   }
 
-type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+type source = Mgr_free_pages.source
 
 type sp_source = dst:Epcm_segment.id -> dst_page:int -> int
 
@@ -55,8 +55,6 @@ type stats = {
 
 type seg_info = { kind : seg_kind; mutable high_water : int }
 
-type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
-
 type t = {
   kern : K.t;
   name : string;
@@ -69,19 +67,12 @@ type t = {
   refill_batch : int;
   reclaim_batch : int;
   segs : (Seg.id, seg_info) Hashtbl.t;
-  mutable ring : clock_entry list;  (* newest first; rebuilt lazily *)
-  mutable hand : clock_entry list;  (* suffix of the scan order *)
-  (* Entries whose page lost its frame are tombstoned (ce_dead) rather
-     than filtered out on the spot — an eager List.filter per stale entry
-     is O(ring), which goes quadratic under churn. The ring compacts once
-     tombstones outnumber live entries, so removal is amortised O(1). *)
-  mutable ring_len : int;  (* entries in [ring], live and dead *)
-  mutable ring_dead : int;  (* tombstones still in [ring] *)
+  clock : Mgr_clock.t;
   counters : Sim_stats.Counters.t option;
   stats : stats;
-  (* A manager serves one fault at a time, like the request loop of a real
-     manager process: fills that suspend (disk reads) must not interleave
-     with another fault's pool manipulation. *)
+  (* One fault at a time ({!register_serialised}): fills that suspend
+     (disk reads) must not interleave with another fault's pool
+     manipulation. *)
   serving : Sim_sync.Semaphore.t;
 }
 
@@ -115,14 +106,65 @@ let info t seg =
 
 let segment_kind t seg = Option.map (fun i -> i.kind) (Hashtbl.find_opt t.segs seg)
 
-let charge_logic t =
-  Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
-    (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
+(* ------------------------------------------------------------------ *)
+(* Mechanism every manager shares                                     *)
+(* ------------------------------------------------------------------ *)
+
+let charge_fault_logic kern =
+  let machine = K.machine kern in
+  Hw_machine.charge ~label:"mgr/fault_logic" machine
+    machine.Hw_machine.cost.Hw_cost.manager_fault_logic
+
+let unprotect kern ~seg ~page =
+  K.modify_page_flags kern ~seg ~page ~count:1
+    ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
+    ()
+
+let need_frame pool ~source ~who =
+  if Mgr_free_pages.available pool = 0 then
+    ignore (Mgr_free_pages.refill pool ~source ~count:32);
+  if Mgr_free_pages.available pool = 0 then raise (Out_of_frames (who ^ ": no frames"))
+
+let pager kern ~name source =
+  K.register_manager kern ~name ~mode:`In_process
+    ~on_fault:(fun (fault : Mgr.fault) ->
+      charge_fault_logic kern;
+      match fault.Mgr.f_kind with
+      | Mgr.Missing | Mgr.Cow_write ->
+          if source ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1 = 0 then
+            raise (Out_of_frames (name ^ ": out of frames"))
+      | Mgr.Protection -> unprotect kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page)
+    ()
+
+(* A manager serves one fault at a time, like the request loop of a real
+   manager process. The pressure callback never blocks: the caller (SPCM)
+   holds its own serving lock while a fault handler holding ours may be
+   blocked on an SPCM request — waiting would deadlock. A busy manager's
+   pool is in flux anyway; declining is the honest answer. *)
+let register_serialised kern ~name ~mode ~serving ~serve ~on_close ~on_pressure st =
+  K.register_manager kern ~name ~mode
+    ~on_fault:(fun fault ->
+      charge_fault_logic kern;
+      Sim_sync.Semaphore.acquire serving;
+      match serve st fault with
+      | () -> Sim_sync.Semaphore.release serving
+      | exception e -> Sim_sync.Semaphore.release_reraise serving e)
+    ~on_close:(fun seg -> on_close st seg)
+    ~on_pressure:(fun ~pages ->
+      if Sim_sync.Semaphore.try_acquire serving then
+        match on_pressure st ~pages with
+        | n ->
+            Sim_sync.Semaphore.release serving;
+            n
+        | exception e -> Sim_sync.Semaphore.release_reraise serving e
+      else 0)
+    ()
 
 (* Pool operations are multi-step and charge simulated time as they go,
    so any two of them interleave if run from different processes. Fault
    handling already serialises on [serving]; the batch entry points
-   (swap_out, swap_in, return_to_system) take the same lock. *)
+   (swap_out, return_to_system) take the same lock. swap_in must not: its
+   faults re-enter the handler, which takes [serving] itself. *)
 let with_serving t f = Sim_sync.Semaphore.use t.serving f
 
 (* ------------------------------------------------------------------ *)
@@ -132,108 +174,57 @@ let with_serving t f = Sim_sync.Semaphore.use t.serving f
 let request_from_source t count =
   match t.source with
   | None -> 0
-  | Some source -> (
-      match Mgr_free_pages.grant_slot t.pool with
-      | None -> 0
-      | Some slot ->
-          t.stats.refill_requests <- t.stats.refill_requests + 1;
-          let want = min count (Mgr_free_pages.room t.pool) in
-          let got = source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot ~count:want in
-          Mgr_free_pages.note_granted t.pool got;
-          t.stats.frames_from_source <- t.stats.frames_from_source + got;
-          got)
+  | Some source ->
+      if Mgr_free_pages.room t.pool > 0 then
+        t.stats.refill_requests <- t.stats.refill_requests + 1;
+      let got = Mgr_free_pages.refill t.pool ~source ~count in
+      t.stats.frames_from_source <- t.stats.frames_from_source + got;
+      got
 
-let slot_state t seg page =
-  if not (K.segment_exists t.kern seg) then None
-  else
-    let s = K.segment t.kern seg in
-    if not (Seg.in_range s page) then None
-    else
-      let slot = Seg.page s page in
-      Option.map (fun frame -> (slot, frame)) slot.Seg.frame
-
-let evict_one t entry =
-  match slot_state t entry.ce_seg entry.ce_page with
-  | None -> `Gone
-  | Some (slot, frame) ->
-      let flags = slot.Seg.flags in
-      if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
-      else if Flags.mem flags Flags.referenced then begin
-        (* Second chance: clear the reference bit and move on. *)
-        K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
-          ~clear_flags:Flags.referenced ();
-        `Skip
-      end
-      else begin
-        let dirty = Flags.mem flags Flags.dirty in
-        let released =
-          (* The hook itself may fail too (a WAL hook that cannot flush its
-             log raises Backing_failed to veto the writeback). Either way
-             the degradation is the same: the page stays resident and
-             dirty, still owned by its segment, and the clock moves on to
-             a cleaner victim. A later pass retries it. *)
-          try
-            match t.hooks.on_eviction ~seg:entry.ce_seg ~page:entry.ce_page ~dirty with
-            | `Writeback ->
-                let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
-                (* Anonymous pages write to a swap area modelled by the same
-                   backing store under the negated segment id. *)
-                let file =
-                  match Hashtbl.find_opt t.segs entry.ce_seg with
-                  | Some { kind = File { file_id }; _ } -> file_id
-                  | Some { kind = Anon; _ } | None -> -entry.ce_seg
-                in
-                Mgr_backing.write_block t.backing ~file ~block:entry.ce_page data;
-                t.stats.writebacks <- t.stats.writebacks + 1;
-                true
-            | `Discard ->
-                t.stats.discards <- t.stats.discards + 1;
-                true
-          with Mgr_backing.Backing_failed _ ->
-            t.stats.writeback_failures <- t.stats.writeback_failures + 1;
-            bump t "writeback_skipped";
-            false
+(* Write a page out per the eviction hook before its frame goes. False,
+   counted, when the write exhausted its retry budget or the hook itself
+   failed (a WAL hook that cannot flush its log raises Backing_failed to
+   veto the writeback). *)
+let write_out t ~seg ~page ~dirty frame =
+  try
+    (match t.hooks.on_eviction ~seg ~page ~dirty with
+    | `Writeback ->
+        let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
+        (* Anonymous pages write to a swap area modelled by the same
+           backing store under the negated segment id. *)
+        let file =
+          match Hashtbl.find_opt t.segs seg with
+          | Some { kind = File { file_id }; _ } -> file_id
+          | Some { kind = Anon; _ } | None -> -seg
         in
-        if not released then `Skip
-        else begin
-          Mgr_free_pages.put_from t.pool ~src:entry.ce_seg ~src_page:entry.ce_page;
-          t.stats.reclaimed <- t.stats.reclaimed + 1;
-          `Evicted
-        end
-      end
+        Mgr_backing.write_block t.backing ~file ~block:page data;
+        t.stats.writebacks <- t.stats.writebacks + 1
+    | `Discard -> t.stats.discards <- t.stats.discards + 1);
+    true
+  with Mgr_backing.Backing_failed _ ->
+    t.stats.writeback_failures <- t.stats.writeback_failures + 1;
+    false
 
-let reclaim t ~count =
-  let reclaimed = ref 0 in
-  let passes = ref 0 in
-  let stop = ref false in
-  (* Two full sweeps at most: the first typically clears reference bits,
-     the second finds victims. A sweep in progress runs to completion. *)
-  while (not !stop) && !reclaimed < count && (!passes < 2 || t.hand <> []) do
-    if t.hand = [] then begin
-      t.hand <- t.ring;
-      incr passes;
-      if t.hand = [] then stop := true
-    end;
-    match t.hand with
-    | [] -> stop := true
-    | entry :: rest -> (
-        t.hand <- rest;
-        if Mgr_free_pages.room t.pool = 0 then stop := true
-        else if entry.ce_dead then ()
-        else
-          match evict_one t entry with
-          | `Evicted -> incr reclaimed
-          | `Skip -> ()
-          | `Gone ->
-              entry.ce_dead <- true;
-              t.ring_dead <- t.ring_dead + 1;
-              if t.ring_dead * 2 > t.ring_len then begin
-                t.ring <- List.filter (fun e -> not e.ce_dead) t.ring;
-                t.ring_len <- List.length t.ring;
-                t.ring_dead <- 0
-              end)
-  done;
-  !reclaimed
+(* The clock's victim: written out per the hook, its frame reclaimed into
+   the pool. A failed writeback leaves the page resident and dirty, still
+   owned by its segment, and the clock moves on to a cleaner victim; a
+   later pass retries it. *)
+let evict_one t seg page (slot : Seg.page_state) frame =
+  if write_out t ~seg ~page ~dirty:(Flags.mem slot.Seg.flags Flags.dirty) frame then begin
+    Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page;
+    t.stats.reclaimed <- t.stats.reclaimed + 1;
+    Mgr_clock.Evicted
+  end
+  else begin
+    bump t "writeback_skipped";
+    Mgr_clock.Kept
+  end
+
+let pool_full t = Mgr_free_pages.room t.pool = 0
+
+(* Two full sweeps at most: the first typically clears reference bits,
+   the second finds victims. A sweep in progress runs to completion. *)
+let reclaim t ~count = Mgr_clock.sweep t.clock ~count ~full:pool_full ~evict:evict_one t
 
 let ensure_pool t ~count =
   if Mgr_free_pages.available t.pool < count then begin
@@ -250,10 +241,6 @@ let ensure_pool t ~count =
 (* ------------------------------------------------------------------ *)
 (* Fault handling                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let track t seg page =
-  t.ring <- { ce_seg = seg; ce_page = page; ce_dead = false } :: t.ring;
-  t.ring_len <- t.ring_len + 1
 
 (* Superpage grant: when the faulting segment opted in and the whole
    covering region is still empty, ask the run source for one aligned
@@ -283,7 +270,7 @@ let try_superpage_fill t (fault : Mgr.fault) inf seg =
              t.stats.frames_from_source <- t.stats.frames_from_source + got;
              inf.high_water <- max inf.high_water (sbase + got);
              for i = 0 to got - 1 do
-               track t fault.Mgr.f_seg (sbase + i)
+               Mgr_clock.track t.clock fault.Mgr.f_seg (sbase + i)
              done;
              t.stats.fills <- t.stats.fills + 1;
              if Hw_machine.tracing (K.machine t.kern) then
@@ -309,49 +296,52 @@ let handle_missing_base t (fault : Mgr.fault) inf seg =
   in
   let batch = max 1 (free_run fault.Mgr.f_page 0) in
   ensure_pool t ~count:batch;
-  if batch = 1 then begin
-    let filled =
-      (* No frame has left the pool yet, so a failed fill leaves every
-         frame accounted for; the fault stays unresolved and the caller
-         sees the backing failure. *)
-      try
-        t.hooks.fill ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~kind:inf.kind
-          ~high_water:inf.high_water
-      with Mgr_backing.Backing_failed _ as e ->
-        t.stats.fill_failures <- t.stats.fill_failures + 1;
-        bump t "fill_failed";
-        raise e
-    in
-    match filled with
-    | Some data ->
-        if Hw_machine.tracing machine then
-          Hw_machine.trace_emit machine ~tag:"step2.request_data"
-            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
-        Mgr_free_pages.set_next_data t.pool data;
-        if Hw_machine.tracing machine then
-          Hw_machine.trace_emit machine ~tag:"step3.data_reply"
-            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
-        (* Copying the arrived data into the allocated frame. *)
-        Hw_machine.charge ~label:"mgr/copy_page" machine
-          machine.Hw_machine.cost.Hw_cost.copy_page
-    | None ->
-        if Hw_machine.tracing machine then
-          Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
-            (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
-  end
-  else if Hw_machine.tracing machine then
-    Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
-      (Printf.sprintf "seg %d pages %d..%d (append batch)" fault.Mgr.f_seg fault.Mgr.f_page
-         (fault.Mgr.f_page + batch - 1));
-  let moved =
-    Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:batch
-      ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
-      ()
+  let data =
+    if batch = 1 then begin
+      let filled =
+        (* No frame has left the pool yet, so a failed fill leaves every
+           frame accounted for; the fault stays unresolved and the caller
+           sees the backing failure. *)
+        try
+          t.hooks.fill ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~kind:inf.kind
+            ~high_water:inf.high_water
+        with Mgr_backing.Backing_failed _ as e ->
+          t.stats.fill_failures <- t.stats.fill_failures + 1;
+          bump t "fill_failed";
+          raise e
+      in
+      (match filled with
+      | Some _ ->
+          if Hw_machine.tracing machine then begin
+            Hw_machine.trace_emit machine ~tag:"step2.request_data"
+              (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page);
+            Hw_machine.trace_emit machine ~tag:"step3.data_reply"
+              (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page)
+          end;
+          (* Copying the arrived data into the allocated frame. *)
+          Hw_machine.charge ~label:"mgr/copy_page" machine
+            machine.Hw_machine.cost.Hw_cost.copy_page
+      | None ->
+          if Hw_machine.tracing machine then
+            Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
+              (Printf.sprintf "seg %d page %d" fault.Mgr.f_seg fault.Mgr.f_page));
+      filled
+    end
+    else begin
+      if Hw_machine.tracing machine then
+        Hw_machine.trace_emit machine ~tag:"step2-3.local_fill"
+          (Printf.sprintf "seg %d pages %d..%d (append batch)" fault.Mgr.f_seg fault.Mgr.f_page
+             (fault.Mgr.f_page + batch - 1));
+      None
+    end
   in
-  assert (moved = batch);
+  Mgr_free_pages.hand_out t.pool ?data ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page
+    ~count:batch
+    ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
+    ();
   inf.high_water <- max inf.high_water (fault.Mgr.f_page + batch);
   for i = 0 to batch - 1 do
-    track t fault.Mgr.f_seg (fault.Mgr.f_page + i)
+    Mgr_clock.track t.clock fault.Mgr.f_seg (fault.Mgr.f_page + i)
   done;
   t.stats.fills <- t.stats.fills + 1
 
@@ -377,13 +367,10 @@ let handle_protection t (fault : Mgr.fault) seg =
 
 let handle_cow t (fault : Mgr.fault) =
   ensure_pool t ~count:1;
-  let moved =
-    Mgr_free_pages.take_to t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-      ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
-      ()
-  in
-  assert (moved = 1);
-  track t fault.Mgr.f_seg fault.Mgr.f_page;
+  Mgr_free_pages.hand_out t.pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
+    ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
+    ();
+  Mgr_clock.track t.clock fault.Mgr.f_seg fault.Mgr.f_page;
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
 let serve_fault t (fault : Mgr.fault) =
@@ -401,48 +388,34 @@ let serve_fault t (fault : Mgr.fault) =
     | Mgr.Protection -> handle_protection t fault s
     | Mgr.Cow_write -> handle_cow t fault
 
-let on_fault t (fault : Mgr.fault) =
-  charge_logic t;
-  Sim_sync.Semaphore.acquire t.serving;
-  match serve_fault t fault with
-  | () -> Sim_sync.Semaphore.release t.serving
-  | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
-
 let on_close t seg =
   t.stats.closes <- t.stats.closes + 1;
   (match Hashtbl.find_opt t.segs seg with
   | None -> ()
   | Some inf ->
-      (* Reclaim every resident frame into the pool, honouring writeback. *)
+      (* Every dirty file page goes out per the eviction hook; anonymous
+         data dies with the segment. Frames come into the pool while it
+         has room, and the kernel returns the rest to the initial
+         segment. The segment is going away regardless, so an exhausted
+         retry budget here is explicit, counted data loss, not a reason
+         to wedge the close. *)
       let s = K.segment t.kern seg in
       for page = 0 to Seg.length s - 1 do
         let slot = Seg.page s page in
         match slot.Seg.frame with
         | None -> ()
         | Some frame ->
-            if Mgr_free_pages.room t.pool > 0 then begin
-              (if Flags.mem slot.Seg.flags Flags.dirty then
-                 match inf.kind with
-                 | File { file_id } -> (
-                     let data = Hw_phys_mem.data (K.machine t.kern).Hw_machine.mem frame in
-                     (* The segment is going away regardless; an exhausted
-                        retry budget here is explicit, counted data loss,
-                        not a reason to wedge the close. *)
-                     try
-                       Mgr_backing.write_block t.backing ~file:file_id ~block:page data;
-                       t.stats.writebacks <- t.stats.writebacks + 1
-                     with Mgr_backing.Backing_failed _ ->
-                       t.stats.writeback_failures <- t.stats.writeback_failures + 1;
-                       bump t "close_writeback_lost")
-                 | Anon -> t.stats.discards <- t.stats.discards + 1);
+            (if Flags.mem slot.Seg.flags Flags.dirty then
+               match inf.kind with
+               | File _ ->
+                   if not (write_out t ~seg ~page ~dirty:true frame) then
+                     bump t "close_writeback_lost"
+               | Anon -> t.stats.discards <- t.stats.discards + 1);
+            if Mgr_free_pages.room t.pool > 0 then
               Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page
-            end
       done);
   Hashtbl.remove t.segs seg;
-  t.ring <- List.filter (fun e -> (not e.ce_dead) && e.ce_seg <> seg) t.ring;
-  t.ring_len <- List.length t.ring;
-  t.ring_dead <- 0;
-  t.hand <- List.filter (fun e -> e.ce_seg <> seg) t.hand
+  Mgr_clock.forget t.clock seg
 
 let return_to_system_unlocked t ~pages =
   if Mgr_free_pages.available t.pool < pages then
@@ -499,32 +472,15 @@ let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity =
       refill_batch;
       reclaim_batch;
       segs = Hashtbl.create 16;
-      ring = [];
-      hand = [];
-      ring_len = 0;
-      ring_dead = 0;
+      clock = Mgr_clock.create kern ();
       counters;
       stats = fresh_stats ();
       serving = Sim_sync.Semaphore.create 1;
     }
   in
   t.mid <-
-    K.register_manager kern ~name ~mode
-      ~on_fault:(fun f -> on_fault t f)
-      ~on_close:(fun s -> on_close t s)
-      ~on_pressure:(fun ~pages ->
-        (* Never block here: the caller (SPCM) holds its own serving lock
-           while a fault handler holding ours may be blocked on an SPCM
-           request — waiting would deadlock. A busy manager's pool is in
-           flux anyway; declining is the honest answer. *)
-        if Sim_sync.Semaphore.try_acquire t.serving then
-          match return_to_system_unlocked t ~pages with
-          | n ->
-              Sim_sync.Semaphore.release t.serving;
-              n
-          | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
-        else 0)
-      ();
+    register_serialised kern ~name ~mode ~serving:t.serving ~serve:serve_fault ~on_close
+      ~on_pressure:return_to_system_unlocked t;
   t
 
 let create_segment t ~name ~pages ~kind ?(high_water = 0) ?(superpages = false) () =

@@ -3,10 +3,15 @@
     The paper argues an application manager should be "specialised from a
     generic or standard segment manager": the generic part provides the
     free-page segment, fault handling, a second-chance clock over resident
-    pages, writeback and interaction with the system page cache manager;
-    applications override the page-fill, allocation-batch and eviction
-    hooks. {!Mgr_default}, {!Mgr_dbms}, {!Mgr_prefetch} and
-    {!Mgr_coloring} are all such specialisations. *)
+    pages ({!Mgr_clock}), writeback and interaction with the system page
+    cache manager; applications override the page-fill, allocation-batch
+    and eviction hooks. {!Mgr_default} and {!Mgr_dbms} are such hook
+    sets.
+
+    Managers with a fault path of their own ({!Mgr_tiered}, {!Mgr_gc},
+    {!Mgr_compressed}, {!Mgr_checkpoint}, {!Mgr_dsm}, {!Mgr_prefetch},
+    {!Mgr_coloring}) share the mechanism written once below and in
+    {!Mgr_free_pages}. *)
 
 type seg_kind =
   | Anon  (** Heap/stack-like: new pages have no backing data. *)
@@ -35,7 +40,7 @@ type hooks = {
 
 val default_hooks : backing:Mgr_backing.t -> hooks
 
-type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+type source = Mgr_free_pages.source
 (** Ask the system page cache manager for frames, migrated into
     [dst_page..] of [dst]; returns how many were granted. *)
 
@@ -49,7 +54,42 @@ type sp_source = dst:Epcm_segment.id -> dst_page:int -> int
 
 exception Out_of_frames of string
 (** No pool frames, the source granted nothing, and nothing was
-    reclaimable. *)
+    reclaimable. Every manager raises this one. *)
+
+(** {2 Mechanism every manager shares} *)
+
+val charge_fault_logic : Epcm_kernel.t -> unit
+(** Charge one fault's decision logic ([mgr/fault_logic]). *)
+
+val unprotect : Epcm_kernel.t -> seg:Epcm_segment.id -> page:int -> unit
+(** Clear [no_access] and [read_only] on one page. *)
+
+val need_frame : Mgr_free_pages.t -> source:source -> who:string -> unit
+(** For a manager without a clock: refill an empty pool with up to 32
+    frames; {!Out_of_frames} (naming [who]) if it stays empty. *)
+
+val pager : Epcm_kernel.t -> name:string -> source -> Epcm_manager.id
+(** A pool-less in-process pager: a missing or copy-on-write fault takes
+    one frame from [source] (the placement policy), a protection fault
+    is {!unprotect}ed. *)
+
+val register_serialised :
+  Epcm_kernel.t ->
+  name:string ->
+  mode:Epcm_manager.mode ->
+  serving:Sim_sync.Semaphore.t ->
+  serve:('a -> Epcm_manager.fault -> unit) ->
+  on_close:('a -> Epcm_segment.id -> unit) ->
+  on_pressure:('a -> pages:int -> int) ->
+  'a ->
+  Epcm_manager.id
+(** Register a manager serving one fault at a time on [serving]: each
+    fault charges {!charge_fault_logic}, then runs [serve] under the
+    lock. The SPCM pressure callback runs [on_pressure] only if
+    [serving] is free and declines (0) otherwise — blocking would
+    deadlock against a fault handler blocked on an SPCM request. The
+    callbacks take the manager as their first argument, so these
+    closures are built once per manager. *)
 
 type stats = {
   mutable fills : int;
@@ -122,8 +162,12 @@ val create_segment :
     run before falling back to 4 KB fills. *)
 
 val close_segment : t -> Epcm_segment.id -> unit
-(** Destroy the segment; resident frames are reclaimed into the pool
-    (dirty ones written back per the eviction hook). *)
+(** Destroy the segment. Every dirty page of a [File] segment goes
+    through the eviction hook first ([`Writeback] writes it to its block,
+    [`Discard] drops it; a failed write counts in [writeback_failures]);
+    dirty [Anon] pages are dropped (counted in [discards]). Resident
+    frames are reclaimed into the pool while it has room; the kernel
+    returns the rest to the initial segment. *)
 
 val ensure_pool : t -> count:int -> unit
 (** Make sure at least [count] frames are pooled, refilling from the

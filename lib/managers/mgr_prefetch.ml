@@ -49,27 +49,13 @@ let fill_page t seg page =
   let data = Mgr_backing.read_block t.backing ~file:file_id ~block:page in
   with_pool t (fun () ->
       if page_absent t seg page then begin
-        if Mgr_free_pages.available t.pool = 0 then begin
-          let got =
-            t.source ~dst:(Mgr_free_pages.segment t.pool)
-              ~dst_page:(Option.value (Mgr_free_pages.grant_slot t.pool) ~default:0)
-              ~count:(min 32 (Mgr_free_pages.room t.pool))
-          in
-          Mgr_free_pages.note_granted t.pool got;
-          if got = 0 then
-            raise (Mgr_generic.Out_of_frames "Mgr_prefetch: no frames for fill")
-        end;
-        Mgr_free_pages.set_next_data t.pool data;
-        let moved =
-          Mgr_free_pages.take_to t.pool ~dst:seg ~dst_page:page ~count:1
-            ~clear_flags:Flags.dirty ()
-        in
-        assert (moved = 1)
+        Mgr_generic.need_frame t.pool ~source:t.source ~who:"Mgr_prefetch";
+        Mgr_free_pages.hand_out t.pool ~data ~dst:seg ~dst_page:page ~count:1
+          ~clear_flags:Flags.dirty ()
       end)
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr_generic.charge_fault_logic t.kern;
   match fault.Mgr.f_kind with
   | Mgr.Missing -> (
       let key = (fault.Mgr.f_seg, fault.Mgr.f_page) in
@@ -90,9 +76,7 @@ let on_fault t (fault : Mgr.fault) =
           t.demand_fills <- t.demand_fills + 1;
           fill_page t fault.Mgr.f_seg fault.Mgr.f_page)
   | Mgr.Protection | Mgr.Cow_write ->
-      K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-        ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-        ()
+      Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
 
 let create kern ?disk ?retry ?counters ~source ~pool_capacity () =
   let disk = Option.value disk ~default:(K.machine kern).Hw_machine.disk in
@@ -166,9 +150,7 @@ let discard t ~seg ~page ~count =
         if Seg.in_range s p && (Seg.page s p).Seg.frame <> None then begin
           (* Dead data: reclaim the frame with no writeback, even if
              dirty. *)
-          if Mgr_free_pages.room t.pool = 0 then
-            ignore (Mgr_free_pages.release_to_initial t.pool ~count:32);
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:p;
+          Mgr_free_pages.put_spill t.pool ~spill:32 ~src:seg ~src_page:p;
           t.discards <- t.discards + 1
         end
       done)

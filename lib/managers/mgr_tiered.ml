@@ -27,41 +27,6 @@ let fresh_stats () =
     sp_fills = 0;
   }
 
-type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
-
-(* One second-chance clock per tier, with the same tombstone + amortised
-   compaction discipline as Mgr_generic's ring: entries whose page lost
-   its frame — or whose frame is no longer of this clock's tier, which is
-   what a promotion or demotion looks like from the other ring — are
-   marked dead and swept out once they outnumber the live entries. *)
-type clock = {
-  mutable ring : clock_entry list;  (* newest first *)
-  mutable hand : clock_entry list;  (* suffix of the scan order *)
-  mutable ring_len : int;
-  mutable ring_dead : int;
-}
-
-let fresh_clock () = { ring = []; hand = []; ring_len = 0; ring_dead = 0 }
-
-let track clock seg page =
-  clock.ring <- { ce_seg = seg; ce_page = page; ce_dead = false } :: clock.ring;
-  clock.ring_len <- clock.ring_len + 1
-
-let tombstone clock entry =
-  entry.ce_dead <- true;
-  clock.ring_dead <- clock.ring_dead + 1;
-  if clock.ring_dead * 2 > clock.ring_len then begin
-    clock.ring <- List.filter (fun e -> not e.ce_dead) clock.ring;
-    clock.ring_len <- List.length clock.ring;
-    clock.ring_dead <- 0
-  end
-
-let purge_segment clock seg =
-  clock.ring <- List.filter (fun e -> (not e.ce_dead) && e.ce_seg <> seg) clock.ring;
-  clock.ring_len <- List.length clock.ring;
-  clock.ring_dead <- 0;
-  clock.hand <- List.filter (fun e -> e.ce_seg <> seg) clock.hand
-
 type t = {
   kern : K.t;
   name : string;
@@ -70,178 +35,104 @@ type t = {
   slow_tier : int;
   fast_pool : Mgr_free_pages.t;  (* tier-pure: fast frames only *)
   slow_pool : Mgr_free_pages.t;  (* tier-pure: slow frames only *)
+  fast_source : Mgr_free_pages.source;  (* the fast tier's free frames *)
+  slow_source : Mgr_free_pages.source;  (* the slow tier's free frames *)
   compressed : Mgr_compressed.t;  (* the coldest tier, via stash/fetch *)
-  fast_clock : clock;
-  slow_clock : clock;
+  fast_clock : Mgr_clock.t;  (* scoped to the fast tier *)
+  slow_clock : Mgr_clock.t;  (* scoped to the slow tier *)
   refill_batch : int;
   reclaim_batch : int;
   mutable sp_cursor : int;  (* next start frame for aligned-run searches *)
   stats : stats;
   (* Same discipline as Mgr_generic: one fault at a time — tier moves are
-     multi-step (read data, put_from, set_next_data, take_to) and would
-     interleave across processes otherwise. *)
+     multi-step (read data, put the old frame, hand out the new one) and
+     would interleave across processes otherwise. *)
   serving : Sim_sync.Semaphore.t;
 }
 
 let stats t = t.stats
 
-let charge_logic t =
-  Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
-    (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
-
-let frame_data t frame =
-  Phys.data (K.machine t.kern).Hw_machine.mem frame
-
-let slot_state t seg page =
-  if not (K.segment_exists t.kern seg) then None
-  else
-    let s = K.segment t.kern seg in
-    if not (Seg.in_range s page) then None
-    else
-      let slot = Seg.page s page in
-      Option.map (fun frame -> (slot, frame)) slot.Seg.frame
+let frame_data t frame = Phys.data (K.machine t.kern).Hw_machine.mem frame
+let tier_of t frame = Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame
 
 (* ------------------------------------------------------------------ *)
 (* Frame supply                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Pull free frames of [tier] straight from the kernel's initial segment.
-   Unlike an SPCM source the slots need not be contiguous, so this is one
-   single-page MigratePages per frame. *)
-let refill t pool ~tier ~want =
-  match Mgr_free_pages.grant_slot pool with
-  | None -> 0
-  | Some slot0 ->
-      let want = min want (Mgr_free_pages.room pool) in
-      let init = K.initial_segment t.kern in
-      let slots = K.initial_slots ~tier t.kern ~limit:want in
-      let got = ref 0 in
-      List.iter
-        (fun src_page ->
-          K.migrate_pages t.kern ~src:init ~dst:(Mgr_free_pages.segment pool) ~src_page
-            ~dst_page:(slot0 + !got) ~count:1 ~tier ();
-          incr got)
-        slots;
-      Mgr_free_pages.note_granted pool !got;
-      !got
+(* Free frames of [tier] straight from the kernel's initial segment,
+   through the tier-scoped free-frame walk. Unlike an SPCM source the
+   slots need not be contiguous, so this is one single-page MigratePages
+   per frame. *)
+let tier_source kern ~tier ~dst ~dst_page ~count =
+  let init = K.initial_segment kern in
+  let got = ref 0 in
+  List.iter
+    (fun src_page ->
+      K.migrate_pages kern ~src:init ~dst ~src_page ~dst_page:(dst_page + !got) ~count:1 ~tier ();
+      incr got)
+    (K.initial_slots ~tier kern ~limit:count);
+  !got
 
-let victim t ~tier entry =
-  match slot_state t entry.ce_seg entry.ce_page with
-  | None -> `Gone
-  | Some (slot, frame) ->
-      if Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame <> tier then `Gone
-      else
-        let flags = slot.Seg.flags in
-        if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
-        else if Flags.mem flags Flags.referenced then begin
-          (* Second chance. *)
-          K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
-            ~clear_flags:Flags.referenced ();
-          `Skip
-        end
-        else `Victim (slot, frame)
+(* The flags a tier move sets or clears on the new frame. *)
+let moved_flags = Flags.of_list [ Flags.referenced; Flags.dirty; Flags.no_access ]
 
-(* Clock sweep over one tier's ring; [demote] moves a victim down a level
-   and reports success. Two full passes at most, like Mgr_generic. *)
-let sweep_clock t clock ~tier ~count ~demote =
-  let reclaimed = ref 0 in
-  let passes = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !reclaimed < count && (!passes < 2 || clock.hand <> []) do
-    if clock.hand = [] then begin
-      clock.hand <- clock.ring;
-      incr passes;
-      if clock.hand = [] then stop := true
-    end;
-    match clock.hand with
-    | [] -> stop := true
-    | entry :: rest -> (
-        clock.hand <- rest;
-        if entry.ce_dead then ()
-        else
-          match victim t ~tier entry with
-          | `Gone -> tombstone clock entry
-          | `Skip -> ()
-          | `Victim (slot, frame) ->
-              if demote entry slot frame then incr reclaimed else stop := true)
-  done;
-  !reclaimed
-
-(* Migration masks that carry the page's dirtiness across the frame
-   change (the data moved with set_next_data, not with the frame, so the
-   pool frame's leftover flags must not leak in). *)
-let move_masks ~extra_set flags =
-  let dirty = Flags.mem flags Flags.dirty in
-  let set_flags = if dirty then Flags.of_list (Flags.dirty :: extra_set) else
-    (match extra_set with [] -> Flags.empty | _ -> Flags.of_list extra_set)
+(* Move a resident page onto a frame of [into]'s tier, contents and
+   dirtiness intact (the data moves with the hand-out, not with the
+   frame, so the pool frame's leftover flags must not leak in); the old
+   frame goes to [from] and [clock] tracks the page. A demotion
+   [protect]s the page so its next touch raises the promotion fault; a
+   promotion lifts that. *)
+let move t ~seg ~page (slot : Seg.page_state) frame ~from ~into ~tier ~clock ~protect =
+  let data = frame_data t frame in
+  let set_flags =
+    Flags.union
+      (if Flags.mem slot.Seg.flags Flags.dirty then Flags.dirty else Flags.empty)
+      (if protect then Flags.no_access else Flags.empty)
   in
-  let clear_flags =
-    if dirty then Flags.referenced else Flags.of_list [ Flags.referenced; Flags.dirty ]
-  in
-  (set_flags, clear_flags)
+  Mgr_free_pages.put_spill from ~spill:16 ~src:seg ~src_page:page;
+  Mgr_free_pages.hand_out into ~data ~dst:seg ~dst_page:page ~count:1 ~tier ~set_flags
+    ~clear_flags:(Flags.diff moved_flags set_flags) ();
+  Mgr_clock.track clock seg page
 
 (* Slow -> compressed store: page contents leave physical memory. *)
-let demote_to_compressed t entry _slot frame =
-  Mgr_compressed.stash t.compressed ~seg:entry.ce_seg ~page:entry.ce_page (frame_data t frame);
-  (if Mgr_free_pages.room t.slow_pool = 0 then
-     ignore (Mgr_free_pages.release_to_initial t.slow_pool ~count:16));
-  Mgr_free_pages.put_from t.slow_pool ~src:entry.ce_seg ~src_page:entry.ce_page;
+let demote_to_compressed t seg page _slot frame =
+  Mgr_compressed.stash t.compressed ~seg ~page (frame_data t frame);
+  Mgr_free_pages.put_spill t.slow_pool ~spill:16 ~src:seg ~src_page:page;
   t.stats.demotions_compressed <- t.stats.demotions_compressed + 1;
-  true
+  Mgr_clock.Evicted
 
-let ensure_slow t n =
-  if Mgr_free_pages.available t.slow_pool < n then begin
-    let missing = n - Mgr_free_pages.available t.slow_pool in
-    ignore (refill t t.slow_pool ~tier:t.slow_tier ~want:(max missing t.refill_batch));
-    if Mgr_free_pages.available t.slow_pool < n then
+let never_full _ = false
+
+(* Secure one frame in [pool]: refill it from its tier's free frames,
+   then have the tier's clock push cold pages a level down ([demote]). *)
+let ensure t pool source clock demote =
+  if Mgr_free_pages.available pool = 0 then begin
+    ignore (Mgr_free_pages.refill pool ~source ~count:(max 1 t.refill_batch));
+    if Mgr_free_pages.available pool = 0 then
       ignore
-        (sweep_clock t t.slow_clock ~tier:t.slow_tier
-           ~count:(max (n - Mgr_free_pages.available t.slow_pool) t.reclaim_batch)
-           ~demote:(demote_to_compressed t))
+        (Mgr_clock.sweep clock ~count:(max 1 t.reclaim_batch) ~full:never_full ~evict:demote t)
   end;
-  Mgr_free_pages.available t.slow_pool >= n
+  Mgr_free_pages.available pool > 0
 
-(* Fast -> slow: land the page on a slow frame, contents intact, and
-   protect it so the next touch raises the promotion fault. *)
-let demote_to_slow t entry slot frame =
-  ensure_slow t 1
-  && begin
-       let data = frame_data t frame in
-       let set_flags, clear_flags = move_masks ~extra_set:[ Flags.no_access ] slot.Seg.flags in
-       (if Mgr_free_pages.room t.fast_pool = 0 then
-          ignore (Mgr_free_pages.release_to_initial t.fast_pool ~count:16));
-       Mgr_free_pages.put_from t.fast_pool ~src:entry.ce_seg ~src_page:entry.ce_page;
-       Mgr_free_pages.set_next_data t.slow_pool data;
-       let moved =
-         Mgr_free_pages.take_to t.slow_pool ~dst:entry.ce_seg ~dst_page:entry.ce_page ~count:1
-           ~tier:t.slow_tier ~set_flags ~clear_flags ()
-       in
-       assert (moved = 1);
-       track t.slow_clock entry.ce_seg entry.ce_page;
-       t.stats.demotions_slow <- t.stats.demotions_slow + 1;
-       true
-     end
+let ensure_slow t = ensure t t.slow_pool t.slow_source t.slow_clock demote_to_compressed
 
-let ensure_fast t n =
-  if Mgr_free_pages.available t.fast_pool < n then begin
-    let missing = n - Mgr_free_pages.available t.fast_pool in
-    ignore (refill t t.fast_pool ~tier:t.fast_tier ~want:(max missing t.refill_batch));
-    if Mgr_free_pages.available t.fast_pool < n then
-      ignore
-        (sweep_clock t t.fast_clock ~tier:t.fast_tier
-           ~count:(max (n - Mgr_free_pages.available t.fast_pool) t.reclaim_batch)
-           ~demote:(demote_to_slow t))
-  end;
-  Mgr_free_pages.available t.fast_pool >= n
+(* Fast -> slow, protected; a full slow tier ends the sweep. *)
+let demote_to_slow t seg page slot frame =
+  if ensure_slow t then begin
+    move t ~seg ~page slot frame ~from:t.fast_pool ~into:t.slow_pool ~tier:t.slow_tier
+      ~clock:t.slow_clock ~protect:true;
+    t.stats.demotions_slow <- t.stats.demotions_slow + 1;
+    Mgr_clock.Evicted
+  end
+  else Mgr_clock.Stop
 
-exception Out_of_frames of string
+let ensure_fast t = ensure t t.fast_pool t.fast_source t.fast_clock demote_to_slow
 
-let need_fast t n =
-  if not (ensure_fast t n) then
+let need_fast t =
+  if not (ensure_fast t) then
     raise
-      (Out_of_frames
-         (Printf.sprintf "%s: need %d fast frames, have %d after refill and demotion" t.name n
-            (Mgr_free_pages.available t.fast_pool)))
+      (Mgr_generic.Out_of_frames
+         (t.name ^ ": no fast frame after refill and demotion"))
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling                                                     *)
@@ -281,54 +172,37 @@ let try_superpage_fill t ~seg ~page =
   | Some base ->
       t.sp_cursor <- base + run;
       for p = sbase to sbase + run - 1 do
-        track t.fast_clock seg p
+        Mgr_clock.track t.fast_clock seg p
       done;
       t.stats.sp_fills <- t.stats.sp_fills + 1;
       t.stats.fills <- t.stats.fills + run;
       true
 
 let handle_missing t ~seg ~page =
-  if try_superpage_fill t ~seg ~page then ()
-  else begin
-  need_fast t 1;
-  (* Fetch only once a frame is secured — fetch removes the store entry,
-     and an Out_of_frames after that would lose the page. *)
-  (match Mgr_compressed.fetch t.compressed ~seg ~page with
-  | Some data ->
-      Mgr_free_pages.set_next_data t.fast_pool data;
-      t.stats.refetches <- t.stats.refetches + 1
-  | None -> t.stats.fills <- t.stats.fills + 1);
-  let moved =
-    Mgr_free_pages.take_to t.fast_pool ~dst:seg ~dst_page:page ~count:1 ~tier:t.fast_tier
+  if not (try_superpage_fill t ~seg ~page) then begin
+    need_fast t;
+    (* Fetch only once a frame is secured — fetch removes the store entry,
+       and an Out_of_frames after that would lose the page. *)
+    let data = Mgr_compressed.fetch t.compressed ~seg ~page in
+    (match data with
+    | Some _ -> t.stats.refetches <- t.stats.refetches + 1
+    | None -> t.stats.fills <- t.stats.fills + 1);
+    Mgr_free_pages.hand_out t.fast_pool ?data ~dst:seg ~dst_page:page ~count:1 ~tier:t.fast_tier
       ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
-      ()
-  in
-  assert (moved = 1);
-  track t.fast_clock seg page
+      ();
+    Mgr_clock.track t.fast_clock seg page
   end
 
 let promote t ~seg ~page =
-  if ensure_fast t 1 then begin
+  if ensure_fast t then begin
     (* Re-read the slot: securing the fast frame may itself have demoted
        this very page into the compressed store (demote_to_slow ->
        ensure_slow -> demote_to_compressed), or another queued fault may
        have moved it. *)
-    match slot_state t seg page with
-    | Some (slot, frame)
-      when Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame = t.slow_tier ->
-        let data = frame_data t frame in
-        let set_flags, clear_flags = move_masks ~extra_set:[] slot.Seg.flags in
-        let clear_flags = Flags.union clear_flags Flags.no_access in
-        (if Mgr_free_pages.room t.slow_pool = 0 then
-           ignore (Mgr_free_pages.release_to_initial t.slow_pool ~count:16));
-        Mgr_free_pages.put_from t.slow_pool ~src:seg ~src_page:page;
-        Mgr_free_pages.set_next_data t.fast_pool data;
-        let moved =
-          Mgr_free_pages.take_to t.fast_pool ~dst:seg ~dst_page:page ~count:1 ~tier:t.fast_tier
-            ~set_flags ~clear_flags ()
-        in
-        assert (moved = 1);
-        track t.fast_clock seg page;
+    match Mgr_clock.resident t.kern seg page with
+    | Some (slot, frame) when tier_of t frame = t.slow_tier ->
+        move t ~seg ~page slot frame ~from:t.slow_pool ~into:t.fast_pool ~tier:t.fast_tier
+          ~clock:t.fast_clock ~protect:false;
         t.stats.promotions <- t.stats.promotions + 1
     | Some _ -> ()  (* already landed on a fast frame *)
     | None -> handle_missing t ~seg ~page
@@ -341,26 +215,20 @@ let promote t ~seg ~page =
   end
 
 let handle_protection t (fault : Mgr.fault) =
-  match slot_state t fault.Mgr.f_seg fault.Mgr.f_page with
-  | Some (_, frame)
-    when Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame = t.slow_tier ->
+  match Mgr_clock.resident t.kern fault.Mgr.f_seg fault.Mgr.f_page with
+  | Some (_, frame) when tier_of t frame = t.slow_tier ->
       promote t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
   | _ ->
-      K.modify_page_flags t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page ~count:1
-        ~clear_flags:(Flags.of_list [ Flags.no_access; Flags.read_only ])
-        ();
+      Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page;
       t.stats.protection_clears <- t.stats.protection_clears + 1
 
 let handle_cow t (fault : Mgr.fault) =
-  need_fast t 1;
-  let moved =
-    Mgr_free_pages.take_to t.fast_pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
-      ~tier:t.fast_tier
-      ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
-      ()
-  in
-  assert (moved = 1);
-  track t.fast_clock fault.Mgr.f_seg fault.Mgr.f_page;
+  need_fast t;
+  Mgr_free_pages.hand_out t.fast_pool ~dst:fault.Mgr.f_seg ~dst_page:fault.Mgr.f_page ~count:1
+    ~tier:t.fast_tier
+    ~clear_flags:(Flags.of_list [ Flags.dirty; Flags.no_access; Flags.read_only ])
+    ();
+  Mgr_clock.track t.fast_clock fault.Mgr.f_seg fault.Mgr.f_page;
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
 let serve_fault t (fault : Mgr.fault) =
@@ -368,21 +236,14 @@ let serve_fault t (fault : Mgr.fault) =
   | Mgr.Missing ->
       (* Another fault on the same page may have been served while we
          waited in the queue. *)
-      if slot_state t fault.Mgr.f_seg fault.Mgr.f_page = None then
+      if Mgr_clock.resident t.kern fault.Mgr.f_seg fault.Mgr.f_page = None then
         handle_missing t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
   | Mgr.Protection -> handle_protection t fault
   | Mgr.Cow_write -> handle_cow t fault
 
-let on_fault t (fault : Mgr.fault) =
-  charge_logic t;
-  Sim_sync.Semaphore.acquire t.serving;
-  match serve_fault t fault with
-  | () -> Sim_sync.Semaphore.release t.serving
-  | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
-
 let on_close t seg =
-  purge_segment t.fast_clock seg;
-  purge_segment t.slow_clock seg
+  Mgr_clock.forget t.fast_clock seg;
+  Mgr_clock.forget t.slow_clock seg
 
 let return_to_system_unlocked t ~pages =
   let from_slow = Mgr_free_pages.release_to_initial t.slow_pool ~count:pages in
@@ -424,9 +285,11 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
         Mgr_free_pages.create kern ~name:(name ^ ".fast-pool") ~capacity:fast_pool_capacity;
       slow_pool =
         Mgr_free_pages.create kern ~name:(name ^ ".slow-pool") ~capacity:slow_pool_capacity;
+      fast_source = tier_source kern ~tier:fast_tier;
+      slow_source = tier_source kern ~tier:slow_tier;
       compressed;
-      fast_clock = fresh_clock ();
-      slow_clock = fresh_clock ();
+      fast_clock = Mgr_clock.create kern ~tier:fast_tier ();
+      slow_clock = Mgr_clock.create kern ~tier:slow_tier ();
       refill_batch;
       reclaim_batch;
       sp_cursor = 0;
@@ -435,19 +298,8 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
     }
   in
   t.mid <-
-    K.register_manager kern ~name ~mode:`In_process
-      ~on_fault:(fun f -> on_fault t f)
-      ~on_close:(fun s -> on_close t s)
-      ~on_pressure:(fun ~pages ->
-        (* Never block (see Mgr_generic): decline when mid-fault. *)
-        if Sim_sync.Semaphore.try_acquire t.serving then
-          match return_to_system_unlocked t ~pages with
-          | n ->
-              Sim_sync.Semaphore.release t.serving;
-              n
-          | exception e -> Sim_sync.Semaphore.release_reraise t.serving e
-        else 0)
-      ();
+    Mgr_generic.register_serialised kern ~name ~mode:`In_process ~serving:t.serving
+      ~serve:serve_fault ~on_close ~on_pressure:return_to_system_unlocked t;
   t
 
 let create_segment t ~name ~pages ?(superpages = false) () =

@@ -8,13 +8,14 @@
 
     - {b fast tier} — pages fault in here ([MigratePages] with a tier
       constraint from a tier-pure free-page pool).
-    - {b slow tier} — when the fast tier runs dry, a second-chance clock
-      (the same tombstoned-ring discipline as {!Mgr_generic}) demotes
-      cold pages onto slow-tier frames, contents intact, and protects
-      them with [no_access]. The next touch raises a protection fault and
-      the page is promoted back to a fast frame — that fault {e is} the
+    - {b slow tier} — when the fast tier runs dry, the fast tier's
+      {!Mgr_clock} (the second-chance clock {!Mgr_generic} also runs,
+      scoped to the tier) demotes cold pages onto slow-tier frames,
+      contents intact, and protects them with [no_access]. The next
+      touch raises a protection fault and the page is promoted back to
+      a fast frame — that fault {e is} the
       hotness signal, exactly the paper's §2.3 page-protection sampling.
-    - {b compressed store} — a second clock demotes cold slow-tier pages
+    - {b compressed store} — the slow tier's clock demotes cold pages
       into {!Mgr_compressed}'s store ({!Mgr_compressed.stash}); a later
       missing fault fetches them back ({!Mgr_compressed.fetch}, falling
       through to its disk spill area) into a fast frame.
@@ -25,8 +26,12 @@
     the residency bound: the demotion cascade starts when a tier's free
     frames run out.
 
-    Both pools are {e tier-pure} — every [take_to] passes [~tier], so the
-    kernel's [Tier_mismatch] check audits purity on each allocation. *)
+    Both pools are {e tier-pure} — every hand-out passes [~tier], so the
+    kernel's [Tier_mismatch] check audits purity on each allocation.
+    Faults are served one at a time and the SPCM pressure callback
+    declines when mid-fault ({!Mgr_generic.register_serialised}); a fault
+    that cannot secure a fast frame even after refill and a full
+    demotion sweep raises {!Mgr_generic.Out_of_frames}. *)
 
 type stats = {
   mutable fills : int;  (** Fresh pages faulted into the fast tier. *)
@@ -45,10 +50,6 @@ type stats = {
 }
 
 type t
-
-exception Out_of_frames of string
-(** Raised when a fault cannot secure a fast frame even after refill and
-    a full demotion sweep. *)
 
 val create :
   Epcm_kernel.t ->

@@ -65,7 +65,19 @@ let test_free_pages_grant_take () =
   let moved = Mgr_free_pages.take_to pool ~dst ~dst_page:2 ~count:3 () in
   check_int "moved" 3 moved;
   check_int "left" 2 (Mgr_free_pages.available pool);
-  check_int "resident in dst" 3 (Seg.resident_pages (K.segment kernel dst))
+  check_int "resident in dst" 3 (Seg.resident_pages (K.segment kernel dst));
+  (* The one refill asks for at most [room] frames at the grant slot, and
+     for none on a full pool. *)
+  let asked = ref [] in
+  let spy ~dst ~dst_page ~count =
+    asked := (dst_page, count) :: !asked;
+    source ~dst ~dst_page ~count
+  in
+  check_int "refill granted the room" 6 (Mgr_free_pages.refill pool ~source:spy ~count:32);
+  check_int "refill on a full pool" 0 (Mgr_free_pages.refill pool ~source:spy ~count:1);
+  Alcotest.(check (list (pair int int)))
+    "one request, at the grant slot, for the room" [ (2, 6) ] (List.rev !asked);
+  check_int "pool full" 8 (Mgr_free_pages.available pool)
 
 let test_free_pages_take_more_than_available () =
   let _, kernel, source = kernel_with_source () in
@@ -75,22 +87,34 @@ let test_free_pages_take_more_than_available () =
     (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:2);
   let dst = K.create_segment kernel ~name:"dst" ~pages:8 () in
   check_int "clamped to available" 2 (Mgr_free_pages.take_to pool ~dst ~dst_page:0 ~count:5 ());
-  check_int "now empty" 0 (Mgr_free_pages.take_to pool ~dst ~dst_page:5 ~count:1 ())
+  check_int "now empty" 0 (Mgr_free_pages.take_to pool ~dst ~dst_page:5 ~count:1 ());
+  (* A hand-out does not clamp: from an empty pool it raises. *)
+  match Mgr_free_pages.hand_out pool ~dst ~dst_page:5 ~count:1 () with
+  | () -> Alcotest.fail "hand-out from an empty pool must raise"
+  | exception K.Error _ -> check_int "nothing moved" 2 (Seg.resident_pages (K.segment kernel dst))
 
 let test_free_pages_put_and_data () =
-  let _, kernel, source = kernel_with_source () in
-  let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:8 in
-  let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-  Mgr_free_pages.note_granted pool
-    (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:1);
-  Mgr_free_pages.set_next_data pool (Hw_page_data.of_string "fill-me");
+  let _, kernel, source = kernel_with_source ~frames:32 () in
+  let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:2 in
+  ignore (Mgr_free_pages.refill pool ~source ~count:1);
   let dst = K.create_segment kernel ~name:"dst" ~pages:2 () in
-  ignore (Mgr_free_pages.take_to pool ~dst ~dst_page:0 ~count:1 ());
+  Mgr_free_pages.hand_out pool ~data:(Hw_page_data.of_string "fill-me") ~dst ~dst_page:0 ~count:1
+    ();
   let d = K.uio_read kernel ~seg:dst ~page:0 in
   check_bool "data set before migration" true
     (Hw_page_data.equal d (Hw_page_data.of_string "fill-me"));
   Mgr_free_pages.put_from pool ~src:dst ~src_page:0;
-  check_int "reclaimed" 1 (Mgr_free_pages.available pool)
+  check_int "reclaimed" 1 (Mgr_free_pages.available pool);
+  (* The spill-on-full put: with room it is put_from; on a full pool it
+     first returns [spill] frames to the initial segment. *)
+  let initial () = Seg.resident_pages (K.segment kernel (K.initial_segment kernel)) in
+  ignore (source ~dst ~dst_page:0 ~count:2);
+  Mgr_free_pages.put_spill pool ~spill:2 ~src:dst ~src_page:0;
+  check_int "room: nothing spilled" 29 (initial ());
+  check_int "pool full" 0 (Mgr_free_pages.room pool);
+  Mgr_free_pages.put_spill pool ~spill:2 ~src:dst ~src_page:1;
+  check_int "full: two frames spilled" 31 (initial ());
+  check_int "then the page's frame came in" 1 (Mgr_free_pages.available pool)
 
 let test_free_pages_release_to_initial () =
   let _, kernel, source = kernel_with_source ~frames:32 () in
@@ -214,6 +238,44 @@ let test_generic_close_reclaims () =
   check_bool "segment gone" false (K.segment_exists kernel seg);
   check_int "frames back in the pool" (pool_before + 4) (Mgr_free_pages.available (G.pool g));
   check_int "close counted" 1 (G.stats g).G.closes
+
+(* Closing a file segment writes every dirty page through the eviction
+   hook, however little room the pool has; the frames the pool cannot
+   take go back to the initial segment. *)
+let close_dirty_file ?hooks () =
+  let _, kernel, backing, g = generic ?hooks ~pool:4 () in
+  let seg = G.create_segment g ~name:"file" ~pages:8 ~kind:(G.File { file_id = 7 }) () in
+  for p = 0 to 7 do
+    K.touch kernel ~space:seg ~page:p ~access:Mgr.Write
+  done;
+  K.modify_page_flags kernel ~seg ~page:0 ~count:8 ~set_flags:Flags.dirty ();
+  G.close_segment g seg;
+  check_int "pool took what it had room for" 4 (Mgr_free_pages.available (G.pool g));
+  check_int "every frame accounted for" 256 (K.frame_owner_total kernel);
+  (backing, g)
+
+let test_generic_close_writes_every_dirty_page () =
+  let backing, g = close_dirty_file () in
+  check_int "all eight blocks written" 8 (Mgr_backing.writes backing);
+  for p = 0 to 7 do
+    check_bool (Printf.sprintf "block %d on backing" p) true
+      (Mgr_backing.has_block backing ~file:7 ~block:p)
+  done;
+  check_int "writebacks" 8 (G.stats g).G.writebacks;
+  check_int "no failures" 0 (G.stats g).G.writeback_failures
+
+let test_generic_close_honours_discard_hook () =
+  (* The file has no valid data (high-water mark 0), so the default fill
+     never reads the store these hooks were built over. *)
+  let hooks =
+    {
+      (G.default_hooks ~backing:(Mgr_backing.memory ())) with
+      G.on_eviction = (fun ~seg:_ ~page:_ ~dirty:_ -> `Discard);
+    }
+  in
+  let backing, g = close_dirty_file ~hooks () in
+  check_int "nothing written" 0 (Mgr_backing.writes backing);
+  check_int "eight discards" 8 (G.stats g).G.discards
 
 let test_generic_return_to_system () =
   let _, kernel, _, g = generic ~frames:64 () in
@@ -932,6 +994,10 @@ let () =
           Alcotest.test_case "pool refill" `Quick test_generic_pool_refill_from_source;
           Alcotest.test_case "out of frames" `Quick test_generic_out_of_frames;
           Alcotest.test_case "close reclaims" `Quick test_generic_close_reclaims;
+          Alcotest.test_case "close writes every dirty page" `Quick
+            test_generic_close_writes_every_dirty_page;
+          Alcotest.test_case "close honours a discard hook" `Quick
+            test_generic_close_honours_discard_hook;
           Alcotest.test_case "return to system" `Quick test_generic_return_to_system;
           Alcotest.test_case "lock in memory (2.2 protocol)" `Quick test_generic_lock_in_memory;
           Alcotest.test_case "cow fill" `Quick test_generic_cow_fill;

@@ -402,9 +402,360 @@ let prop_walk_matches_scan =
              agree ())
            ops)
 
+
+(* ------------------------------------------------------------------ *)
+(* The shared clock against the two loops it replaced                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The clock as Mgr_generic.reclaim and Mgr_tiered.sweep_clock wrote it
+   before Mgr_clock, copied verbatim but for the steps that were
+   manager-specific: the pool-full test is [full ()], eviction is
+   [evict] (Mgr_generic: true when the page's frame went, false when its
+   writeback failed) and demotion is [demote] (Mgr_tiered: false ends
+   the sweep). *)
+module Ref_clock = struct
+  type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
+
+  type clock = {
+    kern : K.t;
+    mutable ring : clock_entry list;
+    mutable hand : clock_entry list;
+    mutable ring_len : int;
+    mutable ring_dead : int;
+  }
+
+  let create kern = { kern; ring = []; hand = []; ring_len = 0; ring_dead = 0 }
+
+  let track clock seg page =
+    clock.ring <- { ce_seg = seg; ce_page = page; ce_dead = false } :: clock.ring;
+    clock.ring_len <- clock.ring_len + 1
+
+  let tombstone clock entry =
+    entry.ce_dead <- true;
+    clock.ring_dead <- clock.ring_dead + 1;
+    if clock.ring_dead * 2 > clock.ring_len then begin
+      clock.ring <- List.filter (fun e -> not e.ce_dead) clock.ring;
+      clock.ring_len <- List.length clock.ring;
+      clock.ring_dead <- 0
+    end
+
+  let purge_segment clock seg =
+    clock.ring <- List.filter (fun e -> (not e.ce_dead) && e.ce_seg <> seg) clock.ring;
+    clock.ring_len <- List.length clock.ring;
+    clock.ring_dead <- 0;
+    clock.hand <- List.filter (fun e -> e.ce_seg <> seg) clock.hand
+
+  let slot_state kern seg page =
+    if not (K.segment_exists kern seg) then None
+    else
+      let s = K.segment kern seg in
+      if not (Seg.in_range s page) then None
+      else
+        let slot = Seg.page s page in
+        Option.map (fun frame -> (slot, frame)) slot.Seg.frame
+
+  (* Mgr_generic.evict_one + reclaim *)
+  let evict_one t entry ~evict =
+    match slot_state t.kern entry.ce_seg entry.ce_page with
+    | None -> `Gone
+    | Some (slot, frame) ->
+        let flags = slot.Seg.flags in
+        if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
+        else if Flags.mem flags Flags.referenced then begin
+          K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
+            ~clear_flags:Flags.referenced ();
+          `Skip
+        end
+        else if evict entry.ce_seg entry.ce_page slot frame then `Evicted
+        else `Skip
+
+  let reclaim t ~count ~full ~evict =
+    let reclaimed = ref 0 in
+    let passes = ref 0 in
+    let stop = ref false in
+    while (not !stop) && !reclaimed < count && (!passes < 2 || t.hand <> []) do
+      if t.hand = [] then begin
+        t.hand <- t.ring;
+        incr passes;
+        if t.hand = [] then stop := true
+      end;
+      match t.hand with
+      | [] -> stop := true
+      | entry :: rest -> (
+          t.hand <- rest;
+          if full () then stop := true
+          else if entry.ce_dead then ()
+          else
+            match evict_one t entry ~evict with
+            | `Evicted -> incr reclaimed
+            | `Skip -> ()
+            | `Gone ->
+                entry.ce_dead <- true;
+                t.ring_dead <- t.ring_dead + 1;
+                if t.ring_dead * 2 > t.ring_len then begin
+                  t.ring <- List.filter (fun e -> not e.ce_dead) t.ring;
+                  t.ring_len <- List.length t.ring;
+                  t.ring_dead <- 0
+                end)
+    done;
+    !reclaimed
+
+  (* Mgr_tiered.victim + sweep_clock *)
+  let victim t ~tier entry =
+    match slot_state t.kern entry.ce_seg entry.ce_page with
+    | None -> `Gone
+    | Some (slot, frame) ->
+        if Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame <> tier then `Gone
+        else
+          let flags = slot.Seg.flags in
+          if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
+          else if Flags.mem flags Flags.referenced then begin
+            K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
+              ~clear_flags:Flags.referenced ();
+            `Skip
+          end
+          else `Victim (slot, frame)
+
+  let sweep_clock clock ~tier ~count ~demote =
+    let reclaimed = ref 0 in
+    let passes = ref 0 in
+    let stop = ref false in
+    while (not !stop) && !reclaimed < count && (!passes < 2 || clock.hand <> []) do
+      if clock.hand = [] then begin
+        clock.hand <- clock.ring;
+        incr passes;
+        if clock.hand = [] then stop := true
+      end;
+      match clock.hand with
+      | [] -> stop := true
+      | entry :: rest -> (
+          clock.hand <- rest;
+          if entry.ce_dead then ()
+          else
+            match victim clock ~tier entry with
+            | `Gone -> tombstone clock entry
+            | `Skip -> ()
+            | `Victim (slot, frame) ->
+                if demote entry.ce_seg entry.ce_page slot frame then incr reclaimed
+                else stop := true)
+    done;
+    !reclaimed
+end
+
+(* One world per clock implementation: two tiers of [clock_tier_frames]
+   frames under two six-page segments that no manager serves, the
+   operations acting on frames and flags directly. [clocks.(k)] is tier
+   k's clock in tiered mode; generic mode uses [clocks.(0)] unscoped. *)
+type 'c clock_world = {
+  kern : K.t;
+  segs : Seg.id array;
+  clocks : 'c array;
+  track : 'c -> Seg.id -> int -> unit;
+  log : Buffer.t;  (* '.' per pool-full test, then every victim *)
+  mutable taken : int;  (* pages evicted in the current sweep *)
+  mutable limit : int;  (* generic: the pool is full; tiered: demotion fails *)
+}
+
+let clock_tier_frames = 5
+let clock_pages = 6
+
+let clock_world ~tiered ~create ~track =
+  let _, kern = tiered_kernel ~fast:clock_tier_frames ~slow:clock_tier_frames in
+  let segs =
+    Array.init 2 (fun i ->
+        K.create_segment kern ~name:(Printf.sprintf "s%d" i) ~pages:clock_pages ())
+  in
+  let clocks =
+    if tiered then [| create kern (Some 0); create kern (Some 1) |] else [| create kern None |]
+  in
+  { kern; segs; clocks; track; log = Buffer.create 256; taken = 0; limit = 0 }
+
+let frame_of w seg page = (Seg.page (K.segment w.kern seg) page).Seg.frame
+
+let tier_of w frame = Phys.tier_of_frame (K.machine w.kern).Hw_machine.mem frame
+
+(* Fill an empty page from tier [k], else from the other tier. *)
+let fill w seg page k =
+  let init = K.initial_segment w.kern in
+  match K.initial_slots ~tier:k w.kern ~limit:1 @ K.initial_slots ~tier:(1 - k) w.kern ~limit:1 with
+  | src_page :: _ -> K.migrate_pages w.kern ~src:init ~dst:seg ~src_page ~dst_page:page ~count:1 ()
+  | [] -> ()
+
+(* The generic victim: a page whose (seg + page) is a multiple of 4 fails
+   its writeback and stays; any other goes back to the initial segment. *)
+let clock_evict w seg page _slot _frame =
+  Buffer.add_string w.log (Printf.sprintf "v%d.%d " seg page);
+  if (seg + page) mod 4 = 0 then Mgr_clock.Kept
+  else begin
+    K.release_frames w.kern ~seg ~page ~count:1;
+    w.taken <- w.taken + 1;
+    Mgr_clock.Evicted
+  end
+
+let clock_full w =
+  Buffer.add_char w.log '.';
+  w.taken >= w.limit
+
+(* The tiered victim: tier 0 demotes onto a free tier-1 frame (tracked by
+   tier 1's clock) and fails once tier 1 is full or [limit] pages moved;
+   tier 1 demotes out of memory. *)
+let clock_demote k w seg page _slot _frame =
+  Buffer.add_string w.log (Printf.sprintf "d%d:%d.%d " k seg page);
+  if w.taken >= w.limit then Mgr_clock.Stop
+  else if k = 1 then begin
+    K.release_frames w.kern ~seg ~page ~count:1;
+    w.taken <- w.taken + 1;
+    Mgr_clock.Evicted
+  end
+  else
+    match K.initial_slots ~tier:1 w.kern ~limit:1 with
+    | [] -> Mgr_clock.Stop
+    | src_page :: _ ->
+        K.release_frames w.kern ~seg ~page ~count:1;
+        K.migrate_pages w.kern ~src:(K.initial_segment w.kern) ~dst:seg ~src_page ~dst_page:page
+          ~count:1 ();
+        w.track w.clocks.(1) seg page;
+        w.taken <- w.taken + 1;
+        Mgr_clock.Evicted
+
+type clock_op =
+  | Track of int * int * int  (* seg, page, tier to fill from *)
+  | Reference of int * int
+  | Pin of int * int  (* toggles *)
+  | Release of int * int  (* the frame goes behind the clock's back *)
+  | Move of int * int  (* onto a frame of the other tier *)
+  | Forget of int
+  | Sweep of int * int * int  (* clock, count, limit *)
+
+(* One operation on a world; [sweep w clock k ~count] runs the
+   implementation's sweep of [clock] (tier [k] in tiered mode). *)
+let clock_step ~tiered ~forget ~sweep w op =
+  let seg i = w.segs.(i) in
+  match op with
+  | Track (s, p, k) -> (
+      if frame_of w (seg s) p = None then fill w (seg s) p k;
+      match frame_of w (seg s) p with
+      | Some f -> w.track w.clocks.(if tiered then tier_of w f else 0) (seg s) p
+      | None -> w.track w.clocks.(0) (seg s) p)
+  | Reference (s, p) ->
+      if frame_of w (seg s) p <> None then
+        K.modify_page_flags w.kern ~seg:(seg s) ~page:p ~count:1 ~set_flags:Flags.referenced ()
+  | Pin (s, p) ->
+      if frame_of w (seg s) p <> None then
+        let pinned = Flags.mem (Seg.page (K.segment w.kern (seg s)) p).Seg.flags Flags.pinned in
+        if pinned then
+          K.modify_page_flags w.kern ~seg:(seg s) ~page:p ~count:1 ~clear_flags:Flags.pinned ()
+        else K.modify_page_flags w.kern ~seg:(seg s) ~page:p ~count:1 ~set_flags:Flags.pinned ()
+  | Release (s, p) ->
+      if frame_of w (seg s) p <> None then K.release_frames w.kern ~seg:(seg s) ~page:p ~count:1
+  | Move (s, p) -> (
+      match frame_of w (seg s) p with
+      | Some f -> (
+          match K.initial_slots ~tier:(1 - tier_of w f) w.kern ~limit:1 with
+          | src_page :: _ ->
+              K.release_frames w.kern ~seg:(seg s) ~page:p ~count:1;
+              K.migrate_pages w.kern ~src:(K.initial_segment w.kern) ~dst:(seg s) ~src_page
+                ~dst_page:p ~count:1 ()
+          | [] -> ())
+      | None -> ())
+  | Forget s -> Array.iter (fun c -> forget c (seg s)) w.clocks
+  | Sweep (c, count, limit) ->
+      let k = if tiered then c else 0 in
+      w.taken <- 0;
+      w.limit <- limit;
+      let n = sweep w w.clocks.(k) k ~count in
+      Buffer.add_string w.log (Printf.sprintf "=%d | " n)
+
+(* Everything the two worlds can disagree on: each page's frame and
+   flags (reference bits cleared, victims gone or moved) and the log. *)
+let clock_state w =
+  ( Buffer.contents w.log,
+    Array.to_list
+      (Array.map
+         (fun seg ->
+           List.init clock_pages (fun p ->
+               let slot = Seg.page (K.segment w.kern seg) p in
+               (slot.Seg.frame, (slot.Seg.flags :> int))))
+         w.segs) )
+
+let clock_op_gen =
+  QCheck.Gen.(
+    let sp = pair (int_bound 1) (int_bound (clock_pages - 1)) in
+    frequency
+      [
+        (8, map2 (fun (s, p) k -> Track (s, p, k)) sp (int_bound 1));
+        (4, map (fun (s, p) -> Reference (s, p)) sp);
+        (2, map (fun (s, p) -> Pin (s, p)) sp);
+        (2, map (fun (s, p) -> Release (s, p)) sp);
+        (2, map (fun (s, p) -> Move (s, p)) sp);
+        (1, map (fun s -> Forget s) (int_bound 1));
+        (7, map3 (fun c n l -> Sweep (c, n, l)) (int_bound 1) (int_range 1 6) (int_bound 4));
+      ])
+
+let show_clock_op = function
+  | Track (s, p, k) -> Printf.sprintf "track %d.%d@%d" s p k
+  | Reference (s, p) -> Printf.sprintf "ref %d.%d" s p
+  | Pin (s, p) -> Printf.sprintf "pin %d.%d" s p
+  | Release (s, p) -> Printf.sprintf "release %d.%d" s p
+  | Move (s, p) -> Printf.sprintf "move %d.%d" s p
+  | Forget s -> Printf.sprintf "forget %d" s
+  | Sweep (c, n, l) -> Printf.sprintf "sweep %d count %d limit %d" c n l
+
+(* Random track / reference / pin / release / tier-move / forget
+   sequences with sweeps that stop on a full pool (generic mode) or a
+   failed demotion (tiered mode, one clock per tier): Mgr_clock and the
+   copied loops pick the same victims in the same order, clear the same
+   reference bits, test the pool the same number of times, and leave
+   their hands where the next sweeps — a final draining sweep of every
+   clock included — find the same victims. *)
+let prop_clock_matches_parent_loops =
+  QCheck.Test.make ~name:"the shared clock matches the generic and tiered loops it replaced"
+    ~count:300
+    QCheck.(
+      pair bool
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_clock_op ops))
+           Gen.(list_size (int_bound 60) clock_op_gen)))
+    (fun (tiered, ops) ->
+      let mine =
+        clock_world ~tiered
+          ~create:(fun kern tier -> Mgr_clock.create kern ?tier ())
+          ~track:Mgr_clock.track
+      in
+      let theirs =
+        clock_world ~tiered ~create:(fun kern _ -> Ref_clock.create kern) ~track:Ref_clock.track
+      in
+      let sweep_mine w c k ~count =
+        if tiered then
+          Mgr_clock.sweep c ~count ~full:(fun _ -> false) ~evict:(clock_demote k) w
+        else Mgr_clock.sweep c ~count ~full:clock_full ~evict:clock_evict w
+      in
+      let sweep_theirs w c k ~count =
+        let went outcome = outcome = Mgr_clock.Evicted in
+        if tiered then
+          Ref_clock.sweep_clock c ~tier:k ~count ~demote:(fun seg page slot frame ->
+              went (clock_demote k w seg page slot frame))
+        else
+          Ref_clock.reclaim c ~count
+            ~full:(fun () -> clock_full w)
+            ~evict:(fun seg page slot frame -> went (clock_evict w seg page slot frame))
+      in
+      let step op =
+        clock_step ~tiered ~forget:Mgr_clock.forget ~sweep:sweep_mine mine op;
+        clock_step ~tiered ~forget:Ref_clock.purge_segment ~sweep:sweep_theirs theirs op;
+        clock_state mine = clock_state theirs
+      in
+      List.for_all step ops
+      && List.for_all step
+           (List.init (Array.length mine.clocks) (fun c -> Sweep (c, 1000, 1000))))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_churn_preserves_contents_and_ownership; prop_walk_matches_scan ]
+    [
+      prop_churn_preserves_contents_and_ownership;
+      prop_walk_matches_scan;
+      prop_clock_matches_parent_loops;
+    ]
 
 let () =
   Alcotest.run "tier"
