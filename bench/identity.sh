@@ -17,8 +17,9 @@
 #   order;
 # - the stdout of the ten examples, byte for byte.
 #
-# Then prints each workload's alloc_mwords and peak_heap_mb from one
-# untraced iteration on both sides, and the .ml/.mli line totals of
+# Then prints each workload's alloc_mwords and peak_heap_mb on both
+# sides, read as the benchmark gates them (an untraced warm-up iteration,
+# then the first timed one), and the .ml/.mli line totals of
 # lib/, bin/, bench/, lib/managers and lib+bin+bench in both trees (a
 # simplification shows as fewer lines with everything above identical).
 # Exits 1 if anything differs, 2 on
@@ -50,9 +51,12 @@ for dir in "$parent" "$change"; do
     ./bin/vpp_repro.exe $(for e in $examples; do echo "./examples/$e.exe"; done))
 done
 
-# bench DIR WORKLOAD TRACE: the JSON line one iteration of WORKLOAD prints.
+# bench DIR WORKLOAD TRACE [SECONDS]: the JSON line WORKLOAD prints.
+# SECONDS 0 (the default) runs one iteration without the warm-up; a
+# small positive value runs the warm-up and one timed iteration, after
+# which the benchmark reads its peak heap.
 bench() {
-  (cd "$1" && ./_build/default/benchmark/vpp_bench.exe --workload "$2" --seconds 0 \
+  (cd "$1" && ./_build/default/benchmark/vpp_bench.exe --workload "$2" --seconds "${4:-0}" \
     --trace "$3" --trace-file "$tmp/$2.trace.json") | tail -1
 }
 
@@ -110,8 +114,8 @@ done
 echo
 printf '%-10s %14s %14s %14s %14s\n' workload alloc_parent alloc_change peak_parent peak_change
 for w in $workloads; do
-  p=$(bench "$parent" "$w" 0 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
-  c=$(bench "$change" "$w" 0 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
+  p=$(bench "$parent" "$w" 0 0.001 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
+  c=$(bench "$change" "$w" 0 0.001 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
   read -r pa pp <<<"$p"
   read -r ca cp <<<"$c"
   printf '%-10s %14.2f %14.2f %14.2f %14.2f\n' "$w" "$pa" "$ca" "$pp" "$cp"

@@ -84,19 +84,25 @@ type keyset =
 
 type t = {
   machine : Machine.t;
-  segments : (int, Seg.t) Hashtbl.t;
-  managers : (int, Mgr.t) Hashtbl.t;
+  (* Segments and managers indexed by id. Ids are handed out in order
+     (segments from 0, managers from 1) and never reused, so a lookup is
+     an array read; a slot no segment or manager took holds
+     [no_segment] / [no_manager]. *)
+  mutable segments : Seg.t array;
+  mutable managers : Mgr.t array;
   mutable next_seg : int;
   mutable next_mgr : int;
   init_seg : int;
   stats : stats;
-  per_manager_calls : (int, int ref) Hashtbl.t;
-  (* Reverse index: resolved slot -> translation-cache keys that point at
-     it, so migrating or reprotecting a slot can invalidate precisely. The
-     overwhelmingly common case is a slot cached under exactly one key
-     (its own space), so that case is an immediate pair; a slot shared by
-     several spaces upgrades to a small hash set, keeping recording O(1)
-     rather than a linear membership scan. *)
+  mutable per_manager_calls : int array;  (* by manager id *)
+  (* Reverse index: resolved slot -> the translation-cache keys of the
+     other spaces that reach it through a bound region, so migrating or
+     reprotecting a slot can invalidate precisely. A slot's own key
+     (space = its segment, vpn = its page) is never recorded:
+     [invalidate_slot] drops that one unconditionally. A slot reached from
+     one other space holds an immediate pair; one shared by several
+     spaces upgrades to a small hash set, keeping recording O(1) rather
+     than a linear membership scan. *)
   cached_keys : (int * int, keyset) Hashtbl.t;
   mutable fault_depth : int;
   max_fault_depth : int;
@@ -164,27 +170,56 @@ let make_segment machine ~sid ~name ~page_size ~pages =
   Seg.make ~n_tiers:(Phys.n_tiers mem) ~tier_of:(Phys.tier_of_frame mem) ~sid ~name ~page_size
     ~pages ()
 
+(* Filler for the id tables' untaken slots, never handed out: [segment]
+   reports [No_such_segment] for [no_segment] (a segment id is taken
+   even when building its segment fails), and [manager] checks the id
+   range. *)
+let no_segment =
+  let s = Seg.make ~sid:(-1) ~name:"no segment" ~page_size:1 ~pages:0 () in
+  s.Seg.alive <- false;
+  s
+
+let no_manager =
+  {
+    Mgr.mid = 0;
+    mname = "";
+    mmode = `In_process;
+    on_fault = ignore;
+    on_close = ignore;
+    on_pressure = (fun ~pages:_ -> 0);
+  }
+
+(* [arr] with room for index [i], the next id to hand out: doubled when
+   full. *)
+let with_room arr i filler =
+  if i < Array.length arr then arr
+  else begin
+    let bigger = Array.make (2 * Array.length arr) filler in
+    Array.blit arr 0 bigger 0 (Array.length arr);
+    bigger
+  end
+
 let create machine =
   let n = Machine.n_frames machine in
+  let mem = machine.Machine.mem in
   let init =
-    make_segment machine ~sid:0 ~name:"initial-frame-segment"
-      ~page_size:(Machine.page_size machine) ~pages:n
+    Seg.make_identity ~n_tiers:(Phys.n_tiers mem) ~tier_of:(Phys.tier_of_frame mem) ~sid:0
+      ~name:"initial-frame-segment" ~page_size:(Machine.page_size machine) ~pages:n ()
   in
   for i = 0 to n - 1 do
-    Seg.set_frame init i (Some i);
-    Phys.set_owner machine.Machine.mem i 0
+    Phys.set_owner mem i 0
   done;
-  let segments = Hashtbl.create 64 in
-  Hashtbl.replace segments 0 init;
+  let segments = Array.make 64 no_segment in
+  segments.(0) <- init;
   {
     machine;
     segments;
-    managers = Hashtbl.create 16;
+    managers = Array.make 16 no_manager;
     next_seg = 1;
     next_mgr = 1;
     init_seg = 0;
     stats = fresh_stats ();
-    per_manager_calls = Hashtbl.create 16;
+    per_manager_calls = Array.make 16 0;
     cached_keys = Hashtbl.create 1024;
     fault_depth = 0;
     max_fault_depth = 16;
@@ -194,23 +229,18 @@ let machine t = t.machine
 let stats t = t.stats
 let initial_segment t = t.init_seg
 
-let manager_calls_of t mid =
-  match Hashtbl.find_opt t.per_manager_calls mid with Some r -> !r | None -> 0
+let manager_calls_of t mid = if mid > 0 && mid < t.next_mgr then t.per_manager_calls.(mid) else 0
 
-let count_manager_call t mid =
-  match Hashtbl.find_opt t.per_manager_calls mid with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.per_manager_calls mid (ref 1)
+(* [mid] is a registered manager's: callers looked it up first. *)
+let count_manager_call t mid = t.per_manager_calls.(mid) <- t.per_manager_calls.(mid) + 1
 
 let segment t sid =
-  match Hashtbl.find_opt t.segments sid with
-  | None -> fail (No_such_segment sid)
-  | Some s ->
-      if not s.Seg.alive then fail (Dead_segment sid);
-      s
+  let s = if sid >= 0 && sid < t.next_seg then t.segments.(sid) else no_segment in
+  if s == no_segment then fail (No_such_segment sid);
+  if not s.Seg.alive then fail (Dead_segment sid);
+  s
 
-let segment_exists t sid =
-  match Hashtbl.find_opt t.segments sid with Some s -> s.Seg.alive | None -> false
+let segment_exists t sid = sid >= 0 && sid < t.next_seg && t.segments.(sid).Seg.alive
 
 let check_range seg page count =
   if count < 0 || page < 0 || page + count > Seg.length seg then
@@ -223,15 +253,15 @@ let check_range seg page count =
 let register_manager t ~name ~mode ~on_fault ?(on_close = fun _ -> ())
     ?(on_pressure = fun ~pages:_ -> 0) () =
   let mid = t.next_mgr in
-  t.next_mgr <- t.next_mgr + 1;
-  Hashtbl.replace t.managers mid
-    { Mgr.mid; mname = name; mmode = mode; on_fault; on_close; on_pressure };
+  t.managers <- with_room t.managers mid no_manager;
+  t.per_manager_calls <- with_room t.per_manager_calls mid 0;
+  t.managers.(mid) <- { Mgr.mid; mname = name; mmode = mode; on_fault; on_close; on_pressure };
+  t.next_mgr <- mid + 1;
   mid
 
 let manager t mid =
-  match Hashtbl.find_opt t.managers mid with
-  | Some m -> m
-  | None -> fail (No_such_manager mid)
+  if mid <= 0 || mid >= t.next_mgr then fail (No_such_manager mid);
+  t.managers.(mid)
 
 let set_segment_manager t sid mid =
   let seg = segment t sid in
@@ -247,10 +277,11 @@ let create_segment t ?page_size ?manager:mgr ~name ~pages () =
   let page_size = Option.value page_size ~default:(Machine.page_size t.machine) in
   (match mgr with Some m -> ignore (manager t m) | None -> ());
   let sid = t.next_seg in
-  t.next_seg <- t.next_seg + 1;
+  t.next_seg <- sid + 1;
+  t.segments <- with_room t.segments sid no_segment;
   let seg = make_segment t.machine ~sid ~name ~page_size ~pages in
   seg.Seg.manager <- mgr;
-  Hashtbl.replace t.segments sid seg;
+  t.segments.(sid) <- seg;
   charge ~label:"kernel/segment_ctl" t (cost t).Hw_cost.syscall_base;
   sid
 
@@ -269,17 +300,21 @@ let grow_segment t sid ~pages =
 (* Translation-cache bookkeeping                                      *)
 (* ------------------------------------------------------------------ *)
 
-let record_cached_key t ~slot:(sseg, spage) ~key:(kspace, kvpn) =
-  match Hashtbl.find_opt t.cached_keys (sseg, spage) with
-  | None -> Hashtbl.replace t.cached_keys (sseg, spage) (Single (kspace, kvpn))
-  | Some (Single (s, v)) ->
-      if s <> kspace || v <> kvpn then begin
-        let keys = Hashtbl.create 4 in
-        Hashtbl.replace keys (s, v) ();
-        Hashtbl.replace keys (kspace, kvpn) ();
-        Hashtbl.replace t.cached_keys (sseg, spage) (Many keys)
-      end
-  | Some (Many keys) -> if not (Hashtbl.mem keys (kspace, kvpn)) then Hashtbl.replace keys (kspace, kvpn) ()
+(* Record that the translation (kspace, kvpn) resolves to slot (sseg,
+   spage); a slot's own key needs no record (see [cached_keys]). *)
+let record_cached_key t ~sseg ~spage ~kspace ~kvpn =
+  if kspace <> sseg || kvpn <> spage then
+    match Hashtbl.find_opt t.cached_keys (sseg, spage) with
+    | None -> Hashtbl.replace t.cached_keys (sseg, spage) (Single (kspace, kvpn))
+    | Some (Single (s, v)) ->
+        if s <> kspace || v <> kvpn then begin
+          let keys = Hashtbl.create 4 in
+          Hashtbl.replace keys (s, v) ();
+          Hashtbl.replace keys (kspace, kvpn) ();
+          Hashtbl.replace t.cached_keys (sseg, spage) (Many keys)
+        end
+    | Some (Many keys) ->
+        if not (Hashtbl.mem keys (kspace, kvpn)) then Hashtbl.replace keys (kspace, kvpn) ()
 
 (* ------------------------------------------------------------------ *)
 (* Superpage promotion / demotion                                     *)
@@ -361,20 +396,24 @@ let invalidate_slot t s ~page =
      to split. *)
   if Hashtbl.length s.Seg.sp_regions > 0 then demote_superpage t s (page / super_pages t);
   let seg = s.Seg.sid in
-  (match Hashtbl.find_opt t.cached_keys (seg, page) with
-  | None -> ()
-  | Some (Single (space, vpn)) ->
-      Tlb.invalidate t.machine.Machine.tlb ~space ~vpn;
-      Pt.remove t.machine.Machine.page_table ~space ~vpn;
-      Hashtbl.remove t.cached_keys (seg, page)
-  | Some (Many keys) ->
-      Hashtbl.iter
-        (fun (space, vpn) () ->
-          Tlb.invalidate t.machine.Machine.tlb ~space ~vpn;
-          Pt.remove t.machine.Machine.page_table ~space ~vpn)
-        keys;
-      Hashtbl.remove t.cached_keys (seg, page));
-  (* The slot may also be cached under its own (seg, page) key. *)
+  (* Translations of other spaces bound to the slot; most machines bind
+     nothing, and then the index is empty. *)
+  if Hashtbl.length t.cached_keys > 0 then begin
+    match Hashtbl.find_opt t.cached_keys (seg, page) with
+    | None -> ()
+    | Some (Single (space, vpn)) ->
+        Tlb.invalidate t.machine.Machine.tlb ~space ~vpn;
+        Pt.remove t.machine.Machine.page_table ~space ~vpn;
+        Hashtbl.remove t.cached_keys (seg, page)
+    | Some (Many keys) ->
+        Hashtbl.iter
+          (fun (space, vpn) () ->
+            Tlb.invalidate t.machine.Machine.tlb ~space ~vpn;
+            Pt.remove t.machine.Machine.page_table ~space ~vpn)
+          keys;
+        Hashtbl.remove t.cached_keys (seg, page)
+  end;
+  (* The slot's own (seg, page) translation. *)
   Tlb.invalidate t.machine.Machine.tlb ~space:seg ~vpn:page;
   Pt.remove t.machine.Machine.page_table ~space:seg ~vpn:page
 
@@ -423,15 +462,19 @@ let resolve_slot t ~space ~page =
 (* MigratePages and friends                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The source slot's [Some frame] box moves into the destination as is. *)
 let migrate_one t ~src_seg ~dst_seg ~src_page ~dst_page =
   let s_slot = Seg.page src_seg src_page and d_slot = Seg.page dst_seg dst_page in
+  let frame = s_slot.Seg.frame in
   let frame_idx =
-    match s_slot.Seg.frame with
+    match frame with
     | Some f -> f
     | None -> fail (No_frame { seg = src_seg.Seg.sid; page = src_page })
   in
-  if d_slot.Seg.frame <> None then fail (Frame_present { seg = dst_seg.Seg.sid; page = dst_page });
-  Seg.set_frame dst_seg dst_page (Some frame_idx);
+  (match d_slot.Seg.frame with
+  | Some _ -> fail (Frame_present { seg = dst_seg.Seg.sid; page = dst_page })
+  | None -> ());
+  Seg.set_frame dst_seg dst_page frame;
   d_slot.Seg.flags <- s_slot.Seg.flags;
   Seg.set_frame src_seg src_page None;
   s_slot.Seg.flags <- Flags.empty;
@@ -534,20 +577,26 @@ let get_page_attributes t ~seg ~page ~count =
 
 (* Return a frame to the initial segment: slot = first free initial slot at
    or cyclically after the frame's own index (identity at boot, best-effort
-   afterwards). *)
-let return_frame_to_initial t frame_idx =
-  let init = segment t t.init_seg in
-  let n = Seg.length init in
-  let rec find i tried =
-    if tried >= n then fail (Frame_present { seg = t.init_seg; page = frame_idx })
-    else if (Seg.page init i).Seg.frame = None then i
-    else find ((i + 1) mod n) (tried + 1)
-  in
-  let slot_idx = find (frame_idx mod n) 0 in
-  let slot = Seg.page init slot_idx in
-  Seg.set_frame init slot_idx (Some frame_idx);
-  slot.Seg.flags <- Flags.empty;
-  Phys.set_owner t.machine.Machine.mem frame_idx t.init_seg
+   afterwards). [frame] is the [Some f] its last slot held, moved in as
+   is; [None] returns nothing. *)
+let return_frame_to_initial t frame =
+  match frame with
+  | None -> ()
+  | Some frame_idx ->
+      let init = segment t t.init_seg in
+      let n = Seg.length init in
+      let rec find i tried =
+        if tried >= n then fail (Frame_present { seg = t.init_seg; page = frame_idx })
+        else
+          match (Seg.page init i).Seg.frame with
+          | None -> i
+          | Some _ -> find ((i + 1) mod n) (tried + 1)
+      in
+      let slot_idx = find (frame_idx mod n) 0 in
+      let slot = Seg.page init slot_idx in
+      Seg.set_frame init slot_idx frame;
+      slot.Seg.flags <- Flags.empty;
+      Phys.set_owner t.machine.Machine.mem frame_idx t.init_seg
 
 let release_frames t ~seg ~page ~count =
   if seg = t.init_seg then fail Initial_segment_operation;
@@ -562,11 +611,11 @@ let release_frames t ~seg ~page ~count =
     let slot = Seg.page s (page + i) in
     match slot.Seg.frame with
     | None -> ()
-    | Some f ->
+    | Some _ as frame ->
         Seg.set_frame s (page + i) None;
         slot.Seg.flags <- Flags.empty;
         invalidate_slot t s ~page:(page + i);
-        return_frame_to_initial t f;
+        return_frame_to_initial t frame;
         incr moved
   done;
   t.stats.migrate_calls <- t.stats.migrate_calls + 1;
@@ -603,11 +652,11 @@ let destroy_segment t sid =
     (fun i slot ->
       match slot.Seg.frame with
       | None -> ()
-      | Some f ->
+      | Some _ as frame ->
           Seg.set_frame s i None;
           slot.Seg.flags <- Flags.empty;
           invalidate_slot t s ~page:i;
-          return_frame_to_initial t f)
+          return_frame_to_initial t frame)
     s.Seg.pages;
   (* Every promoted region covered resident pages, so the loop above
      demoted them all through invalidate_slot. *)
@@ -725,6 +774,10 @@ let deliver_fault t (fault : Mgr.fault) =
       t.fault_depth <- t.fault_depth - 1;
       Printexc.raise_with_backtrace e bt
 
+let prot_none = { Pt.readable = false; writable = false }
+let prot_read = { Pt.readable = true; writable = false }
+let prot_read_write = { Pt.readable = true; writable = true }
+
 (* Ensure a frame with suitable protection is present at the slot that
    backs ([space], [page]); fault to managers as many times as needed
    (missing, then protection, then cow can each fire once). Returns the
@@ -787,14 +840,12 @@ let rec ensure_resident t ~space ~page ~(access : Mgr.access) ~attempts =
         (frame_idx, oseg, opage, flags, via_cow)
       end
 
+(* One of the three protections a translation can carry, shared rather
+   than built per mapping. *)
 and resolved_prot ~flags ~via_cow =
-  {
-    Pt.readable = not (Flags.mem flags Flags.no_access);
-    writable =
-      (not (Flags.mem flags Flags.no_access))
-      && (not (Flags.mem flags Flags.read_only))
-      && not via_cow;
-  }
+  if Flags.mem flags Flags.no_access then prot_none
+  else if Flags.mem flags Flags.read_only || via_cow then prot_read
+  else prot_read_write
 
 (* The slow half of [touch]: resolve the reference through the segments
    (faulting to managers as needed), complete it like a warm one and
@@ -829,7 +880,7 @@ let walk_and_map t ~space ~page ~access =
   if not installed_super then begin
     Pt.insert pt ~space ~vpn:page ~frame ~prot;
     Tlb.fill tlb ~space ~vpn:page ~frame;
-    record_cached_key t ~slot:(oseg.Seg.sid, opage) ~key:(space, page);
+    record_cached_key t ~sseg:oseg.Seg.sid ~spage:opage ~kspace:space ~kvpn:page;
     charge ~label:"kernel/pte_update" t c.Hw_cost.pte_update
   end
 
@@ -837,37 +888,39 @@ let touch t ~space ~page ~access =
   t.stats.touches <- t.stats.touches + 1;
   let c = cost t in
   let tlb = t.machine.Machine.tlb and pt = t.machine.Machine.page_table in
-  match Pt.lookup_sized pt ~space ~vpn:page with
-  | Some { Pt.frame; prot; size; _ }
-    when match access with Mgr.Read -> prot.Pt.readable | Mgr.Write -> prot.Pt.writable ->
-      (* Model TLB behaviour on the side: hit is free, miss costs a software
-         refill from the mapping hash — at the granularity the mapping hash
-         resolved (a superpage hit refills one 2 MB entry covering the whole
-         run). Flat machines only ever see Base here. *)
-      (match Tlb.lookup_sized tlb ~space ~vpn:page with
-      | Some _ -> ()
-      | None -> (
-          match size with
-          | Pt.Base ->
-              charge ~label:"kernel/tlb_refill" t c.Hw_cost.tlb_refill;
-              Tlb.fill tlb ~space ~vpn:page ~frame
-          | Pt.Super ->
-              let sp = super_pages t in
-              let svpn = page / sp in
-              charge ~label:"kernel/tlb_refill_super" t c.Hw_cost.tlb_refill_super;
-              Tlb.fill_super tlb ~space ~svpn ~frame:(frame - (page - (svpn * sp)))));
-      (* The reference itself, however translation resolved. *)
-      reference t frame
-  | Some _ | None ->
-      (* Mapping-hash miss (or insufficient protection): walk segments.
-         The kernel.fault latency sample is taken only when the sink is
-         on. *)
-      if Sim_metrics.enabled t.machine.Machine.metrics then begin
-        let t0 = Machine.now t.machine in
-        walk_and_map t ~space ~page ~access;
-        Machine.observe t.machine ~kind:"kernel.fault" (Machine.now t.machine -. t0)
-      end
-      else walk_and_map t ~space ~page ~access
+  let e = Pt.find pt ~space ~vpn:page in
+  (* A miss returns [Pt.vacant], which grants no access. *)
+  if match access with Mgr.Read -> e.Pt.prot.Pt.readable | Mgr.Write -> e.Pt.prot.Pt.writable
+  then begin
+    let frame = e.Pt.frame in
+    (* Model TLB behaviour on the side: hit is free, miss costs a software
+       refill from the mapping hash — at the granularity the mapping hash
+       resolved (a superpage hit refills one 2 MB entry covering the whole
+       run). Flat machines only ever see Base here. *)
+    (if Tlb.probe tlb ~space ~vpn:page < 0 then
+       match e.Pt.size with
+       | Pt.Base ->
+           charge ~label:"kernel/tlb_refill" t c.Hw_cost.tlb_refill;
+           Tlb.fill tlb ~space ~vpn:page ~frame
+       | Pt.Super ->
+           let sp = super_pages t in
+           let svpn = page / sp in
+           charge ~label:"kernel/tlb_refill_super" t c.Hw_cost.tlb_refill_super;
+           Tlb.fill_super tlb ~space ~svpn ~frame:(frame - (page - (svpn * sp))));
+    (* The reference itself, however translation resolved. *)
+    reference t frame
+  end
+  else begin
+    (* Mapping-hash miss (or insufficient protection): walk segments.
+       The kernel.fault latency sample is taken only when the sink is
+       on. *)
+    if Sim_metrics.enabled t.machine.Machine.metrics then begin
+      let t0 = Machine.now t.machine in
+      walk_and_map t ~space ~page ~access;
+      Machine.observe t.machine ~kind:"kernel.fault" (Machine.now t.machine -. t0)
+    end
+    else walk_and_map t ~space ~page ~access
+  end
 
 (* ------------------------------------------------------------------ *)
 (* UIO block interface                                                *)
@@ -920,11 +973,14 @@ let uio_write t ~seg ~page data =
 (* Introspection                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Live segments in id order. *)
 let audit_with resident t =
-  Hashtbl.fold
-    (fun sid seg acc -> if seg.Seg.alive then (sid, resident seg) :: acc else acc)
-    t.segments []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let acc = ref [] in
+  for sid = t.next_seg - 1 downto 0 do
+    let seg = t.segments.(sid) in
+    if seg.Seg.alive then acc := (sid, resident seg) :: !acc
+  done;
+  !acc
 
 let frame_owner_audit t = audit_with Seg.resident_pages t
 let frame_owner_audit_scan t = audit_with Seg.resident_pages_scan t
@@ -941,24 +997,24 @@ let frame_owner_total t =
 let audit t =
   let scan = Array.make (Phys.n_tiers t.machine.Machine.mem) 0 in
   let owned = ref 0 and agree = ref true in
-  Hashtbl.iter
-    (fun _ seg ->
-      if seg.Seg.alive then begin
-        owned := !owned + seg.Seg.resident;
-        Array.fill scan 0 (Array.length scan) 0;
-        let resident = ref 0 in
-        Array.iter
-          (fun slot ->
-            match slot.Seg.frame with
-            | None -> ()
-            | Some f ->
-                incr resident;
-                let k = seg.Seg.tier_of f in
-                scan.(k) <- scan.(k) + 1)
-          seg.Seg.pages;
-        if !resident <> seg.Seg.resident || scan <> seg.Seg.resident_by_tier then agree := false
-      end)
-    t.segments;
+  for sid = 0 to t.next_seg - 1 do
+    let seg = t.segments.(sid) in
+    if seg.Seg.alive then begin
+      owned := !owned + seg.Seg.resident;
+      Array.fill scan 0 (Array.length scan) 0;
+      let resident = ref 0 in
+      Array.iter
+        (fun slot ->
+          match slot.Seg.frame with
+          | None -> ()
+          | Some f ->
+              incr resident;
+              let k = seg.Seg.tier_of f in
+              scan.(k) <- scan.(k) + 1)
+        seg.Seg.pages;
+      if !resident <> seg.Seg.resident || scan <> seg.Seg.resident_by_tier then agree := false
+    end
+  done;
   !agree
   && !owned = Machine.n_frames t.machine
   && Sim_engine.live_processes t.machine.Machine.engine = 0

@@ -49,6 +49,23 @@ let make ?(n_tiers = 1) ?(tier_of = fun _ -> 0) ~sid ~name ~page_size ~pages () 
     sp_regions = Hashtbl.create 8;
   }
 
+let tier_count t f =
+  let k = t.tier_of f in
+  if k < 0 || k >= Array.length t.resident_by_tier then
+    invalid_arg (Printf.sprintf "Epcm_segment.set_frame: frame %d maps to unknown tier %d" f k);
+  k
+
+(* One pass: page i gets frame i and counts toward its frame's tier. *)
+let make_identity ?n_tiers ?tier_of ~sid ~name ~page_size ~pages () =
+  let t = make ?n_tiers ?tier_of ~sid ~name ~page_size ~pages:0 () in
+  t.pages <-
+    Array.init pages (fun i ->
+        let k = tier_count t i in
+        t.resident_by_tier.(k) <- t.resident_by_tier.(k) + 1;
+        { frame = Some i; flags = Epcm_flags.empty });
+  t.resident <- pages;
+  t
+
 let superpage_regions t =
   Hashtbl.fold (fun sindex base acc -> (sindex, base) :: acc) t.sp_regions []
   |> List.sort compare
@@ -60,12 +77,6 @@ let page t p =
   if not (in_range t p) then
     invalid_arg (Printf.sprintf "Epcm_segment.page: page %d out of range of segment %d" p t.sid);
   t.pages.(p)
-
-let tier_count t f =
-  let k = t.tier_of f in
-  if k < 0 || k >= Array.length t.resident_by_tier then
-    invalid_arg (Printf.sprintf "Epcm_segment.set_frame: frame %d maps to unknown tier %d" f k);
-  k
 
 let set_frame t p frame =
   let slot = page t p in

@@ -73,6 +73,19 @@ val make :
     passes {!Hw_phys_mem.tier_of_frame} so the counters track the
     machine's real tier layout. *)
 
+val make_identity :
+  ?n_tiers:int ->
+  ?tier_of:(int -> int) ->
+  sid:id ->
+  name:string ->
+  page_size:int ->
+  pages:int ->
+  unit ->
+  t
+(** Like {!make}, but page i holds frame i and the resident counters
+    (flat and per tier, through [tier_of]) count every page, all set in
+    one pass: the kernel's initial segment at boot. *)
+
 val length : t -> int
 val in_range : t -> int -> bool
 val page : t -> int -> page_state

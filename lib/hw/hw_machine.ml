@@ -41,7 +41,10 @@ let create ?(preset = Decstation_5000_200) ?(memory_bytes = 16 * 1024 * 1024)
   in
   (* The mapping hash is sized to physical memory, like the inverted /
      hashed page tables it models (one entry per frame, 64K minimum so
-     every paper-scale machine keeps the historical geometry). *)
+     every paper-scale machine keeps the historical geometry). Its slots
+     are allocated 32 at a time as translations reach them, so creating
+     the machine allocates only the table's top array (one word per 32
+     slots), not the slots themselves. *)
   let pt_slots = max 65536 (Hw_phys_mem.n_frames mem) in
   let super_slots = max 1024 (Hw_phys_mem.n_frames mem / super_pages) in
   (* One physically-indexed cache per memory tier (a node-local L2), all

@@ -5,7 +5,8 @@
     overflow area." This table is a {e cache} of virtual-to-physical
     translations; a miss falls back to walking the kernel's segment
     structures (which the kernel charges for separately). Keys are
-    (address-space id, virtual page number).
+    (address-space id, virtual page number); address-space ids are
+    non-negative.
 
     Entries carry a mapping {!size}: the classic 4 KB [Base] entries live
     in the direct-mapped slots + overflow area, while 2 MB [Super] entries
@@ -14,7 +15,14 @@
     are probed {e before} the 4 KB slot. The probe is guarded by a live
     superpage counter, so a machine that never installs a superpage takes
     identical branches and accumulates identical statistics to the
-    pre-superpage table. *)
+    pre-superpage table.
+
+    Storage: every slot is one word holding its entry or the shared
+    {!vacant} entry, never an option. The direct-mapped slots are kept in
+    chunks of 32, each allocated on the first insert that reaches it, so
+    a table costs one top-array word per 32 slots, each reached chunk one
+    word per slot plus its header, and each live entry its 6-word
+    record. *)
 
 type prot = { readable : bool; writable : bool }
 
@@ -44,16 +52,20 @@ val insert_super : t -> space:int -> svpn:int -> frame:int -> prot:prot -> unit
 
 val remove_super : t -> space:int -> svpn:int -> unit
 
-val lookup : t -> space:int -> vpn:int -> (int * prot) option
-(** Updates hit/miss statistics. Resolves through a live superpage entry
-    covering [vpn] before probing the 4 KB slot. *)
+val vacant : entry
+(** The entry every empty slot holds, and what {!find} returns on a
+    miss; compare with [==]. Its key is no address space's and its
+    protection grants neither read nor write, so a caller that checks the
+    access it needs treats a miss like an insufficient mapping. *)
 
-val lookup_sized : t -> space:int -> vpn:int -> entry option
-(** Like {!lookup}, returning the resolving entry, whose [size] says which
-    mapping resolved the translation (the kernel charges the matching TLB
-    refill cost). A 4 KB hit returns the stored entry itself, without
-    allocating; a superpage hit returns a fresh [Super] entry whose [vpn]
-    and [frame] are the looked-up page and its translated frame. *)
+val find : t -> space:int -> vpn:int -> entry
+(** The entry translating the page, or {!vacant}; updates hit/miss
+    statistics. A live superpage entry covering [vpn] resolves before the
+    4 KB slot; its [size] says which mapping resolved the translation
+    (the kernel charges the matching TLB refill cost). A 4 KB hit returns
+    the stored entry itself, without allocating; a superpage hit returns
+    a fresh [Super] entry whose [vpn] and [frame] are the looked-up page
+    and its translated frame. *)
 
 val remove : t -> space:int -> vpn:int -> unit
 (** Remove the 4 KB entry for the page (superpage entries are removed

@@ -10,29 +10,21 @@
     never fills a superpage behaves and counts identically to the
     pre-superpage TLB. *)
 
-type entry = { space : int; vpn : int; frame : int; size : Hw_page_table.size }
-(** A cached translation. For [Super] entries as stored, [vpn] is the
-    superpage number (vpn / super_pages) and [frame] the first frame of
-    the aligned run. *)
-
 type t
 
 val create : ?entries:int -> ?super_entries:int -> ?super_pages:int -> unit -> t
 (** Defaults: 64 base entries, 16 superpage entries, 512 base pages per
-    superpage. *)
+    superpage. Each entry is three ints (space, vpn, frame) held in
+    per-field int arrays, so probes and refills allocate nothing. *)
 
-val lookup : t -> space:int -> vpn:int -> int option
-(** Returns the cached frame for the page, updating statistics. A live
-    superpage entry covering [vpn] resolves before the 4 KB slot. *)
-
-val lookup_sized : t -> space:int -> vpn:int -> entry option
-(** Like {!lookup}, returning the resolving entry; its [size] is [Super]
-    when a superpage entry resolved the translation. A 4 KB hit returns
-    the stored entry itself, without allocating; a superpage hit returns
-    a fresh entry whose [vpn] and [frame] are the looked-up page and its
-    translated frame. *)
+val probe : t -> space:int -> vpn:int -> int
+(** The cached frame for the page, or -1 on a miss; updates statistics.
+    A live superpage entry covering [vpn] resolves before the 4 KB slot
+    (counted in {!super_hits} too) and yields the page's frame within
+    its run. *)
 
 val fill : t -> space:int -> vpn:int -> frame:int -> unit
+(** Cache a 4 KB translation; [frame] is a frame index, non-negative. *)
 
 val fill_super : t -> space:int -> svpn:int -> frame:int -> unit
 (** Fill a superpage entry: [svpn] = vpn / super_pages, [frame] the first

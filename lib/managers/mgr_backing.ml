@@ -10,7 +10,7 @@ type t = {
   latency : latency;
   retry : retry;
   counters : Sim_stats.Counters.t option;
-  table : (int * int, Hw_page_data.t) Hashtbl.t;
+  table : (int, Hw_page_data.t) Hashtbl.t;  (* by [key] *)
   mutable reads : int;
   mutable writes : int;
   mutable io_retries : int;
@@ -35,6 +35,14 @@ let disk ?(retry = default_retry) ?counters device ~page_bytes =
   make (Disk { device; page_bytes }) retry counters
 
 let disk_block ~file ~block = (file * 1_000_000) + block
+
+(* The table's key for a block: one int, one-to-one over blocks in
+   [0, 2^32) of files in [-2^30, 2^30) (swap areas are negative file
+   ids), so a fill or a writeback builds no tuple to hash. *)
+let key ~file ~block =
+  if block < 0 || block lsr 32 <> 0 || file < -(1 lsl 30) || file >= 1 lsl 30 then
+    invalid_arg (Printf.sprintf "Mgr_backing: block (%d, %d) out of range" file block);
+  (file lsl 32) lor block
 
 let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c name) t.counters
 
@@ -97,18 +105,20 @@ let with_retry t ~op ~file ~block =
   | No_latency -> retrying t ~op ~file ~block
 
 let read_block t ~file ~block =
+  let k = key ~file ~block in
   t.reads <- t.reads + 1;
   with_retry t ~op:`Read ~file ~block;
-  match Hashtbl.find_opt t.table (file, block) with
+  match Hashtbl.find_opt t.table k with
   | Some d -> d
   | None -> Hw_page_data.block ~file ~block ~version:0
 
 let write_block t ~file ~block data =
+  let k = key ~file ~block in
   t.writes <- t.writes + 1;
   with_retry t ~op:`Write ~file ~block;
-  Hashtbl.replace t.table (file, block) data
+  Hashtbl.replace t.table k data
 
-let has_block t ~file ~block = Hashtbl.mem t.table (file, block)
+let has_block t ~file ~block = Hashtbl.mem t.table (key ~file ~block)
 
 let reads t = t.reads
 let writes t = t.writes

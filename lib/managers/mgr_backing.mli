@@ -11,7 +11,12 @@
     as a bounded retry-with-backoff loop: each failed attempt still costs
     full service time, retries wait an exponentially growing backoff, and
     exhaustion raises {!Backing_failed} for the manager above to degrade
-    on. A [memory] store never fails. *)
+    on. A [memory] store never fails.
+
+    A block is addressed by a file id, [-2^30 <= file < 2^30] (swap areas
+    use negative ids), and a block number, [0 <= block < 2^32]; the read,
+    write and [has_block] operations raise [Invalid_argument] outside
+    that range. *)
 
 type t
 

@@ -163,26 +163,27 @@ let touch t pid ~vpn ~access =
   t.stats.touches <- t.stats.touches + 1;
   let c = cost t in
   let id = Anon { pid; vpn } in
-  match Pt.lookup t.machine.Machine.page_table ~space:pid ~vpn with
-  | Some _ when Hashtbl.mem t.core id ->
-      let st = Hashtbl.find t.core id in
-      st.referenced <- true;
-      if access = Write then st.dirty <- true;
-      (match Tlb.lookup t.machine.Machine.tlb ~space:pid ~vpn with
-      | Some _ -> ()
-      | None ->
-          charge ~label:"ultrix/tlb_refill" t c.Hw_cost.tlb_refill;
-          Tlb.fill t.machine.Machine.tlb ~space:pid ~vpn ~frame:0)
-  | Some _ | None ->
-      charge ~label:"ultrix/segment_walk" t c.Hw_cost.segment_walk;
-      (match Hashtbl.find_opt t.core id with
-      | Some st ->
-          st.referenced <- true;
-          if access = Write then st.dirty <- true
-      | None -> fault_in_anon t pid vpn ~access);
-      Pt.insert t.machine.Machine.page_table ~space:pid ~vpn ~frame:0
-        ~prot:{ Pt.readable = true; writable = true };
+  if Pt.find t.machine.Machine.page_table ~space:pid ~vpn != Pt.vacant && Hashtbl.mem t.core id
+  then begin
+    let st = Hashtbl.find t.core id in
+    st.referenced <- true;
+    if access = Write then st.dirty <- true;
+    if Tlb.probe t.machine.Machine.tlb ~space:pid ~vpn < 0 then begin
+      charge ~label:"ultrix/tlb_refill" t c.Hw_cost.tlb_refill;
       Tlb.fill t.machine.Machine.tlb ~space:pid ~vpn ~frame:0
+    end
+  end
+  else begin
+    charge ~label:"ultrix/segment_walk" t c.Hw_cost.segment_walk;
+    (match Hashtbl.find_opt t.core id with
+    | Some st ->
+        st.referenced <- true;
+        if access = Write then st.dirty <- true
+    | None -> fault_in_anon t pid vpn ~access);
+    Pt.insert t.machine.Machine.page_table ~space:pid ~vpn ~frame:0
+      ~prot:{ Pt.readable = true; writable = true };
+    Tlb.fill t.machine.Machine.tlb ~space:pid ~vpn ~frame:0
+  end
 
 let exit_process t pid =
   let mine = function Anon { pid = p; _ } -> p = pid | File_page _ -> false in

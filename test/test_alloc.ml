@@ -196,6 +196,50 @@ let test_warm_touch () =
   in
   gate "warm K.touch" ~bound:0.5 w
 
+(* Two pages whose translations share a TLB entry (vpn 0 and 64 index
+   the same one of the 64), touched in turn: every touch misses the TLB,
+   hits the mapping hash and refills the TLB in place. What is left is
+   the refill charge's boxed float. *)
+let test_tlb_refill_touch () =
+  let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
+  let k = K.create m in
+  let seg = K.create_segment k ~name:"refill" ~pages:65 () in
+  let init = K.initial_segment k in
+  K.migrate_pages k ~src:init ~dst:seg ~src_page:0 ~dst_page:0 ~count:1 ();
+  K.migrate_pages k ~src:init ~dst:seg ~src_page:1 ~dst_page:64 ~count:1 ();
+  let access = Epcm_manager.Read in
+  K.touch k ~space:seg ~page:0 ~access;
+  K.touch k ~space:seg ~page:64 ~access;
+  let tlb_misses = Hw_tlb.misses m.Hw_machine.tlb
+  and pt_hits = Hw_page_table.hits m.Hw_machine.page_table in
+  let w =
+    per_op ~ops:(2 * n) m.Hw_machine.engine (fun () ->
+        for _ = 1 to n do
+          K.touch k ~space:seg ~page:0 ~access;
+          K.touch k ~space:seg ~page:64 ~access
+        done)
+  in
+  if
+    Hw_tlb.misses m.Hw_machine.tlb - tlb_misses <> 2 * n
+    || Hw_page_table.hits m.Hw_machine.page_table - pt_hits <> 2 * n
+  then Alcotest.fail "every touch must miss the TLB and hit the mapping hash";
+  gate "K.touch, TLB miss + mapping-hash hit" ~bound:2.5 w
+
+(* Segments are an array indexed by id: a lookup neither hashes nor
+   builds an option. *)
+let test_segment_lookup () =
+  let k = K.create (Hw_machine.create ~memory_bytes:(64 * 4096) ()) in
+  let seg = K.create_segment k ~name:"probe" ~pages:1 () in
+  let sink = ref 0 in
+  let w =
+    words_during (fun () ->
+        for _ = 1 to n do
+          sink := !sink + Epcm_segment.length (K.segment k seg)
+        done)
+    /. float_of_int n
+  in
+  gate "K.segment" ~bound:0.5 w
+
 let test_charge_metrics_off () =
   let m = Hw_machine.create ~memory_bytes:(64 * 4096) () in
   let w =
@@ -236,7 +280,10 @@ let test_span_metrics_on () =
 
 (* A missing fault served end to end with the sink off: trap, upcall into
    an in-process Mgr_generic, a frame from its pre-filled pool, resume and
-   the translation install. Each touch faults on a fresh page. *)
+   the translation install. Each touch faults on a fresh page. The bound
+   includes 16.5 words of mapping-hash chunks: the 4,096 faults reach
+   all 2,048 32-slot chunks of the machine's 65,536-slot table, and each
+   is allocated (33 words) on the first insert into it. *)
 let test_fault_round_trip () =
   let faults = 4096 in
   let m = Hw_machine.create ~memory_bytes:(2 * faults * 4096) () in
@@ -264,7 +311,7 @@ let test_fault_round_trip () =
   let s = Mgr_generic.stats mgr in
   if s.Mgr_generic.fills <> faults || s.Mgr_generic.refill_requests <> 1 then
     Alcotest.fail "every touch must fault once and be served from the pre-filled pool";
-  gate "faulting K.touch (Mgr_generic, metrics off)" ~bound:134.5 w
+  gate "faulting K.touch (Mgr_generic, metrics off)" ~bound:87.0 w
 
 (* One page out of the initial segment and back, with tracing off: the
    step4.migrate detail is built only when tracing is on. *)
@@ -280,7 +327,7 @@ let test_migrate_pair () =
           K.migrate_pages k ~src:seg ~dst:init ~src_page:0 ~dst_page:0 ~count:1 ()
         done)
   in
-  gate "migrate_pages pair, tracing off" ~bound:28.5 w
+  gate "migrate_pages pair, tracing off" ~bound:4.5 w
 
 (* The free-frame walk on a tier with no free frame answers from the
    initial segment's per-tier counter without visiting a slot: what is
@@ -361,6 +408,8 @@ let () =
           Alcotest.test_case "Db_wal group commit" `Quick test_wal_group_commit;
           Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
           Alcotest.test_case "warm K.touch" `Quick test_warm_touch;
+          Alcotest.test_case "K.touch refilling the TLB" `Quick test_tlb_refill_touch;
+          Alcotest.test_case "K.segment" `Quick test_segment_lookup;
           Alcotest.test_case "charge with metrics off" `Quick test_charge_metrics_off;
           Alcotest.test_case "charge with metrics on" `Quick test_charge_metrics_on;
           Alcotest.test_case "with_span with metrics on" `Quick test_span_metrics_on;

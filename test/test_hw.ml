@@ -196,21 +196,30 @@ let test_phys_find_aligned_run () =
 
 let prot_rw = { Pt.readable = true; writable = true }
 
+(* The frame and protection [Pt.find] resolves, [None] for [Pt.vacant]. *)
+let pt_get pt ~space ~vpn =
+  let e = Pt.find pt ~space ~vpn in
+  if e == Pt.vacant then None else Some (e.Pt.frame, e.Pt.prot)
+
+(* [Tlb.probe] as an option. *)
+let tlb_get tlb ~space ~vpn =
+  match Tlb.probe tlb ~space ~vpn with -1 -> None | frame -> Some frame
+
 let test_pt_insert_lookup () =
   let pt = Pt.create () in
   Pt.insert pt ~space:1 ~vpn:10 ~frame:5 ~prot:prot_rw;
-  (match Pt.lookup pt ~space:1 ~vpn:10 with
+  (match pt_get pt ~space:1 ~vpn:10 with
   | Some (5, p) -> check_bool "prot" true p.Pt.writable
   | Some _ | None -> Alcotest.fail "expected hit");
   check_int "one hit" 1 (Pt.hits pt);
-  check_bool "miss on other key" true (Pt.lookup pt ~space:1 ~vpn:11 = None);
+  check_bool "miss on other key" true (pt_get pt ~space:1 ~vpn:11 = None);
   check_int "one miss" 1 (Pt.misses pt)
 
 let test_pt_remove () =
   let pt = Pt.create () in
   Pt.insert pt ~space:1 ~vpn:10 ~frame:5 ~prot:prot_rw;
   Pt.remove pt ~space:1 ~vpn:10;
-  check_bool "gone" true (Pt.lookup pt ~space:1 ~vpn:10 = None)
+  check_bool "gone" true (pt_get pt ~space:1 ~vpn:10 = None)
 
 let test_pt_remove_space () =
   let pt = Pt.create () in
@@ -218,8 +227,8 @@ let test_pt_remove_space () =
   Pt.insert pt ~space:1 ~vpn:11 ~frame:6 ~prot:prot_rw;
   Pt.insert pt ~space:2 ~vpn:10 ~frame:7 ~prot:prot_rw;
   Pt.remove_space pt ~space:1;
-  check_bool "space 1 vpn 10 gone" true (Pt.lookup pt ~space:1 ~vpn:10 = None);
-  check_bool "space 2 survives" true (Pt.lookup pt ~space:2 ~vpn:10 <> None)
+  check_bool "space 1 vpn 10 gone" true (pt_get pt ~space:1 ~vpn:10 = None);
+  check_bool "space 2 survives" true (pt_get pt ~space:2 ~vpn:10 <> None)
 
 let test_pt_collision_overflow () =
   (* A tiny direct-mapped table forces collisions; the displaced entry
@@ -229,9 +238,9 @@ let test_pt_collision_overflow () =
   Pt.insert pt ~space:1 ~vpn:2 ~frame:20 ~prot:prot_rw;
   check_bool "collision recorded" true (Pt.collisions pt >= 1);
   check_bool "displaced entry still found" true
-    (match Pt.lookup pt ~space:1 ~vpn:1 with Some (10, _) -> true | _ -> false);
+    (match pt_get pt ~space:1 ~vpn:1 with Some (10, _) -> true | _ -> false);
   check_bool "new entry found" true
-    (match Pt.lookup pt ~space:1 ~vpn:2 with Some (20, _) -> true | _ -> false)
+    (match pt_get pt ~space:1 ~vpn:2 with Some (20, _) -> true | _ -> false)
 
 let test_pt_overflow_eviction () =
   (* With the overflow full, the oldest overflow entry is discarded — a
@@ -262,7 +271,7 @@ let test_pt_overflow_churn_matches_model () =
   let audit what =
     Hashtbl.iter
       (fun (space, vpn) frame ->
-        match Pt.lookup pt ~space ~vpn with
+        match pt_get pt ~space ~vpn with
         | Some (f, _) ->
             check_int (Printf.sprintf "%s: (%d,%d) serves the live frame" what space vpn) frame f
         | None -> ())
@@ -283,7 +292,7 @@ let test_pt_overflow_churn_matches_model () =
       check_bool
         (Printf.sprintf "removed (%d,%d) stays gone" space vpn)
         true
-        (Pt.lookup pt ~space ~vpn = None))
+        (pt_get pt ~space ~vpn = None))
     [ (0, 0); (2, 2); (1, 4) ];
   for vpn = 0 to 19 do
     insert (vpn mod 3) vpn (200 + vpn)
@@ -294,7 +303,7 @@ let test_pt_overflow_churn_matches_model () =
     (fun (space, vpn) _ ->
       if space = 1 then
         check_bool (Printf.sprintf "space 1 vpn %d flushed" vpn) true
-          (Pt.lookup pt ~space ~vpn = None))
+          (pt_get pt ~space ~vpn = None))
     model;
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
   List.iter (fun ((space, _) as k) -> if space = 1 then Hashtbl.remove model k) keys;
@@ -318,9 +327,35 @@ let test_pt_update_in_place () =
   let pt = Pt.create () in
   Pt.insert pt ~space:1 ~vpn:1 ~frame:10 ~prot:prot_rw;
   Pt.insert pt ~space:1 ~vpn:1 ~frame:11 ~prot:{ Pt.readable = true; writable = false };
-  match Pt.lookup pt ~space:1 ~vpn:1 with
+  match pt_get pt ~space:1 ~vpn:1 with
   | Some (11, p) -> check_bool "updated prot" false p.Pt.writable
   | Some _ | None -> Alcotest.fail "expected updated entry"
+
+(* The 4 KB slots are allocated 32 at a time, as inserts reach them: an
+   empty table holds one top-array word per 32 slots, a reached chunk its
+   slots and a header (the last chunk cut to the slot count), and a live
+   translation its 6-word entry, with no option box around it. *)
+let test_pt_memory () =
+  let words pt = Obj.reachable_words (Obj.repr pt) in
+  let empty slots = words (Pt.create ~slots ~overflow:0 ~super_slots:1 ()) in
+  check_int "an empty 64K-slot table: one word per 32 slots" (2048 - 1)
+    (empty 65536 - empty 32);
+  let slots = 100 in
+  let pt = Pt.create ~slots ~overflow:0 ~super_slots:1 () in
+  let slot vpn = abs ((1 * 0x9E3779B1) lxor (vpn * 0x85EBCA77)) mod slots in
+  let rec vpn_where ?(vpn = 0) ok = if ok (slot vpn) then vpn else vpn_where ~vpn:(vpn + 1) ok in
+  let cost vpn =
+    let before = words pt in
+    Pt.insert pt ~space:1 ~vpn ~frame:vpn ~prot:prot_rw;
+    words pt - before
+  in
+  let first = vpn_where (fun i -> i < 32) in
+  ignore (cost first);
+  check_int "a new chunk: 32 slots, a header, the entry" (32 + 1 + 6)
+    (cost (vpn_where (fun i -> i >= 32 && i < 64)));
+  check_int "a reached chunk: the entry" 6 (cost (vpn_where (fun i -> i < 32 && i <> slot first)));
+  check_int "the last chunk, cut to 4 slots" (4 + 1 + 6) (cost (vpn_where (fun i -> i >= 96)));
+  check_int "an update in place" 0 (cost first)
 
 (* Superpage entries resolve before the 4 KB probe and translate every
    base page of their aligned run. *)
@@ -328,25 +363,25 @@ let test_pt_super_basics () =
   let pt = Pt.create ~slots:16 ~overflow:4 ~super_slots:8 ~super_pages:8 () in
   Pt.insert_super pt ~space:1 ~svpn:2 ~frame:80 ~prot:prot_rw;
   check_int "one superpage resident" 1 (Pt.super_resident pt);
-  (match Pt.lookup_sized pt ~space:1 ~vpn:16 with
-  | Some { Pt.frame = 80; size = Pt.Super; _ } -> ()
+  (match Pt.find pt ~space:1 ~vpn:16 with
+  | { Pt.frame = 80; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "expected super hit at run base");
-  (match Pt.lookup_sized pt ~space:1 ~vpn:23 with
-  | Some { Pt.frame = 87; size = Pt.Super; _ } -> ()
+  (match Pt.find pt ~space:1 ~vpn:23 with
+  | { Pt.frame = 87; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "expected super hit at run end");
   check_int "super hits counted" 2 (Pt.super_hits pt);
   check_int "super hits also count as hits" 2 (Pt.hits pt);
-  check_bool "outside the run misses" true (Pt.lookup pt ~space:1 ~vpn:24 = None);
-  check_bool "other space misses" true (Pt.lookup pt ~space:2 ~vpn:16 = None);
+  check_bool "outside the run misses" true (pt_get pt ~space:1 ~vpn:24 = None);
+  check_bool "other space misses" true (pt_get pt ~space:2 ~vpn:16 = None);
   (* A super entry shadows any 4 KB entry under it. *)
   Pt.insert pt ~space:1 ~vpn:17 ~frame:999 ~prot:prot_rw;
-  (match Pt.lookup_sized pt ~space:1 ~vpn:17 with
-  | Some { Pt.frame = 81; size = Pt.Super; _ } -> ()
+  (match Pt.find pt ~space:1 ~vpn:17 with
+  | { Pt.frame = 81; size = Pt.Super; _ } -> ()
   | _ -> Alcotest.fail "super entry must shadow the 4 KB entry");
   Pt.remove_super pt ~space:1 ~svpn:2;
   check_int "removed" 0 (Pt.super_resident pt);
-  (match Pt.lookup_sized pt ~space:1 ~vpn:17 with
-  | Some { Pt.frame = 999; size = Pt.Base; _ } -> ()
+  (match Pt.find pt ~space:1 ~vpn:17 with
+  | { Pt.frame = 999; size = Pt.Base; _ } -> ()
   | _ -> Alcotest.fail "4 KB entry resurfaces after demotion")
 
 let test_pt_super_collision_and_space () =
@@ -355,11 +390,11 @@ let test_pt_super_collision_and_space () =
   Pt.insert_super pt ~space:1 ~svpn:1 ~frame:8 ~prot:prot_rw;
   check_int "collision displaces" 1 (Pt.super_resident pt);
   check_int "collision counted" 1 (Pt.super_collisions pt);
-  check_bool "displaced run misses" true (Pt.lookup pt ~space:1 ~vpn:0 = None);
-  check_bool "winner serves" true (Pt.lookup pt ~space:1 ~vpn:8 = Some (8, prot_rw));
+  check_bool "displaced run misses" true (pt_get pt ~space:1 ~vpn:0 = None);
+  check_bool "winner serves" true (pt_get pt ~space:1 ~vpn:8 = Some (8, prot_rw));
   Pt.remove_space pt ~space:1;
   check_int "space teardown clears supers" 0 (Pt.super_resident pt);
-  check_bool "gone after teardown" true (Pt.lookup pt ~space:1 ~vpn:8 = None)
+  check_bool "gone after teardown" true (pt_get pt ~space:1 ~vpn:8 = None)
 
 (* ------------------------------------------------------------------ *)
 (* TLB                                                                *)
@@ -367,11 +402,11 @@ let test_pt_super_collision_and_space () =
 
 let test_tlb_basics () =
   let tlb = Tlb.create ~entries:8 () in
-  check_bool "cold miss" true (Tlb.lookup tlb ~space:1 ~vpn:3 = None);
+  check_bool "cold miss" true (tlb_get tlb ~space:1 ~vpn:3 = None);
   Tlb.fill tlb ~space:1 ~vpn:3 ~frame:7;
-  check_bool "hit" true (Tlb.lookup tlb ~space:1 ~vpn:3 = Some 7);
+  check_bool "hit" true (tlb_get tlb ~space:1 ~vpn:3 = Some 7);
   Tlb.invalidate tlb ~space:1 ~vpn:3;
-  check_bool "invalidated" true (Tlb.lookup tlb ~space:1 ~vpn:3 = None);
+  check_bool "invalidated" true (tlb_get tlb ~space:1 ~vpn:3 = None);
   check_int "misses" 2 (Tlb.misses tlb);
   check_int "hits" 1 (Tlb.hits tlb)
 
@@ -380,38 +415,35 @@ let test_tlb_space_invalidation () =
   Tlb.fill tlb ~space:1 ~vpn:1 ~frame:1;
   Tlb.fill tlb ~space:2 ~vpn:2 ~frame:2;
   Tlb.invalidate_space tlb ~space:1;
-  check_bool "space 1 gone" true (Tlb.lookup tlb ~space:1 ~vpn:1 = None);
-  check_bool "space 2 stays" true (Tlb.lookup tlb ~space:2 ~vpn:2 = Some 2)
+  check_bool "space 1 gone" true (tlb_get tlb ~space:1 ~vpn:1 = None);
+  check_bool "space 2 stays" true (tlb_get tlb ~space:2 ~vpn:2 = Some 2)
 
 let test_tlb_hit_rate () =
   let tlb = Tlb.create () in
   Tlb.fill tlb ~space:1 ~vpn:1 ~frame:1;
-  ignore (Tlb.lookup tlb ~space:1 ~vpn:1);
-  ignore (Tlb.lookup tlb ~space:1 ~vpn:9999);
+  ignore (tlb_get tlb ~space:1 ~vpn:1);
+  ignore (tlb_get tlb ~space:1 ~vpn:9999);
   check_float "50%" 0.5 (Tlb.hit_rate tlb)
 
 let test_tlb_super () =
   let tlb = Tlb.create ~entries:4 ~super_entries:2 ~super_pages:8 () in
   Tlb.fill_super tlb ~space:1 ~svpn:1 ~frame:40;
-  check_bool "covers the run base" true (Tlb.lookup tlb ~space:1 ~vpn:8 = Some 40);
-  (match Tlb.lookup_sized tlb ~space:1 ~vpn:15 with
-  | Some { Tlb.frame = 47; size = Pt.Super; _ } -> ()
-  | _ -> Alcotest.fail "expected super-resolved hit at run end");
+  check_bool "covers the run base" true (tlb_get tlb ~space:1 ~vpn:8 = Some 40);
+  check_int "super-resolved hit at run end" 47 (Tlb.probe tlb ~space:1 ~vpn:15);
   check_int "super hits counted" 2 (Tlb.super_hits tlb);
-  check_bool "outside the run misses" true (Tlb.lookup tlb ~space:1 ~vpn:16 = None);
+  check_bool "outside the run misses" true (tlb_get tlb ~space:1 ~vpn:16 = None);
   (* Base fills still work alongside and are reported as base hits. *)
   Tlb.fill tlb ~space:1 ~vpn:16 ~frame:99;
-  (match Tlb.lookup_sized tlb ~space:1 ~vpn:16 with
-  | Some { Tlb.frame = 99; size = Pt.Base; _ } -> ()
-  | _ -> Alcotest.fail "expected base hit");
+  check_int "base hit" 99 (Tlb.probe tlb ~space:1 ~vpn:16);
+  check_int "a base hit is no super hit" 2 (Tlb.super_hits tlb);
   Tlb.invalidate_super tlb ~space:1 ~svpn:1;
-  check_bool "invalidated" true (Tlb.lookup tlb ~space:1 ~vpn:8 = None);
+  check_bool "invalidated" true (tlb_get tlb ~space:1 ~vpn:8 = None);
   Tlb.fill_super tlb ~space:1 ~svpn:1 ~frame:40;
   Tlb.invalidate_space tlb ~space:1;
-  check_bool "space invalidation clears supers" true (Tlb.lookup tlb ~space:1 ~vpn:8 = None);
+  check_bool "space invalidation clears supers" true (tlb_get tlb ~space:1 ~vpn:8 = None);
   Tlb.fill_super tlb ~space:1 ~svpn:1 ~frame:40;
   Tlb.flush tlb;
-  check_bool "flush clears supers" true (Tlb.lookup tlb ~space:1 ~vpn:8 = None)
+  check_bool "flush clears supers" true (tlb_get tlb ~space:1 ~vpn:8 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Disk                                                               *)
@@ -509,7 +541,7 @@ let prop_pt_lookup_after_insert =
     (fun (space, vpn) ->
       let pt = Pt.create () in
       Pt.insert pt ~space ~vpn ~frame:7 ~prot:prot_rw;
-      match Pt.lookup pt ~space ~vpn with Some (7, _) -> true | _ -> false)
+      match pt_get pt ~space ~vpn with Some (7, _) -> true | _ -> false)
 
 (* With a single direct-mapped slot every insert collides, so the table
    holds the newest k+1 entries (slot + overflow) and a full overflow
@@ -526,39 +558,53 @@ let prop_pt_overflow_oldest_discarded =
       let ok = ref (Pt.resident pt = live) in
       for vpn = 1 to n do
         let expect = if vpn > n - live then Some (100 + vpn) else None in
-        let got = Option.map fst (Pt.lookup pt ~space:7 ~vpn) in
+        let got = Option.map fst (pt_get pt ~space:7 ~vpn) in
         if got <> expect then ok := false
       done;
       !ok)
 
-(* Differential model of the base mapping hash: same geometry and hash,
-   naive reference code. Random insert/remove/remove_space/lookup churn
-   must leave both with identical contents and identical hit/miss/
-   collision/resident statistics. *)
+(* Differential model of the mapping hash: same geometry and hashes,
+   naive reference code over one option array per area. Random insert/
+   remove/remove_space/lookup churn, superpage installs and removals
+   included, must leave both with identical contents (frame and
+   protection), identical residency after every space teardown and
+   identical statistics. The table sizes span one partial chunk, several
+   chunks, and sizes that are not a multiple of the 32-slot chunk. *)
 module Pt_model = struct
-  type entry = { m_space : int; m_vpn : int; m_frame : int }
+  type entry = { m_space : int; m_vpn : int; m_frame : int; m_prot : Pt.prot }
 
   type t = {
     slots : entry option array;
     overflow : entry option array;
     mutable next : int;
+    super : entry option array;
+    super_pages : int;
     mutable hits : int;
     mutable misses : int;
     mutable collisions : int;
+    mutable super_hits : int;
+    mutable super_collisions : int;
   }
 
-  let create ~slots ~overflow =
+  let create ~slots ~overflow ~super_slots ~super_pages =
     {
       slots = Array.make slots None;
       overflow = Array.make overflow None;
       next = 0;
+      super = Array.make super_slots None;
+      super_pages;
       hits = 0;
       misses = 0;
       collisions = 0;
+      super_hits = 0;
+      super_collisions = 0;
     }
 
   let slot_of t ~space ~vpn =
     abs ((space * 0x9E3779B1) lxor (vpn * 0x85EBCA77)) mod Array.length t.slots
+
+  let super_slot_of t ~space ~svpn =
+    abs ((space * 0x9E3779B1) lxor (svpn * 0xC2B2AE35)) mod Array.length t.super
 
   let matches e ~space ~vpn = e.m_space = space && e.m_vpn = vpn
 
@@ -580,7 +626,7 @@ module Pt_model = struct
         match o with Some e when matches e ~space ~vpn -> t.overflow.(j) <- None | _ -> ())
       t.overflow
 
-  let insert t ~space ~vpn ~frame =
+  let insert t ~space ~vpn ~frame ~prot =
     let i = slot_of t ~space ~vpn in
     (match t.slots.(i) with
     | Some old when not (matches old ~space ~vpn) ->
@@ -588,7 +634,15 @@ module Pt_model = struct
         overflow_insert t old
     | Some _ | None -> ());
     overflow_drop t ~space ~vpn;
-    t.slots.(i) <- Some { m_space = space; m_vpn = vpn; m_frame = frame }
+    t.slots.(i) <- Some { m_space = space; m_vpn = vpn; m_frame = frame; m_prot = prot }
+
+  let insert_super t ~space ~svpn ~frame ~prot =
+    let i = super_slot_of t ~space ~svpn in
+    (match t.super.(i) with
+    | Some old when not (matches old ~space ~vpn:svpn) ->
+        t.super_collisions <- t.super_collisions + 1
+    | Some _ | None -> ());
+    t.super.(i) <- Some { m_space = space; m_vpn = svpn; m_frame = frame; m_prot = prot }
 
   let remove t ~space ~vpn =
     let i = slot_of t ~space ~vpn in
@@ -597,6 +651,12 @@ module Pt_model = struct
     | Some _ | None -> ());
     overflow_drop t ~space ~vpn
 
+  let remove_super t ~space ~svpn =
+    let i = super_slot_of t ~space ~svpn in
+    match t.super.(i) with
+    | Some e when matches e ~space ~vpn:svpn -> t.super.(i) <- None
+    | Some _ | None -> ()
+
   let remove_space t ~space =
     let drop arr =
       Array.iteri
@@ -604,82 +664,274 @@ module Pt_model = struct
         arr
     in
     drop t.slots;
-    drop t.overflow
+    drop t.overflow;
+    drop t.super
 
+  (* The frame and protection the lookup resolves. *)
   let lookup t ~space ~vpn =
-    let i = slot_of t ~space ~vpn in
-    let found =
-      match t.slots.(i) with
-      | Some e when matches e ~space ~vpn -> Some e.m_frame
-      | _ ->
-          Array.fold_left
-            (fun acc o ->
-              match (acc, o) with
-              | None, Some e when matches e ~space ~vpn -> Some e.m_frame
-              | _ -> acc)
-            None t.overflow
-    in
-    (match found with None -> t.misses <- t.misses + 1 | Some _ -> t.hits <- t.hits + 1);
-    found
+    let svpn = vpn / t.super_pages in
+    match t.super.(super_slot_of t ~space ~svpn) with
+    | Some e when matches e ~space ~vpn:svpn ->
+        t.hits <- t.hits + 1;
+        t.super_hits <- t.super_hits + 1;
+        Some (e.m_frame + (vpn - (svpn * t.super_pages)), e.m_prot)
+    | _ ->
+        let found =
+          match t.slots.(slot_of t ~space ~vpn) with
+          | Some e when matches e ~space ~vpn -> Some (e.m_frame, e.m_prot)
+          | _ ->
+              Array.fold_left
+                (fun acc o ->
+                  match (acc, o) with
+                  | None, Some e when matches e ~space ~vpn -> Some (e.m_frame, e.m_prot)
+                  | _ -> acc)
+                None t.overflow
+        in
+        (match found with None -> t.misses <- t.misses + 1 | Some _ -> t.hits <- t.hits + 1);
+        found
 
-  let resident t =
-    let count = Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 in
-    count t.slots + count t.overflow
+  let count arr = Array.fold_left (fun acc o -> if o = None then acc else acc + 1) 0 arr
+  let resident t = count t.slots + count t.overflow
+  let super_resident t = count t.super
 end
 
 type pt_op =
-  | P_insert of int * int * int
+  | P_insert of int * int * int * Pt.prot
+  | P_insert_super of int * int * int
   | P_remove of int * int
+  | P_remove_super of int * int
   | P_remove_space of int
   | P_lookup of int * int
 
-let pt_op_gen =
+let pt_prots =
+  [
+    { Pt.readable = true; writable = true };
+    { Pt.readable = true; writable = false };
+    { Pt.readable = false; writable = false };
+  ]
+
+(* (slots, overflow, super slots): one partial chunk, a table of a few
+   chunks whose last one is partial (37, 100), whole chunks (64), and a
+   one-slot table where every insert collides. *)
+let pt_geometries = [ (4, 2, 2); (37, 4, 3); (100, 3, 2); (64, 2, 1); (1, 3, 1) ]
+let pt_super_pages = 8
+
+(* Keys cover about three entries per slot, so slots collide and the
+   overflow area churns at every size. *)
+let pt_vpn_bound slots = max 11 slots
+
+let pt_op_gen slots =
+  let v = pt_vpn_bound slots and s = QCheck.Gen.int_bound 2 in
+  let sv = (v / pt_super_pages) + 1 in
   QCheck.Gen.(
     frequency
       [
-        (5, map3 (fun s v f -> P_insert (s, v, f)) (int_bound 2) (int_bound 11) (int_bound 99));
-        (3, map (fun (s, v) -> P_lookup (s, v)) (pair (int_bound 2) (int_bound 11)));
-        (2, map (fun (s, v) -> P_remove (s, v)) (pair (int_bound 2) (int_bound 11)));
-        (1, map (fun s -> P_remove_space s) (int_bound 2));
+        ( 5,
+          map3
+            (fun (sp, vp) f prot -> P_insert (sp, vp, f, prot))
+            (pair s (int_bound v)) (int_bound 99) (oneofl pt_prots) );
+        (4, map (fun (sp, vp) -> P_lookup (sp, vp)) (pair s (int_bound v)));
+        (2, map (fun (sp, vp) -> P_remove (sp, vp)) (pair s (int_bound v)));
+        (1, map (fun sp -> P_remove_space sp) s);
+        (1, map3 (fun sp sv f -> P_insert_super (sp, sv, f)) s (int_bound sv) (int_bound 99));
+        (1, map (fun (sp, sv) -> P_remove_super (sp, sv)) (pair s (int_bound sv)));
       ])
+
+let pt_case_gen =
+  QCheck.Gen.(
+    oneofl pt_geometries >>= fun ((slots, _, _) as g) ->
+    map (fun ops -> (g, ops)) (list_size (int_range 0 200) (pt_op_gen slots)))
 
 let prop_pt_stats_match_model =
   QCheck.Test.make ~name:"mapping hash: churn matches the reference model (contents and stats)"
-    ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) pt_op_gen))
-    (fun ops ->
-      let pt = Pt.create ~slots:4 ~overflow:2 () in
-      let m = Pt_model.create ~slots:4 ~overflow:2 in
+    ~count:500 (QCheck.make pt_case_gen)
+    (fun ((slots, overflow, super_slots), ops) ->
+      let pt = Pt.create ~slots ~overflow ~super_slots ~super_pages:pt_super_pages () in
+      let m = Pt_model.create ~slots ~overflow ~super_slots ~super_pages:pt_super_pages in
+      let ok = ref true in
+      let agree b = if not b then ok := false in
       List.iter
         (fun op ->
           match op with
-          | P_insert (space, vpn, frame) ->
-              Pt.insert pt ~space ~vpn ~frame ~prot:prot_rw;
-              Pt_model.insert m ~space ~vpn ~frame
+          | P_insert (space, vpn, frame, prot) ->
+              Pt.insert pt ~space ~vpn ~frame ~prot;
+              Pt_model.insert m ~space ~vpn ~frame ~prot
+          | P_insert_super (space, svpn, frame) ->
+              Pt.insert_super pt ~space ~svpn ~frame ~prot:prot_rw;
+              Pt_model.insert_super m ~space ~svpn ~frame ~prot:prot_rw
           | P_remove (space, vpn) ->
               Pt.remove pt ~space ~vpn;
               Pt_model.remove m ~space ~vpn
+          | P_remove_super (space, svpn) ->
+              Pt.remove_super pt ~space ~svpn;
+              Pt_model.remove_super m ~space ~svpn
           | P_remove_space space ->
               Pt.remove_space pt ~space;
-              Pt_model.remove_space m ~space
-          | P_lookup (space, vpn) ->
-              ignore (Pt.lookup pt ~space ~vpn);
-              ignore (Pt_model.lookup m ~space ~vpn))
+              Pt_model.remove_space m ~space;
+              agree (Pt.resident pt = Pt_model.resident m);
+              agree (Pt.super_resident pt = Pt_model.super_resident m)
+          | P_lookup (space, vpn) -> agree (pt_get pt ~space ~vpn = Pt_model.lookup m ~space ~vpn))
         ops;
       (* Final sweep of the whole key universe: identical contents (the
          sweep itself advances both stat sets in lockstep). *)
-      let contents_ok = ref true in
       for space = 0 to 2 do
-        for vpn = 0 to 11 do
-          let got = Option.map fst (Pt.lookup pt ~space ~vpn) in
-          if got <> Pt_model.lookup m ~space ~vpn then contents_ok := false
+        for vpn = 0 to pt_vpn_bound slots do
+          agree (pt_get pt ~space ~vpn = Pt_model.lookup m ~space ~vpn)
         done
       done;
-      !contents_ok
+      !ok
       && Pt.hits pt = m.Pt_model.hits
       && Pt.misses pt = m.Pt_model.misses
       && Pt.collisions pt = m.Pt_model.collisions
-      && Pt.resident pt = Pt_model.resident m)
+      && Pt.super_hits pt = m.Pt_model.super_hits
+      && Pt.super_collisions pt = m.Pt_model.super_collisions
+      && Pt.resident pt = Pt_model.resident m
+      && Pt.super_resident pt = Pt_model.super_resident m)
+
+(* Differential model of the TLB: the option-array TLB, one [Some entry]
+   per cached translation, kept here as the reference the int-array one
+   must match probe by probe (frame, or a miss) and in its hit, miss and
+   superpage-hit counts. *)
+module Tlb_model = struct
+  type entry = { space : int; vpn : int; frame : int }
+
+  type t = {
+    slots : entry option array;
+    super : entry option array;
+    super_pages : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable super_hits : int;
+  }
+
+  let create ~entries ~super_entries ~super_pages =
+    {
+      slots = Array.make entries None;
+      super = Array.make super_entries None;
+      super_pages;
+      hits = 0;
+      misses = 0;
+      super_hits = 0;
+    }
+
+  let index t ~space ~vpn = abs ((vpn * 31) lxor space) mod Array.length t.slots
+  let super_index t ~space ~svpn = abs ((svpn * 131) lxor space) mod Array.length t.super
+
+  let lookup t ~space ~vpn =
+    let svpn = vpn / t.super_pages in
+    match t.super.(super_index t ~space ~svpn) with
+    | Some s when s.space = space && s.vpn = svpn ->
+        t.hits <- t.hits + 1;
+        t.super_hits <- t.super_hits + 1;
+        Some (s.frame + (vpn - (svpn * t.super_pages)))
+    | _ -> (
+        match t.slots.(index t ~space ~vpn) with
+        | Some s when s.space = space && s.vpn = vpn ->
+            t.hits <- t.hits + 1;
+            Some s.frame
+        | _ ->
+            t.misses <- t.misses + 1;
+            None)
+
+  let fill t ~space ~vpn ~frame = t.slots.(index t ~space ~vpn) <- Some { space; vpn; frame }
+
+  let fill_super t ~space ~svpn ~frame =
+    t.super.(super_index t ~space ~svpn) <- Some { space; vpn = svpn; frame }
+
+  let invalidate_in arr i ~space ~vpn =
+    match arr.(i) with Some s when s.space = space && s.vpn = vpn -> arr.(i) <- None | _ -> ()
+
+  let invalidate t ~space ~vpn = invalidate_in t.slots (index t ~space ~vpn) ~space ~vpn
+
+  let invalidate_super t ~space ~svpn =
+    invalidate_in t.super (super_index t ~space ~svpn) ~space ~vpn:svpn
+
+  let invalidate_space t ~space =
+    let drop arr =
+      Array.iteri (fun i o -> match o with Some s when s.space = space -> arr.(i) <- None | _ -> ()) arr
+    in
+    drop t.slots;
+    drop t.super
+
+  let flush t =
+    Array.fill t.slots 0 (Array.length t.slots) None;
+    Array.fill t.super 0 (Array.length t.super) None
+end
+
+type tlb_op =
+  | T_probe of int * int
+  | T_fill of int * int * int
+  | T_fill_super of int * int * int
+  | T_invalidate of int * int
+  | T_invalidate_super of int * int
+  | T_invalidate_space of int
+  | T_flush
+
+(* (entries, superpage entries, pages per superpage). *)
+let tlb_geometries = [ (1, 1, 4); (4, 2, 4); (8, 3, 8); (64, 16, 8) ]
+let tlb_vpn_bound = 31
+
+let tlb_op_gen super_pages =
+  let s = QCheck.Gen.int_bound 2 and v = QCheck.Gen.int_bound tlb_vpn_bound in
+  let sv = QCheck.Gen.int_bound (tlb_vpn_bound / super_pages) in
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun sp vp -> T_probe (sp, vp)) s v);
+        (4, map3 (fun sp vp f -> T_fill (sp, vp, f)) s v (int_bound 99));
+        (1, map3 (fun sp svpn f -> T_fill_super (sp, svpn, f)) s sv (int_bound 99));
+        (2, map2 (fun sp vp -> T_invalidate (sp, vp)) s v);
+        (1, map2 (fun sp svpn -> T_invalidate_super (sp, svpn)) s sv);
+        (1, map (fun sp -> T_invalidate_space sp) s);
+        (1, return T_flush);
+      ])
+
+let tlb_case_gen =
+  QCheck.Gen.(
+    oneofl tlb_geometries >>= fun ((_, _, super_pages) as g) ->
+    map (fun ops -> (g, ops)) (list_size (int_range 0 200) (tlb_op_gen super_pages)))
+
+let prop_tlb_matches_model =
+  QCheck.Test.make ~name:"tlb: churn matches the option-array reference (probes and stats)"
+    ~count:500 (QCheck.make tlb_case_gen)
+    (fun ((entries, super_entries, super_pages), ops) ->
+      let tlb = Tlb.create ~entries ~super_entries ~super_pages () in
+      let m = Tlb_model.create ~entries ~super_entries ~super_pages in
+      let ok = ref true in
+      let probe space vpn =
+        if tlb_get tlb ~space ~vpn <> Tlb_model.lookup m ~space ~vpn then ok := false
+      in
+      List.iter
+        (function
+          | T_probe (space, vpn) -> probe space vpn
+          | T_fill (space, vpn, frame) ->
+              Tlb.fill tlb ~space ~vpn ~frame;
+              Tlb_model.fill m ~space ~vpn ~frame
+          | T_fill_super (space, svpn, frame) ->
+              Tlb.fill_super tlb ~space ~svpn ~frame;
+              Tlb_model.fill_super m ~space ~svpn ~frame
+          | T_invalidate (space, vpn) ->
+              Tlb.invalidate tlb ~space ~vpn;
+              Tlb_model.invalidate m ~space ~vpn
+          | T_invalidate_super (space, svpn) ->
+              Tlb.invalidate_super tlb ~space ~svpn;
+              Tlb_model.invalidate_super m ~space ~svpn
+          | T_invalidate_space space ->
+              Tlb.invalidate_space tlb ~space;
+              Tlb_model.invalidate_space m ~space
+          | T_flush ->
+              Tlb.flush tlb;
+              Tlb_model.flush m)
+        ops;
+      for space = 0 to 2 do
+        for vpn = 0 to tlb_vpn_bound do
+          probe space vpn
+        done
+      done;
+      !ok
+      && Tlb.hits tlb = m.Tlb_model.hits
+      && Tlb.misses tlb = m.Tlb_model.misses
+      && Tlb.super_hits tlb = m.Tlb_model.super_hits)
 
 let prop_cache_sequential_second_pass_hits =
   QCheck.Test.make ~name:"cache: a working set within capacity hits on the second sweep"
@@ -802,6 +1054,7 @@ let qcheck_cases =
       prop_pt_lookup_after_insert;
       prop_pt_overflow_oldest_discarded;
       prop_pt_stats_match_model;
+      prop_tlb_matches_model;
       prop_cache_sequential_second_pass_hits;
       prop_cache_matches_model;
     ]
@@ -836,6 +1089,7 @@ let () =
           Alcotest.test_case "update in place" `Quick test_pt_update_in_place;
           Alcotest.test_case "overflow churn vs model" `Quick test_pt_overflow_churn_matches_model;
           Alcotest.test_case "sized to machine memory" `Quick test_machine_pt_sized_to_memory;
+          Alcotest.test_case "slots allocated as reached" `Quick test_pt_memory;
           Alcotest.test_case "super basics" `Quick test_pt_super_basics;
           Alcotest.test_case "super collision + teardown" `Quick
             test_pt_super_collision_and_space;

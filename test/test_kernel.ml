@@ -652,6 +652,60 @@ let test_stale_translation_through_binding () =
   K.touch k ~space ~page:1 ~access:Mgr.Read;
   check_int "binding-path translation invalidated" (before + 1) (List.length !seen)
 
+(* One slot cached under three translations: its own key and two bound
+   spaces (at different pages). Migrating the frame away must drop all
+   three, so each next touch misses the mapping hash and walks the
+   segments again; after one bound space is destroyed, the other still
+   follows the slot. *)
+let test_stale_translation_through_two_bindings () =
+  let k = kernel () in
+  let mid, seen = spy_manager k in
+  let target = K.create_segment k ~name:"target" ~pages:4 () in
+  let s1 = K.create_segment k ~name:"s1" ~pages:4 () in
+  let s2 = K.create_segment k ~name:"s2" ~pages:4 () in
+  let pool = K.create_segment k ~name:"pool" ~pages:4 () in
+  List.iter (fun s -> K.set_segment_manager k s mid) [ target; s1; s2; pool ];
+  K.bind_region k ~space:s1 ~at:0 ~len:4 ~target ~target_page:0 ~cow:false;
+  K.bind_region k ~space:s2 ~at:2 ~len:2 ~target ~target_page:1 ~cow:false;
+  let pt = (K.machine k).Machine.page_table in
+  (* Touch through (space, page) and report whether it walked the
+     segments (a mapping-hash miss) rather than hitting a cached
+     translation. *)
+  let walked space page =
+    let misses = Hw_page_table.misses pt in
+    K.touch k ~space ~page ~access:Mgr.Read;
+    Hw_page_table.misses pt > misses
+  in
+  let keys = [ (s1, 1); (s2, 2); (target, 1) ] in
+  List.iter (fun (space, page) -> ignore (walked space page)) keys;
+  List.iter
+    (fun (space, page) ->
+      check_bool (Printf.sprintf "(%d, %d) cached" space page) false (walked space page))
+    keys;
+  check_int "one fault filled the slot" 1 (List.length !seen);
+  K.migrate_pages k ~src:target ~dst:pool ~src_page:1 ~dst_page:0 ~count:1 ();
+  List.iter
+    (fun (space, page) ->
+      check_bool (Printf.sprintf "(%d, %d) walks after the migrate" space page) true
+        (walked space page))
+    keys;
+  check_int "the first walk faulted the slot back in" 2 (List.length !seen);
+  let frame_of space page =
+    let e = Hw_page_table.find pt ~space ~vpn:page in
+    if e == Hw_page_table.vacant then -1 else e.Hw_page_table.frame
+  in
+  let current = Option.get (Seg.page (K.segment k target) 1).Seg.frame in
+  List.iter
+    (fun (space, page) ->
+      check_int (Printf.sprintf "(%d, %d) maps the slot's frame" space page) current
+        (frame_of space page))
+    keys;
+  K.destroy_segment k s2;
+  K.migrate_pages k ~src:target ~dst:pool ~src_page:1 ~dst_page:1 ~count:1 ();
+  check_bool "the other bound space walks after the second migrate" true (walked s1 1);
+  check_int "its translation follows the slot" (Option.get (Seg.page (K.segment k target) 1).Seg.frame)
+    (frame_of s1 1)
+
 let test_touch_dead_binding_target () =
   let k = kernel () in
   let mid, _ = spy_manager k in
@@ -1033,6 +1087,8 @@ let () =
           Alcotest.test_case "stale after protection change" `Quick
             test_stale_translation_after_protection_change;
           Alcotest.test_case "stale through binding" `Quick test_stale_translation_through_binding;
+          Alcotest.test_case "stale through two bindings" `Quick
+            test_stale_translation_through_two_bindings;
           Alcotest.test_case "dead binding target" `Quick test_touch_dead_binding_target;
         ] );
       ( "timing",

@@ -23,13 +23,33 @@ let kernel_with_source ?frames () =
 (* Backing store                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Swap areas (negative files) and both ends of the addressable range
+   keep their own contents; a block outside it is refused. *)
 let test_backing_memory_roundtrip () =
   let b = Mgr_backing.memory () in
-  Mgr_backing.write_block b ~file:1 ~block:5 (Hw_page_data.of_string "v1");
-  let d = Mgr_backing.read_block b ~file:1 ~block:5 in
-  check_bool "read back" true (Hw_page_data.equal d (Hw_page_data.of_string "v1"));
-  check_int "reads" 1 (Mgr_backing.reads b);
-  check_int "writes" 1 (Mgr_backing.writes b)
+  let blocks =
+    [
+      (1, 5); (-1, 5); (0, 0); (-1, 0); (0, (1 lsl 32) - 1); (1, (1 lsl 32) - 1);
+      (-(1 lsl 30), 7); ((1 lsl 30) - 1, (1 lsl 32) - 1);
+    ]
+  in
+  let data (file, block) = Hw_page_data.of_string (Printf.sprintf "%d/%d" file block) in
+  List.iter (fun (file, block) -> Mgr_backing.write_block b ~file ~block (data (file, block))) blocks;
+  List.iter
+    (fun (file, block) ->
+      check_bool
+        (Printf.sprintf "(%d, %d) read back" file block)
+        true
+        (Hw_page_data.equal (Mgr_backing.read_block b ~file ~block) (data (file, block))))
+    blocks;
+  check_int "reads" (List.length blocks) (Mgr_backing.reads b);
+  check_int "writes" (List.length blocks) (Mgr_backing.writes b);
+  List.iter
+    (fun (file, block) ->
+      match Mgr_backing.has_block b ~file ~block with
+      | _ -> Alcotest.failf "(%d, %d) is outside the store's range" file block
+      | exception Invalid_argument _ -> ())
+    [ (0, 1 lsl 32); (0, -1); (1 lsl 30, 0); (-(1 lsl 30) - 1, 0) ]
 
 let test_backing_unwritten_block () =
   let b = Mgr_backing.memory () in
