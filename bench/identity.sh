@@ -17,14 +17,17 @@
 #   order;
 # - the stdout of the ten examples, byte for byte.
 #
-# Then prints each workload's alloc_mwords and peak_heap_mb on both
-# sides, read as the benchmark gates them (an untraced warm-up iteration,
-# then the first timed one), and the .ml/.mli line totals of
-# lib/, bin/, bench/, lib/managers and lib+bin+bench in both trees (a
-# simplification shows as fewer lines with everything above identical).
-# Exits 1 if anything differs, 2 on
-# bad usage. Traces, records and intermediate files go to a temporary
-# directory, so neither tree gains files outside its _build/.
+# Then prints alloc_mwords and peak_heap_mb on both sides, read as the
+# benchmark gates them (an untraced warm-up iteration, then the first
+# timed one): paging, placement, oltp and market at seeds 1, 2 and 3,
+# paper once (it ignores the seed). A change reading above parent x (1 +
+# the metric's bound in BENCHMARK.json) is marked with "!". Last come the
+# .ml/.mli line totals of lib/, bin/, bench/, lib/managers and
+# lib+bin+bench in both trees (a simplification shows as fewer lines
+# with everything above identical). Exits 1 if anything differs (a
+# marked reading is reported, not counted), 2 on bad usage. Traces,
+# records and intermediate files go to a temporary directory, so neither
+# tree gains files outside its _build/.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1" ]; then
@@ -51,13 +54,14 @@ for dir in "$parent" "$change"; do
     ./bin/vpp_repro.exe $(for e in $examples; do echo "./examples/$e.exe"; done))
 done
 
-# bench DIR WORKLOAD TRACE [SECONDS]: the JSON line WORKLOAD prints.
-# SECONDS 0 (the default) runs one iteration without the warm-up; a
-# small positive value runs the warm-up and one timed iteration, after
-# which the benchmark reads its peak heap.
+# bench DIR WORKLOAD TRACE [SECONDS [SEED]]: the JSON line WORKLOAD
+# prints. SECONDS 0 (the default) runs one iteration without the
+# warm-up; a small positive value runs the warm-up and one timed
+# iteration, after which the benchmark reads its peak heap. SEED
+# defaults to 1.
 bench() {
   (cd "$1" && ./_build/default/benchmark/vpp_bench.exe --workload "$2" --seconds "${4:-0}" \
-    --trace "$3" --trace-file "$tmp/$2.trace.json") | tail -1
+    --seed "${5:-1}" --trace "$3" --trace-file "$tmp/$2.trace.json") | tail -1
 }
 
 status=0
@@ -111,15 +115,30 @@ for e in $examples; do
   fi
 done
 
+bound() { jq -r --arg m "$1" '.end_to_end[] | select(.name == $m) | .bound' "$change/BENCHMARK.json"; }
+alloc_bound=$(bound alloc_mwords)
+peak_bound=$(bound peak_heap_mb)
+# mark PARENT CHANGE BOUND: "!" when CHANGE > PARENT x (1 + BOUND).
+mark() { awk -v p="$1" -v c="$2" -v b="$3" 'BEGIN { print (c > p * (1 + b)) ? "!" : " " }'; }
+crossings=0
 echo
-printf '%-10s %14s %14s %14s %14s\n' workload alloc_parent alloc_change peak_parent peak_change
+printf '%-10s %4s %14s %15s %14s %15s\n' workload seed alloc_parent alloc_change peak_parent peak_change
 for w in $workloads; do
-  p=$(bench "$parent" "$w" 0 0.001 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
-  c=$(bench "$change" "$w" 0 0.001 | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
-  read -r pa pp <<<"$p"
-  read -r ca cp <<<"$c"
-  printf '%-10s %14.2f %14.2f %14.2f %14.2f\n' "$w" "$pa" "$ca" "$pp" "$cp"
+  seeds=$([ "$w" = paper ] && echo 1 || echo "1 2 3")
+  for seed in $seeds; do
+    p=$(bench "$parent" "$w" 0 0.001 "$seed" | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
+    c=$(bench "$change" "$w" 0 0.001 "$seed" | jq -r '[.metrics.alloc_mwords.value, .metrics.peak_heap_mb.value] | @tsv')
+    read -r pa pp <<<"$p"
+    read -r ca cp <<<"$c"
+    ma=$(mark "$pa" "$ca" "$alloc_bound")
+    mp=$(mark "$pp" "$cp" "$peak_bound")
+    [ "$ma$mp" = "  " ] || crossings=$((crossings + 1))
+    printf '%-10s %4s %14.2f %14.2f%s %14.2f %14.2f%s\n' "$w" "$([ "$w" = paper ] && echo - || echo "$seed")" \
+      "$pa" "$ca" "$ma" "$pp" "$cp" "$mp"
+  done
 done
+echo "! = above parent x (1 + bound): alloc_mwords bound $alloc_bound, peak_heap_mb bound $peak_bound;" \
+  "$crossings row(s) marked"
 
 # lines TREE DIR...: the .ml/.mli lines under DIRs of TREE.
 lines() {

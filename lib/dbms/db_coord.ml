@@ -11,7 +11,7 @@ type participant = {
 type t = {
   wal : Db_wal.t;
   net : messages:int -> unit;
-  commit_records : (int, Db_wal.lsn) Hashtbl.t;
+  commit_records : Db_wal.lsn Sim_int_table.t;  (* by txn; 0 for none *)
   mutable committed : int;
   mutable aborted : int;
   mutable prepares : int;
@@ -22,7 +22,7 @@ let create ~wal ?(net = fun ~messages:_ -> ()) () =
   {
     wal;
     net;
-    commit_records = Hashtbl.create 256;
+    commit_records = Sim_int_table.create ~absent:0 64;
     committed = 0;
     aborted = 0;
     prepares = 0;
@@ -57,12 +57,12 @@ let run t ~txn participants =
            durable prefix, so the decision is presumed-abort — drop the
            bookkeeping entry and abort everywhere. *)
         let lsn = Db_wal.append t.wal in
-        Hashtbl.replace t.commit_records txn lsn;
+        Sim_int_table.replace t.commit_records txn lsn;
         try
           Db_wal.commit t.wal ~lsn;
           Committed
         with Db_wal.Flush_failed _ ->
-          Hashtbl.remove t.commit_records txn;
+          Sim_int_table.remove t.commit_records txn;
           Aborted)
   in
   (* Phase 2: decision out, acknowledgement back. *)
@@ -77,9 +77,8 @@ let run t ~txn participants =
   outcome
 
 let recover t ~txn =
-  match Hashtbl.find_opt t.commit_records txn with
-  | Some lsn when lsn <= Db_wal.flushed t.wal -> Committed
-  | Some _ | None -> Aborted
+  let lsn = Sim_int_table.find t.commit_records txn in
+  if lsn > 0 && lsn <= Db_wal.flushed t.wal then Committed else Aborted
 
 let committed t = t.committed
 let aborted t = t.aborted

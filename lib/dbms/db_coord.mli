@@ -56,7 +56,9 @@ val recover : t -> txn:int -> outcome
     on the durable prefix of the coordinator log ([lsn <= flushed]);
     everything else — no record, or a record that never reached disk —
     recovers as [Aborted]. Consistent with what {!run} told the
-    participants, whatever the interleaving of disk faults. *)
+    participants, whatever the interleaving of disk faults. Commit
+    records are kept by transaction id in a {!Sim_int_table}, so
+    [min_int] is not a transaction id. *)
 
 (** {2 Counters} *)
 

@@ -95,6 +95,10 @@ let build cfg =
         Some victim
     | Cfg.No_index | Cfg.Index_in_memory -> None
   in
+  (* Room for the responses a run measures (arrivals after the warm-up),
+     plus a tenth: the two large series are allocated once, at their
+     first sample, instead of doubling their way there. *)
+  let expected = int_of_float (cfg.Cfg.tps *. (cfg.Cfg.duration_s -. cfg.Cfg.warmup_s) *. 1.1) in
   {
     cfg;
     machine;
@@ -112,8 +116,8 @@ let build cfg =
     evicted;
     next_txn = 0;
     txn_count = 0;
-    responses = Sim_stats.Series.create ();
-    dc_responses = Sim_stats.Series.create ();
+    responses = Sim_stats.Series.create ~capacity:expected ();
+    dc_responses = Sim_stats.Series.create ~capacity:expected ();
     join_responses = Sim_stats.Series.create ();
   }
 
@@ -121,14 +125,21 @@ let cpu_ms w ms = Resource.hold w.cpus (ms *. 1000.0)
 
 let touch w seg page access = K.touch w.kernel ~space:seg ~page ~access
 
+let resident w i = Mgr_dbms.index_resident w.mgr w.indices.(i)
+
+(* The [k]-th resident index from [i] on. *)
+let rec nth_resident w i k =
+  if not (resident w i) then nth_resident w (i + 1) k
+  else if k = 0 then w.indices.(i)
+  else nth_resident w (i + 1) (k - 1)
+
 let random_hot_index w =
   (* Uniform over the resident ("hot") indices. *)
-  let hot =
-    Array.to_list w.indices |> List.filter (fun i -> Mgr_dbms.index_resident w.mgr i)
-  in
-  match hot with
-  | [] -> w.indices.(0)
-  | _ -> List.nth hot (Rng.int w.rng (List.length hot))
+  let hot = ref 0 in
+  for i = 0 to Array.length w.indices - 1 do
+    if resident w i then incr hot
+  done;
+  if !hot = 0 then w.indices.(0) else nth_resident w 0 (Rng.int w.rng !hot)
 
 (* One keyed lookup: walk the B+-tree from the root to the leaf covering
    the key, touching each page on the path. *)

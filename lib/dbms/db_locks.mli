@@ -14,6 +14,19 @@
     in a fixed global order (database, then relations by id, then pages by
     (relation, page)) — which the transaction code in {!Db_engine} does.
 
+    Each resource is keyed by one int whose order is that global order:
+    the kind in bits 60–61 (database, relation, page), the relation in
+    bits 32–59 and the page in bits 0–31. Relation ids must be below
+    2{^28} and page numbers below 2{^32}, neither negative; every entry
+    point refuses others with [Invalid_argument "Db_locks: Page (r, p)
+    out of range"] (or [Relation r]). The lock and transaction tables hash and
+    compare these ints and transaction ids as ints
+    ({!Sim_int_table}), never through the polymorphic [Hashtbl], and a
+    transaction's held list links its grants themselves, so
+    {!release_all} looks the transaction up once and unlinks each grant
+    in place. An uncontended acquire allocates its 6-word grant and
+    nothing else.
+
     Blocking acquisition must run inside a simulation process. *)
 
 type mode = IS | IX | S | X

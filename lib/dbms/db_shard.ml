@@ -81,6 +81,7 @@ type world = {
   dsm : Mgr_dsm.t option;
   remote_locks : Db_locks.t array;  (* one lock table per peer shard *)
   remote_wals : Db_wal.t array;  (* one prepare/outcome log per peer *)
+  peer_names : string array;  (* each peer's participant name *)
   coord : Db_coord.t;
   mutable next_txn : int;
   mutable commits : int;
@@ -150,13 +151,14 @@ let build spec ~shard =
     dsm;
     remote_locks = Array.init peers (fun _ -> Db_locks.create ());
     remote_wals = Array.init peers (fun _ -> new_wal ());
+    peer_names = Array.init peers (Printf.sprintf "shard-%d");
     coord;
     next_txn = 0;
     commits = 0;
     aborts = 0;
     local_txns = 0;
     cross_txns = 0;
-    latencies = Sim_stats.Series.create ();
+    latencies = Sim_stats.Series.create ~capacity:(shard_txns spec ~shard) ();
   }
 
 let cpu_ms w ms = Resource.hold w.cpus (ms *. 1000.0)
@@ -225,7 +227,7 @@ let cross_txn w rng ~txn =
   let rwal = w.remote_wals.(remote) in
   let remote_part =
     {
-      Db_coord.p_name = Printf.sprintf "shard-%d" remote;
+      Db_coord.p_name = w.peer_names.(remote);
       p_prepare =
         (fun () ->
           if

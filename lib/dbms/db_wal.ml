@@ -24,7 +24,7 @@ type t = {
   mutable w_len : int;
   mutable parking : lsn;
   park : (unit -> unit) -> unit;
-  page_lsns : (Epcm_segment.id * int, lsn) Hashtbl.t;
+  page_lsns : lsn Sim_int_table.t;  (* by [page_key]; 0 for a page never written *)
 }
 
 let nobody () = ()
@@ -44,7 +44,7 @@ let enqueue t resume =
 
 let create disk ?(record_bytes = 256) ?(retry = Mgr_backing.default_retry) ?counters
     ?(group_commit = true) () =
-  let page_lsns = Hashtbl.create 256 in
+  let page_lsns = Sim_int_table.create ~absent:0 64 in
   let rec t =
     {
       disk;
@@ -79,8 +79,16 @@ let append t =
   t.next_lsn <- t.next_lsn + 1;
   t.next_lsn
 
-let note_page_write t ~seg ~page ~lsn = Hashtbl.replace t.page_lsns (seg, page) lsn
-let page_lsn t ~seg ~page = Hashtbl.find_opt t.page_lsns (seg, page)
+(* A page's key: one int, one-to-one over pages in [0, 2^32) of segments
+   in [0, 2^30), so noting a write builds no tuple to hash. A negative id
+   shifts to a nonzero value too. *)
+let page_key ~seg ~page =
+  if seg lsr 30 <> 0 || page lsr 32 <> 0 then
+    invalid_arg (Printf.sprintf "Db_wal: page (%d, %d) out of range" seg page);
+  (seg lsl 32) lor page
+
+let note_page_write t ~seg ~page ~lsn = Sim_int_table.replace t.page_lsns (page_key ~seg ~page) lsn
+let page_lsn t ~seg ~page = Sim_int_table.find t.page_lsns (page_key ~seg ~page)
 
 (* One forced write of the log tail, retried with exponential backoff;
    after [max_attempts] failures the flush fails, naming the caller's
@@ -199,24 +207,22 @@ let group_parks t = t.parks
 let wal_violations t = t.violations
 
 let note_data_writeback t ~seg ~page =
-  match page_lsn t ~seg ~page with
-  | Some lsn when lsn > t.flushed -> t.violations <- t.violations + 1
-  | Some _ | None -> ()
+  if page_lsn t ~seg ~page > t.flushed then t.violations <- t.violations + 1
 
 let eviction_hook t ~inner ~seg ~page ~dirty =
   match inner ~seg ~page ~dirty with
   | `Discard -> `Discard
   | `Writeback ->
-      (match page_lsn t ~seg ~page with
-      | Some lsn when lsn > t.flushed -> (
-          (* The WAL rule: log first, data after. If the log cannot be
-             forced out, the data page must not reach disk either — veto
-             the eviction in the manager's vocabulary so it skips the
-             page (stays resident + dirty) instead of losing the rule. *)
-          try flush_to t ~lsn
-          with Flush_failed { attempts; _ } ->
-            bump t "eviction_vetoed";
-            raise (Mgr_backing.Backing_failed { op = `Write; file = seg; block = page; attempts }))
-      | Some _ | None -> ());
+      let lsn = page_lsn t ~seg ~page in
+      if lsn > t.flushed then begin
+        (* The WAL rule: log first, data after. If the log cannot be
+           forced out, the data page must not reach disk either — veto
+           the eviction in the manager's vocabulary so it skips the page
+           (stays resident + dirty) instead of losing the rule. *)
+        try flush_to t ~lsn
+        with Flush_failed { attempts; _ } ->
+          bump t "eviction_vetoed";
+          raise (Mgr_backing.Backing_failed { op = `Write; file = seg; block = page; attempts })
+      end;
       note_data_writeback t ~seg ~page;
       `Writeback

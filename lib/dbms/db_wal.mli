@@ -49,7 +49,11 @@ val append : t -> lsn
 (** Buffer one log record, returning its LSN. No I/O. *)
 
 val note_page_write : t -> seg:Epcm_segment.id -> page:int -> lsn:lsn -> unit
-(** Record that the page's latest modification is described by [lsn]. *)
+(** Record that the page's latest modification is described by [lsn]. The
+    log keys the page by one int, [(seg lsl 32) lor page], in a
+    {!Sim_int_table}: segment ids must be below 2{^30} and pages below
+    2{^32}, neither negative, others refused with [Invalid_argument].
+    Rebinding a page already noted allocates nothing. *)
 
 val flush_to : t -> lsn:lsn -> unit
 (** Force the log to disk up to and including [lsn]; returns once

@@ -26,10 +26,19 @@ type t = {
 
 let state t ~node ~page = t.states.(node).(page)
 
+(* The first node from [n] on whose copy of [page] is in state [st], or
+   -1. The coherence steps loop over node indices, so they build no list
+   and no closure. *)
+let rec first_in t ~page st n =
+  if n >= t.n_nodes then -1 else if t.states.(n).(page) = st then n else first_in t ~page st (n + 1)
+
 let holders t ~page =
-  List.filter
-    (fun n -> t.states.(n).(page) <> Invalid)
-    (List.init t.n_nodes Fun.id)
+  let rec from n =
+    if n >= t.n_nodes then []
+    else if t.states.(n).(page) <> Invalid then n :: from (n + 1)
+    else from (n + 1)
+  in
+  from 0
 
 let charge_net t messages =
   Hw_machine.charge ~label:"dsm/net" (K.machine t.kern)
@@ -51,17 +60,10 @@ let frame_data t seg page =
 
 (* Current authoritative contents of a page. *)
 let latest_data t ~page =
-  let exclusive_holder =
-    List.find_opt (fun n -> t.states.(n).(page) = Exclusive) (List.init t.n_nodes Fun.id)
-  in
-  match exclusive_holder with
-  | Some n -> frame_data t t.node_segs.(n) page
-  | None -> (
-      match
-        List.find_opt (fun n -> t.states.(n).(page) = Shared) (List.init t.n_nodes Fun.id)
-      with
-      | Some n -> frame_data t t.node_segs.(n) page
-      | None -> ( match Hashtbl.find_opt t.home page with Some d -> d | None -> Hw_page_data.Zero))
+  let n = first_in t ~page Exclusive 0 in
+  let n = if n >= 0 then n else first_in t ~page Shared 0 in
+  if n >= 0 then frame_data t t.node_segs.(n) page
+  else match Hashtbl.find_opt t.home page with Some d -> d | None -> Hw_page_data.Zero
 
 (* Take a node's copy away (writing an Exclusive copy home first). *)
 let revoke t ~node ~page =
@@ -74,6 +76,11 @@ let revoke t ~node ~page =
       t.states.(node).(page) <- Invalid;
       t.invalidations <- t.invalidations + 1;
       charge_net t 1 (* the invalidation message *)
+
+let revoke_others t ~node ~page =
+  for n = 0 to t.n_nodes - 1 do
+    if n <> node then revoke t ~node:n ~page
+  done
 
 (* Exclusive holder keeps its copy but drops to Shared (read-only). *)
 let downgrade t ~node ~page =
@@ -104,7 +111,9 @@ let install t ~node ~page ~exclusive =
 let acquire_shared t ~node ~page =
   if t.states.(node).(page) = Invalid then begin
     (* Any Exclusive holder drops to Shared, publishing its data. *)
-    List.iter (fun n -> if n <> node then downgrade t ~node:n ~page) (List.init t.n_nodes Fun.id);
+    for n = 0 to t.n_nodes - 1 do
+      if n <> node then downgrade t ~node:n ~page
+    done;
     install t ~node ~page ~exclusive:false
   end
 
@@ -113,12 +122,12 @@ let acquire_exclusive t ~node ~page =
   | Exclusive -> ()
   | Shared ->
       (* Upgrade: invalidate the other copies, raise our rights. *)
-      List.iter (fun n -> if n <> node then revoke t ~node:n ~page) (List.init t.n_nodes Fun.id);
+      revoke_others t ~node ~page;
       K.modify_page_flags t.kern ~seg:t.node_segs.(node) ~page ~count:1
         ~clear_flags:Flags.read_only ();
       t.states.(node).(page) <- Exclusive
   | Invalid ->
-      List.iter (fun n -> if n <> node then revoke t ~node:n ~page) (List.init t.n_nodes Fun.id);
+      revoke_others t ~node ~page;
       install t ~node ~page ~exclusive:true
 
 let on_fault t (fault : Mgr.fault) =

@@ -5,27 +5,27 @@ module Series = struct
      on each store). *)
   type acc = { mutable mean : float; mutable max_v : float }
 
-  (* [sorted]: the first [len] samples are in sorted order, so a
-     percentile reads them in place; an [add] clears it. *)
-  type t = {
-    mutable data : float array;
-    mutable len : int;
-    mutable sorted : bool;
-    acc : acc;
-  }
+  (* The samples are [data.(0 .. len - 1)], in no particular order: a
+     percentile reorders them in place. [data] stays the shared empty
+     array until the first [add], which allocates [capacity] slots. *)
+  type t = { mutable data : float array; mutable len : int; capacity : int; acc : acc }
 
-  let create () =
-    { data = Array.make 64 0.0; len = 0; sorted = true; acc = { mean = 0.0; max_v = neg_infinity } }
+  let create ?(capacity = 64) () =
+    {
+      data = [||];
+      len = 0;
+      capacity = Stdlib.max 1 capacity;
+      acc = { mean = 0.0; max_v = neg_infinity };
+    }
 
   let add t x =
     if t.len = Array.length t.data then begin
-      let bigger = Array.make (2 * t.len) 0.0 in
+      let bigger = Array.make (if t.len = 0 then t.capacity else 2 * t.len) 0.0 in
       Array.blit t.data 0 bigger 0 t.len;
       t.data <- bigger
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1;
-    t.sorted <- false;
     let a = t.acc in
     a.mean <- a.mean +. ((x -. a.mean) /. float_of_int t.len);
     if x > a.max_v then a.max_v <- x
@@ -34,41 +34,60 @@ module Series = struct
   let mean t = if t.len = 0 then 0.0 else t.acc.mean
   let max t = t.acc.max_v
 
-  (* Heapsort in [Float.compare] order, specialised to [float array]: a
-     polymorphic sort boxes every element it reads from a float array. *)
-  let rec sift_down (a : float array) i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c = if l + 1 < n && Float.compare a.(l) a.(l + 1) < 0 then l + 1 else l in
-      if Float.compare a.(i) a.(c) < 0 then begin
-        let x = a.(i) in
-        a.(i) <- a.(c);
-        a.(c) <- x;
-        sift_down a c n
-      end
-    end
+  (* Specialised to [float array] in [Float.compare] order: a polymorphic
+     comparison boxes every element it reads from a float array. *)
+  let swap (a : float array) i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
 
-  let sort (a : float array) n =
-    for i = (n / 2) - 1 downto 0 do
-      sift_down a i n
-    done;
-    for last = n - 1 downto 1 do
-      let x = a.(0) in
-      a.(0) <- a.(last);
-      a.(last) <- x;
-      sift_down a 0 last
-    done
+  (* Quickselect: afterwards [a.(k)] is the element a sort of
+     [a.(lo .. hi)] would put there, with nothing greater before it and
+     nothing smaller after it. The pivot is the median of three, and a
+     Hoare partition splits runs of equal samples evenly. A range still
+     unresolved after [depth] partitions is sorted outright (by the
+     stdlib's heapsort, which boxes, but bounds the worst case by
+     O(n log n)). *)
+  let rec select (a : float array) lo hi k depth =
+    if lo < hi then
+      if depth = 0 then begin
+        let rest = Array.sub a lo (hi - lo + 1) in
+        Array.sort Float.compare rest;
+        Array.blit rest 0 a lo (hi - lo + 1)
+      end
+      else begin
+        let mid = lo + ((hi - lo) / 2) in
+        if Float.compare a.(mid) a.(lo) < 0 then swap a mid lo;
+        if Float.compare a.(hi) a.(lo) < 0 then swap a hi lo;
+        if Float.compare a.(hi) a.(mid) < 0 then swap a hi mid;
+        let pivot = a.(mid) in
+        let i = ref lo and j = ref hi in
+        while !i <= !j do
+          while Float.compare a.(!i) pivot < 0 do
+            incr i
+          done;
+          while Float.compare pivot a.(!j) < 0 do
+            decr j
+          done;
+          if !i <= !j then begin
+            swap a !i !j;
+            incr i;
+            decr j
+          end
+        done;
+        (* [a.(lo .. !j)] <= pivot <= [a.(!i .. hi)], and anything
+           between equals the pivot. *)
+        if k <= !j then select a lo !j k (depth - 1)
+        else if k >= !i then select a !i hi k (depth - 1)
+      end
+
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
   let percentile t p =
     if t.len = 0 then invalid_arg "Sim_stats.Series.percentile: empty series";
-    if not t.sorted then begin
-      sort t.data t.len;
-      t.sorted <- true
-    end;
-    let rank =
-      int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) - 1
-    in
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) - 1 in
     let rank = Stdlib.max 0 (Stdlib.min (t.len - 1) rank) in
+    select t.data 0 (t.len - 1) rank (2 * (log2 t.len + 1));
     t.data.(rank)
 end
 

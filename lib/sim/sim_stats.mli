@@ -5,8 +5,15 @@
 module Series : sig
   type t
 
-  val create : unit -> t
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] (default 64, at least 1) is the number of samples the
+      series holds before it grows by doubling. Nothing is allocated for
+      them until the first {!add}: a series created while a run is being
+      set up costs its record alone. *)
+
   val add : t -> float -> unit
+  (** Allocates nothing while the series is within its capacity. *)
+
   val count : t -> int
   val mean : t -> float
   (** Running (Welford) mean; 0 when empty. *)
@@ -15,10 +22,12 @@ module Series : sig
   (** [neg_infinity] when empty. *)
 
   val percentile : t -> float -> float
-  (** [percentile t p] with [p] in [0,100]; nearest-rank on the sorted
-      sample. The samples are sorted in place, once per run of [add]s,
-      so a second quantile costs neither a copy nor a sort. Raises
-      [Invalid_argument] when empty. *)
+  (** [percentile t p] with [p] in [0,100]: the nearest-rank sample, the
+      [ceil (p / 100 * count)]-th smallest (at least the first) in
+      [Float.compare] order. It is found by selection, which reorders the
+      samples in place without sorting them: O(count) expected, O(count
+      log count) at worst, and no copy. Raises [Invalid_argument] when
+      empty. *)
 end
 
 (** Named event counters with a deterministic rendering order. Managers

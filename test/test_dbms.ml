@@ -189,6 +189,443 @@ let test_try_acquire () =
       check_bool "after release succeeds" true (L.try_acquire locks ~txn:2 L.Database L.IS));
   Engine.run e
 
+let pp_resource ppf = function
+  | L.Database -> Format.pp_print_string ppf "Database"
+  | L.Relation r -> Format.fprintf ppf "Relation %d" r
+  | L.Page (r, p) -> Format.fprintf ppf "Page (%d, %d)" r p
+
+let pp_lock ppf (r, m) = Format.fprintf ppf "%a %a" pp_resource r L.pp_mode m
+
+(* A resource's key packs the relation into 28 bits and the page into
+   32: ids outside those ranges (negative ones included) are refused by
+   every entry point, and the extremes of the ranges keep their identity
+   and their place in the acquisition order. *)
+let test_resource_ranges () =
+  let e = Engine.create () in
+  let locks = L.create () in
+  let refused = ref [] in
+  let refuse f =
+    match f () with _ -> () | exception Invalid_argument m -> refused := m :: !refused
+  in
+  let top_rel = (1 lsl 28) - 1 and top_page = (1 lsl 32) - 1 in
+  Engine.spawn e (fun () ->
+      refuse (fun () -> L.acquire locks ~txn:1 (L.Relation (1 lsl 28)) L.S);
+      refuse (fun () -> L.try_acquire locks ~txn:1 (L.Relation (-1)) L.S);
+      refuse (fun () -> L.acquire_timeout locks ~txn:1 (L.Page (0, 1 lsl 32)) L.X ~timeout_us:1.0);
+      refuse (fun () -> L.acquire locks ~txn:1 (L.Page (-1, 0)) L.X);
+      refuse (fun () -> L.acquire locks ~txn:1 (L.Page (0, -1)) L.X);
+      L.acquire locks ~txn:1 (L.Page (top_rel, top_page)) L.X;
+      L.acquire locks ~txn:1 (L.Page (top_rel, 0)) L.S;
+      L.acquire locks ~txn:1 (L.Page (0, top_page)) L.S;
+      L.acquire locks ~txn:1 (L.Relation top_rel) L.IX;
+      L.acquire locks ~txn:1 L.Database L.IX;
+      Alcotest.(check (list string))
+        "held, in acquisition order"
+        [
+          "Database IX";
+          Printf.sprintf "Relation %d IX" top_rel;
+          Printf.sprintf "Page (0, %d) S" top_page;
+          Printf.sprintf "Page (%d, 0) S" top_rel;
+          Printf.sprintf "Page (%d, %d) X" top_rel top_page;
+        ]
+        (List.map (Format.asprintf "%a" pp_lock) (L.held locks ~txn:1));
+      check_bool "a top page excludes another txn" false
+        (L.try_acquire locks ~txn:2 (L.Page (top_rel, top_page)) L.S);
+      check_bool "its neighbour does not" true
+        (L.try_acquire locks ~txn:2 (L.Page (top_rel, top_page - 1)) L.X);
+      L.release_all locks ~txn:1;
+      L.release_all locks ~txn:2);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "refusals"
+    [
+      "Db_locks: Relation 268435456 out of range";
+      "Db_locks: Relation -1 out of range";
+      "Db_locks: Page (0, 4294967296) out of range";
+      "Db_locks: Page (-1, 0) out of range";
+      "Db_locks: Page (0, -1) out of range";
+    ]
+    (List.rev !refused);
+  check_int "nothing left held" 0 (List.length (L.held locks ~txn:1))
+
+(* ------------------------------------------------------------------ *)
+(* Differential test against the polymorphic-table lock manager       *)
+(* ------------------------------------------------------------------ *)
+
+(* The lock manager as it was before its tables were keyed by one int:
+   resources and transactions hashed and compared through the
+   polymorphic [Hashtbl], each grant list rebuilt on release. Its
+   behaviour is the specification the int-keyed tables must keep, wake-up
+   order included, since that order fixes the events that follow. *)
+module Ref_locks = struct
+  type mode = L.mode = IS | IX | S | X
+  type resource = L.resource = Database | Relation of int | Page of int * int
+  type txn = int
+
+  let compatible = L.compatible
+  let covers = L.covers
+  let pp_mode = L.pp_mode
+
+  (* The order polymorphic [compare] gives resources — database, then
+     relations by id, then pages by (relation, page) — which is also the
+     global acquisition order. Release visits resources in it, and since
+     release wakes waiters, it fixes the order of the events that follow. *)
+  let compare_resource a b =
+    match (a, b) with
+    | Database, Database -> 0
+    | Database, _ -> -1
+    | _, Database -> 1
+    | Relation x, Relation y -> Int.compare x y
+    | Relation _, Page _ -> -1
+    | Page _, Relation _ -> 1
+    | Page (r, p), Page (r', p') ->
+        let c = Int.compare r r' in
+        if c <> 0 then c else Int.compare p p'
+
+  type waiter_state = Waiting | Granted | Cancelled
+
+  type waiter = {
+    w_txn : txn;
+    w_mode : mode;
+    mutable w_resume : bool -> unit;
+    mutable w_state : waiter_state;
+  }
+
+  (* Holders of one resource, newest first. *)
+  type grants = No_grant | Grant of txn * mode * grants
+
+  type node = {
+    mutable granted : grants;
+    waiters : waiter Queue.t;
+  }
+
+  type t = {
+    nodes : (resource, node) Hashtbl.t;
+    by_txn : (txn, resource list) Hashtbl.t;
+        (* what each transaction holds, deduplicated, in descending
+           [compare_resource] order *)
+    mutable blocked : int;
+    mutable total_blocked : int;
+    mutable timeouts : int;
+  }
+
+  let create () =
+    {
+      nodes = Hashtbl.create 256;
+      by_txn = Hashtbl.create 64;
+      blocked = 0;
+      total_blocked = 0;
+      timeouts = 0;
+    }
+
+  let node t r =
+    match Hashtbl.find t.nodes r with
+    | n -> n
+    | exception Not_found ->
+        let n = { granted = No_grant; waiters = Queue.create () } in
+        Hashtbl.replace t.nodes r n;
+        n
+
+  (* The helpers below walk the grant list with plain recursion: they run on
+     every acquire and release, so they allocate nothing (no closures, no
+     options) beyond the cells a release must rebuild. *)
+
+  let rec mode_held ~txn = function
+    | No_grant -> raise Not_found
+    | Grant (holder, m, rest) -> if holder = txn then m else mode_held ~txn rest
+
+  let rec grantable_in ~txn ~mode = function
+    | No_grant -> true
+    | Grant (holder, m, rest) -> (holder = txn || compatible m mode) && grantable_in ~txn ~mode rest
+
+  let grantable n ~txn ~mode = grantable_in ~txn ~mode n.granted
+
+  (* [g] without [txn]'s grants, in order; shares the tail past the last one. *)
+  let rec without ~txn g =
+    match g with
+    | No_grant -> g
+    | Grant (holder, m, rest) ->
+        let rest' = without ~txn rest in
+        if holder = txn then rest' else if rest' == rest then g else Grant (holder, m, rest')
+
+  let rec insert_desc r = function
+    | [] -> [ r ]
+    | x :: rest as l ->
+        let c = compare_resource r x in
+        if c > 0 then r :: l else if c = 0 then l else x :: insert_desc r rest
+
+  let record t ~txn r =
+    match Hashtbl.find t.by_txn txn with
+    | held -> Hashtbl.replace t.by_txn txn (insert_desc r held)
+    | exception Not_found -> Hashtbl.replace t.by_txn txn [ r ]
+
+  let grant t n ~txn r mode =
+    n.granted <- Grant (txn, mode, n.granted);
+    record t ~txn r
+
+  let upgrade_error fn ~held ~mode =
+    invalid_arg (Format.asprintf "Db_locks.%s: upgrade %a -> %a unsupported" fn pp_mode held pp_mode mode)
+
+  let acquire t ~txn r mode =
+    let n = node t r in
+    match mode_held ~txn n.granted with
+    | held -> if not (covers ~held ~wanted:mode) then upgrade_error "acquire" ~held ~mode
+    | exception Not_found ->
+        if Queue.is_empty n.waiters && grantable n ~txn ~mode then grant t n ~txn r mode
+        else begin
+          t.blocked <- t.blocked + 1;
+          t.total_blocked <- t.total_blocked + 1;
+          ignore
+            (Sim_engine.suspend (fun resume ->
+                 Queue.add
+                   { w_txn = txn; w_mode = mode; w_resume = resume; w_state = Waiting }
+                   n.waiters)
+              : bool);
+          (* We are resumed only once the lock has been granted on our
+             behalf by [wake]. *)
+          record t ~txn r
+        end
+
+  let try_acquire t ~txn r mode =
+    let n = node t r in
+    match mode_held ~txn n.granted with
+    | held -> covers ~held ~wanted:mode
+    | exception Not_found ->
+        if Queue.is_empty n.waiters && grantable n ~txn ~mode then begin
+          grant t n ~txn r mode;
+          true
+        end
+        else false
+
+  (* Grant from the head of the queue while compatible (FIFO, no
+     overtaking). Waiters cancelled by a timeout are tombstones: they are
+     skipped here and never granted. *)
+  let rec wake t n =
+    if not (Queue.is_empty n.waiters) then begin
+      let w = Queue.peek n.waiters in
+      if w.w_state = Cancelled then begin
+        ignore (Queue.pop n.waiters);
+        wake t n
+      end
+      else if grantable n ~txn:w.w_txn ~mode:w.w_mode then begin
+        ignore (Queue.pop n.waiters);
+        n.granted <- Grant (w.w_txn, w.w_mode, n.granted);
+        w.w_state <- Granted;
+        t.blocked <- t.blocked - 1;
+        w.w_resume true;
+        wake t n
+      end
+    end
+
+  let acquire_timeout t ~txn r mode ~timeout_us =
+    let n = node t r in
+    match mode_held ~txn n.granted with
+    | held ->
+        if covers ~held ~wanted:mode then true else upgrade_error "acquire_timeout" ~held ~mode
+    | exception Not_found ->
+        if Queue.is_empty n.waiters && grantable n ~txn ~mode then begin
+          grant t n ~txn r mode;
+          true
+        end
+        else begin
+          t.blocked <- t.blocked + 1;
+          t.total_blocked <- t.total_blocked + 1;
+          let w = { w_txn = txn; w_mode = mode; w_resume = ignore; w_state = Waiting } in
+          (* The deadline runs as its own process; if the waiter is still
+             parked when it fires, the waiter is cancelled in place (wake
+             skips it) and resumed with [false]. A cancelled head may have
+             been the only thing blocking compatible waiters behind it, so
+             give them a chance. The fork must happen here, in the waiting
+             process, not inside [suspend]'s register callback (which runs
+             on the scheduler stack where effects have no handler); the
+             timer cannot fire before registration because registration
+             completes within the same event. *)
+          Sim_engine.fork ~name:"lock-timeout" (fun () ->
+              Sim_engine.delay timeout_us;
+              if w.w_state = Waiting then begin
+                w.w_state <- Cancelled;
+                t.blocked <- t.blocked - 1;
+                t.timeouts <- t.timeouts + 1;
+                wake t n;
+                w.w_resume false
+              end);
+          let granted =
+            Sim_engine.suspend (fun resume ->
+                w.w_resume <- resume;
+                Queue.add w n.waiters)
+          in
+          if granted then record t ~txn r;
+          granted
+        end
+
+  let release_one t ~txn r =
+    match Hashtbl.find t.nodes r with
+    | n ->
+        n.granted <- without ~txn n.granted;
+        wake t n
+    | exception Not_found -> ()
+
+  (* Visits a descending list from its last element: ascending order. *)
+  let rec release_ascending t ~txn = function
+    | [] -> ()
+    | r :: rest ->
+        release_ascending t ~txn rest;
+        release_one t ~txn r
+
+  let release_all t ~txn =
+    match Hashtbl.find t.by_txn txn with
+    | resources ->
+        Hashtbl.remove t.by_txn txn;
+        release_ascending t ~txn resources
+    | exception Not_found -> ()
+
+  let held t ~txn =
+    match Hashtbl.find t.by_txn txn with
+    | resources ->
+        List.rev resources
+        |> List.filter_map (fun r ->
+               match mode_held ~txn (node t r).granted with
+               | m -> Some (r, m)
+               | exception Not_found -> None)
+    | exception Not_found -> []
+
+  let waiting t = t.blocked
+  let total_blocked t = t.total_blocked
+  let timeouts t = t.timeouts
+end
+
+module type LOCKS = sig
+  type t
+
+  val create : unit -> t
+  val acquire : t -> txn:int -> L.resource -> L.mode -> unit
+  val try_acquire : t -> txn:int -> L.resource -> L.mode -> bool
+  val acquire_timeout : t -> txn:int -> L.resource -> L.mode -> timeout_us:float -> bool
+  val release_all : t -> txn:int -> unit
+  val held : t -> txn:int -> (L.resource * L.mode) list
+  val waiting : t -> int
+  val total_blocked : t -> int
+  val timeouts : t -> int
+end
+
+type lock_op =
+  | Acquire of L.resource * L.mode
+  | Try of L.resource * L.mode
+  | Timed of L.resource * L.mode * float
+  | Release
+  | Pause of float
+
+(* What a process saw when one of its operations returned: the time, its
+   transaction, the outcome, and the table's state at that moment. The
+   order of these entries is the order processes were resumed in. *)
+type observation = {
+  o_time : float;
+  o_txn : int;
+  o_outcome : string;
+  o_held : (L.resource * L.mode) list list;  (* every transaction's, by txn id *)
+  o_waiting : int;
+  o_blocked : int;
+  o_timeouts : int;
+}
+
+(* Runs one process per script, process [p] as transaction
+   [1 + p mod txns] (so processes may share a transaction), and returns
+   every observation in order, then the final one. *)
+let run_locks (module M : LOCKS) ~txns scripts =
+  let e = Engine.create () in
+  let l = M.create () in
+  let log = ref [] in
+  let observe txn outcome =
+    log :=
+      {
+        o_time = (try Engine.time () with Engine.Not_in_process -> Engine.now e);
+        o_txn = txn;
+        o_outcome = outcome;
+        o_held = List.init txns (fun i -> M.held l ~txn:(i + 1));
+        o_waiting = M.waiting l;
+        o_blocked = M.total_blocked l;
+        o_timeouts = M.timeouts l;
+      }
+      :: !log
+  in
+  List.iteri
+    (fun p ops ->
+      let txn = 1 + (p mod txns) in
+      Engine.spawn e (fun () ->
+          List.iter
+            (fun op ->
+              let outcome =
+                match op with
+                | Acquire (r, m) -> (
+                    match M.acquire l ~txn r m with
+                    | () -> "acquired"
+                    | exception Invalid_argument msg -> msg)
+                | Try (r, m) -> string_of_bool (M.try_acquire l ~txn r m)
+                | Timed (r, m, timeout_us) -> (
+                    match M.acquire_timeout l ~txn r m ~timeout_us with
+                    | granted -> string_of_bool granted
+                    | exception Invalid_argument msg -> msg)
+                | Release ->
+                    M.release_all l ~txn;
+                    "released"
+                | Pause us ->
+                    Engine.delay us;
+                    "paused"
+              in
+              observe txn outcome)
+            ops))
+    scripts;
+  Engine.run e;
+  observe 0 (Printf.sprintf "end, %d processes blocked" (Engine.live_processes e));
+  List.rev !log
+
+let lock_op_gen =
+  let open QCheck.Gen in
+  let resource =
+    frequency
+      [
+        (2, return L.Database);
+        (3, map (fun r -> L.Relation r) (int_bound 1));
+        (5, map2 (fun r p -> L.Page (r, p)) (int_bound 1) (int_bound 2));
+      ]
+  in
+  let mode = oneofl [ L.IS; L.IX; L.S; L.X ] in
+  frequency
+    [
+      (5, map2 (fun r m -> Acquire (r, m)) resource mode);
+      (2, map2 (fun r m -> Try (r, m)) resource mode);
+      (3, map3 (fun r m t -> Timed (r, m, float_of_int t)) resource mode (int_range 1 30));
+      (3, return Release);
+      (4, map (fun t -> Pause (float_of_int t)) (int_bound 20));
+    ]
+
+let show_lock_op = function
+  | Acquire (r, m) -> Format.asprintf "acquire %a" pp_lock (r, m)
+  | Try (r, m) -> Format.asprintf "try %a" pp_lock (r, m)
+  | Timed (r, m, t) -> Format.asprintf "timed %a %.0f" pp_lock (r, m) t
+  | Release -> "release"
+  | Pause t -> Printf.sprintf "pause %.0f" t
+
+(* Random sequences over few resources, so acquisitions collide, covered
+   modes are re-acquired, upgrades are refused and deadlines expire (a
+   process may also block for good; both tables must agree on that too).
+   Every script ends by releasing. *)
+let prop_locks_match_reference =
+  let gen =
+    QCheck.Gen.(
+      let script = map (fun ops -> ops @ [ Release ]) (list_size (int_range 1 12) lock_op_gen) in
+      pair (int_range 1 6) (list_size (int_range 2 6) script))
+  in
+  let print (txns, scripts) =
+    Printf.sprintf "txns %d\n%s" txns
+      (String.concat "\n"
+         (List.map (fun ops -> String.concat "; " (List.map show_lock_op ops)) scripts))
+  in
+  QCheck.Test.make ~name:"lock table matches the polymorphic-table reference" ~count:500
+    (QCheck.make ~print gen) (fun (txns, scripts) ->
+      let txns = min txns (List.length scripts) in
+      run_locks (module L) ~txns scripts = run_locks (module Ref_locks) ~txns scripts)
+
 (* ------------------------------------------------------------------ *)
 (* B+-tree layout                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -591,6 +1028,8 @@ let () =
           Alcotest.test_case "upgrade rejected" `Quick test_upgrade_rejected;
           Alcotest.test_case "upgrade messages" `Quick test_upgrade_messages;
           Alcotest.test_case "try acquire" `Quick test_try_acquire;
+          Alcotest.test_case "resource ranges" `Quick test_resource_ranges;
+          QCheck_alcotest.to_alcotest prop_locks_match_reference;
         ] );
       ( "wal",
         [

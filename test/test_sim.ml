@@ -151,37 +151,168 @@ let test_series_percentile () =
   check_float "p1" 1.0 (Stats.Series.percentile s 1.0);
   check_float "max" 100.0 (Stats.Series.max s)
 
-(* The percentile sort is a float-specialised heapsort; it must pick the
-   same rank as a reference sort in [Float.compare] order, special values
-   (nan, infinities, signed zeros) included. Under [Float.equal] all nans
-   are equal and so are both zeros, the only ties a sort can order
-   differently. *)
+(* The percentile is found by selection; it must pick the same rank as a
+   reference sort in [Float.compare] order, special values (nan,
+   infinities, signed zeros) included. Under [Float.equal] all nans are
+   equal and so are both zeros, the only ties two orders can break
+   differently. Samples come in rounds, with the quantiles queried after
+   each round (selection reorders the samples in place, so a later round
+   lands among reordered ones), from one of three pools: any float, a
+   handful of values (many duplicates) or a single value; the series
+   starts at the default capacity, at 1, or above the final count. *)
 let prop_series_percentile_reference =
-  let sample = QCheck.(oneof [ float; oneofl [ nan; infinity; neg_infinity; 0.0; -0.0; 1.0 ] ]) in
+  let open QCheck.Gen in
+  let special = oneofl [ nan; infinity; neg_infinity; 0.0; -0.0; 1.0 ] in
+  let pool =
+    oneof
+      [
+        return (oneof [ float; special ]);
+        map (fun xs -> oneofl xs) (list_size (int_range 1 4) (oneof [ float; special ]));
+        map return (oneof [ float; special ]);
+      ]
+  in
+  let gen =
+    pool >>= fun sample ->
+    triple
+      (list_size (int_range 1 4) (list_size (int_range 1 300) sample))
+      (float_bound_inclusive 100.0)
+      (oneofl [ `Default; `One; `Above ])
+  in
+  let print (rounds, p, cap) =
+    Printf.sprintf "p %g, capacity %s, rounds [%s]" p
+      (match cap with `Default -> "default" | `One -> "1" | `Above -> "above")
+      (String.concat "; "
+         (List.map (fun xs -> String.concat " " (List.map string_of_float xs)) rounds))
+  in
   QCheck.Test.make ~name:"series percentile matches a Float.compare sort" ~count:300
-    QCheck.(
-      triple
-        (list_of_size Gen.(1 -- 300) sample)
-        (list_of_size Gen.(0 -- 50) sample)
-        (float_bound_inclusive 100.0))
-    (fun (xs, ys, p) ->
-      let s = Stats.Series.create () in
-      let expect xs =
+    (QCheck.make ~print gen) (fun (rounds, p, cap) ->
+      let total = List.fold_left (fun n xs -> n + List.length xs) 0 rounds in
+      let s =
+        match cap with
+        | `Default -> Stats.Series.create ()
+        | `One -> Stats.Series.create ~capacity:1 ()
+        | `Above -> Stats.Series.create ~capacity:(total + 7) ()
+      in
+      let expect xs p =
         let sorted = Array.of_list xs in
         Array.sort Float.compare sorted;
         let n = Array.length sorted in
         let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
         sorted.(max 0 (min (n - 1) rank))
       in
-      (* Samples added after a percentile (which sorts in place) count
-         in the next one. *)
-      List.iter (Stats.Series.add s) xs;
-      Float.equal (expect xs) (Stats.Series.percentile s p)
-      && Float.equal (expect xs) (Stats.Series.percentile s p)
-      && begin
-           List.iter (Stats.Series.add s) ys;
-           Float.equal (expect (xs @ ys)) (Stats.Series.percentile s p)
-         end)
+      let seen = ref [] in
+      List.for_all
+        (fun xs ->
+          List.iter (Stats.Series.add s) xs;
+          seen := !seen @ xs;
+          Stats.Series.count s = List.length !seen
+          && List.for_all
+               (fun p -> Float.equal (expect !seen p) (Stats.Series.percentile s p))
+               [ p; 0.0; 50.0; 95.0; 99.0; 100.0; p ])
+        rounds)
+
+(* Ordered runs, where a pivot taken from the ends of the range would be
+   among the smallest samples: an organ pipe (up, then down), a sawtooth
+   of duplicates and a descending ramp. The quantiles must be exact. *)
+let test_series_percentile_ramps () =
+  let n = 10_000 in
+  let check name f =
+    let s = Stats.Series.create () in
+    let xs = List.init n f in
+    List.iter (Stats.Series.add s) xs;
+    let sorted = Array.of_list xs in
+    Array.sort Float.compare sorted;
+    List.iter
+      (fun p ->
+        let rank = max 0 (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1) in
+        check_float (Printf.sprintf "%s p%g" name p) sorted.(rank) (Stats.Series.percentile s p))
+      [ 0.0; 1.0; 50.0; 95.0; 99.0; 100.0 ]
+  in
+  check "organ pipe" (fun i -> float_of_int (min i (n - 1 - i)));
+  check "sawtooth" (fun i -> float_of_int (i mod 97));
+  check "descending" (fun i -> float_of_int (n - i))
+
+(* A capacity hint reserves nothing until the first [add], which then
+   allocates the whole hint at once; the series grows only past it. *)
+let test_series_capacity () =
+  let words s = Obj.reachable_words (Obj.repr s) in
+  let big = Stats.Series.create ~capacity:100_000 () in
+  check_int "a hint allocates nothing before the first add"
+    (words (Stats.Series.create ~capacity:1 ()))
+    (words big);
+  check_int "nor does the default" (words (Stats.Series.create ())) (words big);
+  let before = words big in
+  Stats.Series.add big 1.0;
+  check_bool "the first add allocates the hint" true (words big >= before + 100_000);
+  let after_first = words big in
+  for i = 2 to 100_000 do
+    Stats.Series.add big (float_of_int i)
+  done;
+  check_int "no growth within the hint" after_first (words big);
+  Stats.Series.add big 0.0;
+  check_bool "growth past it" true (words big > after_first);
+  check_float "p100" 100_000.0 (Stats.Series.percentile big 100.0)
+
+(* ------------------------------------------------------------------ *)
+(* Int-keyed table                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Random binds, rebinds and removals against the polymorphic [Hashtbl],
+   from an 8-key start so the table doubles on the way. Keys are drawn
+   from a few values (so removals hit long probe runs and must shift them
+   back), from packed two-field keys and from anywhere in the int range;
+   after every step each key drawn so far must read as the reference
+   says. *)
+let prop_int_table_reference =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        int_bound 20;
+        map2 (fun a b -> (a lsl 32) lor b) (int_bound 3) (int_bound 5);
+        map (fun k -> if k = min_int then 0 else k) int;
+      ]
+  in
+  let op = pair (frequency [ (3, return `Bind); (2, return `Remove) ]) key in
+  QCheck.Test.make ~name:"int table matches Hashtbl" ~count:300
+    (QCheck.make (list_size (int_range 1 200) op))
+    (fun ops ->
+      let t = Sim_int_table.create ~absent:(-1) 4 and r = Hashtbl.create 8 in
+      let keys = ref [] in
+      List.for_all
+        (fun (i, (what, k)) ->
+          keys := k :: !keys;
+          (match what with
+          | `Bind ->
+              Sim_int_table.replace t k i;
+              Hashtbl.replace r k i
+          | `Remove ->
+              Sim_int_table.remove t k;
+              Hashtbl.remove r k);
+          List.for_all
+            (fun k ->
+              Sim_int_table.find t k = Option.value (Hashtbl.find_opt r k) ~default:(-1))
+            !keys)
+        (List.mapi (fun i op -> (i, op)) ops))
+
+(* [min_int] marks a free slot: binding it is refused, and reading or
+   removing it leaves the table as it was. *)
+let test_int_table_refuses_min_int () =
+  let t = Sim_int_table.create ~absent:0 1 in
+  List.iter (fun k -> Sim_int_table.replace t k k) [ 1; 2; 3 ];
+  Alcotest.check_raises "min_int"
+    (Invalid_argument "Sim_int_table.replace: min_int is not a key") (fun () ->
+      Sim_int_table.replace t min_int 1);
+  check_int "reads as absent" 0 (Sim_int_table.find t min_int);
+  Sim_int_table.remove t min_int;
+  for _ = 1 to 3 do
+    Sim_int_table.remove t min_int
+  done;
+  List.iter (fun k -> Sim_int_table.replace t k k) [ 4; 5; 6; 7; 8 ];
+  check_int "every binding intact" 36
+    (List.fold_left (fun acc k -> acc + Sim_int_table.find t k) 0 [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+  (* The table kept count and grew: a miss still finds a free slot. *)
+  check_int "a missing key" 0 (Sim_int_table.find t 9)
 
 let test_series_empty_percentile () =
   let s = Stats.Series.create () in
@@ -785,6 +916,7 @@ let qcheck_cases =
     [
       prop_heap_sorts;
       prop_series_percentile_reference;
+      prop_int_table_reference;
       prop_heap_model;
       prop_engine_deterministic;
       prop_resource_never_exceeds_capacity;
@@ -815,6 +947,9 @@ let () =
           Alcotest.test_case "series percentile" `Quick test_series_percentile;
           Alcotest.test_case "series empty percentile" `Quick test_series_empty_percentile;
           Alcotest.test_case "series growth" `Quick test_series_growth;
+          Alcotest.test_case "series percentile on ramps" `Quick test_series_percentile_ramps;
+          Alcotest.test_case "series capacity" `Quick test_series_capacity;
+          Alcotest.test_case "int table refuses min_int" `Quick test_int_table_refuses_min_int;
           Alcotest.test_case "time weighted" `Quick test_time_weighted;
         ] );
       ( "heap",
