@@ -23,11 +23,12 @@
 # paper once (it ignores the seed). A change reading above parent x (1 +
 # the metric's bound in BENCHMARK.json) is marked with "!". Last come the
 # .ml/.mli line totals of lib/, bin/, bench/, lib/managers and
-# lib+bin+bench in both trees (a simplification shows as fewer lines
-# with everything above identical). Exits 1 if anything differs (a
-# marked reading is reported, not counted), 2 on bad usage. Traces,
-# records and intermediate files go to a temporary directory, so neither
-# tree gains files outside its _build/.
+# lib+bin+bench in both trees, and the number of optional parameters
+# (`?name:`) the interfaces in lib/ declare (a simplification shows as
+# fewer lines and knobs with everything above identical). Exits 1 if
+# anything differs (a marked reading is reported, not counted), 2 on bad
+# usage. Traces, records and intermediate files go to a temporary
+# directory, so neither tree gains files outside its _build/.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1" ]; then
@@ -151,4 +152,7 @@ printf '%-14s %14s %14s\n' lines parent change
 for dirs in lib bin bench lib/managers "lib bin bench"; do
   printf '%-14s %14d %14d\n' "${dirs// /+}" "$(lines "$parent" $dirs)" "$(lines "$change" $dirs)"
 done
+# opts TREE: the optional parameters declared in TREE's lib/**/*.mli.
+opts() { (cd "$1" && find lib -name '*.mli' -print0 | xargs -0 grep -oh '?[a-z_][A-Za-z0-9_]*:' | wc -l); }
+printf '%-14s %14d %14d\n' "lib ?params" "$(opts "$parent")" "$(opts "$change")"
 exit $status

@@ -34,11 +34,15 @@ let () =
     (Mgr_generic.manager_id mgr);
 
   (* Prime the manager's free-page pool outside the traced region, then
-     take the fault. No zero-fill happens — that's the V++ fault-time win
-     over Ultrix. *)
+     take the fault. It runs as a simulation process, the only place
+     where the cost model's charges advance the clock, so the trace shows
+     when each step happened. No zero-fill happens — that's the V++
+     fault-time win over Ultrix. *)
   Mgr_generic.ensure_pool mgr ~count:8;
   Sim_trace.clear machine.Hw_machine.trace;
-  K.touch kernel ~space:heap ~page:3 ~access:Epcm_manager.Write;
+  Sim_engine.spawn machine.Hw_machine.engine (fun () ->
+      K.touch kernel ~space:heap ~page:3 ~access:Epcm_manager.Write);
+  Sim_engine.run machine.Hw_machine.engine;
   Printf.printf "Touched page 3: %d fault(s), %d MigratePages call(s)\n"
     (K.stats kernel).K.faults_missing (K.stats kernel).K.migrate_calls;
 

@@ -6,7 +6,6 @@ type t = {
   disk : Hw_disk.t;
   record_bytes : int;
   retry : Mgr_backing.retry;
-  counters : Sim_stats.Counters.t option;
   group_commit : bool;
   mutable next_lsn : lsn;
   mutable flushed : lsn;
@@ -42,7 +41,7 @@ let enqueue t resume =
   t.w_resumes.(t.w_len) <- resume;
   t.w_len <- t.w_len + 1
 
-let create disk ?(record_bytes = 256) ?(retry = Mgr_backing.default_retry) ?counters
+let create disk ?(record_bytes = 256) ?(retry = Mgr_backing.default_retry)
     ?(group_commit = true) () =
   let page_lsns = Sim_int_table.create ~absent:0 64 in
   let rec t =
@@ -50,7 +49,6 @@ let create disk ?(record_bytes = 256) ?(retry = Mgr_backing.default_retry) ?coun
       disk;
       record_bytes;
       retry;
-      counters;
       group_commit;
       next_lsn = 0;
       flushed = 0;
@@ -69,8 +67,6 @@ let create disk ?(record_bytes = 256) ?(retry = Mgr_backing.default_retry) ?coun
     }
   in
   t
-
-let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c ("wal." ^ name)) t.counters
 
 let backoff_wait us =
   if us > 0.0 then try Sim_engine.delay us with Sim_engine.Not_in_process -> ()
@@ -98,12 +94,10 @@ let rec write_retrying t ~bytes ~lsn ~max_attempts n backoff =
   with Hw_disk.Io_error _ ->
     if n >= max_attempts then begin
       t.flush_failures <- t.flush_failures + 1;
-      bump t "flush_failed";
       raise (Flush_failed { lsn; attempts = n })
     end
     else begin
       t.flush_retries <- t.flush_retries + 1;
-      bump t "flush_retries";
       backoff_wait backoff;
       write_retrying t ~bytes ~lsn ~max_attempts (n + 1) (backoff *. 2.0)
     end
@@ -221,7 +215,6 @@ let eviction_hook t ~inner ~seg ~page ~dirty =
            (stays resident + dirty) instead of losing the rule. *)
         try flush_to t ~lsn
         with Flush_failed { attempts; _ } ->
-          bump t "eviction_vetoed";
           raise (Mgr_backing.Backing_failed { op = `Write; file = seg; block = page; attempts })
       end;
       note_data_writeback t ~seg ~page;

@@ -28,15 +28,12 @@ val create :
   Hw_disk.t ->
   ?record_bytes:int ->
   ?retry:Mgr_backing.retry ->
-  ?counters:Sim_stats.Counters.t ->
   ?group_commit:bool ->
   unit ->
   t
 (** [record_bytes] (default 256) sizes the disk transfer of a flush:
     one record's worth per record it carries.
-    [retry] bounds attempts per flush (default {!Mgr_backing.default_retry});
-    [counters] receives "wal.flush_retries" / "wal.flush_failed" /
-    "wal.eviction_vetoed" events.
+    [retry] bounds attempts per flush (default {!Mgr_backing.default_retry}).
 
     [group_commit] (default [true]) keeps one force in flight and parks
     later committers behind it. [false] is per-commit forcing, the

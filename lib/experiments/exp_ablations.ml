@@ -1,6 +1,5 @@
 module K = Epcm_kernel
 module G = Mgr_generic
-module Engine = Sim_engine
 
 type row = { cells : string list }
 
@@ -17,15 +16,6 @@ let kernel_with_source ~frames () =
   let machine = Hw_machine.create ~memory_bytes:(frames * 4096) () in
   let kernel = K.create machine in
   (machine, kernel, K.initial_source kernel)
-
-let timed machine f =
-  let result = ref 0.0 in
-  Engine.spawn machine.Hw_machine.engine (fun () ->
-      let t0 = Engine.time () in
-      f ();
-      result := Engine.time () -. t0);
-  Engine.run machine.Hw_machine.engine;
-  !result
 
 (* ------------------------------------------------------------------ *)
 (* 1. Append allocation batch size                                    *)
@@ -50,7 +40,7 @@ let append_run ~batch =
   G.ensure_pool g ~count:(pages + 16);
   let migrates0 = (K.stats kernel).K.migrate_calls in
   let us =
-    timed machine (fun () ->
+    Exp_table1.timed machine (fun () ->
         for p = 0 to pages - 1 do
           K.uio_write kernel ~seg ~page:p (Hw_page_data.block ~file:1 ~block:p ~version:1)
         done)
@@ -102,7 +92,7 @@ let delivery_run ~mode =
   let seg = G.create_segment g ~name:"heap" ~pages ~kind:G.Anon () in
   G.ensure_pool g ~count:(pages + 8);
   let us =
-    timed machine (fun () ->
+    Exp_table1.timed machine (fun () ->
         for p = 0 to pages - 1 do
           K.touch kernel ~space:seg ~page:p ~access:Epcm_manager.Write
         done)
@@ -149,7 +139,7 @@ let reprotect_run ~batch =
   G.protect_for_sampling g ~seg;
   let faults0 = (K.stats kernel).K.faults_protection in
   let us =
-    timed machine (fun () ->
+    Exp_table1.timed machine (fun () ->
         for p = 0 to pages - 1 do
           K.touch kernel ~space:seg ~page:p ~access:Epcm_manager.Read
         done)
@@ -242,7 +232,7 @@ let eviction_cycle_disk () =
   let total = 48 and allowed = 32 and rounds = 4 in
   let seg = G.create_segment g ~name:"ws" ~pages:total ~kind:G.Anon () in
   let us =
-    timed machine (fun () ->
+    Exp_table1.timed machine (fun () ->
         for _ = 1 to rounds do
           for p = 0 to total - 1 do
             K.touch kernel ~space:seg ~page:p ~access:Epcm_manager.Write;
@@ -259,7 +249,7 @@ let eviction_cycle_compressed () =
   let seg = Mgr_compressed.create_segment mgr ~name:"ws" ~pages:total in
   let next_evict = ref 0 in
   let us =
-    timed machine (fun () ->
+    Exp_table1.timed machine (fun () ->
         for _ = 1 to rounds do
           for p = 0 to total - 1 do
             K.touch kernel ~space:seg ~page:p ~access:Epcm_manager.Write;

@@ -2,7 +2,6 @@ module K = Epcm_kernel
 module Mgr = Epcm_manager
 module G = Mgr_generic
 module Engine = Sim_engine
-module Counters = Sim_stats.Counters
 
 type scenario = {
   s_name : string;
@@ -31,27 +30,30 @@ let kernel_with_source ~frames () =
   let kernel = K.create machine in
   (machine, kernel, K.initial_source kernel)
 
-let retries_of counters =
-  List.fold_left
-    (fun acc (name, v) ->
-      if String.length name >= 7 && String.sub name (String.length name - 7) 7 = "retries" then
-        acc + v
-      else acc)
-    0 (Counters.to_list counters)
+(* The counter table's rows for a backing store; each scenario lists its
+   rows in name order. *)
+let backing_counters b =
+  [
+    ("backing.read_failed", Mgr_backing.failures b `Read);
+    ("backing.read_retries", Mgr_backing.retries b `Read);
+    ("backing.write_failed", Mgr_backing.failures b `Write);
+    ("backing.write_retries", Mgr_backing.retries b `Write);
+  ]
 
-let finish ~name ~chaos ~counters ~app_failures ~frames_expected ~frames_owned ~recovered =
+let finish ~name ~chaos ~retries ~counters ~app_failures ~frames_expected ~frames_owned
+    ~recovered =
   {
     s_name = name;
     s_decisions = Sim_chaos.decisions chaos;
     s_injected_failures = Sim_chaos.injected_failures chaos;
     s_injected_delays = Sim_chaos.injected_delays chaos;
     s_app_failures = app_failures;
-    s_retries = retries_of counters;
+    s_retries = retries;
     s_frames_expected = frames_expected;
     s_frames_owned = frames_owned;
     s_recovered = recovered;
     s_fingerprint = Sim_chaos.schedule_fingerprint chaos;
-    s_counters = Counters.to_list counters;
+    s_counters = List.filter (fun (_, v) -> v > 0) counters;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -62,7 +64,6 @@ let generic_storm ~seed =
   let frames = 96 in
   let pages = 128 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos =
     Sim_chaos.create ~seed
       {
@@ -79,11 +80,11 @@ let generic_storm ~seed =
   let backing =
     Mgr_backing.disk
       ~retry:{ Mgr_backing.attempts = 4; backoff_us = 500.0 }
-      ~counters machine.Hw_machine.disk ~page_bytes:4096
+      machine.Hw_machine.disk ~page_bytes:4096
   in
   let g =
     G.create kernel ~name:"storm" ~mode:`In_process ~backing ~source ~pool_capacity:64
-      ~refill_batch:16 ~reclaim_batch:8 ~counters ()
+      ~refill_batch:16 ~reclaim_batch:8 ()
   in
   let seg =
     G.create_segment g ~name:"data" ~pages ~kind:(G.File { file_id = 7 }) ~high_water:pages ()
@@ -109,7 +110,16 @@ let generic_storm ~seed =
       done);
   Engine.run machine.Hw_machine.engine;
   let recovered = !recovered && Engine.live_processes machine.Hw_machine.engine = 0 in
-  finish ~name:"generic-storm" ~chaos ~counters ~app_failures:!app_failures
+  let s = G.stats g in
+  finish ~name:"generic-storm" ~chaos ~retries:(Mgr_backing.io_retries backing)
+    ~counters:
+      (backing_counters backing
+      @ [
+          ("storm.close_writeback_lost", s.G.close_writeback_losses);
+          ("storm.fill_failed", s.G.fill_failures);
+          ("storm.writeback_skipped", s.G.writeback_failures);
+        ])
+    ~app_failures:!app_failures
     ~frames_expected:(Hw_machine.n_frames machine)
     ~frames_owned:(K.frame_owner_total kernel) ~recovered
 
@@ -120,7 +130,6 @@ let generic_storm ~seed =
 let prefetch_degrade ~seed =
   let frames = 96 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos =
     Sim_chaos.create ~seed
       { Sim_chaos.default_spec with read_error_p = 0.15; delay_p = 0.1; delay_min_us = 200.0;
@@ -130,7 +139,7 @@ let prefetch_degrade ~seed =
   let p =
     Mgr_prefetch.create kernel
       ~retry:{ Mgr_backing.attempts = 2; backoff_us = 200.0 }
-      ~counters ~source ~pool_capacity:64 ()
+      ~source ~pool_capacity:64 ()
   in
   let seg = Mgr_prefetch.create_file_segment p ~name:"scan" ~file_id:3 ~pages:64 in
   let app_failures = ref 0 in
@@ -161,7 +170,15 @@ let prefetch_degrade ~seed =
       done);
   Engine.run machine.Hw_machine.engine;
   let recovered = !recovered && Engine.live_processes machine.Hw_machine.engine = 0 in
-  finish ~name:"prefetch-degrade" ~chaos ~counters ~app_failures:!app_failures
+  let backing = Mgr_prefetch.backing p in
+  finish ~name:"prefetch-degrade" ~chaos ~retries:(Mgr_backing.io_retries backing)
+    ~counters:
+      (backing_counters backing
+      @ [
+          ("prefetch.degraded_to_demand", Mgr_prefetch.degraded_to_demand p);
+          ("prefetch.prefetch_fill_failed", Mgr_prefetch.prefetch_failures p);
+        ])
+    ~app_failures:!app_failures
     ~frames_expected:(Hw_machine.n_frames machine)
     ~frames_owned:(K.frame_owner_total kernel) ~recovered
 
@@ -172,13 +189,12 @@ let prefetch_degrade ~seed =
 let wal_torn_writes ~seed =
   let engine = Engine.create () in
   let disk = Hw_disk.create engine () in
-  let counters = Counters.create () in
   let chaos =
     Sim_chaos.create ~seed { Sim_chaos.default_spec with write_error_p = 0.2 }
   in
   Hw_disk.set_chaos disk (Some chaos);
   let wal =
-    Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 200.0 } ~counters ()
+    Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 200.0 } ()
   in
   let failed_commits = ref 0 in
   let acked = ref [] in
@@ -204,7 +220,13 @@ let wal_torn_writes ~seed =
       with Db_wal.Flush_failed _ -> replayed := false);
   Engine.run engine;
   let recovered = acked_durable && !replayed && Db_wal.flushed wal = Db_wal.appended wal in
-  finish ~name:"wal-torn-writes" ~chaos ~counters ~app_failures:!failed_commits
+  finish ~name:"wal-torn-writes" ~chaos ~retries:(Db_wal.flush_retries wal)
+    ~counters:
+      [
+        ("wal.flush_failed", Db_wal.flush_failures wal);
+        ("wal.flush_retries", Db_wal.flush_retries wal);
+      ]
+    ~app_failures:!failed_commits
     ~frames_expected:0 ~frames_owned:0 ~recovered
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +236,6 @@ let wal_torn_writes ~seed =
 let checkpoint_durable ~seed =
   let frames = 64 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos =
     Sim_chaos.create ~seed { Sim_chaos.default_spec with write_error_p = 0.15 }
   in
@@ -222,9 +243,9 @@ let checkpoint_durable ~seed =
   let backing =
     Mgr_backing.disk
       ~retry:{ Mgr_backing.attempts = 2; backoff_us = 200.0 }
-      ~counters machine.Hw_machine.disk ~page_bytes:4096
+      machine.Hw_machine.disk ~page_bytes:4096
   in
-  let ck = Mgr_checkpoint.create kernel ~backing ~counters ~source ~pool_capacity:48 () in
+  let ck = Mgr_checkpoint.create kernel ~backing ~source ~pool_capacity:48 () in
   let seg = Mgr_checkpoint.create_segment ck ~name:"heap" ~pages:24 in
   Engine.spawn machine.Hw_machine.engine (fun () ->
       for page = 0 to 23 do
@@ -253,7 +274,10 @@ let checkpoint_durable ~seed =
     Mgr_checkpoint.durable_failures ck = storm_failures
     && Engine.live_processes machine.Hw_machine.engine = 0
   in
-  finish ~name:"checkpoint-durable" ~chaos ~counters
+  finish ~name:"checkpoint-durable" ~chaos ~retries:(Mgr_backing.io_retries backing)
+    ~counters:
+      (backing_counters backing
+      @ [ ("checkpoint.durable_write_lost", Mgr_checkpoint.durable_failures ck) ])
     ~app_failures:(Mgr_checkpoint.durable_failures ck)
     ~frames_expected:(Hw_machine.n_frames machine)
     ~frames_owned:(K.frame_owner_total kernel) ~recovered

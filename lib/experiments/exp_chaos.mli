@@ -22,12 +22,15 @@ type scenario = {
       (** Failures that survived retry and degradation all the way to the
           application (touches that raised, commits not acknowledged,
           checkpoint images that lost durability). *)
-  s_retries : int;  (** Device attempts beyond the first, all layers. *)
+  s_retries : int;  (** Retried device attempts: the backing store's, or the log's. *)
   s_frames_expected : int;
   s_frames_owned : int;  (** {!Epcm_kernel.frame_owner_total} at the end. *)
   s_recovered : bool;  (** Clean pass after the plan was detached. *)
   s_fingerprint : string;  (** {!Sim_chaos.schedule_fingerprint}. *)
   s_counters : (string * int) list;
+      (** The nonzero retry, failure and degradation counts of the
+          scenario's backing store and manager (or log), read from their
+          typed statistics, by name. *)
 }
 
 type result = { scenarios : scenario list; replay_ok : bool; checks : Exp_report.check list }

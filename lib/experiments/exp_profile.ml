@@ -31,91 +31,24 @@ let span_sum row = List.fold_left (fun acc (_, _, us) -> acc +. us) 0.0 row.p_sp
 (* Table 1 paths, re-run with profiling on                             *)
 (* ------------------------------------------------------------------ *)
 
-let timed machine f =
-  let result = ref 0.0 in
-  Engine.spawn machine.Hw_machine.engine (fun () ->
-      let t0 = Engine.time () in
-      f ();
-      result := Engine.time () -. t0);
-  Engine.run machine.Hw_machine.engine;
-  !result
-
-(* Same harnesses as Exp_table1: a V++ kernel with a warm in-/out-of-process
-   manager pool, and a plain Ultrix UVM. Setup runs unprofiled; profiling is
-   switched on (and the sink reset) only around the measured operation, so
-   the recorded spans decompose exactly the pinned identity. *)
-let vpp_setup ~mode () =
-  let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
-  let kernel = K.create machine in
-  let source = K.initial_source kernel in
-  let backing = Mgr_backing.memory () in
-  let gen = Mgr_generic.create kernel ~name:"profile-mgr" ~mode ~backing ~source () in
-  let seg =
-    Mgr_generic.create_segment gen ~name:"profile-heap" ~pages:64 ~kind:Mgr_generic.Anon ()
-  in
-  Mgr_generic.ensure_pool gen ~count:16;
-  (machine, kernel, seg)
-
-let ultrix_setup () =
-  let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
-  let uvm = Uvm.create machine in
-  let pid = Uvm.create_process uvm ~name:"profile" in
-  (machine, uvm, pid)
-
-let profile ~label ~pinned ~machine op =
-  let m = Hw_machine.metrics machine in
-  Hw_machine.set_profiling machine true;
-  Metrics.reset m;
-  let measured = timed machine op in
-  { p_label = label; p_pinned_us = pinned; p_measured_us = measured; p_spans = Metrics.charges m }
-
+(* Set-up runs unprofiled; profiling is switched on (and the sink reset)
+   only around the measured operation, so the recorded spans decompose
+   exactly the pinned identity. *)
 let table1_rows () =
-  let c = Hw_cost.decstation_5000_200 in
-  let vpp_fault ~mode ~label ~pinned =
-    let machine, kernel, seg = vpp_setup ~mode () in
-    profile ~label ~pinned ~machine (fun () ->
-        K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write)
-  in
-  let vpp_uio access ~label ~pinned =
-    let machine, kernel, seg = vpp_setup ~mode:`In_process () in
-    K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write;
-    profile ~label ~pinned ~machine (fun () ->
-        match access with
-        | `Read -> ignore (K.uio_read kernel ~seg ~page:0)
-        | `Write -> K.uio_write kernel ~seg ~page:0 (Hw_page_data.of_string "profile"))
-  in
-  let ultrix_fault ~label ~pinned =
-    let machine, uvm, pid = ultrix_setup () in
-    profile ~label ~pinned ~machine (fun () -> Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write)
-  in
-  let ultrix_reprotect ~label ~pinned =
-    let machine, uvm, pid = ultrix_setup () in
-    Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write;
-    Uvm.protect uvm pid ~vpn:0;
-    profile ~label ~pinned ~machine (fun () -> Uvm.touch_protected uvm pid ~vpn:0)
-  in
-  let ultrix_io access ~label ~pinned =
-    let machine, uvm, _ = ultrix_setup () in
-    let fd = Uvm.open_file uvm ~file_id:1 ~size_kb:64 in
-    Uvm.preload uvm fd;
-    profile ~label ~pinned ~machine (fun () ->
-        match access with
-        | `Read -> Uvm.read uvm fd ~offset_kb:0 ~kb:4
-        | `Write -> Uvm.write uvm fd ~offset_kb:0 ~kb:4)
-  in
-  [
-    vpp_fault ~mode:`In_process ~label:"vpp_minimal_fault_in_process"
-      ~pinned:(Hw_cost.vpp_minimal_fault_in_process c);
-    vpp_fault ~mode:`Separate_process ~label:"vpp_minimal_fault_via_manager"
-      ~pinned:(Hw_cost.vpp_minimal_fault_via_manager c);
-    ultrix_fault ~label:"ultrix_minimal_fault" ~pinned:(Hw_cost.ultrix_minimal_fault c);
-    ultrix_reprotect ~label:"ultrix_user_reprotect_fault"
-      ~pinned:(Hw_cost.ultrix_user_reprotect_fault c);
-    vpp_uio `Read ~label:"vpp_read_4kb" ~pinned:(Hw_cost.vpp_read_4kb c);
-    vpp_uio `Write ~label:"vpp_write_4kb" ~pinned:(Hw_cost.vpp_write_4kb c);
-    ultrix_io `Read ~label:"ultrix_read_4kb" ~pinned:(Hw_cost.ultrix_read_4kb c);
-    ultrix_io `Write ~label:"ultrix_write_4kb" ~pinned:(Hw_cost.ultrix_write_4kb c);
-  ]
+  List.map
+    (fun (p : Exp_table1.path) ->
+      let machine, op = p.setup () in
+      let m = Hw_machine.metrics machine in
+      Hw_machine.set_profiling machine true;
+      Metrics.reset m;
+      let measured = Exp_table1.timed machine op in
+      {
+        p_label = p.name;
+        p_pinned_us = p.pinned machine.Hw_machine.cost;
+        p_measured_us = measured;
+        p_spans = Metrics.charges m;
+      })
+    Exp_table1.paths
 
 (* ------------------------------------------------------------------ *)
 (* Latency histograms from a deterministic demand-paging workload      *)

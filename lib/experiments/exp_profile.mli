@@ -1,8 +1,9 @@
-(** Observability profile: re-runs each Table 1 path with the metrics sink
-    enabled and decomposes the pinned row totals into their span-attributed
-    charges, then drives a deterministic demand-paging + WAL workload to
-    populate latency histograms per operation kind. Emits a versioned,
-    schema-stable JSON record ([vpp_repro profile --json]). *)
+(** Observability profile: re-runs each Table 1 path ({!Exp_table1.paths})
+    with the metrics sink enabled and decomposes the pinned row totals
+    into their span-attributed charges, then drives a deterministic
+    demand-paging + WAL workload to populate latency histograms per
+    operation kind. Emits a versioned, schema-stable JSON record
+    ([vpp_repro profile --json]). *)
 
 val schema_version : string
 (** ["vpp-profile/1"]. Bump when the record layout changes. *)

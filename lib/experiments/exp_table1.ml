@@ -20,6 +20,12 @@ let timed machine f =
   Engine.run machine.Hw_machine.engine;
   !result
 
+type path = {
+  name : string;
+  pinned : Hw_cost.t -> float;
+  setup : unit -> Hw_machine.t * (unit -> unit);
+}
+
 (* A V++ setup with a warm manager pool so the measured fault is minimal. *)
 let vpp_setup ~mode () =
   let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
@@ -29,28 +35,26 @@ let vpp_setup ~mode () =
   let gen = Mgr_generic.create kernel ~name:"bench-mgr" ~mode ~backing ~source () in
   let seg = Mgr_generic.create_segment gen ~name:"bench-heap" ~pages:64 ~kind:Mgr_generic.Anon () in
   Mgr_generic.ensure_pool gen ~count:16;
-  (machine, kernel, gen, seg)
+  (machine, kernel, seg)
 
-let measure_vpp_fault ~mode () =
-  let machine, kernel, _, seg = vpp_setup ~mode () in
-  timed machine (fun () -> K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write)
+let vpp_fault ~mode () =
+  let machine, kernel, seg = vpp_setup ~mode () in
+  (machine, fun () -> K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write)
 
-let measure_vpp_protection_clear () =
-  (* In-process manager fields a protection fault and just reprotects. *)
-  let machine, kernel, gen, seg = vpp_setup ~mode:`In_process () in
+(* In-process manager fields a protection fault and just reprotects. *)
+let vpp_protection_clear () =
+  let machine, kernel, seg = vpp_setup ~mode:`In_process () in
   K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write;
-  ignore gen;
   K.modify_page_flags kernel ~seg ~page:0 ~count:1 ~set_flags:Epcm_flags.no_access ();
-  timed machine (fun () -> K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Read)
+  (machine, fun () -> K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Read)
 
-let measure_vpp_uio access =
-  let machine, kernel, _, seg = vpp_setup ~mode:`In_process () in
+let vpp_uio access () =
+  let machine, kernel, seg = vpp_setup ~mode:`In_process () in
   K.touch kernel ~space:seg ~page:0 ~access:Epcm_manager.Write;
-  match access with
-  | `Read -> timed machine (fun () -> ignore (K.uio_read kernel ~seg ~page:0))
-  | `Write ->
-      timed machine (fun () ->
-          K.uio_write kernel ~seg ~page:0 (Hw_page_data.of_string "bench"))
+  ( machine,
+    match access with
+    | `Read -> fun () -> ignore (K.uio_read kernel ~seg ~page:0)
+    | `Write -> fun () -> K.uio_write kernel ~seg ~page:0 (Hw_page_data.of_string "bench") )
 
 let ultrix_setup () =
   let machine = Hw_machine.create ~memory_bytes:(4 * 1024 * 1024) () in
@@ -58,34 +62,56 @@ let ultrix_setup () =
   let pid = Uvm.create_process uvm ~name:"bench" in
   (machine, uvm, pid)
 
-let measure_ultrix_fault () =
+let ultrix_fault () =
   let machine, uvm, pid = ultrix_setup () in
-  timed machine (fun () -> Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write)
+  (machine, fun () -> Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write)
 
-let measure_ultrix_reprotect () =
+let ultrix_reprotect () =
   let machine, uvm, pid = ultrix_setup () in
   Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write;
   Uvm.protect uvm pid ~vpn:0;
-  timed machine (fun () -> Uvm.touch_protected uvm pid ~vpn:0)
+  (machine, fun () -> Uvm.touch_protected uvm pid ~vpn:0)
 
-let measure_ultrix_io access =
+let ultrix_io access () =
   let machine, uvm, _ = ultrix_setup () in
   let fd = Uvm.open_file uvm ~file_id:1 ~size_kb:64 in
   Uvm.preload uvm fd;
-  match access with
-  | `Read -> timed machine (fun () -> Uvm.read uvm fd ~offset_kb:0 ~kb:4)
-  | `Write -> timed machine (fun () -> Uvm.write uvm fd ~offset_kb:0 ~kb:4)
+  ( machine,
+    match access with
+    | `Read -> fun () -> Uvm.read uvm fd ~offset_kb:0 ~kb:4
+    | `Write -> fun () -> Uvm.write uvm fd ~offset_kb:0 ~kb:4 )
+
+let paths =
+  [
+    { name = "vpp_minimal_fault_in_process"; pinned = Hw_cost.vpp_minimal_fault_in_process;
+      setup = vpp_fault ~mode:`In_process };
+    { name = "vpp_minimal_fault_via_manager"; pinned = Hw_cost.vpp_minimal_fault_via_manager;
+      setup = vpp_fault ~mode:`Separate_process };
+    { name = "ultrix_minimal_fault"; pinned = Hw_cost.ultrix_minimal_fault; setup = ultrix_fault };
+    { name = "ultrix_user_reprotect_fault"; pinned = Hw_cost.ultrix_user_reprotect_fault;
+      setup = ultrix_reprotect };
+    { name = "vpp_read_4kb"; pinned = Hw_cost.vpp_read_4kb; setup = vpp_uio `Read };
+    { name = "vpp_write_4kb"; pinned = Hw_cost.vpp_write_4kb; setup = vpp_uio `Write };
+    { name = "ultrix_read_4kb"; pinned = Hw_cost.ultrix_read_4kb; setup = ultrix_io `Read };
+    { name = "ultrix_write_4kb"; pinned = Hw_cost.ultrix_write_4kb; setup = ultrix_io `Write };
+  ]
+
+let measure setup =
+  let machine, op = setup () in
+  timed machine op
 
 let run () =
-  let fault_in_process = measure_vpp_fault ~mode:`In_process () in
-  let fault_via_manager = measure_vpp_fault ~mode:`Separate_process () in
-  let ultrix_fault = measure_ultrix_fault () in
-  let vpp_read = measure_vpp_uio `Read in
-  let vpp_write = measure_vpp_uio `Write in
-  let ultrix_read = measure_ultrix_io `Read in
-  let ultrix_write = measure_ultrix_io `Write in
-  let vpp_reprotect = measure_vpp_protection_clear () in
-  let ultrix_reprotect = measure_ultrix_reprotect () in
+  let measured = List.map (fun p -> (p.name, measure p.setup)) paths in
+  let us name = List.assoc name measured in
+  let fault_in_process = us "vpp_minimal_fault_in_process" in
+  let fault_via_manager = us "vpp_minimal_fault_via_manager" in
+  let ultrix_fault = us "ultrix_minimal_fault" in
+  let vpp_read = us "vpp_read_4kb" in
+  let vpp_write = us "vpp_write_4kb" in
+  let ultrix_read = us "ultrix_read_4kb" in
+  let ultrix_write = us "ultrix_write_4kb" in
+  let vpp_reprotect = measure vpp_protection_clear in
+  let ultrix_reprotect = us "ultrix_user_reprotect_fault" in
   let rows =
     [
       {

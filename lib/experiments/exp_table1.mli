@@ -18,5 +18,24 @@ type row = {
 
 type result = { rows : row list; checks : Exp_report.check list }
 
+val timed : Hw_machine.t -> (unit -> unit) -> float
+(** [timed machine f] runs [f] as one simulation process on [machine]'s
+    engine, runs the engine until it drains, and returns the simulated µs
+    [f] took. *)
+
+(** One pinned Table 1 path. *)
+type path = {
+  name : string;  (** The identity's name in {!Hw_cost} ([vpp_read_4kb], ...). *)
+  pinned : Hw_cost.t -> float;  (** That identity. *)
+  setup : unit -> Hw_machine.t * (unit -> unit);
+      (** Builds a fresh machine, takes it to the state the path starts
+          from (a warm manager pool, a resident page, a preloaded file),
+          and returns it with the operation to time. *)
+}
+
+val paths : path list
+(** The eight identities, in {!Hw_cost}'s order. {!run} times each once;
+    {!Exp_profile} times the same list with the metrics sink on. *)
+
 val run : unit -> result
 val render : result -> string

@@ -9,30 +9,30 @@ exception Backing_failed of { op : Hw_disk.op; file : int; block : int; attempts
 type t = {
   latency : latency;
   retry : retry;
-  counters : Sim_stats.Counters.t option;
   table : (int, Hw_page_data.t) Hashtbl.t;  (* by [key] *)
   mutable reads : int;
   mutable writes : int;
-  mutable io_retries : int;
-  mutable io_failures : int;
+  mutable read_retries : int;
+  mutable write_retries : int;
+  mutable read_failures : int;
+  mutable write_failures : int;
 }
 
-let make latency retry counters =
+let make latency retry =
   {
     latency;
     retry;
-    counters;
     table = Hashtbl.create 256;
     reads = 0;
     writes = 0;
-    io_retries = 0;
-    io_failures = 0;
+    read_retries = 0;
+    write_retries = 0;
+    read_failures = 0;
+    write_failures = 0;
   }
 
-let memory ?(retry = default_retry) ?counters () = make No_latency retry counters
-
-let disk ?(retry = default_retry) ?counters device ~page_bytes =
-  make (Disk { device; page_bytes }) retry counters
+let memory () = make No_latency default_retry
+let disk ?(retry = default_retry) device ~page_bytes = make (Disk { device; page_bytes }) retry
 
 let disk_block ~file ~block = (file * 1_000_000) + block
 
@@ -44,14 +44,10 @@ let key ~file ~block =
     invalid_arg (Printf.sprintf "Mgr_backing: block (%d, %d) out of range" file block);
   (file lsl 32) lor block
 
-let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c name) t.counters
-
 (* Backoff is simulated time; semantics-only tests run managers outside any
    process, where waiting is meaningless (mirrors Hw_machine.charge). *)
 let backoff_wait us =
   if us > 0.0 then try Sim_engine.delay us with Sim_engine.Not_in_process -> ()
-
-let op_name = function `Read -> "read" | `Write -> "write"
 
 let attempt_io t ~op ~file ~block =
   match t.latency with
@@ -68,13 +64,15 @@ let retrying t ~op ~file ~block =
     try attempt_io t ~op ~file ~block
     with Hw_disk.Io_error _ ->
       if n >= max_attempts then begin
-        t.io_failures <- t.io_failures + 1;
-        bump t (Printf.sprintf "backing.%s_failed" (op_name op));
+        (match op with
+        | `Read -> t.read_failures <- t.read_failures + 1
+        | `Write -> t.write_failures <- t.write_failures + 1);
         raise (Backing_failed { op; file; block; attempts = n })
       end
       else begin
-        t.io_retries <- t.io_retries + 1;
-        bump t (Printf.sprintf "backing.%s_retries" (op_name op));
+        (match op with
+        | `Read -> t.read_retries <- t.read_retries + 1
+        | `Write -> t.write_retries <- t.write_retries + 1);
         backoff_wait backoff;
         go (n + 1) (backoff *. 2.0)
       end
@@ -94,7 +92,7 @@ let with_retry t ~op ~file ~block =
           match Sim_engine.time () with
           | exception Sim_engine.Not_in_process -> retrying t ~op ~file ~block
           | t0 -> (
-              let kind = "backing." ^ op_name op in
+              let kind = match op with `Read -> "backing.read" | `Write -> "backing.write" in
               match retrying t ~op ~file ~block with
               | () -> Sim_metrics.observe m ~kind (Sim_engine.time () -. t0)
               | exception e ->
@@ -122,5 +120,7 @@ let has_block t ~file ~block = Hashtbl.mem t.table (key ~file ~block)
 
 let reads t = t.reads
 let writes t = t.writes
-let io_retries t = t.io_retries
-let io_failures t = t.io_failures
+let retries t = function `Read -> t.read_retries | `Write -> t.write_retries
+let failures t = function `Read -> t.read_failures | `Write -> t.write_failures
+let io_retries t = t.read_retries + t.write_retries
+let io_failures t = t.read_failures + t.write_failures

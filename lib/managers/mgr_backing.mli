@@ -32,8 +32,8 @@ exception Backing_failed of { op : Hw_disk.op; file : int; block : int; attempts
 (** All attempts failed. Carries the logical address so the manager can
     decide per-page (skip this writeback, demand-fill later, …). *)
 
-val memory : ?retry:retry -> ?counters:Sim_stats.Counters.t -> unit -> t
-val disk : ?retry:retry -> ?counters:Sim_stats.Counters.t -> Hw_disk.t -> page_bytes:int -> t
+val memory : unit -> t
+val disk : ?retry:retry -> Hw_disk.t -> page_bytes:int -> t
 
 val disk_block : file:int -> block:int -> int
 (** The device block number a (file, block) pair maps to —
@@ -59,8 +59,15 @@ val reads : t -> int
 
 val writes : t -> int
 
+val retries : t -> Hw_disk.op -> int
+(** Device attempts beyond the first, summed over the operations of one
+    kind. *)
+
+val failures : t -> Hw_disk.op -> int
+(** Operations of one kind abandoned after exhausting the retry budget. *)
+
 val io_retries : t -> int
-(** Device attempts beyond the first, summed over all operations. *)
+(** {!retries} of reads and writes together. *)
 
 val io_failures : t -> int
-(** Operations abandoned after exhausting the retry budget. *)
+(** {!failures} of reads and writes together. *)

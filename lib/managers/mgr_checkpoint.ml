@@ -23,7 +23,6 @@ type t = {
   pool : Mgr_free_pages.t;
   source : Mgr_generic.source;
   backing : Mgr_backing.t option;
-  counters : Sim_stats.Counters.t option;
   segs : (Seg.id, seg_state) Hashtbl.t;
   mutable next_gen : generation;
   mutable preserved : int;
@@ -31,9 +30,6 @@ type t = {
   mutable durable_writes : int;
   mutable durable_failures : int;
 }
-
-let bump t name =
-  Option.iter (fun c -> Sim_stats.Counters.incr c ("checkpoint." ^ name)) t.counters
 
 let state t seg =
   match Hashtbl.find_opt t.segs seg with
@@ -74,7 +70,7 @@ let on_fault t (fault : Mgr.fault) =
             ~clear_flags:Flags.read_only ()
       | Some _ | None -> Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page)
 
-let create kern ?backing ?counters ~source ~pool_capacity () =
+let create kern ?backing ~source ~pool_capacity () =
   let t =
     {
       kern;
@@ -82,7 +78,6 @@ let create kern ?backing ?counters ~source ~pool_capacity () =
       pool = Mgr_free_pages.create kern ~name:"checkpoint.free-pages" ~capacity:pool_capacity;
       source;
       backing;
-      counters;
       segs = Hashtbl.create 8;
       next_gen = 1;
       preserved = 0;
@@ -154,8 +149,7 @@ let persist_generation t ~seg ~gen =
               ~block:page data;
             t.durable_writes <- t.durable_writes + 1
           with Mgr_backing.Backing_failed _ ->
-            t.durable_failures <- t.durable_failures + 1;
-            bump t "durable_write_lost")
+            t.durable_failures <- t.durable_failures + 1)
         pages
 
 let end_checkpoint t ~seg =

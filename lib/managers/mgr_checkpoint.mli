@@ -27,7 +27,6 @@ type generation = int
 val create :
   Epcm_kernel.t ->
   ?backing:Mgr_backing.t ->
-  ?counters:Sim_stats.Counters.t ->
   source:Mgr_generic.source ->
   pool_capacity:int ->
   unit ->
@@ -36,9 +35,8 @@ val create :
     writes every image of the closing generation to it (file
     [seg * 4096 + generation], block = page). A write that exhausts its
     retry budget costs that image its durability only — it stays readable
-    in memory, the loss is counted in {!durable_failures} and reported as
-    "checkpoint.durable_write_lost" on [counters], and the checkpoint
-    still closes. Without [backing] the store is memory-only, as before. *)
+    in memory, the loss is counted in {!durable_failures}, and the
+    checkpoint still closes. Without [backing] the store is memory-only, as before. *)
 
 val create_segment : t -> name:string -> pages:int -> Epcm_segment.id
 

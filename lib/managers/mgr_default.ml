@@ -4,7 +4,6 @@ module G = Mgr_generic
 type t = {
   gen : G.t;
   files : (int, Epcm_segment.id) Hashtbl.t;  (* file id -> cached segment *)
-  counters : Sim_stats.Counters.t option;
   mutable closes : int;
   mutable admin_calls : int;
 }
@@ -24,13 +23,13 @@ let hooks ~backing =
         | G.File _ | G.Anon -> 1);
   }
 
-let create kernel ?backing ?source ?(pool_capacity = 4096) ?counters () =
+let create kernel ?backing ?source ?(pool_capacity = 4096) () =
   let backing = match backing with Some b -> b | None -> Mgr_backing.memory () in
   let gen =
     G.create kernel ~name:"ucds.default-manager" ~mode:`Separate_process ~backing
-      ?source ~hooks:(hooks ~backing) ~pool_capacity ?counters ()
+      ?source ~hooks:(hooks ~backing) ~pool_capacity ()
   in
-  { gen; files = Hashtbl.create 32; counters; closes = 0; admin_calls = 0 }
+  { gen; files = Hashtbl.create 32; closes = 0; admin_calls = 0 }
 
 let generic t = t.gen
 let manager_id t = G.manager_id t.gen
@@ -104,10 +103,7 @@ let flush_file t seg =
               try
                 Mgr_backing.write_block backing ~file:fid ~block:page data;
                 K.modify_page_flags kern ~seg ~page ~count:1 ~clear_flags:Epcm_flags.dirty ()
-              with Mgr_backing.Backing_failed _ ->
-                Option.iter
-                  (fun c -> Sim_stats.Counters.incr c "ucds.flush_page_failed")
-                  t.counters)
+              with Mgr_backing.Backing_failed _ -> ())
           | Some _ | None -> ())
         s.Epcm_segment.pages
 

@@ -16,13 +16,10 @@ val create :
   ?backing:Mgr_backing.t ->
   ?source:Mgr_generic.source ->
   ?pool_capacity:int ->
-  ?counters:Sim_stats.Counters.t ->
   unit ->
   t
 (** [backing] defaults to the zero-latency memory store (the Tables 2–3
-    setup: files pre-cached, no disk in the measurement). [counters] is
-    shared with the underlying generic manager and also receives
-    "ucds.flush_page_failed" events. *)
+    setup: files pre-cached, no disk in the measurement). *)
 
 val generic : t -> Mgr_generic.t
 val manager_id : t -> Epcm_manager.id
@@ -44,8 +41,7 @@ val close_file : t -> Epcm_segment.id -> unit
 val flush_file : t -> Epcm_segment.id -> unit
 (** Write every dirty page of the file back to backing store and clean the
     flags. A page whose write exhausts the backing retry budget keeps its
-    dirty flag — the next flush retries it — and is counted under
-    ["ucds.flush_page_failed"] on the [counters] given to {!create}. *)
+    dirty flag, and the next flush retries it. *)
 
 val admin_call : ?requests:int -> t -> unit
 (** Other kernel-forwarded requests (open of a new file, fstat, unlink):

@@ -51,6 +51,7 @@ type stats = {
   mutable closes : int;
   mutable fill_failures : int;
   mutable writeback_failures : int;
+  mutable close_writeback_losses : int;
 }
 
 type seg_info = { kind : seg_kind; mutable high_water : int }
@@ -68,7 +69,6 @@ type t = {
   reclaim_batch : int;
   segs : (Seg.id, seg_info) Hashtbl.t;
   clock : Mgr_clock.t;
-  counters : Sim_stats.Counters.t option;
   stats : stats;
   (* One fault at a time ({!register_serialised}): fills that suspend
      (disk reads) must not interleave with another fault's pool
@@ -89,9 +89,8 @@ let fresh_stats () =
     closes = 0;
     fill_failures = 0;
     writeback_failures = 0;
+    close_writeback_losses = 0;
   }
-
-let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c (t.name ^ "." ^ name)) t.counters
 
 let kernel t = t.kern
 let manager_id t = t.mid
@@ -181,10 +180,10 @@ let request_from_source t count =
       t.stats.frames_from_source <- t.stats.frames_from_source + got;
       got
 
-(* Write a page out per the eviction hook before its frame goes. False,
-   counted, when the write exhausted its retry budget or the hook itself
-   failed (a WAL hook that cannot flush its log raises Backing_failed to
-   veto the writeback). *)
+(* Write a page out per the eviction hook before its frame goes. False
+   when the write exhausted its retry budget or the hook itself failed (a
+   WAL hook that cannot flush its log raises Backing_failed to veto the
+   writeback); the caller counts it. *)
 let write_out t ~seg ~page ~dirty frame =
   try
     (match t.hooks.on_eviction ~seg ~page ~dirty with
@@ -201,9 +200,7 @@ let write_out t ~seg ~page ~dirty frame =
         t.stats.writebacks <- t.stats.writebacks + 1
     | `Discard -> t.stats.discards <- t.stats.discards + 1);
     true
-  with Mgr_backing.Backing_failed _ ->
-    t.stats.writeback_failures <- t.stats.writeback_failures + 1;
-    false
+  with Mgr_backing.Backing_failed _ -> false
 
 (* The clock's victim: written out per the hook, its frame reclaimed into
    the pool. A failed writeback leaves the page resident and dirty, still
@@ -216,7 +213,7 @@ let evict_one t seg page (slot : Seg.page_state) frame =
     Mgr_clock.Evicted
   end
   else begin
-    bump t "writeback_skipped";
+    t.stats.writeback_failures <- t.stats.writeback_failures + 1;
     Mgr_clock.Kept
   end
 
@@ -307,7 +304,6 @@ let handle_missing_base t (fault : Mgr.fault) inf seg =
             ~high_water:inf.high_water
         with Mgr_backing.Backing_failed _ as e ->
           t.stats.fill_failures <- t.stats.fill_failures + 1;
-          bump t "fill_failed";
           raise e
       in
       (match filled with
@@ -409,7 +405,7 @@ let on_close t seg =
                match inf.kind with
                | File _ ->
                    if not (write_out t ~seg ~page ~dirty:true frame) then
-                     bump t "close_writeback_lost"
+                     t.stats.close_writeback_losses <- t.stats.close_writeback_losses + 1
                | Anon -> t.stats.discards <- t.stats.discards + 1);
             if Mgr_free_pages.room t.pool > 0 then
               Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page
@@ -456,7 +452,7 @@ let swap_in t =
     (Hashtbl.fold (fun k _ acc -> k :: acc) t.segs [])
 
 let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity = 1024)
-    ?(refill_batch = 32) ?(reclaim_batch = 16) ?counters () =
+    ?(refill_batch = 32) ?(reclaim_batch = 16) () =
   let hooks = match hooks with Some h -> h | None -> default_hooks ~backing in
   let pool = Mgr_free_pages.create kern ~name:(name ^ ".free-pages") ~capacity:pool_capacity in
   let t =
@@ -473,7 +469,6 @@ let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity =
       reclaim_batch;
       segs = Hashtbl.create 16;
       clock = Mgr_clock.create kern ();
-      counters;
       stats = fresh_stats ();
       serving = Sim_sync.Semaphore.create 1;
     }

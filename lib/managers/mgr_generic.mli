@@ -106,8 +106,12 @@ type stats = {
           retry budget ({!Mgr_backing.Backing_failed} re-raised to the
           faulting process; no frame left the pool). *)
   mutable writeback_failures : int;
-      (** Evictions skipped (page left resident + dirty) or close-time
-          writebacks lost because backing writes exhausted their budget. *)
+      (** Evictions skipped (page left resident + dirty) because the
+          backing write exhausted its budget or the eviction hook vetoed
+          it. *)
+  mutable close_writeback_losses : int;
+      (** Dirty [File] pages whose writeback failed the same way at
+          {!close_segment}: their data is lost with the segment. *)
 }
 
 type t
@@ -123,15 +127,11 @@ val create :
   ?pool_capacity:int ->
   ?refill_batch:int ->
   ?reclaim_batch:int ->
-  ?counters:Sim_stats.Counters.t ->
   unit ->
   t
 (** Registers the manager with the kernel and creates its free-page
     segment. [pool_capacity] defaults to 1024 slots; [refill_batch] (frames
-    per SPCM request) to 32; [reclaim_batch] to 16. [counters], when given,
-    receives the degradation events ("<name>.writeback_skipped",
-    "<name>.fill_failed", "<name>.close_writeback_lost") so a chaos
-    scenario can report every manager's failure handling in one place. *)
+    per SPCM request) to 32; [reclaim_batch] to 16. *)
 
 val kernel : t -> Epcm_kernel.t
 val manager_id : t -> Epcm_manager.id
@@ -164,10 +164,10 @@ val create_segment :
 val close_segment : t -> Epcm_segment.id -> unit
 (** Destroy the segment. Every dirty page of a [File] segment goes
     through the eviction hook first ([`Writeback] writes it to its block,
-    [`Discard] drops it; a failed write counts in [writeback_failures]);
-    dirty [Anon] pages are dropped (counted in [discards]). Resident
-    frames are reclaimed into the pool while it has room; the kernel
-    returns the rest to the initial segment. *)
+    [`Discard] drops it; a failed write counts in [close_writeback_losses]
+    and the close goes on); dirty [Anon] pages are dropped (counted in
+    [discards]). Resident frames are reclaimed into the pool while it has
+    room; the kernel returns the rest to the initial segment. *)
 
 val ensure_pool : t -> count:int -> unit
 (** Make sure at least [count] frames are pooled, refilling from the

@@ -19,7 +19,6 @@ type t = {
   pool_lock : Semaphore.t;
   segs : (Seg.id, seg_info) Hashtbl.t;
   pending : (Seg.id * int, Gate.t) Hashtbl.t;
-  counters : Sim_stats.Counters.t option;
   mutable prefetches : int;
   mutable demand_fills : int;
   mutable absorbed : int;
@@ -27,8 +26,6 @@ type t = {
   mutable prefetch_failures : int;
   mutable degraded : int;
 }
-
-let bump t name = Option.iter (fun c -> Sim_stats.Counters.incr c ("prefetch." ^ name)) t.counters
 
 let info t seg =
   match Hashtbl.find_opt t.segs seg with
@@ -69,7 +66,6 @@ let on_fault t (fault : Mgr.fault) =
              leave the fault unresolved, so degrade to a demand fill. *)
           if page_absent t fault.Mgr.f_seg fault.Mgr.f_page then begin
             t.degraded <- t.degraded + 1;
-            bump t "degraded_to_demand";
             fill_page t fault.Mgr.f_seg fault.Mgr.f_page
           end
       | None ->
@@ -78,10 +74,10 @@ let on_fault t (fault : Mgr.fault) =
   | Mgr.Protection | Mgr.Cow_write ->
       Mgr_generic.unprotect t.kern ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
 
-let create kern ?disk ?retry ?counters ~source ~pool_capacity () =
+let create kern ?disk ?retry ~source ~pool_capacity () =
   let disk = Option.value disk ~default:(K.machine kern).Hw_machine.disk in
   let backing =
-    Mgr_backing.disk ?retry ?counters disk ~page_bytes:(Hw_machine.page_size (K.machine kern))
+    Mgr_backing.disk ?retry disk ~page_bytes:(Hw_machine.page_size (K.machine kern))
   in
   let t =
     {
@@ -93,7 +89,6 @@ let create kern ?disk ?retry ?counters ~source ~pool_capacity () =
       pool_lock = Semaphore.create 1;
       segs = Hashtbl.create 8;
       pending = Hashtbl.create 64;
-      counters;
       prefetches = 0;
       demand_fills = 0;
       absorbed = 0;
@@ -125,7 +120,6 @@ let prefetch_one t ~seg ~page key gate =
   | () -> finish_prefetch t key gate
   | exception (Mgr_backing.Backing_failed _ | Mgr_generic.Out_of_frames _) ->
       t.prefetch_failures <- t.prefetch_failures + 1;
-      bump t "prefetch_fill_failed";
       finish_prefetch t key gate
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
@@ -156,6 +150,7 @@ let discard t ~seg ~page ~count =
       done)
 
 let resident t ~seg = Seg.resident_pages (K.segment t.kern seg)
+let backing t = t.backing
 let prefetches_started t = t.prefetches
 let demand_fills t = t.demand_fills
 let absorbed_faults t = t.absorbed

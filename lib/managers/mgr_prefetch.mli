@@ -19,16 +19,14 @@ val create :
   Epcm_kernel.t ->
   ?disk:Hw_disk.t ->
   ?retry:Mgr_backing.retry ->
-  ?counters:Sim_stats.Counters.t ->
   source:Mgr_generic.source ->
   pool_capacity:int ->
   unit ->
   t
-(** [retry] bounds the backing store's attempts per transfer; [counters]
-    receives degradation events ("prefetch.prefetch_fill_failed",
-    "prefetch.degraded_to_demand"). A forked prefetch that exhausts its
-    retry budget dies silently — the page stays absent and a fault on it
-    degrades to an inline demand fill rather than wedging on the gate. *)
+(** [retry] bounds the backing store's attempts per transfer. A forked
+    prefetch that exhausts its retry budget dies silently — the page
+    stays absent and a fault on it degrades to an inline demand fill
+    rather than wedging on the gate. *)
 
 val create_file_segment : t -> name:string -> file_id:int -> pages:int -> Epcm_segment.id
 (** Data lives on disk; nothing resident initially. *)
@@ -42,6 +40,10 @@ val discard : t -> seg:Epcm_segment.id -> page:int -> count:int -> unit
     dead). *)
 
 val resident : t -> seg:Epcm_segment.id -> int
+
+val backing : t -> Mgr_backing.t
+(** The disk store the manager reads pages from (its retry and failure
+    counts). *)
 
 (** {2 Statistics} *)
 

@@ -91,24 +91,6 @@ module Series = struct
     t.data.(rank)
 end
 
-module Counters = struct
-  type t = (string, int) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-
-  let incr ?(by = 1) t name =
-    Hashtbl.replace t name ((try Hashtbl.find t name with Not_found -> 0) + by)
-
-  let get t name = try Hashtbl.find t name with Not_found -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let total t = Hashtbl.fold (fun _ v acc -> acc + v) t 0
-  let clear t = Hashtbl.reset t
-end
-
 module Time_weighted = struct
   type t = {
     mutable last_time : float;

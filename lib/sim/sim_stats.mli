@@ -30,25 +30,6 @@ module Series : sig
       empty. *)
 end
 
-(** Named event counters with a deterministic rendering order. Managers
-    record retry/degradation events ("backing.read_retries",
-    "prefetch.degraded_to_demand", …) into a shared set so a chaos
-    scenario can report every manager's failure handling in one place. *)
-module Counters : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-  (** 0 for a name never incremented. *)
-
-  val to_list : t -> (string * int) list
-  (** Sorted by name, so two runs of the same seed render identically. *)
-
-  val total : t -> int
-  val clear : t -> unit
-end
-
 (** Time-weighted average of a piecewise-constant quantity (e.g. busy
     servers, allocated frames): the integral of the value over time divided
     by elapsed time. *)

@@ -1,42 +1,14 @@
 type event = { time : float; tag : string; detail : string }
 
-type t = {
-  mutable on : bool;
-  capacity : int;
-  q : event Queue.t;
-  mutable dropped : int;
-}
+(* Newest first. *)
+type t = { on : bool; mutable events : event list }
 
-let create ?(enabled = true) ?(capacity = 65536) () =
-  if capacity <= 0 then invalid_arg "Sim_trace.create: capacity must be positive";
-  { on = enabled; capacity; q = Queue.create (); dropped = 0 }
-
+let create ?(enabled = true) () = { on = enabled; events = [] }
 let enabled t = t.on
-let set_enabled t b = t.on <- b
-
-let emit t ~time ~tag detail =
-  if t.on then begin
-    if Queue.length t.q >= t.capacity then begin
-      ignore (Queue.pop t.q);
-      t.dropped <- t.dropped + 1
-    end;
-    Queue.add { time; tag; detail } t.q
-  end
-
-let events t = List.of_seq (Queue.to_seq t.q)
-let tags t = List.map (fun e -> e.tag) (events t)
-
-let clear t =
-  Queue.clear t.q;
-  t.dropped <- 0
-
-let dropped t = t.dropped
-
-let pp_event ppf e = Format.fprintf ppf "[%12.2f us] %-24s %s" e.time e.tag e.detail
+let emit t ~time ~tag detail = if t.on then t.events <- { time; tag; detail } :: t.events
+let tags t = List.rev_map (fun e -> e.tag) t.events
+let clear t = t.events <- []
 
 let dump t =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t);
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+  String.concat ""
+    (List.rev_map (fun e -> Printf.sprintf "[%12.2f us] %-24s %s\n" e.time e.tag e.detail) t.events)

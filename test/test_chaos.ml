@@ -12,7 +12,6 @@ module G = Mgr_generic
 module Machine = Hw_machine
 module Engine = Sim_engine
 module Chaos = Sim_chaos
-module Counters = Sim_stats.Counters
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -112,7 +111,6 @@ let generic_storm ~seed =
   let frames = 48 in
   let pages = 64 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos =
     Chaos.create ~seed
       {
@@ -126,10 +124,10 @@ let generic_storm ~seed =
   in
   Hw_disk.set_chaos machine.Machine.disk (Some chaos);
   let retry = { Mgr_backing.attempts = 3; backoff_us = 300.0 } in
-  let backing = Mgr_backing.disk ~retry ~counters machine.Machine.disk ~page_bytes:4096 in
+  let backing = Mgr_backing.disk ~retry machine.Machine.disk ~page_bytes:4096 in
   let g =
     G.create kernel ~name:"storm" ~mode:`In_process ~backing ~source ~pool_capacity:32
-      ~refill_batch:8 ~reclaim_batch:4 ~counters ()
+      ~refill_batch:8 ~reclaim_batch:4 ()
   in
   let seg =
     G.create_segment g ~name:"data" ~pages ~kind:(G.File { file_id = 7 }) ~high_water:pages ()
@@ -145,10 +143,10 @@ let generic_storm ~seed =
       done);
   Engine.run machine.Machine.engine;
   Hw_disk.set_chaos machine.Machine.disk None;
-  (machine, kernel, g, chaos, counters, !app_failures, seg)
+  (machine, kernel, g, chaos, !app_failures, seg)
 
 let test_generic_storm () =
-  let machine, kernel, g, chaos, _counters, _fails, seg = generic_storm ~seed:11L in
+  let machine, kernel, g, chaos, _fails, seg = generic_storm ~seed:11L in
   (* No frame leaks, however many fills and writebacks were abandoned. *)
   check_conserved machine kernel;
   check_bool "the storm actually stormed" true (Chaos.injected_failures chaos > 0);
@@ -173,10 +171,11 @@ let test_generic_storm () =
 
 let test_generic_storm_replay () =
   let observe seed =
-    let _, kernel, g, chaos, counters, fails, _ = generic_storm ~seed in
+    let _, kernel, g, chaos, fails, _ = generic_storm ~seed in
+    let b = G.backing g in
     ( Chaos.schedule_fingerprint chaos,
       Chaos.decisions chaos,
-      Counters.to_list counters,
+      List.map (fun op -> (Mgr_backing.retries b op, Mgr_backing.failures b op)) [ `Read; `Write ],
       fails,
       (G.stats g).G.fill_failures,
       (G.stats g).G.writeback_failures,
@@ -194,13 +193,12 @@ let test_generic_storm_replay () =
 let test_prefetch_degrades () =
   let frames = 48 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos = Chaos.create ~seed:21L { Chaos.default_spec with read_error_p = 0.45 } in
   Hw_disk.set_chaos machine.Machine.disk (Some chaos);
   let p =
     Mgr_prefetch.create kernel
       ~retry:{ Mgr_backing.attempts = 2; backoff_us = 200.0 }
-      ~counters ~source ~pool_capacity:48 ()
+      ~source ~pool_capacity:48 ()
   in
   let seg = Mgr_prefetch.create_file_segment p ~name:"scan" ~file_id:3 ~pages:32 in
   let app_failures = ref 0 in
@@ -241,11 +239,10 @@ let test_prefetch_degrades () =
 let test_wal_torn_write () =
   let engine = Engine.create () in
   let disk = Hw_disk.create engine () in
-  let counters = Counters.create () in
   let chaos = Chaos.create ~seed:33L { Chaos.default_spec with write_error_p = 1.0 } in
   Hw_disk.set_chaos disk (Some chaos);
   let wal =
-    Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 100.0 } ~counters ()
+    Db_wal.create disk ~retry:{ Mgr_backing.attempts = 2; backoff_us = 100.0 } ()
   in
   let torn = ref false in
   Engine.spawn engine (fun () ->
@@ -269,20 +266,51 @@ let test_wal_torn_write () =
   check_int "recovery flushed everything" 5 (Db_wal.flushed wal)
 
 (* ------------------------------------------------------------------ *)
+(* Mgr_default: a failed flush leaves the page dirty for the next one *)
+(* ------------------------------------------------------------------ *)
+
+let test_default_flush_keeps_failed_page_dirty () =
+  let machine, kernel, source = kernel_with_source ~frames:64 () in
+  let backing =
+    Mgr_backing.disk
+      ~retry:{ Mgr_backing.attempts = 2; backoff_us = 100.0 }
+      machine.Machine.disk ~page_bytes:4096
+  in
+  let ucds = Mgr_default.create kernel ~backing ~source ~pool_capacity:16 () in
+  let seg = Mgr_default.open_file ucds ~file_id:5 ~size_pages:4 ~empty:true () in
+  K.uio_write kernel ~seg ~page:0 (Hw_page_data.of_string "flushed");
+  let flush () =
+    Engine.spawn machine.Machine.engine (fun () -> Mgr_default.flush_file ucds seg);
+    Engine.run machine.Machine.engine
+  in
+  let dirty () =
+    Epcm_flags.mem (Seg.page (K.segment kernel seg) 0).Seg.flags Epcm_flags.dirty
+  in
+  Hw_disk.set_chaos machine.Machine.disk
+    (Some (Chaos.create ~seed:55L { Chaos.default_spec with write_error_p = 1.0 }));
+  flush ();
+  check_int "the write was abandoned" 1 (Mgr_backing.failures backing `Write);
+  check_bool "the page stays dirty" true (dirty ());
+  check_bool "no block on the backing store" false (Mgr_backing.has_block backing ~file:5 ~block:0);
+  Hw_disk.set_chaos machine.Machine.disk None;
+  flush ();
+  check_bool "a healthy flush cleans it" false (dirty ());
+  check_bool "and writes its block" true (Mgr_backing.has_block backing ~file:5 ~block:0)
+
+(* ------------------------------------------------------------------ *)
 (* Mgr_checkpoint: durability loss is counted, never wedges a close    *)
 (* ------------------------------------------------------------------ *)
 
 let test_checkpoint_durable_loss () =
   let frames = 48 in
   let machine, kernel, source = kernel_with_source ~frames () in
-  let counters = Counters.create () in
   let chaos = Chaos.create ~seed:44L { Chaos.default_spec with write_error_p = 0.3 } in
   let backing =
     Mgr_backing.disk
       ~retry:{ Mgr_backing.attempts = 2; backoff_us = 100.0 }
-      ~counters machine.Machine.disk ~page_bytes:4096
+      machine.Machine.disk ~page_bytes:4096
   in
-  let c = Mgr_checkpoint.create kernel ~backing ~counters ~source ~pool_capacity:32 () in
+  let c = Mgr_checkpoint.create kernel ~backing ~source ~pool_capacity:32 () in
   let seg = Mgr_checkpoint.create_segment c ~name:"heap" ~pages:16 in
   let closed = ref 0 in
   Engine.spawn machine.Machine.engine (fun () ->
@@ -419,7 +447,6 @@ let coloring_cache_storm ~tiered ~seed =
     done;
     !granted
   in
-  let counters = Counters.create () in
   let chaos =
     Chaos.create ~seed
       {
@@ -433,10 +460,10 @@ let coloring_cache_storm ~tiered ~seed =
   in
   Hw_disk.set_chaos machine.Machine.disk (Some chaos);
   let retry = { Mgr_backing.attempts = 3; backoff_us = 300.0 } in
-  let backing = Mgr_backing.disk ~retry ~counters machine.Machine.disk ~page_bytes:4096 in
+  let backing = Mgr_backing.disk ~retry machine.Machine.disk ~page_bytes:4096 in
   let g =
     G.create kernel ~name:"cache-storm" ~mode:`In_process ~backing ~source:generic_source
-      ~pool_capacity:32 ~refill_batch:8 ~reclaim_batch:4 ~counters ()
+      ~pool_capacity:32 ~refill_batch:8 ~reclaim_batch:4 ()
   in
   let file_seg =
     G.create_segment g ~name:"data" ~pages:48 ~kind:(G.File { file_id = 9 }) ~high_water:48 ()
@@ -821,6 +848,9 @@ let () =
       ( "prefetch manager",
         [ Alcotest.test_case "dead fills degrade to demand" `Quick test_prefetch_degrades ] );
       ("write-ahead log", [ Alcotest.test_case "torn writes" `Quick test_wal_torn_write ]);
+      ( "default manager",
+        [ Alcotest.test_case "failed flush keeps the page dirty" `Quick
+            test_default_flush_keeps_failed_page_dirty ] );
       ( "checkpoint manager",
         [ Alcotest.test_case "durability loss is survivable" `Quick test_checkpoint_durable_loss ]
       );

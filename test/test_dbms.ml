@@ -784,6 +784,27 @@ let test_wal_eviction_forces_log_first () =
       check_int "no WAL violations" 0 (Db_wal.wal_violations wal));
   Engine.run machine.Hw_machine.engine
 
+(* A page whose log records cannot be forced must not reach disk ahead of
+   them: the hook vetoes the eviction, and the manager keeps the page
+   resident and dirty and counts the skip. *)
+let test_wal_failed_force_vetoes_eviction () =
+  let machine, kernel, wal, g, seg = wal_setup () in
+  Hw_disk.set_chaos machine.Hw_machine.disk
+    (Some (Sim_chaos.create ~seed:66L { Sim_chaos.default_spec with write_error_p = 1.0 }));
+  Epcm_kernel.touch kernel ~space:seg ~page:2 ~access:Epcm_manager.Write;
+  Db_wal.note_page_write wal ~seg ~page:2 ~lsn:(Db_wal.append wal);
+  let reclaimed = ref (-1) in
+  Engine.spawn machine.Hw_machine.engine (fun () -> reclaimed := Mgr_generic.reclaim g ~count:1);
+  Engine.run machine.Hw_machine.engine;
+  let slot = Epcm_segment.page (Epcm_kernel.segment kernel seg) 2 in
+  check_int "nothing reclaimed" 0 !reclaimed;
+  check_bool "still resident" true (slot.Epcm_segment.frame <> None);
+  check_bool "still dirty" true (Epcm_flags.mem slot.Epcm_segment.flags Epcm_flags.dirty);
+  check_int "the skip is counted" 1 (Mgr_generic.stats g).Mgr_generic.writeback_failures;
+  check_int "no block written" 0 (Mgr_backing.writes (Mgr_generic.backing g));
+  check_int "the log is not durable" 0 (Db_wal.flushed wal);
+  check_int "no WAL violation" 0 (Db_wal.wal_violations wal)
+
 let test_wal_violation_detected_without_hook () =
   let machine, _, _, _, _ = wal_setup () in
   (* A manager that ignores the WAL rule is observable: writing back a
@@ -1036,6 +1057,8 @@ let () =
           Alcotest.test_case "group commit" `Quick test_wal_group_commit;
           Alcotest.test_case "eviction forces log first" `Quick
             test_wal_eviction_forces_log_first;
+          Alcotest.test_case "failed force vetoes the eviction" `Quick
+            test_wal_failed_force_vetoes_eviction;
           Alcotest.test_case "violation detectable" `Quick
             test_wal_violation_detected_without_hook;
           Alcotest.test_case "clean pages free" `Quick test_wal_clean_pages_need_no_flush;

@@ -7,7 +7,6 @@ module Seg = Epcm_segment
 module Mgr = Epcm_manager
 module Flags = Epcm_flags
 module Machine = Hw_machine
-module Engine = Sim_engine
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -722,16 +721,6 @@ let test_touch_dead_binding_target () =
 (* Timing: the Table 1 code paths                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Run a thunk inside a simulation process and return elapsed sim-time. *)
-let timed machine f =
-  let result = ref 0.0 in
-  Engine.spawn machine.Machine.engine (fun () ->
-      let t0 = Engine.time () in
-      f ();
-      result := Engine.time () -. t0);
-  Engine.run machine.Machine.engine;
-  !result
-
 let minimal_manager_setup ~mode () =
   let machine = small_machine ~frames:256 () in
   let k = K.create machine in
@@ -759,14 +748,18 @@ let minimal_manager_setup ~mode () =
 let test_timing_minimal_fault_in_process () =
   let machine, k, g, seg = minimal_manager_setup ~mode:`In_process () in
   Mgr_generic.ensure_pool g ~count:8;
-  let elapsed = timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write) in
+  let elapsed =
+    Exp_table1.timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write)
+  in
   check_float "paper: 107 us" (Hw_cost.vpp_minimal_fault_in_process machine.Machine.cost) elapsed;
   check_float "numerically 107" 107.0 elapsed
 
 let test_timing_minimal_fault_via_manager () =
   let machine, k, g, seg = minimal_manager_setup ~mode:`Separate_process () in
   Mgr_generic.ensure_pool g ~count:8;
-  let elapsed = timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write) in
+  let elapsed =
+    Exp_table1.timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write)
+  in
   check_float "paper: 379 us" (Hw_cost.vpp_minimal_fault_via_manager machine.Machine.cost) elapsed;
   check_float "numerically 379" 379.0 elapsed
 
@@ -776,10 +769,10 @@ let test_timing_uio_cached () =
   (* Fault the page in outside the measurement. *)
   K.touch k ~space:seg ~page:0 ~access:Mgr.Write;
   ignore g;
-  let read = timed machine (fun () -> ignore (K.uio_read k ~seg ~page:0)) in
+  let read = Exp_table1.timed machine (fun () -> ignore (K.uio_read k ~seg ~page:0)) in
   check_float "read 4KB = 222" 222.0 read;
   let write =
-    timed machine (fun () -> K.uio_write k ~seg ~page:0 (Hw_page_data.of_string "x"))
+    Exp_table1.timed machine (fun () -> K.uio_write k ~seg ~page:0 (Hw_page_data.of_string "x"))
   in
   check_float "write 4KB = 203" 203.0 write
 
@@ -789,7 +782,9 @@ let test_timing_second_touch_free () =
   K.touch k ~space:seg ~page:0 ~access:Mgr.Write;
   ignore g;
   (* Warm: mapping cached; cost at most a TLB refill. *)
-  let elapsed = timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Read) in
+  let elapsed =
+    Exp_table1.timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Read)
+  in
   check_bool "warm touch under 1us" true (elapsed <= 1.0)
 
 (* Table 1 pin: the emergent fault/IO sums must not move when the fault
@@ -809,19 +804,21 @@ let test_table1_rows_with_injection_disabled () =
       let machine, k, g, seg = minimal_manager_setup ~mode:`In_process () in
       Hw_disk.set_chaos machine.Machine.disk plan;
       Mgr_generic.ensure_pool g ~count:8;
-      let fault = timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write) in
+      let fault =
+        Exp_table1.timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write)
+      in
       check_float (what ^ ": in-process fault = 107") 107.0 fault;
-      let read = timed machine (fun () -> ignore (K.uio_read k ~seg ~page:0)) in
+      let read = Exp_table1.timed machine (fun () -> ignore (K.uio_read k ~seg ~page:0)) in
       check_float (what ^ ": cached read = 222") 222.0 read;
       let write =
-        timed machine (fun () -> K.uio_write k ~seg ~page:0 (Hw_page_data.of_string "x"))
+        Exp_table1.timed machine (fun () -> K.uio_write k ~seg ~page:0 (Hw_page_data.of_string "x"))
       in
       check_float (what ^ ": cached write = 203") 203.0 write)
     plans;
   let machine, k, g, seg = minimal_manager_setup ~mode:`Separate_process () in
   Hw_disk.set_chaos machine.Machine.disk (Some (Sim_chaos.none ()));
   Mgr_generic.ensure_pool g ~count:8;
-  let fault = timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write) in
+  let fault = Exp_table1.timed machine (fun () -> K.touch k ~space:seg ~page:0 ~access:Mgr.Write) in
   check_float "inert plan: via-manager fault = 379" 379.0 fault;
   (* All eight Table 1 rows, as the cost-table identities they sum to. *)
   let c = Hw_cost.decstation_5000_200 in

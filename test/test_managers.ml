@@ -297,6 +297,22 @@ let test_generic_close_honours_discard_hook () =
   check_int "nothing written" 0 (Mgr_backing.writes backing);
   check_int "eight discards" 8 (G.stats g).G.discards
 
+let test_generic_close_counts_lost_writebacks () =
+  (* Every writeback fails as an exhausted backing write does. *)
+  let hooks =
+    {
+      (G.default_hooks ~backing:(Mgr_backing.memory ())) with
+      G.on_eviction =
+        (fun ~seg ~page ~dirty:_ ->
+          raise
+            (Mgr_backing.Backing_failed { op = `Write; file = seg; block = page; attempts = 3 }));
+    }
+  in
+  let backing, g = close_dirty_file ~hooks () in
+  check_int "nothing written" 0 (Mgr_backing.writes backing);
+  check_int "eight pages lost" 8 (G.stats g).G.close_writeback_losses;
+  check_int "no eviction skipped" 0 (G.stats g).G.writeback_failures
+
 let test_generic_return_to_system () =
   let _, kernel, _, g = generic ~frames:64 () in
   let seg = G.create_segment g ~name:"heap" ~pages:8 ~kind:G.Anon () in
@@ -1018,6 +1034,8 @@ let () =
             test_generic_close_writes_every_dirty_page;
           Alcotest.test_case "close honours a discard hook" `Quick
             test_generic_close_honours_discard_hook;
+          Alcotest.test_case "close counts lost writebacks" `Quick
+            test_generic_close_counts_lost_writebacks;
           Alcotest.test_case "return to system" `Quick test_generic_return_to_system;
           Alcotest.test_case "lock in memory (2.2 protocol)" `Quick test_generic_lock_in_memory;
           Alcotest.test_case "cow fill" `Quick test_generic_cow_fill;

@@ -739,55 +739,14 @@ let test_trace_order_and_tags () =
   let tr = Trace.create () in
   Trace.emit tr ~time:1.0 ~tag:"a" "first";
   Trace.emit tr ~time:2.0 ~tag:"b" "second";
-  Alcotest.(check (list string)) "tags" [ "a"; "b" ] (Trace.tags tr)
+  Alcotest.(check (list string)) "tags" [ "a"; "b" ] (Trace.tags tr);
+  Trace.clear tr;
+  Alcotest.(check (list string)) "clear empties" [] (Trace.tags tr)
 
 let test_trace_disabled () =
   let tr = Trace.create ~enabled:false () in
   Trace.emit tr ~time:1.0 ~tag:"a" "ignored";
-  check_int "nothing recorded" 0 (List.length (Trace.events tr))
-
-let test_trace_capacity () =
-  let tr = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.emit tr ~time:(float_of_int i) ~tag:(string_of_int i) ""
-  done;
-  Alcotest.(check (list string)) "keeps newest" [ "3"; "4"; "5" ] (Trace.tags tr);
-  check_int "dropped" 2 (Trace.dropped tr)
-
-let test_trace_disabled_emit_is_free () =
-  (* A disabled trace neither records nor counts drops, however many
-     emits hit it; flipping it on starts recording from that point. *)
-  let tr = Trace.create ~enabled:false ~capacity:2 () in
-  for i = 1 to 100 do
-    Trace.emit tr ~time:(float_of_int i) ~tag:"noise" ""
-  done;
-  check_int "nothing recorded" 0 (List.length (Trace.events tr));
-  check_int "nothing dropped" 0 (Trace.dropped tr);
-  Trace.set_enabled tr true;
-  Trace.emit tr ~time:200.0 ~tag:"signal" "";
-  Alcotest.(check (list string)) "records once enabled" [ "signal" ] (Trace.tags tr);
-  Trace.clear tr;
-  check_int "clear resets dropped" 0 (Trace.dropped tr);
-  check_int "clear empties" 0 (List.length (Trace.events tr))
-
-(* ------------------------------------------------------------------ *)
-(* Counters                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_counters_basic () =
-  let c = Stats.Counters.create () in
-  check_int "never-incremented name reads 0" 0 (Stats.Counters.get c "ghost");
-  Stats.Counters.incr c "wal.flush_retries";
-  Stats.Counters.incr ~by:2 c "backing.read_retries";
-  Stats.Counters.incr c "wal.flush_retries";
-  check_int "accumulates" 2 (Stats.Counters.get c "wal.flush_retries");
-  Alcotest.(check (list (pair string int)))
-    "to_list is name-sorted"
-    [ ("backing.read_retries", 2); ("wal.flush_retries", 2) ]
-    (Stats.Counters.to_list c);
-  check_int "total" 4 (Stats.Counters.total c);
-  Stats.Counters.clear c;
-  check_int "clear" 0 (Stats.Counters.total c)
+  check_int "nothing recorded" 0 (List.length (Trace.tags tr))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos plans                                                        *)
@@ -987,10 +946,7 @@ let () =
         [
           Alcotest.test_case "order and tags" `Quick test_trace_order_and_tags;
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
-          Alcotest.test_case "capacity" `Quick test_trace_capacity;
-          Alcotest.test_case "disabled emit is free" `Quick test_trace_disabled_emit_is_free;
         ] );
-      ("counters", [ Alcotest.test_case "basic accounting" `Quick test_counters_basic ]);
       ( "chaos",
         [
           Alcotest.test_case "none is inert" `Quick test_chaos_none_is_inert;

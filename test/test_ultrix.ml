@@ -11,19 +11,10 @@ let setup ?resident_limit ?(frames = 256) () =
   let uvm = Uvm.create ?resident_limit machine in
   (machine, uvm)
 
-let timed machine f =
-  let result = ref 0.0 in
-  Engine.spawn machine.Hw_machine.engine (fun () ->
-      let t0 = Engine.time () in
-      f ();
-      result := Engine.time () -. t0);
-  Engine.run machine.Hw_machine.engine;
-  !result
-
 let test_fault_timing_175 () =
   let machine, uvm = setup () in
   let pid = Uvm.create_process uvm ~name:"p" in
-  let t = timed machine (fun () -> Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write) in
+  let t = Exp_table1.timed machine (fun () -> Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write) in
   check_float "the paper's 175us" 175.0 t
 
 let test_zero_fill_counted () =
@@ -43,7 +34,7 @@ let test_reprotect_timing_152 () =
   let pid = Uvm.create_process uvm ~name:"p" in
   Uvm.touch uvm pid ~vpn:0 ~access:Uvm.Write;
   Uvm.protect uvm pid ~vpn:0;
-  let t = timed machine (fun () -> Uvm.touch_protected uvm pid ~vpn:0) in
+  let t = Exp_table1.timed machine (fun () -> Uvm.touch_protected uvm pid ~vpn:0) in
   check_float "the paper's 152us" 152.0 t;
   check_int "user fault counted" 1 (Uvm.stats uvm).Uvm.user_faults
 
@@ -51,12 +42,12 @@ let test_io_timing () =
   let machine, uvm = setup () in
   let fd = Uvm.open_file uvm ~file_id:1 ~size_kb:64 in
   Uvm.preload uvm fd;
-  let read4 = timed machine (fun () -> Uvm.read uvm fd ~offset_kb:0 ~kb:4) in
+  let read4 = Exp_table1.timed machine (fun () -> Uvm.read uvm fd ~offset_kb:0 ~kb:4) in
   check_float "read 4KB = 211" 211.0 read4;
   let machine2, uvm2 = setup () in
   let fd2 = Uvm.open_file uvm2 ~file_id:1 ~size_kb:64 in
   Uvm.preload uvm2 fd2;
-  let write4 = timed machine2 (fun () -> Uvm.write uvm2 fd2 ~offset_kb:0 ~kb:4) in
+  let write4 = Exp_table1.timed machine2 (fun () -> Uvm.write uvm2 fd2 ~offset_kb:0 ~kb:4) in
   check_float "write 4KB = 311" 311.0 write4
 
 let test_io_8kb_transfer_unit () =
@@ -122,7 +113,7 @@ let prop_fault_cost_constant =
     (fun pages ->
       let machine, uvm = setup () in
       let pid = Uvm.create_process uvm ~name:"p" in
-      let elapsed = timed machine (fun () ->
+      let elapsed = Exp_table1.timed machine (fun () ->
           for v = 0 to pages - 1 do
             Uvm.touch uvm pid ~vpn:v ~access:Uvm.Write
           done)
